@@ -14,8 +14,12 @@ same core, and a skip run that reaches the end of the production completes
 it immediately, using the last actually-matched node for the end offset.
 
 Termination holds for cyclic production sets and nullable chains because
-nodes merge on their (start, end, symbol) identity and a generated-entries
-set suppresses duplicate agenda pushes.
+nodes merge on their (start, end, symbol) identity and handles merge within
+their core, so both stores are finite. No (handle, node) pair is pushed
+twice: a handle is stored once and then meets the nodes already following
+its core, and a node is created once and then meets the handles already
+waiting in its start core, so each pair is pushed by whichever of the two
+came second.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class IGraph:
 
     ``starting`` holds the accepted roots: start-symbol nodes whose only
     preceding core is the starting core and whose only following core is the
-    last one. ``by_start_sym`` indexes node ids by (start offset, symbol id)
+    last one. ``node_ids`` maps each node's (start, end, symbol id) to its
+    id, and ``by_start_sym`` indexes node ids by (start offset, symbol id)
     with each bucket sorted by end offset, for the expansion phase.
     """
 
@@ -46,6 +51,7 @@ class IGraph:
     handle_count: int
     content_start: int
     next_position: dict[int, int] = field(repr=False)
+    node_ids: dict[tuple[int, int, int], int] = field(repr=False)
     by_start_sym: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
 
 
@@ -64,7 +70,6 @@ class ChartParser:
         self.grammar = grammar
         self.ela = ela
         self.agenda: deque = deque()
-        self.generated: set[tuple] = set()
         self.pops = 0
         self._lifo = agenda_order == "lifo"
         self._rhs = grammar.rhs_ids
@@ -103,11 +108,8 @@ class ChartParser:
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
-                for node_id in tuple(core.following_by_sym.get(sym, ())):
-                    entry = (production_id, dot, first_id, start_index, node_id)
-                    if entry not in self.generated:
-                        self.generated.add(entry)
-                        self.agenda.append(entry)
+                for node_id in core.following_by_sym.get(sym, ()):
+                    self.agenda.append(handle + (node_id,))
             if sym not in self._eps:
                 return
             dot += 1
@@ -130,11 +132,8 @@ class ChartParser:
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
-        for handle in tuple(pre.waiting.get(production.lhs.id, ())):
-            entry = handle + (node_id,)
-            if entry not in self.generated:
-                self.generated.add(entry)
-                self.agenda.append(entry)
+        for handle in pre.waiting.get(production.lhs.id, ()):
+            self.agenda.append(handle + (node_id,))
 
     # -- driver --------------------------------------------------------------
 
@@ -190,6 +189,7 @@ class ChartParser:
             handle_count=sum(len(c.handles) for c in ela.cores),
             content_start=ela.content_start,
             next_position=next_position,
+            node_ids=ela.node_ids,
             by_start_sym={k: tuple(v) for k, v in by_start_sym.items()},
         )
 
@@ -200,10 +200,9 @@ def run_chart(grammar: Grammar, ela: ELAGraph, agenda_order: str = "lifo") -> IG
 
 
 def igraph_stats(ig: IGraph) -> dict:
-    """Deterministic chart statistics (node, edge, and work counts)."""
+    """Deterministic chart statistics (node and work counts)."""
     return {
         "nodes": len(ig.nodes),
-        "edges": 2 * len(ig.nodes),
         "starting": len(ig.starting),
         "agendaPops": ig.agenda_pops,
         "handles": ig.handle_count,

@@ -54,8 +54,47 @@ class SessionConfig:
             raise ValueError("--format must be json or dot")
 
 
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, written from an explicit stack.
+
+    The standard encoder recurses once per nesting level, which a deep
+    parse tree exceeds; this one is limited by memory alone.
+    """
+    parts: list[str] = []
+    # (text, None) is written as is; (value, depth) is encoded at that depth
+    stack: list[tuple] = [(doc, 0)]
+    while stack:
+        item, depth = stack.pop()
+        if depth is None:
+            parts.append(item)
+            continue
+        if isinstance(item, dict):
+            entries = [
+                (json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": ", v)
+                for k, v in item.items()
+            ]
+            brackets = "{}"
+        elif isinstance(item, (list, tuple)):
+            entries = [("", v) for v in item]
+            brackets = "[]"
+        else:
+            parts.append(json.dumps(item))
+            continue
+        if not entries:
+            parts.append(brackets)
+            continue
+        parts.append(brackets[0])
+        stack.append(("\n" + "  " * depth + brackets[1], None))
+        indent = "\n" + "  " * (depth + 1)
+        for i in range(len(entries) - 1, -1, -1):
+            prefix, value = entries[i]
+            stack.append((value, depth + 1))
+            stack.append(((indent if i == 0 else "," + indent) + prefix, None))
+    return "".join(parts)
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
 
 
 def run_pipeline(config: SessionConfig) -> int:

@@ -6,14 +6,24 @@ an ordered child list; identical subderivations are shared structurally, and
 ambiguity shows up as several explicit roots (or several explicit nodes over
 one implicit node deeper in the forest).
 
-Expansion is memoized. A history of implicit nodes on the active recursion
+Expansion is memoized. A history of implicit nodes on the active expansion
 path cuts cyclic derivations, so no (start, end, symbol) repeats on any
 root-to-leaf path of an output tree. A cut makes the result context
 dependent, and a naive memo would leak trees across contexts, so entries are
 keyed by the node plus the active ancestors sharing its exact span: ancestor
 spans always contain the node's span, hence only equal-span ancestors can
 ever recur inside its derivations, and that tiny set is the entire relevant
-context. Ordinary nested ambiguity still shares one entry per node.
+context. A node with no such ancestor, the common case, is keyed by its id
+alone. Ordinary nested ambiguity still shares one entry per node.
+
+Expansion runs on the caller's thread without recursion: each implicit node
+under expansion is a generator on an explicit stack, which hands the driver
+the child expansions it needs. Input nesting depth therefore costs memory,
+not interpreter frames, and parsing changes no process-wide setting.
+
+A candidate's children are chosen left to right. At the last right-hand-side
+position the child must end where the node ends, so it is looked up exactly
+by (start, end, symbol) instead of searched for.
 
 Skipped nullable positions are filled with zero-width placeholder children
 carrying the symbol's canonical minimal empty derivation, so output trees
@@ -21,19 +31,20 @@ always have one child per right-hand-side position. Placeholder internals are
 canonical and not subject to constraints, but a placeholder is an ordinary
 child for the checks on its parent.
 
-Associativity, composition precedence, and custom evaluators reject a
-candidate node the moment it is assembled; the earlier a candidate dies, the
-fewer nodes are built above it. Selection precedence needs the sibling
-candidates of the same implicit node, so it runs as a per-node post-pass:
-candidates are grouped by production and a production's candidates are
-dropped when any preferred production kept at least one survivor, resolved in
-topological order of the (acyclic, transitively closed) preference relation.
+Associativity and composition precedence each look at one child's
+production, so they are checked as each child, placeholders included, is
+appended, and a candidate that would fail them is never assembled;
+``EGraph.constructions`` counts the candidates that pass. Custom evaluators
+see the assembled candidate and veto it before it is stored. Selection
+precedence needs the sibling candidates of the same implicit node, so it
+runs as a per-node post-pass: candidates are grouped by production and a
+production's candidates are dropped when any preferred production kept at
+least one survivor, resolved in topological order of the (acyclic,
+transitively closed) preference relation.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from dataclasses import dataclass
 
 from .chart import IGraph
@@ -92,27 +103,29 @@ class _Expander:
         self.enforce = enforce
         self.records: list[ExplicitNode] = []
         self.ids: dict[tuple, int] = {}
-        self.memo: dict[tuple[int, frozenset], tuple[int, ...]] = {}
-        self.active: set[int] = set()
-        self.active_by_span: dict[tuple[int, int], set[int]] = {}
+        self.memo: dict[int | tuple[int, frozenset[int]], tuple[int, ...]] = {}
+        # the implicit nodes under expansion, by span
+        self.context: dict[tuple[int, int], frozenset[int]] = {}
         self.constructions = 0
+        self._leaves: dict[int, tuple[int]] = {}
         self._markers: dict[tuple[int, int], int] = {}
         self._views: dict[int, NodeView] = {}
+        self._blocks: dict[int, tuple[frozenset[int], ...]] = {}
 
     # -- node store ----------------------------------------------------------
 
-    def _leaf(self, node) -> int:
-        key = (node.symbol_id, node.start, node.end)
-        got = self.ids.get(key)
+    def _leaf(self, node) -> tuple[int]:
+        """The one-element expansion of a token node."""
+        got = self._leaves.get(node.id)
         if got is None:
-            got = len(self.records)
-            self.ids[key] = got
+            eid = len(self.records)
             self.records.append(
                 ExplicitNode(
-                    got, node.symbol_id, node.start, node.end, None, None,
+                    eid, node.symbol_id, node.start, node.end, None, None,
                     self.input[node.start : node.end],
                 )
             )
+            got = self._leaves[node.id] = (eid,)
         return got
 
     def _intern(self, symbol_id: int, start: int, end: int, pid: int, children: tuple[int, ...]) -> int:
@@ -144,132 +157,198 @@ class _Expander:
     # -- expansion -----------------------------------------------------------
 
     def expand(self, node_id: int) -> tuple[int, ...]:
-        if node_id in self.active:
-            return ()  # cyclic re-entry contributes nothing on this path
-        node = self.ig.nodes[node_id]
-        span = (node.start, node.end)
-        context = frozenset(self.active_by_span.get(span, ()))
-        key = (node_id, context)
-        memo = self.memo.get(key)
-        if memo is not None:
-            return memo
-        self.active.add(node_id)
-        self.active_by_span.setdefault(span, set()).add(node_id)
-        out = self._derive(node_id)
-        self.active.discard(node_id)
-        self.active_by_span[span].discard(node_id)
-        self.memo[key] = out
-        return out
+        """Candidates of an accepted root, expanded with no ancestor active.
 
-    def _derive(self, node_id: int) -> tuple[int, ...]:
-        node = self.ig.nodes[node_id]
-        if node.is_token:
-            return (self._leaf(node),)
-        prods = self.grammar.productions_by_lhs.get(node.symbol_id, ())
-        candidates: dict[int, list[int]] = {p.id: self._apply(p, node) for p in prods}
-        if self.enforce and self.grammar.has_selection:
-            for pid in self.grammar.selection_order_by_lhs[node.symbol_id]:
+        One ``_derive`` generator stands for each implicit node under
+        expansion, innermost last; the loop resumes the innermost one with
+        the expansion it asked for, so nesting depth costs no interpreter
+        frames.
+        """
+        got = self.memo.get(node_id)
+        if got is not None:
+            return got
+        open_nodes = [self._derive(node_id, node_id)]
+        value = None
+        while True:
+            try:
+                key = open_nodes[-1].send(value)
+            except StopIteration as done:
+                open_nodes.pop()
+                if not open_nodes:
+                    return done.value
+                value = done.value
+            else:
+                open_nodes.append(self._derive(key if type(key) is int else key[0], key))
+                value = None
+
+    def _derive(self, node_id: int, key: int | tuple[int, frozenset[int]]):
+        """Generator expanding one nonterminal node; memoizes and returns its candidates.
+
+        It yields the memo key of each child expansion the memo lacks and is
+        resumed with that expansion. A candidate's right-hand side is filled
+        left to right, depth first, from an explicit stack of partial child
+        tuples, so candidates come out in the order of their choices: the
+        placeholder first, then children by end offset, then each child's
+        own candidates in order.
+        """
+        grammar = self.grammar
+        ig = self.ig
+        nodes = ig.nodes
+        node_ids = ig.node_ids
+        by_start_sym = ig.by_start_sym
+        next_position = ig.next_position
+        eps = grammar.epsilon_ids
+        records = self.records
+        memo = self.memo
+        enforce = self.enforce
+        node = nodes[node_id]
+        start, end = node.start, node.end
+        span = (start, end)
+        outer = self.context.get(span)
+        context = self.context[span] = (outer or frozenset()) | {node_id}
+
+        prods = grammar.productions_by_lhs[node.symbol_id]
+        candidates: dict[int, list[int]] = {}
+        for p in prods:
+            out = candidates[p.id] = []
+            rhs = grammar.rhs_ids[p.id]
+            if not rhs:
+                continue  # implicit nodes are never zero-width
+            last = len(rhs) - 1
+            blocks = self._position_blocks(p) if enforce else None
+            evaluator = grammar.constraints.custom.get(p.id) if enforce else None
+            stack = [(0, start, start, ())]
+            while stack:
+                pos, cursor, offset, children = stack.pop()
+                # (child candidate, its end, next token offset), each passing
+                # the checks that concern this position alone
+                options = []
+                sym = rhs[pos]
+                blocked = blocks[pos] if blocks else None
+                if sym in eps and (pos < last or cursor == end):
+                    marker = self._marker(sym, cursor)
+                    if not blocked or records[marker].production_id not in blocked:
+                        options.append((marker, cursor, offset))
+                if pos == last:
+                    found = node_ids.get((offset, end, sym))
+                    kids = () if found is None else (found,)
+                else:
+                    kids = by_start_sym.get((offset, sym), ())
+                for child_id in kids:
+                    child = nodes[child_id]
+                    if child.end > end:
+                        break
+                    if child.is_token:
+                        subs = self._leaf(child)
+                    else:
+                        # Ancestors span at least this node, so only a child
+                        # of the same span can meet one again.
+                        if child.start != start or child.end != end:
+                            child_key = child_id
+                        elif child_id in context:
+                            continue  # cyclic re-entry contributes nothing on this path
+                        else:
+                            child_key = (child_id, context)
+                        subs = memo.get(child_key)
+                        if subs is None:
+                            subs = yield child_key
+                    after = next_position[child.end]
+                    for sub in subs:
+                        if not blocked or records[sub].production_id not in blocked:
+                            options.append((sub, child.end, after))
+                if pos < last:
+                    nxt = pos + 1
+                    stack.extend([(nxt, c, o, children + (sub,)) for sub, c, o in reversed(options)])
+                    continue
+                for sub, _c, _o in options:
+                    # Distinct choices give distinct child tuples: children
+                    # differ in span, or in production or children below.
+                    complete = children + (sub,)
+                    self.constructions += 1
+                    if evaluator is not None and not self._evaluate(p, node, complete, evaluator):
+                        continue
+                    out.append(self._intern(node.symbol_id, start, end, p.id, complete))
+
+        if enforce and grammar.has_selection:
+            for pid in grammar.selection_order_by_lhs[node.symbol_id]:
                 if candidates.get(pid) and any(
-                    candidates.get(q) for q in self.grammar.preferred_over.get(pid, ())
+                    candidates.get(q) for q in grammar.preferred_over.get(pid, ())
                 ):
                     candidates[pid] = []
-        return tuple(eid for p in prods for eid in candidates[p.id])
+        result = tuple(eid for p in prods for eid in candidates[p.id])
+        if outer is None:
+            del self.context[span]
+        else:
+            self.context[span] = outer
+        memo[key] = result
+        return result
 
-    def _apply(self, p: Production, node) -> list[int]:
-        """Every constraint-satisfying application of ``p`` that derives ``node``."""
-        rhs = p.rhs
-        size = len(rhs)
-        eps = self.grammar.epsilon_ids
-        by_start_sym = self.ig.by_start_sym
-        next_position = self.ig.next_position
-        nodes = self.ig.nodes
-        target_end = node.end
-        out: list[int] = []
-        seen: set[tuple[int, ...]] = set()
+    # -- constraint checks -----------------------------------------------------
 
-        def step(pos: int, cursor: int, offset: int, children: tuple[int, ...]) -> None:
-            if pos == size:
-                if cursor == target_end and children not in seen:
-                    seen.add(children)
-                    self._emit(p, node, children, out)
-                return
-            sym = rhs[pos]
-            if sym.id in eps:
-                step(pos + 1, cursor, offset, children + (self._marker(sym.id, cursor),))
-            for child_id in by_start_sym.get((offset, sym.id), ()):
-                child = nodes[child_id]
-                if child.end > target_end:
-                    break
-                for sub in self.expand(child_id):
-                    step(pos + 1, child.end, next_position[child.end], children + (sub,))
+    def _position_blocks(self, p: Production) -> tuple[frozenset[int], ...]:
+        """Per right-hand-side position, the productions a child there may not have.
 
-        step(0, node.start, node.start, ())
-        return out
+        Composition precedence blocks the same productions everywhere;
+        associativity adds ``p`` itself at the last position (left, none) and
+        at the first (right, none).
+        """
+        got = self._blocks.get(p.id)
+        if got is None:
+            blocked = self.grammar.composition_blocks.get(p.id, frozenset())
+            direction = self.grammar.constraints.associativity.get(p.id)
+            last = len(p.rhs) - 1
+            positions = []
+            for i in range(len(p.rhs)):
+                edge = (i == last and direction in (ASSOC_LEFT, ASSOC_NONE)) or (
+                    i == 0 and direction in (ASSOC_RIGHT, ASSOC_NONE)
+                )
+                positions.append(blocked | {p.id} if edge else blocked)
+            got = self._blocks[p.id] = tuple(positions)
+        return got
 
-    def _emit(self, p: Production, node, children: tuple[int, ...], out: list[int]) -> None:
-        self.constructions += 1
-        if self.enforce and not self._passes_local(p, node, children):
-            return
-        out.append(self._intern(node.symbol_id, node.start, node.end, p.id, children))
-
-    # -- per-candidate constraint checks --------------------------------------
-
-    def _passes_local(self, p: Production, node, children: tuple[int, ...]) -> bool:
-        constraints = self.grammar.constraints
-        direction = constraints.associativity.get(p.id)
-        if direction is not None and children:
-            if direction in (ASSOC_LEFT, ASSOC_NONE):
-                if self.records[children[-1]].production_id == p.id:
-                    return False
-            if direction in (ASSOC_RIGHT, ASSOC_NONE):
-                if self.records[children[0]].production_id == p.id:
-                    return False
-        blocked = self.grammar.composition_blocks.get(p.id)
-        if blocked:
-            for child in children:
-                if self.records[child].production_id in blocked:
-                    return False
-        evaluator = constraints.custom.get(p.id)
-        if evaluator is not None:
-            view = NodeView(
-                symbol=p.lhs.name,
-                start=node.start,
-                end=node.end,
-                production=p.id,
-                label=p.label,
-                children=tuple(self._view(c) for c in children),
-                lexeme=None,
-                text=self.input[node.start : node.end],
-            )
-            try:
-                verdict = evaluator(view)
-            except Exception as exc:
-                raise EvaluatorError(p.id, p.label, exc) from exc
-            if not verdict:
-                return False
-        return True
+    def _evaluate(self, p: Production, node, children: tuple[int, ...], evaluator) -> bool:
+        view = NodeView(
+            symbol=p.lhs.name,
+            start=node.start,
+            end=node.end,
+            production=p.id,
+            label=p.label,
+            children=tuple(self._view(c) for c in children),
+            lexeme=None,
+            text=self.input[node.start : node.end],
+        )
+        try:
+            return bool(evaluator(view))
+        except Exception as exc:
+            raise EvaluatorError(p.id, p.label, exc) from exc
 
     def _view(self, eid: int) -> NodeView:
-        got = self._views.get(eid)
-        if got is None:
-            rec = self.records[eid]
-            production = None
-            label = None
+        views = self._views
+        stack = [(eid, False)]
+        while stack:
+            nid, ready = stack.pop()
+            if nid in views:
+                continue
+            rec = self.records[nid]
+            if rec.children and not ready:
+                stack.append((nid, True))
+                stack.extend((c, False) for c in rec.children if c not in views)
+                continue
+            production = label = None
             if rec.production_id is not None:
                 prod = self.grammar.productions[rec.production_id]
                 production, label = prod.id, prod.label
-            got = NodeView(
+            views[nid] = NodeView(
                 symbol=self.grammar.symbol_by_id[rec.symbol_id].name,
                 start=rec.start,
                 end=rec.end,
                 production=production,
                 label=label,
-                children=tuple(self._view(c) for c in rec.children or ()),
+                children=tuple(views[c] for c in rec.children or ()),
                 lexeme=rec.lexeme,
                 text=self.input[rec.start : rec.end],
             )
-            self._views[eid] = got
-        return got
+        return views[eid]
 
 
 def _collect(records: list[ExplicitNode], roots: tuple[int, ...]) -> tuple[list[ExplicitNode], tuple[int, ...]]:
@@ -300,42 +379,6 @@ def _collect(records: list[ExplicitNode], roots: tuple[int, ...]) -> tuple[list[
     return kept, tuple(remap[r] for r in roots)
 
 
-def _run_deep(fn, frames: int):
-    """Run ``fn`` with room for ``frames`` recursion frames.
-
-    Expansion recursion is proportional to the nesting depth of the input;
-    deep inputs need more than the default interpreter limit allows on the
-    main thread, so the work moves to a worker thread with a stack sized for
-    it. The recursion limit is process global while the worker runs.
-    """
-    if frames < sys.getrecursionlimit() - 100:
-        return fn()
-    outcome: list = []
-    failure: list[BaseException] = []
-
-    def runner():
-        before = sys.getrecursionlimit()
-        sys.setrecursionlimit(frames + 100)
-        try:
-            outcome.append(fn())
-        except BaseException as exc:  # re-raised in the caller
-            failure.append(exc)
-        finally:
-            sys.setrecursionlimit(before)
-
-    previous_stack = threading.stack_size()
-    threading.stack_size(min(512 * 2**20, max(32 * 2**20, frames * 2048)))
-    try:
-        worker = threading.Thread(target=runner, name="fence-expand")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(previous_stack)
-    if failure:
-        raise failure[0]
-    return outcome[0]
-
-
 def expand_forest(grammar: Grammar, ig: IGraph, enforce_constraints: bool = True) -> EGraph:
     """Expand the accepted implicit roots into the explicit forest.
 
@@ -343,20 +386,10 @@ def expand_forest(grammar: Grammar, ig: IGraph, enforce_constraints: bool = True
     the raw ambiguity of the grammar over the input.
     """
     expander = _Expander(grammar, ig, enforce_constraints)
-
-    def run() -> list[int]:
-        roots: list[int] = []
-        for node_id in sorted(ig.starting):
-            for eid in expander.expand(node_id):
-                if eid not in roots:
-                    roots.append(eid)
-        return roots
-
-    tokens = sum(1 for n in ig.nodes if n.is_token)
-    max_rhs = max((len(p.rhs) for p in grammar.productions), default=0)
-    frames = 512 + (16 + 2 * max_rhs) * (tokens + len(grammar.symbols))
-    roots = _run_deep(run, frames)
-    nodes, new_roots = _collect(expander.records, tuple(roots))
+    # Roots of different starting nodes differ in span, and one node's
+    # candidates differ in production or children, so none repeats.
+    roots = tuple(eid for node_id in sorted(ig.starting) for eid in expander.expand(node_id))
+    nodes, new_roots = _collect(expander.records, roots)
     return EGraph(ig.input, nodes, new_roots, expander.constructions)
 
 

@@ -182,6 +182,20 @@ def _pipeline_trees(g: Grammar, text: str) -> frozenset:
     return frozenset(enumerate_trees(outcome.egraph, g, 10**6))
 
 
+def oracle_trees(g: Grammar, text: str) -> tuple | None:
+    """(lattice, oracle tree set) of an input the suite can check, else None.
+
+    Inputs that do not tokenize, or whose trees the oracle cannot enumerate
+    within ``BOUNDS`` and ``MAX_ORACLE_TREES``, are skipped.
+    """
+    try:
+        la = tokenize(g, text)
+        base = oracle_parse_all(g, la, BOUNDS)
+    except (TokenizationError, OracleLimitError):
+        return None
+    return (la, base) if len(base) <= MAX_ORACLE_TREES else None
+
+
 def check_instance(inst: Instance) -> tuple[int, int]:
     """Compare pipeline and oracle over every input; returns (checked, skipped).
 
@@ -190,22 +204,14 @@ def check_instance(inst: Instance) -> tuple[int, int]:
     checked = skipped = 0
     g, gc = inst.grammar, inst.constrained
     for text in inst.inputs:
-        try:
-            la = tokenize(g, text)
-        except TokenizationError:
+        ground = oracle_trees(g, text)
+        if ground is None:
             skipped += 1
             continue
-        try:
-            # Unconstrained ground truth; production ids coincide between the
-            # two grammar variants, so one enumeration serves both checks.
-            base = oracle_parse_all(g, la, BOUNDS)
-            if len(base) > MAX_ORACLE_TREES:
-                skipped += 1
-                continue
-            expected_constrained = oracle_filter(base, gc, la)
-        except OracleLimitError:
-            skipped += 1
-            continue
+        # Unconstrained ground truth; production ids coincide between the
+        # two grammar variants, so one enumeration serves both checks.
+        la, base = ground
+        expected_constrained = oracle_filter(base, gc, la)
         assert _pipeline_trees(g, text) == base, (
             f"unconstrained pipeline/oracle mismatch: seed={inst.seed} input={text!r}"
         )

@@ -1,10 +1,13 @@
 """Chart phase: handle management, reductions, merging, termination."""
 
+from collections import deque
+
 import pytest
 
+import randsuite
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
-from fence.lexgraph import tokenize
+from fence.lexgraph import TokenizationError, tokenize
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, grammar
 
 
@@ -119,10 +122,48 @@ def test_lifo_and_fifo_agendas_build_the_same_graph():
         assert node_triples(g, lifo, lifo.starting) == node_triples(g, fifo, fifo.starting)
 
 
+class _RecordingAgenda(deque):
+    def __init__(self):
+        super().__init__()
+        self.pushed = []
+
+    def append(self, entry):
+        self.pushed.append(entry)
+        super().append(entry)
+
+
+def test_no_agenda_entry_is_pushed_twice():
+    # the random grammars include nullable chains, unit cycles and
+    # self-nesting productions, under both pop disciplines
+    runs = 0
+    for seed in range(120):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for text in inst.inputs:
+            try:
+                la = tokenize(inst.grammar, text)
+            except TokenizationError:
+                continue
+            if not la.nodes:
+                continue
+            for order in ("lifo", "fifo"):
+                parser = ChartParser(inst.grammar, build_ela_graph(la), agenda_order=order)
+                parser.agenda = _RecordingAgenda()
+                ig = parser.run()
+                pushed = parser.agenda.pushed
+                assert len(set(pushed)) == len(pushed), (seed, text, order)
+                assert ig.agenda_pops == len(pushed)
+                runs += 1
+    assert runs > 300
+
+
 def test_stats_and_document():
     g = grammar(AMBIG_NUMBERS)
     ig = run_chart(g, build(g, AMBIG_INPUT))
     stats = igraph_stats(ig)
+    assert set(stats) == {"nodes", "starting", "agendaPops", "handles"}
+    assert stats["nodes"] == len(ig.nodes)
     assert stats["starting"] == 1
     assert stats["agendaPops"] > 0 and stats["handles"] > 0
     doc = igraph_document(ig, g)

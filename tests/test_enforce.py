@@ -1,6 +1,11 @@
 """Forest expansion, constraint rules, counting, enumeration, documents."""
 
+import sys
+import threading
+
 import pytest
+
+import randsuite
 
 from fence.enforce import (
     canonical_tree,
@@ -12,6 +17,7 @@ from fence.enforce import (
     tree_to_jsonable,
 )
 from fence.errors import EvaluatorError
+from fence.pipeline import parse_text
 from helpers import (
     AMBIG_INPUT,
     AMBIG_NUMBERS,
@@ -245,14 +251,78 @@ def test_determinism_across_runs():
     assert docs[0] == docs[1]
 
 
-def test_deeply_nested_unambiguous_input():
+DEEP_CHAIN = (
+    "%token plus /\\+/\n%token int /1/\n%start E\n"
+    "E ::= E plus T ;\nE ::= T ;\nT ::= int ;\n"
+)
+
+
+def test_deeply_nested_unambiguous_input(monkeypatch):
     # expansion of a 1000-token left-recursive chain must not hit the
-    # interpreter recursion limit on the caller's thread
-    g = grammar(
-        "%token plus /\\+/\n%token int /1/\n%start E\n"
-        "E ::= E plus T ;\nE ::= T ;\nT ::= int ;\n"
-    )
+    # interpreter recursion limit on the caller's thread, and must not get
+    # round it by changing process-wide state or starting a thread
+    g = grammar(DEEP_CHAIN)
+    limit = sys.getrecursionlimit()
+    threads = threading.active_count()
+
+    def no_thread(self):
+        raise AssertionError("parsing started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     _la, _ig, eg = pipeline(g, chain(500))
+    assert sys.getrecursionlimit() == limit
+    assert threading.active_count() == threads
     assert tree_counts(eg).total == 1
     (tree,) = enumerate_trees(eg, g, 1)
     assert tree_to_jsonable(tree)["symbol"] == "E"
+
+
+def test_evaluator_sees_a_deeply_nested_candidate():
+    # the evaluator's view of the root holds the whole 520-level chain
+    g = grammar(
+        DEEP_CHAIN.replace("%start E", "%start S") + "[top] S ::= E ;\n",
+        evaluators={"top": lambda view: view.children[0].end == view.end},
+    )
+    _la, _ig, eg = pipeline(g, chain(520))
+    assert tree_counts(eg).total == 1
+
+
+def test_concurrent_parses_leave_the_recursion_limit_alone():
+    g = grammar(DEEP_CHAIN)
+    limit = sys.getrecursionlimit()
+    results = []
+
+    def work():
+        for _ in range(3):
+            results.append(tree_counts(pipeline(g, chain(100))[2]).total)
+
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=120)
+        assert not w.is_alive()
+    assert results == [1] * 12
+    assert sys.getrecursionlimit() == limit
+
+
+def test_roots_never_repeat():
+    # expand_forest concatenates the roots of all starting nodes without
+    # deduplicating them
+    seen = 0
+    for seed in range(40):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for text in inst.inputs:
+            if randsuite.oracle_trees(inst.grammar, text) is None:
+                continue
+            for g in (inst.grammar, inst.constrained):
+                for enforce in (True, False):
+                    outcome = parse_text(g, text, enforce_constraints=enforce)
+                    if outcome.accepted:
+                        assert len(set(outcome.egraph.roots)) == len(outcome.egraph.roots)
+                        seen += len(outcome.egraph.roots)
+    _la, _ig, eg = pipeline(grammar(ARITH), chain(7))
+    assert len(set(eg.roots)) == len(eg.roots) == catalan(6)
+    assert seen > 100

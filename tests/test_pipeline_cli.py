@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fence.cli import main
+from fence.cli import _dumps, main
 from fence.pipeline import explain_rejection, parse_text
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, grammar
 
@@ -190,3 +190,25 @@ def test_repeated_runs_are_byte_identical(numbers_grammar_file, capsys):
         assert main(["parse", "--grammar", numbers_grammar_file, "--text", AMBIG_INPUT]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_json_output_matches_json_dumps_at_any_depth():
+    shallow = [
+        {},
+        [],
+        {"nodes": [{"id": 0, "lexeme": "5.2", "children": []}], "roots": [0]},
+        [{"a": None, "b": True, "c": False, "d": 1.5, "e": "x\"\u00e9\n"}, [[], {}]],
+        {1: "int key", None: "null key"},
+        ("tuple", 3),
+        "scalar",
+    ]
+    for doc in shallow:
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+    deep = []
+    inner = deep
+    for _ in range(4999):
+        inner.append([])
+        inner = inner[0]
+    lines = _dumps(deep).split("\n")
+    assert lines[:2] == ["[", "  ["] and lines[4999] == "  " * 4999 + "[]"
+    assert lines[-2:] == ["  ]", "]"] and len(lines) == 2 * 4999 + 1
