@@ -2,7 +2,9 @@
 
 The parser seeds every core with a dot-0 handle for every non-empty
 production, then drains an agenda of (handle, node) pairs where the node
-matches the symbol after the handle's dot. Matching the last pending symbol
+matches the symbol after the handle's dot. A handle is (production, dot,
+first matched node); its start offset is that node's start, or its core's
+position before anything is matched. Matching the last pending symbol
 reduces: a node (handle start, matched node end, lhs) is created or merged,
 wired to the cores at its boundaries, and every handle already waiting for
 that symbol in its start core is re-awakened. Otherwise the advanced handle
@@ -20,11 +22,17 @@ twice: a handle is stored once and then meets the nodes already following
 its core, and a node is created once and then meets the handles already
 waiting in its start core, so each pair is pushed by whichever of the two
 came second.
+
+The agenda is a plain list popped from the end (LIFO). Pop order cannot
+change the result: popping an entry only adds handles and nodes, each keyed
+by its identity, and every entry pushed is popped before the run ends, so
+the final handle and node sets are the closure of the seeds under the
+advance and reduce steps whatever the order. The order fixes only the ids
+that nodes receive, and one fixed order keeps those deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .elagraph import Core, ELAGraph, ImplicitNode
@@ -49,7 +57,6 @@ class IGraph:
     starting: tuple[int, ...]
     agenda_pops: int
     handle_count: int
-    content_start: int
     next_position: dict[int, int] = field(repr=False)
     node_ids: dict[tuple[int, int, int], int] = field(repr=False)
     by_start_sym: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
@@ -59,19 +66,16 @@ class ChartParser:
     """One chart run over one extended graph.
 
     The graph is mutated in place (cores gain handles, the node store grows),
-    so construct a fresh extended graph per run. ``agenda_order`` selects the
-    pop discipline; the resulting graph is the same either way, only the
-    traversal order differs.
+    so construct a fresh extended graph per run. ``agenda`` holds pending
+    (production, dot, first node, node) entries and is drained from the end;
+    the module docstring explains why the order does not affect the graph.
     """
 
-    def __init__(self, grammar: Grammar, ela: ELAGraph, agenda_order: str = "lifo"):
-        if agenda_order not in ("lifo", "fifo"):
-            raise ValueError("agenda_order must be 'lifo' or 'fifo'")
+    def __init__(self, grammar: Grammar, ela: ELAGraph):
         self.grammar = grammar
         self.ela = ela
-        self.agenda: deque = deque()
+        self.agenda: list[tuple] = []
         self.pops = 0
-        self._lifo = agenda_order == "lifo"
         self._rhs = grammar.rhs_ids
         self._eps = grammar.epsilon_ids
         self._seeded = False
@@ -93,10 +97,8 @@ class ChartParser:
         end of the production and at least one real node was matched, the
         production is complete and reduces immediately.
         """
-        nodes = self.ela.nodes
         rhs = self._rhs[production_id]
         size = len(rhs)
-        start_index = nodes[first_id].start if first_id is not None else core.position
         dot = matched
         while True:
             if dot == size:
@@ -104,7 +106,7 @@ class ChartParser:
                     self._reduce(production_id, first_id, last_node_id)
                 return
             sym = rhs[dot]
-            handle = (production_id, dot, first_id, start_index)
+            handle = (production_id, dot, first_id)
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
@@ -150,9 +152,9 @@ class ChartParser:
             self.initialize()
         ela = self.ela
         nodes = ela.nodes
-        pop = self.agenda.pop if self._lifo else self.agenda.popleft
-        while self.agenda:
-            production_id, dot, first_id, _start_index, node_id = pop()
+        agenda = self.agenda
+        while agenda:
+            production_id, dot, first_id, node_id = agenda.pop()
             self.pops += 1
             node = nodes[node_id]
             first = first_id if first_id is not None else node_id
@@ -180,23 +182,21 @@ class ChartParser:
             by_start_sym.setdefault((n.start, n.symbol_id), []).append(n.id)
         for bucket in by_start_sym.values():
             bucket.sort(key=lambda i: (ela.nodes[i].end, i))
-        next_position = {n.end: ela.cores[ela.next_core[n.end]].position for n in ela.nodes}
         return IGraph(
             input=ela.input,
             nodes=ela.nodes,
             starting=starting,
             agenda_pops=self.pops,
             handle_count=sum(len(c.handles) for c in ela.cores),
-            content_start=ela.content_start,
-            next_position=next_position,
+            next_position=ela.next_position,
             node_ids=ela.node_ids,
             by_start_sym={k: tuple(v) for k, v in by_start_sym.items()},
         )
 
 
-def run_chart(grammar: Grammar, ela: ELAGraph, agenda_order: str = "lifo") -> IGraph:
+def run_chart(grammar: Grammar, ela: ELAGraph) -> IGraph:
     """Parse the extended graph bottom-up; an empty ``starting`` means rejection."""
-    return ChartParser(grammar, ela, agenda_order).run()
+    return ChartParser(grammar, ela).run()
 
 
 def igraph_stats(ig: IGraph) -> dict:

@@ -41,9 +41,6 @@ class Core:
         self.following: list[int] = []
         self.following_by_sym: dict[int, list[int]] = {}
 
-    def waiting_for(self, symbol_id: int) -> tuple[tuple, ...]:
-        return tuple(self.waiting.get(symbol_id, ()))
-
     def __repr__(self):
         return f"Core({self.id}@{self.position}, handles={len(self.handles)})"
 
@@ -76,15 +73,21 @@ class ImplicitNode:
 
 @dataclass
 class ELAGraph:
+    """Cores and parse nodes over one lattice.
+
+    ``next_position`` is the lattice's own map from token end to next token
+    start; every node ends where some token ends, so it serves all nodes.
+    """
+
     input: str
     cores: list[Core]
     nodes: list[ImplicitNode]
     node_ids: dict[tuple[int, int, int], int]
     core_at: dict[int, int] = field(repr=False)
     next_core: dict[int, int] = field(repr=False)
+    next_position: dict[int, int] = field(repr=False)
     starting_core: int = 0
     last_core: int = 0
-    content_start: int = 0
 
     def preceding_cores(self, node: ImplicitNode) -> tuple[int, ...]:
         return (self.core_at[node.start],)
@@ -126,9 +129,9 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         node_ids=node_ids,
         core_at=core_at,
         next_core=next_core,
+        next_position=la.next_position,
         starting_core=core_at[la.content_start],
         last_core=last.id,
-        content_start=la.content_start,
     )
 
 

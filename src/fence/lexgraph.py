@@ -4,7 +4,8 @@ Instead of committing to one tokenization, the lexer records every token any
 definition can match at every reachable offset and links each token to every
 token that can start where it ends (after consuming the inter-token skip
 pattern). Paths through the resulting graph are the candidate tokenizations
-of the input; branches that cannot reach the end of the input are pruned.
+of the input. ``prune_la_graph`` is the one place where branches that cannot
+reach the end of the input are dropped, for lexed and loaded lattices alike.
 
 Per token definition, a single match is kept at a given offset, with the
 match extent decided by the definition's regex (greedy quantifiers yield the
@@ -58,7 +59,7 @@ class TokenNode:
 
 @dataclass(frozen=True)
 class LAGraph:
-    """A pruned token lattice over one input string.
+    """A token lattice over one input string, pruned by ``prune_la_graph``.
 
     ``next_position`` maps each token end offset to the offset where the next
     token may start (after skip consumption); ``content_start`` is that offset
@@ -91,9 +92,12 @@ def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
     """Build the lexical analysis graph for ``text``.
 
-    Raises :class:`TokenizationError` when no token path spans the input,
-    reporting the furthest offset reached. An input consisting solely of skip
-    characters (or nothing) yields an empty graph.
+    Every match at every offset reachable from the start becomes a token of a
+    raw lattice, linked to all tokens at its next position, and the result is
+    that lattice after ``prune_la_graph``. Raises :class:`TokenizationError`
+    when no token path spans the input, reporting the furthest offset reached.
+    An input consisting solely of skip characters (or nothing) yields an
+    empty graph.
     """
     if not grammar.token_defs:
         raise TokenizationError(0)
@@ -102,7 +106,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     if start_pos == n:
         return LAGraph(text, (), (), {}, start_pos)
 
-    matches: dict[int, list[tuple[int, int]]] = {}
+    raw: list[tuple[int, int, int]] = []
     next_position: dict[int, int] = {}
     explored: set[int] = set()
     stack = [start_pos]
@@ -119,96 +123,69 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
                 continue
             end = m.end()
             furthest = max(furthest, end)
-            matches.setdefault(pos, []).append((td.symbol.id, end))
+            raw.append((pos, end, td.symbol.id))
             if end not in next_position:
                 next_position[end] = _skip_from(grammar, text, end)
             stack.append(next_position[end])
+    raw.sort()
 
-    # A position is alive when some token there leads to the input end.
-    alive: set[int] = set()
-    for pos in sorted(matches, reverse=True):
-        for _sym, end in matches[pos]:
-            nxt = next_position[end]
-            if nxt == n or nxt in alive:
-                alive.add(pos)
-                break
-    if start_pos not in alive:
-        raise TokenizationError(furthest)
-
-    # Keep tokens on a full start-to-end path: start position reachable
-    # forward, token target position alive (or the end of the input).
-    reachable: set[int] = set()
-    stack = [start_pos]
-    while stack:
-        pos = stack.pop()
-        if pos in reachable or pos not in alive:
-            continue
-        reachable.add(pos)
-        for _sym, end in matches[pos]:
-            nxt = next_position[end]
-            if nxt < n:
-                stack.append(nxt)
-
-    kept: list[tuple[int, int, int]] = []
-    for pos in sorted(reachable):
-        for sym, end in matches[pos]:
-            nxt = next_position[end]
-            if nxt == n or nxt in alive:
-                kept.append((pos, end, sym))
-    kept.sort()
-
-    ids: dict[tuple[int, int, int], int] = {t: i for i, t in enumerate(kept)}
     by_start: dict[int, list[int]] = {}
     by_next: dict[int, list[int]] = {}
-    for (s, e, _sym), i in ids.items():
+    for i, (s, e, _sym) in enumerate(raw):
         by_start.setdefault(s, []).append(i)
         by_next.setdefault(next_position[e], []).append(i)
     nodes = []
-    for (s, e, sym), i in ids.items():
-        nxt = next_position[e]
-        following = tuple(by_start.get(nxt, ())) if nxt < n else ()
+    for i, (s, e, sym) in enumerate(raw):
         preceding = tuple(by_next.get(s, ()))
+        following = tuple(by_start.get(next_position[e], ()))
         nodes.append(TokenNode(i, sym, s, e, text[s:e], preceding, following))
     starting = tuple(by_start.get(start_pos, ()))
-    pruned_next = {e: next_position[e] for (_s, e, _sym) in kept}
-    return LAGraph(text, tuple(nodes), starting, pruned_next, start_pos)
+    graph = prune_la_graph(LAGraph(text, tuple(nodes), starting, next_position, start_pos))
+    if not graph.nodes:
+        raise TokenizationError(furthest)
+    return graph
 
 
 def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     """Distinct start-to-end paths, lexicographic by node id, up to ``limit``.
 
     This is the inefficient baseline a lattice exists to avoid; it is kept as
-    a reference for tests and diagnostics.
+    a reference for tests and diagnostics. The walk keeps one iterator per
+    path position on an explicit stack, so path length is not bounded by the
+    recursion limit.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     out: list[tuple[int, ...]] = []
-
-    def walk(node_id: int, path: list[int]) -> bool:
+    path: list[int] = []
+    # stack[k] yields the candidates for path position k
+    stack = [iter(sorted(graph.starting))]
+    while stack:
+        node_id = next(stack[-1], None)
+        if node_id is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
         path.append(node_id)
-        node = graph.nodes[node_id]
-        if not node.following:
-            out.append(tuple(path))
-            if len(out) >= limit:
-                path.pop()
-                return True
-            path.pop()
-            return False
-        for nxt in sorted(node.following):
-            if walk(nxt, path):
-                path.pop()
-                return True
-        path.pop()
-        return False
-
-    for start in sorted(graph.starting):
-        if walk(start, []):
+        following = graph.nodes[node_id].following
+        if following:
+            stack.append(iter(sorted(following)))
+            continue
+        out.append(tuple(path))
+        if len(out) >= limit:
             break
+        path.pop()
     return out
 
 
 def prune_la_graph(graph: LAGraph) -> LAGraph:
-    """Drop nodes that lie on no full start-to-end path; idempotent."""
+    """Drop nodes that lie on no full start-to-end path; idempotent.
+
+    This is the lattice's only pruner: ``tokenize`` and ``load_la_graph`` both
+    build an unpruned lattice and pass it here. A lattice that loses no node
+    is returned as it is, since renumbering would be the identity.
+    """
     n = len(graph.input)
     alive: set[int] = set()
     order = sorted(graph.nodes, key=lambda t: t.start, reverse=True)
@@ -225,6 +202,8 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
         for f in graph.nodes[i].following:
             if f in alive:
                 stack.append(f)
+    if len(reachable) == len(graph.nodes):
+        return graph
     keep = sorted(reachable)
     remap = {old: new for new, old in enumerate(keep)}
     nodes = []

@@ -40,7 +40,6 @@ def parse_text(
     text: str,
     *,
     enforce_constraints: bool = True,
-    agenda_order: str = "lifo",
 ) -> ParseOutcome:
     """Run the full pipeline over ``text``.
 
@@ -63,7 +62,7 @@ def parse_text(
             outcome.furthest = outcome.la.content_start
         return outcome
     outcome.ela = build_ela_graph(outcome.la)
-    outcome.igraph = run_chart(grammar, outcome.ela, agenda_order)
+    outcome.igraph = run_chart(grammar, outcome.ela)
     outcome.egraph = expand_forest(grammar, outcome.igraph, enforce_constraints)
     if not outcome.egraph.roots:
         outcome.failure = "parse"
@@ -72,24 +71,39 @@ def parse_text(
 
 
 def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
-    """Human-readable diagnostic for a rejected input."""
+    """Human-readable diagnostic for a rejected input.
+
+    Tells the three kinds of rejection apart: the input does not tokenize,
+    no derivation spans it, or the chart derived it and the constraints
+    removed every derivation.
+    """
     if outcome.accepted:
         return "input accepted"
     if outcome.failure == "lexical":
         return f"lexical error: cannot tokenize the input beyond offset {outcome.furthest}"
-    lines = [f"no parse: input tokenizes up to offset {outcome.furthest}"]
     grammar = outcome.grammar
-    if outcome.igraph is not None:
-        nodes = sorted(
-            outcome.igraph.nodes,
-            key=lambda n: (n.end - n.start, not n.is_token),
-            reverse=True,
-        )
-        nonterminals = [n for n in nodes if not n.is_token]
-        shown = (nonterminals or nodes)[:limit]
-        what = "longest nonterminal spans" if nonterminals else "longest token spans"
-        lines.append(f"{what}:")
-        for n in shown:
-            name = grammar.symbol_by_id[n.symbol_id].name
-            lines.append(f"  {name} [{n.start},{n.end})")
+    ig = outcome.igraph
+    if ig is not None and ig.starting:
+        lines = [
+            "derived but pruned: the input derives the start symbol, "
+            "but the constraints removed every derivation",
+            "derived roots:",
+        ]
+        shown = [ig.nodes[i] for i in ig.starting[:limit]]
+    else:
+        lines = [f"no parse: input tokenizes up to offset {outcome.furthest}"]
+        shown = []
+        if ig is not None:
+            nodes = sorted(
+                ig.nodes,
+                key=lambda n: (n.end - n.start, not n.is_token),
+                reverse=True,
+            )
+            nonterminals = [n for n in nodes if not n.is_token]
+            shown = (nonterminals or nodes)[:limit]
+            what = "longest nonterminal spans" if nonterminals else "longest token spans"
+            lines.append(f"{what}:")
+    for n in shown:
+        name = grammar.symbol_by_id[n.symbol_id].name
+        lines.append(f"  {name} [{n.start},{n.end})")
     return "\n".join(lines)

@@ -76,11 +76,11 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-def pipeline(grammar, text, enforce=True, agenda_order="lifo"):
+def pipeline(grammar, text, enforce=True):
     """Tokenize, extend, chart, expand; returns (la, ig, eg)."""
     la = tokenize(grammar, text)
     ela = build_ela_graph(la)
-    ig = run_chart(grammar, ela, agenda_order)
+    ig = run_chart(grammar, ela)
     eg = expand_forest(grammar, ig, enforce_constraints=enforce)
     return la, ig, eg
 

@@ -1,9 +1,5 @@
 """Chart phase: handle management, reductions, merging, termination."""
 
-from collections import deque
-
-import pytest
-
 import randsuite
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
@@ -48,11 +44,11 @@ def test_initialization_of_running_example():
     parser.initialize()
     # no nullable symbols, so seeding leaves exactly the dot-0 handles
     for core in ela.cores:
-        assert core.handles == {(p.id, 0, None, core.position) for p in g.productions}
+        assert core.handles == {(p.id, 0, None) for p in g.productions}
     # at the first core, only one entry: the Ampersand matching its production
-    first_core_entries = [e for e in parser.agenda if ela.nodes[e[4]].start == 0]
+    first_core_entries = [e for e in parser.agenda if ela.nodes[e[3]].start == 0]
     assert len(first_core_entries) == 1
-    pid, dot, first, _si, node_id = first_core_entries[0]
+    pid, dot, first, node_id = first_core_entries[0]
     assert g.productions[pid].lhs.name == "A" and dot == 0 and first is None
     assert g.symbol_by_id[ela.nodes[node_id].symbol_id].name == "Ampersand"
 
@@ -113,16 +109,7 @@ def test_nullable_chain_is_skippable():
     assert len(ig.starting) == 1
 
 
-def test_lifo_and_fifo_agendas_build_the_same_graph():
-    g = grammar(ARITH)
-    for text in ("1", "1+1", "1+1+1+1"):
-        lifo = run_chart(g, build(g, text), agenda_order="lifo")
-        fifo = run_chart(g, build(g, text), agenda_order="fifo")
-        assert node_triples(g, lifo) == node_triples(g, fifo)
-        assert node_triples(g, lifo, lifo.starting) == node_triples(g, fifo, fifo.starting)
-
-
-class _RecordingAgenda(deque):
+class _RecordingAgenda(list):
     def __init__(self):
         super().__init__()
         self.pushed = []
@@ -134,7 +121,7 @@ class _RecordingAgenda(deque):
 
 def test_no_agenda_entry_is_pushed_twice():
     # the random grammars include nullable chains, unit cycles and
-    # self-nesting productions, under both pop disciplines
+    # self-nesting productions
     runs = 0
     for seed in range(120):
         inst = randsuite.make_instance(seed)
@@ -147,15 +134,14 @@ def test_no_agenda_entry_is_pushed_twice():
                 continue
             if not la.nodes:
                 continue
-            for order in ("lifo", "fifo"):
-                parser = ChartParser(inst.grammar, build_ela_graph(la), agenda_order=order)
-                parser.agenda = _RecordingAgenda()
-                ig = parser.run()
-                pushed = parser.agenda.pushed
-                assert len(set(pushed)) == len(pushed), (seed, text, order)
-                assert ig.agenda_pops == len(pushed)
-                runs += 1
-    assert runs > 300
+            parser = ChartParser(inst.grammar, build_ela_graph(la))
+            parser.agenda = _RecordingAgenda()
+            ig = parser.run()
+            pushed = parser.agenda.pushed
+            assert len(set(pushed)) == len(pushed), (seed, text)
+            assert ig.agenda_pops == len(pushed)
+            runs += 1
+    assert runs > 150
 
 
 def test_stats_and_document():
@@ -179,12 +165,6 @@ def test_rejected_input_is_an_empty_starting_set_not_an_error():
     ig = run_chart(g, build(g, "&&"))
     assert ig.starting == ()
     assert len(ig.nodes) == 2  # both tokens survive, nothing reduces
-
-
-def test_agenda_order_validation():
-    g = grammar(ARITH)
-    with pytest.raises(ValueError):
-        ChartParser(g, build(g, "1"), agenda_order="random")
 
 
 def test_run_only_grows_the_seeded_state():

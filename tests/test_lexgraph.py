@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fence.lexgraph import (
     LatticeFormatError,
@@ -69,6 +71,12 @@ def test_enumeration_respects_limit_and_order():
     assert all_paths == sorted(all_paths)
     with pytest.raises(ValueError):
         enumerate_token_paths(la, 0)
+
+
+def test_enumeration_walks_a_long_chain_without_recursion():
+    g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
+    la = tokenize(g, "a " * 5000)
+    assert enumerate_token_paths(la, 2) == [tuple(range(5000))]
 
 
 def test_tokenization_failure_reports_furthest_offset():
@@ -222,3 +230,32 @@ def test_path_soundness_reconstructs_input(seed):
         tail = text[pos:]
         assert tail == "" or skip.fullmatch(tail)
         assert "".join(rebuilt) + tail == text
+
+
+# No token starts with "z": "x", "y" and "xy" die before a "z" that only
+# "yz" can consume, and "dead" matches only there, so it never survives.
+DEAD_ENDS = """
+%token x /x/
+%token y /y/
+%token xy /xy/
+%token yz /yz/
+%token dead /x(?=z)/
+%start S
+S ::= x ;
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="xyz ", max_size=12))
+def test_pruned_lattice_is_the_union_of_full_paths(text):
+    g = grammar(DEAD_ENDS)
+    expected = _brute_force_paths(g, text)
+    try:
+        la = tokenize(g, text)
+    except TokenizationError:
+        assert expected == []
+        return
+    nodes = {(t.start, t.end, g.symbol_by_id[t.symbol_id].name) for t in la.nodes}
+    assert nodes == {token for path in expected for token in path}
+    assert prune_la_graph(la) == la
+    assert load_la_graph(serialize_la_graph(la, g), g) == la

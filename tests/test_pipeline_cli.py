@@ -6,7 +6,7 @@ import pytest
 
 from fence.cli import _dumps, main
 from fence.pipeline import explain_rejection, parse_text
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, ARITH_LEFT, grammar
 
 
 @pytest.fixture()
@@ -58,6 +58,25 @@ def test_partial_parse_lists_largest_nonterminal_spans():
     assert outcome.failure == "parse"
     text = explain_rejection(outcome)
     assert "nonterminal" in text and "A [0,5)" in text
+
+
+def test_derived_but_pruned_is_not_reported_as_no_parse(tmp_path, capsys):
+    source = ARITH_LEFT.replace("%assoc left", "%assoc none")
+    g = grammar(source)
+    outcome = parse_text(g, "1+1+1")
+    assert outcome.failure == "parse"
+    assert outcome.igraph.starting and not outcome.egraph.roots
+    text = explain_rejection(outcome)
+    assert "no parse" not in text
+    assert "constraints removed every derivation" in text and "E [0,5)" in text
+    # a genuine no-derivation input keeps the plain diagnostic
+    text = explain_rejection(parse_text(g, "1+"))
+    assert text.startswith("no parse: input tokenizes up to offset 2")
+    assert "constraints" not in text
+    path = tmp_path / "arith.fence"
+    path.write_text(source)
+    assert main(["parse", "--grammar", str(path), "--text", "1+1+1"]) == 1
+    assert "derived but pruned" in capsys.readouterr().err
 
 
 def test_empty_input_acceptance_depends_on_nullable_start():
