@@ -2,8 +2,8 @@
 
 The pipeline runs in three phases: an all-matches lexer builds a lexical
 analysis graph of every candidate tokenization, the graph is extended with
-cores and parsed bottom-up into an implicit graph of (start, end, symbol)
-nodes, and constraint enforcement expands the accepted roots into an explicit
+cores and parsed with top-down prediction into an implicit graph of (start,
+end, symbol) nodes, and constraint enforcement expands the accepted roots into an explicit
 shared parse forest. Epsilon productions and cyclic production sets are
 supported throughout; associativity, selection precedence, composition
 precedence, and custom predicate constraints prune interpretations as early

@@ -1,34 +1,53 @@
-"""Agenda-driven bottom-up chart parsing over the extended lattice.
+"""Agenda-driven chart parsing with top-down prediction over the extended lattice.
 
-The parser seeds every core with a dot-0 handle for every non-empty
-production, then drains an agenda of (handle, node) pairs where the node
-matches the symbol after the handle's dot. A handle is (production, dot,
-first matched node); its start offset is that node's start, or its core's
-position before anything is matched. Matching the last pending symbol
-reduces: a node (handle start, matched node end, lhs) is created or merged,
-wired to the cores at its boundaries, and every handle already waiting for
-that symbol in its start core is re-awakened. Otherwise the advanced handle
-is added to the core following the matched node.
+The parser predicts the start symbol at the starting core, then drains an
+agenda of (handle, node) pairs where the node matches the symbol after the
+handle's dot. A handle is (production, dot, first matched node); its start
+offset is that node's start, or its core's position before anything is
+matched. Matching the last pending symbol reduces: a node (handle start,
+matched node end, lhs) is created or merged, wired to the cores at its
+boundaries, and every handle already waiting for that symbol in its start
+core is re-awakened. Otherwise the advanced handle is added to the core
+following the matched node.
+
+Prediction is Earley's (1970), with cores in the role of Earley sets. One
+core is shared by every token starting at its offset, so it predicts for
+every tokenization alternative at once. When a handle is first stored in a
+core, the symbol after its dot is predicted there unless ``Core.predicted``
+already holds it: the core is seeded with the dot-0 handles of every
+production in that symbol's left-corner closure (``Grammar.predictions``)
+and the closure's symbols are marked predicted. A production is therefore
+seeded only where its left-hand side is predicted, and every node the chart
+builds derives a symbol predicted at its start core.
 
 Nullable symbols never materialize as nodes. When a handle is stored, any
 run of nullable symbols after its dot also stores the skipped variants in the
 same core, and a skip run that reaches the end of the production completes
 it immediately, using the last actually-matched node for the end offset.
+This is the nullable step of Aycock and Horspool ("Practical Earley
+Parsing", 2002): predicting a nullable symbol also moves past it, so an
+empty derivation needs neither a node nor a completion. A skipped variant
+predicts the symbol it waits for like any other stored handle, and the
+left-corner closure walks past nullable prefixes for the same reason.
 
 Termination holds for cyclic production sets and nullable chains because
-nodes merge on their (start, end, symbol) identity and handles merge within
-their core, so both stores are finite. No (handle, node) pair is pushed
-twice: a handle is stored once and then meets the nodes already following
-its core, and a node is created once and then meets the handles already
-waiting in its start core, so each pair is pushed by whichever of the two
-came second.
+nodes merge on their (start, end, symbol) identity, handles merge within
+their core and a core predicts each symbol at most once, so all three
+stores are finite and only grow. No (handle, node) pair is pushed twice: a
+handle is stored once and then meets the nodes already following its core,
+and a node is created once and then meets the handles already waiting in
+its start core, so each pair is pushed by whichever of the two came second.
+Prediction pushes nothing itself: the handles it seeds are stored through
+the same store-once path as advanced ones, so both arguments cover them.
 
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
-change the result: popping an entry only adds handles and nodes, each keyed
-by its identity, and every entry pushed is popped before the run ends, so
-the final handle and node sets are the closure of the seeds under the
-advance and reduce steps whatever the order. The order fixes only the ids
-that nodes receive, and one fixed order keeps those deterministic.
+change the result: popping an entry only adds handles, predicted symbols and
+nodes, each keyed by its identity, and every entry pushed is popped before
+the run ends, so the final sets are the closure of the start symbol's
+prediction under the predict, advance and reduce steps whatever the order.
+Prediction keeps that true because it depends only on which handles a core
+holds, never on when they arrived. The order fixes only the ids that nodes
+receive, and one fixed order keeps those deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +62,7 @@ __all__ = ["IGraph", "ChartParser", "run_chart", "igraph_stats", "igraph_documen
 
 @dataclass
 class IGraph:
-    """The implicit parse graph: every derived (start, end, symbol) node.
+    """The implicit parse graph: every derived node predicted at its start.
 
     ``starting`` holds the accepted roots: start-symbol nodes whose only
     preceding core is the starting core and whose only following core is the
@@ -63,10 +82,13 @@ class IGraph:
 
 
 class ChartParser:
-    """One chart run over one extended graph.
+    """One predictive chart run over one extended graph.
 
-    The graph is mutated in place (cores gain handles, the node store grows),
-    so construct a fresh extended graph per run. ``agenda`` holds pending
+    The graph is mutated in place (cores gain predicted symbols and handles,
+    the node store grows), so construct a fresh extended graph per run.
+    :meth:`initialize` predicts the start symbol at the starting core; every
+    other production is seeded by :meth:`add_handle` as the handles that
+    wait for its left-hand side are stored. ``agenda`` holds pending
     (production, dot, first node, node) entries and is drained from the end;
     the module docstring explains why the order does not affect the graph.
     """
@@ -78,6 +100,7 @@ class ChartParser:
         self.pops = 0
         self._rhs = grammar.rhs_ids
         self._eps = grammar.epsilon_ids
+        self._predictions = grammar.predictions
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -93,9 +116,10 @@ class ChartParser:
         """Store the handle (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
-        the symbol after the dot. When skipping nullable symbols reaches the
-        end of the production and at least one real node was matched, the
-        production is complete and reduces immediately.
+        the symbol after the dot, and predicts that symbol in ``core`` the
+        first time a handle waits for it there. When skipping nullable
+        symbols reaches the end of the production and at least one real node
+        was matched, the production is complete and reduces immediately.
         """
         rhs = self._rhs[production_id]
         size = len(rhs)
@@ -112,9 +136,22 @@ class ChartParser:
                 core.waiting.setdefault(sym, []).append(handle)
                 for node_id in core.following_by_sym.get(sym, ()):
                     self.agenda.append(handle + (node_id,))
+                if sym not in core.predicted:
+                    self._predict(sym, core)
             if sym not in self._eps:
                 return
             dot += 1
+
+    def _predict(self, sym: int, core: Core) -> None:
+        """Seed ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
+
+        The closure's symbols are marked first, so the seeded handles, which
+        all wait for one of them, predict nothing further.
+        """
+        productions, reached = self._predictions[sym]
+        core.predicted |= reached
+        for production_id in productions:
+            self.add_handle(production_id, 0, None, core)
 
     def _reduce(self, production_id: int, first_id: int, last_id: int) -> None:
         ela = self.ela
@@ -140,11 +177,8 @@ class ChartParser:
     # -- driver --------------------------------------------------------------
 
     def initialize(self) -> None:
-        """Seed a dot-0 handle for every non-empty production into every core."""
-        for p in self.grammar.productions:
-            if p.rhs:
-                for core in self.ela.cores:
-                    self.add_handle(p.id, 0, None, core)
+        """Predict the start symbol at the starting core."""
+        self._predict(self.grammar.start.id, self.ela.cores[self.ela.starting_core])
         self._seeded = True
 
     def run(self) -> IGraph:
@@ -195,7 +229,7 @@ class ChartParser:
 
 
 def run_chart(grammar: Grammar, ela: ELAGraph) -> IGraph:
-    """Parse the extended graph bottom-up; an empty ``starting`` means rejection."""
+    """Parse the extended graph predictively; an empty ``starting`` means rejection."""
     return ChartParser(grammar, ela).run()
 
 

@@ -8,8 +8,8 @@ core precedes the tokens with no predecessor and a last core follows the
 tokens that reach the end of the input.
 
 The chart phase mutates an extended graph in place: it fills cores with
-handles and grows the node store with nonterminal nodes, so build a fresh
-graph per parse session.
+predicted symbols and handles and grows the node store with nonterminal
+nodes, so build a fresh graph per parse session.
 """
 
 from __future__ import annotations
@@ -28,15 +28,21 @@ class Core:
     ``waiting`` indexes handles by the symbol after their dot, including
     handles whose dot reached that symbol by skipping nullable positions, so
     a single lookup answers which handles a freshly derived node can advance.
+    ``predicted`` holds the symbols already predicted here: once a symbol is
+    in it, the dot-0 handles of its left-corner closure are in ``handles``,
+    so a later handle waiting for it seeds nothing new.
     """
 
-    __slots__ = ("id", "position", "handles", "waiting", "preceding", "following", "following_by_sym")
+    __slots__ = (
+        "id", "position", "handles", "waiting", "predicted", "preceding", "following", "following_by_sym"
+    )
 
     def __init__(self, core_id: int, position: int):
         self.id = core_id
         self.position = position
         self.handles: set[tuple] = set()
         self.waiting: dict[int, list[tuple]] = {}
+        self.predicted: set[int] = set()
         self.preceding: list[int] = []
         self.following: list[int] = []
         self.following_by_sym: dict[int, list[int]] = {}

@@ -302,6 +302,39 @@ class Grammar:
         return tuple(tuple(s.id for s in p.rhs) for p in self.productions)
 
     @cached_property
+    def predictions(self) -> dict[int, tuple[tuple[int, ...], frozenset[int]]]:
+        """What predicting each symbol seeds, for the chart's top-down step.
+
+        Maps every symbol id X to ``(productions, reached)``. ``reached`` is
+        X's left-corner closure: X, and every symbol that a production of a
+        reached nonterminal can begin with, where a production begins with
+        each symbol up to and including its first non-nullable one (with
+        ``S ::= A B c`` and ``A ::= ;``, S reaches A and B, and reaches c
+        only if B is nullable too). ``productions`` are the ids, in order, of
+        the non-empty productions of the reached nonterminals. A terminal
+        reaches only itself and seeds nothing.
+        """
+        corners: dict[int, list[int]] = {}
+        for p in self.productions:
+            begins = corners.setdefault(p.lhs.id, [])
+            for s in p.rhs:
+                begins.append(s.id)
+                if s.id not in self.epsilon_ids:
+                    break
+        table = {}
+        for sym_id in self.symbol_by_id:
+            reached = {sym_id}
+            stack = [sym_id]
+            while stack:
+                for nxt in corners.get(stack.pop(), ()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        stack.append(nxt)
+            productions = tuple(p.id for p in self.productions if p.rhs and p.lhs.id in reached)
+            table[sym_id] = (productions, frozenset(reached))
+        return table
+
+    @cached_property
     def epsilon_derivations(self) -> dict[int, tuple]:
         """Canonical minimal empty derivation per nullable symbol.
 

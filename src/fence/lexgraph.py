@@ -249,7 +249,9 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
 
     Checks the schema, symbol references, token spans, link symmetry, and
     positional adjacency (a follower must start where its predecessor's skip
-    run ends), then prunes dead branches.
+    run ends), then prunes dead branches. A document whose tokens leave no
+    full path over an input with content is rejected, as ``tokenize`` rejects
+    such an input; only a skip-only input loads as the empty lattice.
     """
     if not isinstance(doc, dict) or "input" not in doc or "nodes" not in doc:
         raise LatticeFormatError("document must be an object with 'input' and 'nodes'")
@@ -327,5 +329,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
             raise LatticeFormatError(
                 f"starting node {i} does not start at the beginning of the input"
             )
-    graph = LAGraph(text, tuple(nodes), derived, next_position, content_start)
-    return prune_la_graph(graph)
+    graph = prune_la_graph(LAGraph(text, tuple(nodes), derived, next_position, content_start))
+    if not graph.nodes and content_start < len(text):
+        raise LatticeFormatError(f"no token path spans the input from offset {content_start}")
+    return graph

@@ -75,7 +75,10 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
 
     Tells the three kinds of rejection apart: the input does not tokenize,
     no derivation spans it, or the chart derived it and the constraints
-    removed every derivation.
+    removed every derivation. A no-derivation diagnostic also names the
+    terminals expected at the furthest core where a handle waits for one;
+    under prediction every handle continues a derivation from the start
+    symbol, so these are the terminals the grammar allows there.
     """
     if outcome.accepted:
         return "input accepted"
@@ -94,6 +97,15 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
         lines = [f"no parse: input tokenizes up to offset {outcome.furthest}"]
         shown = []
         if ig is not None:
+            for core in reversed(outcome.ela.cores):  # cores are in position order
+                names = sorted(
+                    grammar.symbol_by_id[s].name
+                    for s in core.waiting
+                    if grammar.symbol_by_id[s].is_terminal
+                )
+                if names:
+                    lines.append(f"expected one of {{{', '.join(names)}}} at offset {core.position}")
+                    break
             nodes = sorted(
                 ig.nodes,
                 key=lambda n: (n.end - n.start, not n.is_token),
@@ -107,3 +119,4 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
         name = grammar.symbol_by_id[n.symbol_id].name
         lines.append(f"  {name} [{n.start},{n.end})")
     return "\n".join(lines)
+

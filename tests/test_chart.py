@@ -1,10 +1,17 @@
 """Chart phase: handle management, reductions, merging, termination."""
 
 import randsuite
+from fence import oracle_parse_all
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
 from fence.lexgraph import TokenizationError, tokenize
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, chain, grammar, pipeline, pipeline_trees
+
+# the unambiguous left-recursive chain of acceptance criterion 8
+UNAMBIGUOUS_CHAIN = (
+    "%token plus /\\+/\n%token int /1/\n%token semi /;/\n%start S\n"
+    "S ::= E semi ;\nE ::= E plus T ;\nE ::= T ;\nT ::= int ;\n"
+)
 
 
 def build(g, text):
@@ -42,13 +49,21 @@ def test_initialization_of_running_example():
     ela = build(g, AMBIG_INPUT)
     parser = ChartParser(g, ela)
     parser.initialize()
-    # no nullable symbols, so seeding leaves exactly the dot-0 handles
+    # the start symbol E begins with A, which begins with Ampersand: the
+    # starting core holds the dot-0 handles of E and A and nothing for B
+    by_name = {s.name: s.id for s in g.symbols.values()}
+    start_core = ela.cores[ela.starting_core]
+    assert start_core.handles == {
+        (p.id, 0, None) for p in g.productions if p.lhs.name in ("E", "A")
+    }
+    assert start_core.predicted == {by_name["E"], by_name["A"], by_name["Ampersand"]}
+    # every other core stays empty until the run reaches it
     for core in ela.cores:
-        assert core.handles == {(p.id, 0, None) for p in g.productions}
-    # at the first core, only one entry: the Ampersand matching its production
-    first_core_entries = [e for e in parser.agenda if ela.nodes[e[3]].start == 0]
-    assert len(first_core_entries) == 1
-    pid, dot, first, node_id = first_core_entries[0]
+        if core is not start_core:
+            assert not core.handles and not core.predicted
+    # only one entry: the Ampersand matching A's production
+    assert len(parser.agenda) == 1
+    pid, dot, first, node_id = parser.agenda[0]
     assert g.productions[pid].lhs.name == "A" and dot == 0 and first is None
     assert g.symbol_by_id[ela.nodes[node_id].symbol_id].name == "Ampersand"
 
@@ -179,3 +194,62 @@ def test_run_only_grows_the_seeded_state():
         assert seeded_handles[core.id] <= core.handles
     assert len(ig.nodes) >= token_count
     assert all(ig.nodes[i].is_token for i in range(token_count))
+
+
+def test_pops_grow_linearly_on_the_unambiguous_chain():
+    g = grammar(UNAMBIGUOUS_CHAIN)
+    pops = {}
+    for n in (250, 500, 1000, 2000):
+        la = tokenize(g, chain(n // 2) + ";")
+        assert len(la.nodes) == n
+        ig = run_chart(g, build_ela_graph(la))
+        assert len(ig.starting) == 1
+        pops[n] = ig.agenda_pops
+    for n in (500, 1000, 2000):
+        assert pops[n] / pops[n // 2] <= 2.2, pops
+
+
+def test_every_chart_node_of_the_unambiguous_chain_is_in_the_forest():
+    # E is predicted only at offset 0 and T only where an operand starts,
+    # so every node the chart builds is used by the one tree
+    g = grammar(UNAMBIGUOUS_CHAIN)
+    _la, ig, eg = pipeline(g, chain(40) + ";")
+    chart = {n.key for n in ig.nodes if not n.is_token}
+    forest = {(e.start, e.end, e.symbol_id) for e in eg.nodes}
+    assert len(chart) == 40 * 2 + 1  # E and T per operand, and S
+    assert chart <= forest
+
+
+def _assert_matches_oracle(g, text):
+    expected = oracle_parse_all(g, tokenize(g, text))
+    assert pipeline_trees(g, text, enforce=False) == expected, text
+    return expected
+
+
+def test_prediction_through_a_nullable_left_corner():
+    g = grammar(
+        "%token b /b/\n%token c /c/\n%start S\n"
+        "S ::= A B c ;\nA ::= ;\nB ::= b ;\nB ::= A B b ;\n"
+    )
+    ela = build(g, "bbc")
+    parser = ChartParser(g, ela)
+    parser.initialize()
+    start_core = ela.cores[ela.starting_core]
+    # B is predicted where S is, past the empty A, with both its productions
+    assert g.symbol("B").id in start_core.predicted
+    assert {str(g.productions[p]) for p, dot, _ in start_core.handles if dot == 0} == {
+        "S ::= A B c", "B ::= b", "B ::= A B b"
+    }
+    accepted = [text for text in ("bc", "bbc", "bbbc", "c", "bcc", "b") if _assert_matches_oracle(g, text)]
+    assert accepted == ["bc", "bbc", "bbbc"]
+
+
+def test_prediction_through_a_unit_cycle():
+    g = grammar(
+        "%token c /c/\n%token d /d/\n%start S\n"
+        "S ::= A S ;\nS ::= A ;\nA ::= B ;\nB ::= A ;\nA ::= c ;\nB ::= d ;\n"
+    )
+    _productions, reached = g.predictions[g.start.id]
+    assert {g.symbol_by_id[s].name for s in reached} == {"S", "A", "B", "c", "d"}
+    accepted = [text for text in ("c", "d", "cd", "dcd", "ccc") if _assert_matches_oracle(g, text)]
+    assert accepted == ["c", "d", "cd", "dcd", "ccc"]

@@ -7,8 +7,11 @@ exercise.
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import randsuite
-from fence import oracle_parse_all, parse_text, tokenize
+from fence import enumerate_trees, oracle_parse_all, parse_text, tokenize
 from fence.lexgraph import TokenizationError
 from helpers import ARITH, grammar, pipeline_trees
 
@@ -67,3 +70,29 @@ def test_every_single_constraint_only_removes_trees():
         full = pipeline_trees(base, text)
         for variant in variants:
             assert pipeline_trees(grammar(variant), text) <= full
+
+
+@st.composite
+def small_grammars(draw):
+    """2-3 nonterminals with 1-3 productions each, right-hand sides of 0-3
+    symbols over overlapping tokens: nullable left corners, unit cycles and
+    lattice forks come up often."""
+    names = ("S", "A", "B")[: draw(st.integers(2, 3))]
+    symbol = st.sampled_from(("a", "b", "ab") + names)
+    rules = [
+        f"{lhs} ::= {' '.join(rhs)} ;"
+        for lhs in names
+        for rhs in draw(st.lists(st.lists(symbol, max_size=3), min_size=1, max_size=3))
+    ]
+    return grammar("%token a /a/\n%token b /b/\n%token ab /ab/\n%start S\n" + "\n".join(rules) + "\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_grammars(), st.text(alphabet="ab", max_size=5))
+def test_pipeline_equals_oracle_on_small_grammars(g, text):
+    ground = randsuite.oracle_trees(g, text)
+    if ground is None:  # past the oracle's bounds, as in the random suite
+        return
+    outcome = parse_text(g, text, enforce_constraints=False)
+    trees = frozenset(enumerate_trees(outcome.egraph, g, 10**6)) if outcome.accepted else frozenset()
+    assert trees == ground[1]

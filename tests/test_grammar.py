@@ -39,6 +39,26 @@ def test_nullable_closure_through_chain():
     assert {s.name for s in g.epsilon_symbols} == {"S", "A", "B"}
 
 
+def test_prediction_closure_walks_past_nullable_prefixes():
+    g = parse_grammar_text(
+        "%token b /b/\n%token c /c/\n%token d /d/\n%start S\n"
+        "S ::= A B c ;\nA ::= ;\nB ::= b ;\nB ::= C ;\nC ::= d C ;\nD ::= c ;\n"
+    )
+
+    def names(sym):
+        productions, reached = g.predictions[g.symbol(sym).id]
+        return [str(g.productions[p]) for p in productions], {g.symbol_by_id[s].name for s in reached}
+
+    # A is nullable, so S begins with A or B; c comes after B, which is not
+    assert names("S") == (
+        ["S ::= A B c", "B ::= b", "B ::= C", "C ::= d C"],
+        {"S", "A", "B", "b", "C", "d"},
+    )
+    assert names("A") == ([], {"A"})  # only an empty production: nothing to seed
+    assert names("C") == (["C ::= d C"], {"C", "d"})
+    assert names("c") == ([], {"c"})  # a terminal predicts only itself
+
+
 def _symbols(*names, kinds=None):
     out = {}
     for i, name in enumerate(names):

@@ -161,6 +161,24 @@ def test_load_handwritten_two_path_lattice():
     assert len(enumerate_token_paths(la, 10)) == 2
 
 
+def test_load_rejects_a_document_with_no_full_path():
+    # the empty lattice stands for a skip-only input; a document over real
+    # content whose tokens all prune away is as malformed as a lexical error
+    g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= ;\nS ::= a ;\n")
+    no_tokens = {"input": "b", "nodes": []}
+    pruned = {
+        "input": "ab",
+        "nodes": [{"id": 0, "symbol": "a", "start": 0, "end": 1, "preceding": [], "following": []}],
+        "starting": [0],
+    }
+    for doc in (no_tokens, pruned):
+        with pytest.raises(LatticeFormatError) as err:
+            load_la_graph(doc, g)
+        assert "no token path" in str(err.value)
+    blank = load_la_graph({"input": "  ", "nodes": []}, g)
+    assert blank.nodes == () and blank.content_start == 2
+
+
 def _brute_force_paths(g, text):
     """Independent enumeration of full tokenizations by direct recursion."""
     skip = g.skip_re

@@ -60,6 +60,18 @@ def test_partial_parse_lists_largest_nonterminal_spans():
     assert "nonterminal" in text and "A [0,5)" in text
 
 
+def test_no_parse_names_what_the_furthest_core_expects():
+    lines = explain_rejection(parse_text(grammar(ARITH), "1+")).splitlines()
+    assert lines[:2] == ["no parse: input tokenizes up to offset 2", "expected one of {int} at offset 2"]
+    # the second & sits where only a Real can continue the predicted A
+    text = explain_rejection(parse_text(grammar(AMBIG_NUMBERS), "&&"))
+    assert "expected one of {Real} at offset 1" in text
+    # a core several terminals could continue lists them sorted by name
+    chain = grammar("%token plus /\\+/\n%token int /[0-9]+/\n%token semi /;/\n%start S\n"
+                    "S ::= E semi ;\nE ::= E plus int ;\nE ::= int ;\n")
+    assert "expected one of {plus, semi} at offset 3" in explain_rejection(parse_text(chain, "1+1"))
+
+
 def test_derived_but_pruned_is_not_reported_as_no_parse(tmp_path, capsys):
     source = ARITH_LEFT.replace("%assoc left", "%assoc none")
     g = grammar(source)
