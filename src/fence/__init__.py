@@ -3,8 +3,8 @@
 The pipeline runs in three phases: an all-matches lexer builds a lexical
 analysis graph of every candidate tokenization, the graph is extended with
 cores and parsed with top-down prediction into an implicit graph of (start,
-end, symbol) nodes, and constraint enforcement expands the accepted roots into an explicit
-shared parse forest. Epsilon productions and cyclic production sets are
+end, symbol) nodes, and constraint enforcement expands the accepted roots into a
+packed parse forest. Epsilon productions and cyclic production sets are
 supported throughout; associativity, selection precedence, composition
 precedence, and custom predicate constraints prune interpretations as early
 as possible.

@@ -66,9 +66,11 @@ class IGraph:
 
     ``starting`` holds the accepted roots: start-symbol nodes whose only
     preceding core is the starting core and whose only following core is the
-    last one. ``node_ids`` maps each node's (start, end, symbol id) to its
-    id, and ``by_start_sym`` indexes node ids by (start offset, symbol id)
-    with each bucket sorted by end offset, for the expansion phase.
+    last one. The expansion phase walks the chart's own cores, shared with
+    the extended graph: ``cores`` with their handles and ``preceding`` node
+    lists, ``core_at`` mapping a token start offset to its core and
+    ``next_core`` mapping a token end offset to the core that follows it. No
+    index is built for it.
     """
 
     input: str
@@ -76,9 +78,9 @@ class IGraph:
     starting: tuple[int, ...]
     agenda_pops: int
     handle_count: int
-    next_position: dict[int, int] = field(repr=False)
-    node_ids: dict[tuple[int, int, int], int] = field(repr=False)
-    by_start_sym: dict[tuple[int, int], tuple[int, ...]] = field(repr=False)
+    cores: list[Core] = field(repr=False)
+    core_at: dict[int, int] = field(repr=False)
+    next_core: dict[int, int] = field(repr=False)
 
 
 class ChartParser:
@@ -211,20 +213,15 @@ class ChartParser:
             and n.start == s0
             and ela.next_core[n.end] == ela.last_core
         )
-        by_start_sym: dict[tuple[int, int], list[int]] = {}
-        for n in ela.nodes:
-            by_start_sym.setdefault((n.start, n.symbol_id), []).append(n.id)
-        for bucket in by_start_sym.values():
-            bucket.sort(key=lambda i: (ela.nodes[i].end, i))
         return IGraph(
             input=ela.input,
             nodes=ela.nodes,
             starting=starting,
             agenda_pops=self.pops,
             handle_count=sum(len(c.handles) for c in ela.cores),
-            next_position=ela.next_position,
-            node_ids=ela.node_ids,
-            by_start_sym={k: tuple(v) for k, v in by_start_sym.items()},
+            cores=ela.cores,
+            core_at=ela.core_at,
+            next_core=ela.next_core,
         )
 
 

@@ -81,8 +81,9 @@ class ImplicitNode:
 class ELAGraph:
     """Cores and parse nodes over one lattice.
 
-    ``next_position`` is the lattice's own map from token end to next token
-    start; every node ends where some token ends, so it serves all nodes.
+    ``core_at`` maps a token start offset to its core and ``next_core`` maps
+    a token end offset to the core after it; every node starts where a token
+    starts and ends where one ends, so both serve all nodes.
     """
 
     input: str
@@ -91,7 +92,6 @@ class ELAGraph:
     node_ids: dict[tuple[int, int, int], int]
     core_at: dict[int, int] = field(repr=False)
     next_core: dict[int, int] = field(repr=False)
-    next_position: dict[int, int] = field(repr=False)
     starting_core: int = 0
     last_core: int = 0
 
@@ -135,7 +135,6 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         node_ids=node_ids,
         core_at=core_at,
         next_core=next_core,
-        next_position=la.next_position,
         starting_core=core_at[la.content_start],
         last_core=last.id,
     )

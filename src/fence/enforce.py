@@ -1,60 +1,73 @@
-"""Expansion of the implicit parse graph into an explicit shared forest.
+"""Constraint-enforcing expansion of the implicit parse graph into a packed forest.
 
-Each accepted implicit node is expanded into every explicit derivation that
-satisfies the grammar's constraints. An explicit node fixes a production and
-an ordered child list; identical subderivations are shared structurally, and
-ambiguity shows up as several explicit roots (or several explicit nodes over
-one implicit node deeper in the forest).
+A forest node is one symbol over one span derived by one production: it is
+keyed by (start, end, symbol, production), plus the cycle context described
+below. Its children are packed alternatives, each an ordered tuple with one
+child per right-hand-side position: a forest node, a token leaf or a
+zero-width placeholder. A node stands for the union of its alternatives'
+trees and an alternative for the product of its children's, so the forest
+stays polynomial in the input while the trees it holds may be exponential,
+and counting them is a sum of products over the nodes (``tree_counts``).
 
-Expansion is memoized. A history of implicit nodes on the active expansion
-path cuts cyclic derivations, so no (start, end, symbol) repeats on any
-root-to-leaf path of an output tree. A cut makes the result context
-dependent, and a naive memo would leak trees across contexts, so entries are
-keyed by the node plus the active ancestors sharing its exact span: ancestor
-spans always contain the node's span, hence only equal-span ancestors can
-ever recur inside its derivations, and that tiny set is the entire relevant
-context. A node with no such ancestor, the common case, is keyed by its id
-alone. Ordinary nested ambiguity still shares one entry per node.
+Alternatives come from a right-to-left walk through the handles the chart
+left in its cores; nothing is searched. The child at the last position ends
+where the node ends, so it is one of the nodes preceding the core after that
+end. A child at position j that starts at offset o is taken only if the core
+at o holds a handle (production, j, first) whose first node starts where the
+forest node starts: the chart stored that handle only after deriving
+positions 0..j-1 from there, so the walk never extends a suffix whose prefix
+cannot be derived. Position j-1 is then filled from the nodes preceding that
+core. A nullable position may instead be skipped when the same core holds the
+handle for that position (the chart stores skip variants beside the handle
+they skip from). A skipped position gets a zero-width placeholder carrying
+the symbol's canonical minimal empty derivation, at the end of the real
+child to its left, or at the node's start when there is none. Placeholder
+internals are canonical and not subject to constraints, but a placeholder is
+an ordinary child for the checks on its parent.
 
-Expansion runs on the caller's thread without recursion: each implicit node
-under expansion is a generator on an explicit stack, which hands the driver
-the child expansions it needs. Input nesting depth therefore costs memory,
-not interpreter frames, and parsing changes no process-wide setting.
+Associativity and composition precedence look only at a child's production,
+so the blocked productions at a position are skipped before they are
+expanded. Selection precedence compares the forest nodes of one (start, end,
+symbol) in one context: a production's node is dropped when a preferred
+production's node holds a tree. Custom evaluators judge whole trees. Under a
+production that carries one, every combination of child trees of every
+alternative is assembled and shown to the evaluator, and each accepted
+candidate becomes an alternative of its own whose children hold one tree
+each. Only these productions cost one alternative per tree, and the
+evaluator still sees each candidate as a ``NodeView`` of one whole tree.
+``EGraph.constructions`` counts the alternatives built plus the candidates
+evaluated.
 
-A candidate's children are chosen left to right. At the last right-hand-side
-position the child must end where the node ends, so it is looked up exactly
-by (start, end, symbol) instead of searched for.
+No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
+a child that would re-enter an implicit node already under expansion is cut.
+Ancestor spans contain a node's span, so only ancestors of exactly its span
+can recur inside it, and the set of those ancestors is the node's cycle
+context. A cut makes a node's alternatives depend on that context, so the
+context is part of the node's key; a node with no equal-span ancestor, the
+common case, has none, and ordinary nested ambiguity still shares one node.
 
-Skipped nullable positions are filled with zero-width placeholder children
-carrying the symbol's canonical minimal empty derivation, so output trees
-always have one child per right-hand-side position. Placeholder internals are
-canonical and not subject to constraints, but a placeholder is an ordinary
-child for the checks on its parent.
-
-Associativity and composition precedence each look at one child's
-production, so they are checked as each child, placeholders included, is
-appended, and a candidate that would fail them is never assembled;
-``EGraph.constructions`` counts the candidates that pass. Custom evaluators
-see the assembled candidate and veto it before it is stored. Selection
-precedence needs the sibling candidates of the same implicit node, so it
-runs as a per-node post-pass: candidates are grouped by production and a
-production's candidates are dropped when any preferred production kept at
-least one survivor, resolved in topological order of the (acyclic,
-transitively closed) preference relation.
+Expansion starts at the accepted roots and builds only the nodes it reaches.
+It runs on the caller's thread without recursion: each forest node under
+expansion is a generator on an explicit stack, which hands the driver the
+child nodes it needs. Input nesting depth therefore costs memory, not
+interpreter frames, and parsing changes no process-wide setting. The nodes
+reachable from the roots are finally numbered and emitted in preorder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, product
 
 from .chart import IGraph
 from .errors import EvaluatorError
-from .grammar import ASSOC_LEFT, ASSOC_NONE, ASSOC_RIGHT, Grammar, NodeView, Production
+from .grammar import ASSOC_LEFT, ASSOC_NONE, ASSOC_RIGHT, Grammar, NodeView
 
 __all__ = [
-    "ExplicitNode",
+    "ForestNode",
     "EGraph",
     "TreeCount",
+    "FOREST_FORMAT_VERSION",
     "expand_forest",
     "epsilon_forest",
     "tree_counts",
@@ -66,14 +79,20 @@ __all__ = [
 ]
 
 COUNT_CAP = 10**18
+# Version 1 was the unpacked forest, one node per tree and no version field.
+FOREST_FORMAT_VERSION = 2
+
+_EMPTY = -1  # memo value of a forest node left without alternatives
 
 
-@dataclass(frozen=True)
-class ExplicitNode:
-    """One derivation step: a production applied to ordered children.
+@dataclass(frozen=True, slots=True)
+class ForestNode:
+    """A symbol over a span, derived by one production in packed form.
 
-    Token leaves carry a lexeme instead of a production. Zero-width
-    placeholder nodes (start == end) stand for skipped nullable symbols.
+    ``children`` holds the packed alternatives, one ordered tuple of child
+    node ids each. A token leaf has ``children`` None and carries its lexeme
+    instead of a production. Zero-width nodes (start == end) are placeholders
+    for skipped nullable symbols and hold one alternative.
     """
 
     id: int
@@ -81,93 +100,97 @@ class ExplicitNode:
     start: int
     end: int
     production_id: int | None
-    children: tuple[int, ...] | None
+    children: tuple[tuple[int, ...], ...] | None
     lexeme: str | None
 
 
 @dataclass
 class EGraph:
-    """The explicit parse forest: deduplicated nodes plus accepted roots."""
+    """The packed parse forest: the nodes reachable from the roots, in preorder."""
 
     input: str
-    nodes: list[ExplicitNode]
+    nodes: list[ForestNode]
     roots: tuple[int, ...]
     constructions: int
+
+
+# Until they are emitted, forest nodes are records
+# (symbol id, start, end, production id, alternatives), alternatives None for tokens.
+
+
+def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id: int, offset: int) -> int:
+    """The record of ``symbol_id``'s canonical empty derivation at ``offset``."""
+    key = (symbol_id, offset)
+    got = cache.get(key)
+    if got is None:
+        pid = grammar.epsilon_derivations[symbol_id][0]
+        children = tuple(
+            _placeholder(grammar, records, cache, s.id, offset) for s in grammar.productions[pid].rhs
+        )
+        got = cache[key] = len(records)
+        records.append((symbol_id, offset, offset, pid, (children,)))
+    return got
+
+
+def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list[ForestNode], tuple[int, ...]]:
+    """The forest nodes reachable from ``roots``, numbered in preorder."""
+    number: dict[int, int] = {}
+    order: list[int] = []
+    stack = list(reversed(roots))
+    while stack:
+        rid = stack.pop()
+        if rid in number:
+            continue
+        number[rid] = len(order)
+        order.append(rid)
+        alternatives = records[rid][4]
+        if alternatives:
+            for alt in reversed(alternatives):
+                stack.extend(reversed(alt))
+    nodes = []
+    for rid in order:
+        symbol_id, start, end, pid, alternatives = records[rid]
+        if alternatives is None:
+            nodes.append(ForestNode(len(nodes), symbol_id, start, end, None, None, text[start:end]))
+        else:
+            children = tuple(tuple(number[c] for c in alt) for alt in alternatives)
+            nodes.append(ForestNode(len(nodes), symbol_id, start, end, pid, children, None))
+    return nodes, tuple(number[r] for r in roots)
 
 
 class _Expander:
     def __init__(self, grammar: Grammar, ig: IGraph, enforce: bool):
         self.grammar = grammar
         self.ig = ig
-        self.input = ig.input
         self.enforce = enforce
-        self.records: list[ExplicitNode] = []
-        self.ids: dict[tuple, int] = {}
-        self.memo: dict[int | tuple[int, frozenset[int]], tuple[int, ...]] = {}
-        # the implicit nodes under expansion, by span
-        self.context: dict[tuple[int, int], frozenset[int]] = {}
+        self.records: list[tuple] = []
+        # (implicit node id, production id, cycle context) -> record, or _EMPTY
+        self.memo: dict[tuple, int] = {}
+        # (implicit node id, cycle context, blocked productions) -> the records
+        # that may fill a position
+        self.groups: dict[tuple, tuple[int, ...]] = {}
         self.constructions = 0
-        self._leaves: dict[int, tuple[int]] = {}
-        self._markers: dict[tuple[int, int], int] = {}
-        self._views: dict[int, NodeView] = {}
+        self._leaves: dict[int, int] = {}
+        self._placeholders: dict[tuple[int, int], int] = {}
+        # the chart's handles as bit masks, read in per core by ``_viable``
+        self._stride = 1 + max(map(len, grammar.rhs_ids), default=0)
+        self._slots = len(grammar.productions) * self._stride
+        self._masks: dict[int, int] = {}
+        self._indexed: set[int] = set()
         self._blocks: dict[int, tuple[frozenset[int], ...]] = {}
+        self._preferred: dict[int, tuple[int, ...]] = {}
+        self._trees: dict[int, tuple[int, ...]] = {}
+        self._interned: dict[tuple, int] = {}
+        self._views: dict[int, NodeView] = {}
 
-    # -- node store ----------------------------------------------------------
+    def run(self) -> tuple[int, ...]:
+        """Records of the accepted roots, expanding every node they reach.
 
-    def _leaf(self, node) -> tuple[int]:
-        """The one-element expansion of a token node."""
-        got = self._leaves.get(node.id)
-        if got is None:
-            eid = len(self.records)
-            self.records.append(
-                ExplicitNode(
-                    eid, node.symbol_id, node.start, node.end, None, None,
-                    self.input[node.start : node.end],
-                )
-            )
-            got = self._leaves[node.id] = (eid,)
-        return got
-
-    def _intern(self, symbol_id: int, start: int, end: int, pid: int, children: tuple[int, ...]) -> int:
-        key = (symbol_id, start, end, pid, children)
-        got = self.ids.get(key)
-        if got is None:
-            got = len(self.records)
-            self.ids[key] = got
-            self.records.append(ExplicitNode(got, symbol_id, start, end, pid, children, None))
-        return got
-
-    def _marker(self, symbol_id: int, offset: int) -> int:
-        key = (symbol_id, offset)
-        got = self._markers.get(key)
-        if got is None:
-            got = self._build_marker(self.grammar.epsilon_derivations[symbol_id], symbol_id, offset)
-            self._markers[key] = got
-        return got
-
-    def _build_marker(self, skeleton: tuple, symbol_id: int, offset: int) -> int:
-        pid, child_skeletons = skeleton
-        p = self.grammar.productions[pid]
-        children = tuple(
-            self._build_marker(sk, sym.id, offset)
-            for sk, sym in zip(child_skeletons, p.rhs)
-        )
-        return self._intern(symbol_id, offset, offset, pid, children)
-
-    # -- expansion -----------------------------------------------------------
-
-    def expand(self, node_id: int) -> tuple[int, ...]:
-        """Candidates of an accepted root, expanded with no ancestor active.
-
-        One ``_derive`` generator stands for each implicit node under
-        expansion, innermost last; the loop resumes the innermost one with
-        the expansion it asked for, so nesting depth costs no interpreter
-        frames.
+        The innermost generator on the stack is resumed with the record it
+        asked for; a generator that needs a node the memo lacks yields that
+        node's key and a ``_derive`` generator for it is pushed.
         """
-        got = self.memo.get(node_id)
-        if got is not None:
-            return got
-        open_nodes = [self._derive(node_id, node_id)]
+        open_nodes = [self._roots()]
         value = None
         while True:
             try:
@@ -178,219 +201,300 @@ class _Expander:
                     return done.value
                 value = done.value
             else:
-                open_nodes.append(self._derive(key if type(key) is int else key[0], key))
+                open_nodes.append(self._derive(key))
                 value = None
 
-    def _derive(self, node_id: int, key: int | tuple[int, frozenset[int]]):
-        """Generator expanding one nonterminal node; memoizes and returns its candidates.
+    def _roots(self):
+        roots: list[int] = []
+        for node_id in sorted(self.ig.starting):
+            roots.extend((yield from self._group((node_id, None, None))))
+        return tuple(roots)
 
-        It yields the memo key of each child expansion the memo lacks and is
-        resumed with that expansion. A candidate's right-hand side is filled
-        left to right, depth first, from an explicit stack of partial child
-        tuples, so candidates come out in the order of their choices: the
-        placeholder first, then children by end offset, then each child's
-        own candidates in order.
+    # -- records ----------------------------------------------------------------
+
+    def _add(self, record: tuple) -> int:
+        self.records.append(record)
+        return len(self.records) - 1
+
+    def _leaf(self, node) -> int:
+        got = self._leaves.get(node.id)
+        if got is None:
+            got = self._leaves[node.id] = self._add((node.symbol_id, node.start, node.end, None, None))
+        return got
+
+    def _fill(self, suffix: tuple[int, ...], offset: int) -> tuple[int, ...]:
+        """``suffix`` with its leading open placeholders, stored as ~symbol, put at ``offset``."""
+        n = 0
+        while n < len(suffix) and suffix[n] < 0:
+            n += 1
+        if not n:
+            return suffix
+        placed = tuple(
+            _placeholder(self.grammar, self.records, self._placeholders, ~s, offset) for s in suffix[:n]
+        )
+        return placed + suffix[n:]
+
+    # -- expansion ----------------------------------------------------------------
+
+    def _group(self, key: tuple):
+        """Generator returning the records that may fill one position.
+
+        ``key`` is (implicit node id, cycle context, blocked productions):
+        one record per production of the node that is not blocked, holds a
+        tree and loses to no preferred production that holds one. It yields
+        the keys of the forest nodes the memo lacks.
         """
-        grammar = self.grammar
+        node_id, context, blocked = key
+        memo = self.memo
+        out = []
+        for p in self.grammar.productions_by_lhs[self.ig.nodes[node_id].symbol_id]:
+            if blocked and p.id in blocked:
+                continue
+            wanted = (node_id, p.id, context)
+            got = memo.get(wanted)
+            if got is None:
+                got = yield wanted
+            if got == _EMPTY:
+                continue
+            for q in self._preferred_over(p.id):
+                wanted = (node_id, q, context)
+                other = memo.get(wanted)
+                if other is None:
+                    other = yield wanted
+                if other != _EMPTY:
+                    break
+            else:
+                out.append(got)
+        got = self.groups[key] = tuple(out)
+        return got
+
+    def _derive(self, key: tuple):
+        """Generator building one forest node's alternatives; memoizes and returns its record.
+
+        A stack of partial suffixes is extended right to left, as the module
+        docstring describes. An entry is (position to fill next, start of the
+        real child right of it or None when there is none, children chosen
+        right of it).
+        """
+        node_id, pid, outer = key
         ig = self.ig
         nodes = ig.nodes
-        node_ids = ig.node_ids
-        by_start_sym = ig.by_start_sym
-        next_position = ig.next_position
+        cores = ig.cores
+        core_at = ig.core_at
+        grammar = self.grammar
         eps = grammar.epsilon_ids
-        records = self.records
-        memo = self.memo
-        enforce = self.enforce
+        groups = self.groups
+        viable = self._viable
         node = nodes[node_id]
         start, end = node.start, node.end
-        span = (start, end)
-        outer = self.context.get(span)
-        context = self.context[span] = (outer or frozenset()) | {node_id}
-
-        prods = grammar.productions_by_lhs[node.symbol_id]
-        candidates: dict[int, list[int]] = {}
-        for p in prods:
-            out = candidates[p.id] = []
-            rhs = grammar.rhs_ids[p.id]
-            if not rhs:
-                continue  # implicit nodes are never zero-width
-            last = len(rhs) - 1
-            blocks = self._position_blocks(p) if enforce else None
-            evaluator = grammar.constraints.custom.get(p.id) if enforce else None
-            stack = [(0, start, start, ())]
-            while stack:
-                pos, cursor, offset, children = stack.pop()
-                # (child candidate, its end, next token offset), each passing
-                # the checks that concern this position alone
-                options = []
-                sym = rhs[pos]
-                blocked = blocks[pos] if blocks else None
-                if sym in eps and (pos < last or cursor == end):
-                    marker = self._marker(sym, cursor)
-                    if not blocked or records[marker].production_id not in blocked:
-                        options.append((marker, cursor, offset))
-                if pos == last:
-                    found = node_ids.get((offset, end, sym))
-                    kids = () if found is None else (found,)
-                else:
-                    kids = by_start_sym.get((offset, sym), ())
-                for child_id in kids:
-                    child = nodes[child_id]
-                    if child.end > end:
-                        break
-                    if child.is_token:
-                        subs = self._leaf(child)
-                    else:
-                        # Ancestors span at least this node, so only a child
-                        # of the same span can meet one again.
-                        if child.start != start or child.end != end:
-                            child_key = child_id
-                        elif child_id in context:
-                            continue  # cyclic re-entry contributes nothing on this path
-                        else:
-                            child_key = (child_id, context)
-                        subs = memo.get(child_key)
-                        if subs is None:
-                            subs = yield child_key
-                    after = next_position[child.end]
-                    for sub in subs:
-                        if not blocked or records[sub].production_id not in blocked:
-                            options.append((sub, child.end, after))
-                if pos < last:
-                    nxt = pos + 1
-                    stack.extend([(nxt, c, o, children + (sub,)) for sub, c, o in reversed(options)])
+        origin = core_at[start]
+        context = (outer or frozenset()) | {node_id}
+        rhs = grammar.rhs_ids[pid]
+        blocks = self._position_blocks(pid) if self.enforce else None
+        alternatives = []
+        stack = [(len(rhs) - 1, None, ())]
+        while stack:
+            pos, right, suffix = stack.pop()
+            if pos < 0:
+                if right == start:  # a node is never zero-width, so something was matched
+                    alternatives.append(self._fill(suffix, start))
+                continue
+            sym = rhs[pos]
+            blocked = blocks[pos] if blocks else None
+            handle = pid * self._stride + pos  # (pid, pos), in the masks' numbering
+            cid = ig.next_core[end] if right is None else core_at[right]
+            if (
+                sym in eps
+                and not (blocked and grammar.epsilon_derivations[sym][0] in blocked)
+                and viable(cid, handle, origin)
+            ):
+                stack.append((pos - 1, right, (~sym,) + suffix))
+            for child_id in cores[cid].preceding:
+                child = nodes[child_id]
+                if child.symbol_id != sym or (right is None and child.end != end) or child.start < start:
                     continue
-                for sub, _c, _o in options:
-                    # Distinct choices give distinct child tuples: children
-                    # differ in span, or in production or children below.
-                    complete = children + (sub,)
-                    self.constructions += 1
-                    if evaluator is not None and not self._evaluate(p, node, complete, evaluator):
-                        continue
-                    out.append(self._intern(node.symbol_id, start, end, p.id, complete))
+                if not viable(core_at[child.start], handle, origin):
+                    continue
+                if child.is_token:
+                    options = (self._leaf(child),)
+                else:
+                    if child.start != start or child.end != end:
+                        child_context = None
+                    elif child_id in context:
+                        continue  # cyclic re-entry contributes nothing on this path
+                    else:
+                        child_context = context
+                    wanted = (child_id, child_context, blocked)
+                    options = groups.get(wanted)
+                    if options is None:
+                        options = yield from self._group(wanted)
+                if options:
+                    filled = self._fill(suffix, child.end)
+                    stack.extend((pos - 1, child.start, (o,) + filled) for o in options)
 
-        if enforce and grammar.has_selection:
-            for pid in grammar.selection_order_by_lhs[node.symbol_id]:
-                if candidates.get(pid) and any(
-                    candidates.get(q) for q in grammar.preferred_over.get(pid, ())
-                ):
-                    candidates[pid] = []
-        result = tuple(eid for p in prods for eid in candidates[p.id])
-        if outer is None:
-            del self.context[span]
+        evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
+        if evaluator is not None:
+            alternatives = self._evaluated(pid, node, alternatives, evaluator)
         else:
-            self.context[span] = outer
-        memo[key] = result
+            self.constructions += len(alternatives)
+        result = (
+            self._add((node.symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
+        )
+        self.memo[key] = result
         return result
+
+    def _viable(self, cid: int, handle: int, origin: int) -> bool:
+        """Whether core ``cid`` holds a handle ``handle`` whose first node starts in core ``origin``.
+
+        The handles of a core are read into bit masks on its first visit: bit
+        d of the mask under (core, production, dot) is set when such a handle
+        starts d cores earlier (in the core itself when nothing is matched yet).
+        """
+        masks = self._masks
+        base = cid * self._slots
+        if cid not in self._indexed:
+            ig = self.ig
+            for pid, dot, first in ig.cores[cid].handles:
+                key = base + pid * self._stride + dot
+                distance = 0 if first is None else cid - ig.core_at[ig.nodes[first].start]
+                masks[key] = masks.get(key, 0) | 1 << distance
+            self._indexed.add(cid)
+        return masks.get(base + handle, 0) >> (cid - origin) & 1 == 1
 
     # -- constraint checks -----------------------------------------------------
 
-    def _position_blocks(self, p: Production) -> tuple[frozenset[int], ...]:
+    def _position_blocks(self, pid: int) -> tuple[frozenset[int], ...]:
         """Per right-hand-side position, the productions a child there may not have.
 
         Composition precedence blocks the same productions everywhere;
-        associativity adds ``p`` itself at the last position (left, none) and
-        at the first (right, none).
+        associativity adds the production itself at the last position (left,
+        none) and at the first (right, none).
         """
-        got = self._blocks.get(p.id)
+        got = self._blocks.get(pid)
         if got is None:
-            blocked = self.grammar.composition_blocks.get(p.id, frozenset())
-            direction = self.grammar.constraints.associativity.get(p.id)
-            last = len(p.rhs) - 1
+            blocked = self.grammar.composition_blocks.get(pid, frozenset())
+            direction = self.grammar.constraints.associativity.get(pid)
+            last = len(self.grammar.rhs_ids[pid]) - 1
             positions = []
-            for i in range(len(p.rhs)):
+            for i in range(last + 1):
                 edge = (i == last and direction in (ASSOC_LEFT, ASSOC_NONE)) or (
                     i == 0 and direction in (ASSOC_RIGHT, ASSOC_NONE)
                 )
-                positions.append(blocked | {p.id} if edge else blocked)
-            got = self._blocks[p.id] = tuple(positions)
+                positions.append(blocked | {pid} if edge else blocked)
+            got = self._blocks[pid] = tuple(positions)
         return got
 
-    def _evaluate(self, p: Production, node, children: tuple[int, ...], evaluator) -> bool:
-        view = NodeView(
-            symbol=p.lhs.name,
-            start=node.start,
-            end=node.end,
-            production=p.id,
-            label=p.label,
-            children=tuple(self._view(c) for c in children),
-            lexeme=None,
-            text=self.input[node.start : node.end],
-        )
-        try:
-            return bool(evaluator(view))
-        except Exception as exc:
-            raise EvaluatorError(p.id, p.label, exc) from exc
+    def _preferred_over(self, pid: int) -> tuple[int, ...]:
+        """Productions of the same symbol preferred over ``pid`` by selection precedence.
 
-    def _view(self, eid: int) -> NodeView:
-        views = self._views
-        stack = [(eid, False)]
+        The preference relation is transitively closed, so dropping a
+        production when one of these holds a tree keeps the same productions
+        as resolving the preferences in topological order.
+        """
+        if not (self.enforce and self.grammar.has_selection):
+            return ()
+        got = self._preferred.get(pid)
+        if got is None:
+            productions = self.grammar.productions
+            lhs = productions[pid].lhs.id
+            got = self._preferred[pid] = tuple(
+                q for q in self.grammar.preferred_over.get(pid, ()) if productions[q].lhs.id == lhs
+            )
+        return got
+
+    def _evaluated(self, pid: int, node, alternatives: list, evaluator) -> list[tuple[int, ...]]:
+        """One alternative per tree that the evaluator accepts, with single-tree children."""
+        p = self.grammar.productions[pid]
+        accepted = []
+        for alt in alternatives:
+            for children in product(*(self._trees_of(c) for c in alt)):
+                self.constructions += 1
+                view = NodeView(
+                    symbol=p.lhs.name,
+                    start=node.start,
+                    end=node.end,
+                    production=pid,
+                    label=p.label,
+                    children=tuple(self._view(c) for c in children),
+                    lexeme=None,
+                    text=self.ig.input[node.start : node.end],
+                )
+                try:
+                    keep = bool(evaluator(view))
+                except Exception as exc:
+                    raise EvaluatorError(pid, p.label, exc) from exc
+                if keep:
+                    accepted.append(children)
+        return accepted
+
+    def _trees_of(self, rid: int) -> tuple[int, ...]:
+        """Records holding one tree each, together the trees of record ``rid``."""
+        trees = self._trees
+        stack = [(rid, False)]
         while stack:
-            nid, ready = stack.pop()
-            if nid in views:
+            i, ready = stack.pop()
+            if i in trees:
                 continue
-            rec = self.records[nid]
-            if rec.children and not ready:
-                stack.append((nid, True))
-                stack.extend((c, False) for c in rec.children if c not in views)
+            symbol_id, start, end, pid, alternatives = self.records[i]
+            if alternatives is None:
+                trees[i] = (i,)
+            elif not ready:
+                stack.append((i, True))
+                stack.extend((c, False) for alt in alternatives for c in alt if c not in trees)
+            elif len(alternatives) == 1 and all(trees[c] == (c,) for c in alternatives[0]):
+                trees[i] = (i,)
+            else:
+                out = []
+                for alt in alternatives:
+                    for children in product(*(trees[c] for c in alt)):
+                        key = (symbol_id, start, end, pid, children)
+                        got = self._interned.get(key)
+                        if got is None:
+                            got = self._interned[key] = self._add((symbol_id, start, end, pid, (children,)))
+                        out.append(got)
+                trees[i] = tuple(out)
+        return trees[rid]
+
+    def _view(self, rid: int) -> NodeView:
+        """The evaluator's view of a record that holds one tree."""
+        views = self._views
+        text = self.ig.input
+        stack = [(rid, False)]
+        while stack:
+            i, ready = stack.pop()
+            if i in views:
                 continue
-            production = label = None
-            if rec.production_id is not None:
-                prod = self.grammar.productions[rec.production_id]
-                production, label = prod.id, prod.label
-            views[nid] = NodeView(
-                symbol=self.grammar.symbol_by_id[rec.symbol_id].name,
-                start=rec.start,
-                end=rec.end,
-                production=production,
+            symbol_id, start, end, pid, alternatives = self.records[i]
+            children = alternatives[0] if alternatives else ()
+            if children and not ready:
+                stack.append((i, True))
+                stack.extend((c, False) for c in children if c not in views)
+                continue
+            label = None if pid is None else self.grammar.productions[pid].label
+            views[i] = NodeView(
+                symbol=self.grammar.symbol_by_id[symbol_id].name,
+                start=start,
+                end=end,
+                production=pid,
                 label=label,
-                children=tuple(views[c] for c in rec.children or ()),
-                lexeme=rec.lexeme,
-                text=self.input[rec.start : rec.end],
+                children=tuple(views[c] for c in children),
+                lexeme=text[start:end] if alternatives is None else None,
+                text=text[start:end],
             )
-        return views[eid]
-
-
-def _collect(records: list[ExplicitNode], roots: tuple[int, ...]) -> tuple[list[ExplicitNode], tuple[int, ...]]:
-    """Keep the nodes reachable from the roots, renumbered in preorder."""
-    remap: dict[int, int] = {}
-    order: list[int] = []
-    stack = list(reversed(roots))
-    while stack:
-        eid = stack.pop()
-        if eid in remap:
-            continue
-        remap[eid] = len(order)
-        order.append(eid)
-        children = records[eid].children
-        if children:
-            stack.extend(reversed(children))
-    kept = []
-    for new_id, old in enumerate(order):
-        rec = records[old]
-        children = (
-            tuple(remap[c] for c in rec.children) if rec.children is not None else None
-        )
-        kept.append(
-            ExplicitNode(
-                new_id, rec.symbol_id, rec.start, rec.end, rec.production_id, children, rec.lexeme
-            )
-        )
-    return kept, tuple(remap[r] for r in roots)
+        return views[rid]
 
 
 def expand_forest(grammar: Grammar, ig: IGraph, enforce_constraints: bool = True) -> EGraph:
-    """Expand the accepted implicit roots into the explicit forest.
+    """Expand the accepted implicit roots into the packed forest.
 
     With ``enforce_constraints`` off, every derivation survives; the result is
-    the raw ambiguity of the grammar over the input.
+    the raw ambiguity of the grammar over the input. The roots are the forest
+    nodes of the accepted implicit roots, one per surviving production.
     """
     expander = _Expander(grammar, ig, enforce_constraints)
-    # Roots of different starting nodes differ in span, and one node's
-    # candidates differ in production or children, so none repeats.
-    roots = tuple(eid for node_id in sorted(ig.starting) for eid in expander.expand(node_id))
-    nodes, new_roots = _collect(expander.records, roots)
-    return EGraph(ig.input, nodes, new_roots, expander.constructions)
+    roots = expander.run()
+    nodes, roots = _emit(expander.records, roots, ig.input)
+    return EGraph(ig.input, nodes, roots, expander.constructions)
 
 
 def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGraph:
@@ -400,18 +504,9 @@ def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGrap
     parse machinery proper cannot represent zero-width roots, so this case is
     produced directly.
     """
-    records: list[ExplicitNode] = []
-
-    def build(skeleton: tuple, symbol_id: int) -> int:
-        pid, child_skeletons = skeleton
-        p = grammar.productions[pid]
-        children = tuple(build(sk, sym.id) for sk, sym in zip(child_skeletons, p.rhs))
-        eid = len(records)
-        records.append(ExplicitNode(eid, symbol_id, offset, offset, pid, children, None))
-        return eid
-
-    root = build(grammar.epsilon_derivations[grammar.start.id], grammar.start.id)
-    nodes, roots = _collect(records, (root,))
+    records: list[tuple] = []
+    root = _placeholder(grammar, records, {}, grammar.start.id, offset)
+    nodes, roots = _emit(records, (root,), input_text)
     return EGraph(input_text, nodes, roots, len(records))
 
 
@@ -425,37 +520,43 @@ class TreeCount:
     saturated: bool
 
 
-def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
-    """Trees reachable from each root, by dynamic programming over the shared forest.
-
-    Counts are capped at ``cap``; hitting the cap sets the saturated flag
-    instead of silently overflowing.
-    """
+def _counts(eg: EGraph, tops, cap: int) -> dict[int, int]:
+    """Trees held by every node below ``tops``, each capped at ``cap``."""
     counts: dict[int, int] = {}
-    saturated = False
-    for root in eg.roots:
-        stack = [(root, False)]
+    for top in tops:
+        stack = [(top, False)]
         while stack:
             eid, ready = stack.pop()
             if eid in counts:
                 continue
-            children = eg.nodes[eid].children
-            if not children:
+            alternatives = eg.nodes[eid].children
+            if alternatives is None:
                 counts[eid] = 1
             elif ready:
-                total = 1
-                for child in children:
-                    total *= counts[child]
-                    if total > cap:
-                        total = cap
-                        break
-                counts[eid] = total
+                total = 0
+                for alt in alternatives:
+                    trees = 1
+                    for c in alt:
+                        trees *= counts[c]
+                    total += trees
+                counts[eid] = min(total, cap)
             else:
                 stack.append((eid, True))
-                stack.extend((c, False) for c in children if c not in counts)
+                for alt in alternatives:
+                    stack.extend((c, False) for c in alt if c not in counts)
+    return counts
 
+
+def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
+    """Trees held by each root: a sum over alternatives of products over children.
+
+    Nothing is enumerated. Counts are capped at ``cap``; hitting the cap sets
+    the saturated flag instead of silently overflowing.
+    """
+    counts = _counts(eg, eg.roots, cap)
     per_root: dict[int, int] = {}
     total = 0
+    saturated = False
     for root in eg.roots:
         per_root[root] = counts[root]
         total += per_root[root]
@@ -466,11 +567,15 @@ def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
 
 
 def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
-    """Canonical nested-tuple form of one tree, comparable across implementations.
+    """Canonical nested-tuple form of the one tree that node ``eid`` holds.
 
     Leaves are ("t", symbol, start, end, lexeme); interior nodes are
-    ("n", symbol, start, end, production id, (children...)).
+    ("n", symbol, start, end, production id, (children...)). A node holding
+    more than one tree raises ``ValueError``; ``enumerate_trees`` lists them.
     """
+    count = _counts(eg, (eid,), COUNT_CAP)[eid]
+    if count != 1:
+        raise ValueError(f"node {eid} holds {count} trees, not one; use enumerate_trees")
     built: dict[int, tuple] = {}
     stack = [(eid, False)]
     while stack:
@@ -482,20 +587,61 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
         if rec.children is None:
             built[nid] = ("t", name, rec.start, rec.end, rec.lexeme)
         elif ready:
-            children = tuple(built[c] for c in rec.children)
+            children = tuple(built[c] for c in rec.children[0])
             built[nid] = ("n", name, rec.start, rec.end, rec.production_id, children)
         else:
             stack.append((nid, True))
-            stack.extend((c, False) for c in rec.children if c not in built)
+            stack.extend((c, False) for c in rec.children[0] if c not in built)
     return built[eid]
 
 
+def _first(ordered: list[list[tuple]], limit: int) -> list[tuple]:
+    """The first ``limit`` items of the merge of sorted lists.
+
+    Sorting finds the lists as runs and merges them.
+    """
+    if len(ordered) == 1:
+        return ordered[0][:limit]
+    return sorted(chain.from_iterable(ordered))[:limit]
+
+
 def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
-    """Trees of the forest in canonical order, up to ``limit``."""
+    """Trees of the forest in canonical order, up to ``limit``.
+
+    Every node keeps only its first ``limit`` trees, in order: an
+    alternative's trees come out of the product of its children's lists in
+    order, because canonical tuples compare children left to right, and a
+    node's alternatives are merged. A tree that uses a child's later tree
+    follows at least ``limit`` trees that use earlier ones, so nothing past a
+    child's first ``limit`` is ever needed.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    trees = sorted(canonical_tree(eg, grammar, r) for r in eg.roots)
-    return trees[:limit]
+    names = grammar.symbol_by_id
+    trees: dict[int, list[tuple]] = {}
+    for root in eg.roots:
+        stack = [(root, False)]
+        while stack:
+            eid, ready = stack.pop()
+            if eid in trees:
+                continue
+            rec = eg.nodes[eid]
+            name = names[rec.symbol_id].name
+            if rec.children is None:
+                trees[eid] = [("t", name, rec.start, rec.end, rec.lexeme)]
+            elif ready:
+                head = ("n", name, rec.start, rec.end, rec.production_id)
+                trees[eid] = _first(
+                    [
+                        [head + (children,) for children in islice(product(*(trees[c] for c in alt)), limit)]
+                        for alt in rec.children
+                    ],
+                    limit,
+                )
+            else:
+                stack.append((eid, True))
+                stack.extend((c, False) for alt in rec.children for c in alt if c not in trees)
+    return _first([trees[r] for r in eg.roots], limit)
 
 
 def tree_to_jsonable(tree: tuple) -> dict:
@@ -525,7 +671,11 @@ def tree_to_jsonable(tree: tuple) -> dict:
 
 
 def egraph_document(eg: EGraph, grammar: Grammar) -> dict:
-    """Structured document for the forest, including per-root tree counts."""
+    """Structured document for the packed forest, including per-root tree counts.
+
+    ``formatVersion`` is ``FOREST_FORMAT_VERSION``. Every nonterminal node
+    lists its ``alternatives``, each a list of child node ids.
+    """
     counts = tree_counts(eg)
     nodes = []
     for rec in eg.nodes:
@@ -539,9 +689,10 @@ def egraph_document(eg: EGraph, grammar: Grammar) -> dict:
             entry["lexeme"] = rec.lexeme
         else:
             entry["production"] = rec.production_id
-            entry["children"] = list(rec.children)
+            entry["alternatives"] = [list(alt) for alt in rec.children]
         nodes.append(entry)
     doc = {
+        "formatVersion": FOREST_FORMAT_VERSION,
         "nodes": nodes,
         "roots": list(eg.roots),
         "treeCounts": {str(r): counts.per_root[r] for r in eg.roots},
@@ -552,7 +703,11 @@ def egraph_document(eg: EGraph, grammar: Grammar) -> dict:
 
 
 def egraph_to_dot(eg: EGraph, grammar: Grammar) -> str:
-    """Graphviz rendering: squares for nonterminal nodes, ovals for tokens."""
+    """Graphviz rendering: squares for nonterminal nodes, ovals for tokens.
+
+    A node with several alternatives points at one small dot per
+    alternative, and each dot at that alternative's children.
+    """
     lines = ["digraph forest {"]
     roots = set(eg.roots)
     for rec in eg.nodes:
@@ -569,7 +724,14 @@ def egraph_to_dot(eg: EGraph, grammar: Grammar) -> str:
         peripheries = ", peripheries=2" if rec.id in roots else ""
         lines.append(f'  n{rec.id} [label="{label}", shape={shape}{style}{peripheries}];')
     for rec in eg.nodes:
-        for i, child in enumerate(rec.children or ()):
-            lines.append(f'  n{rec.id} -> n{child} [label="{i}"];')
+        alternatives = rec.children or ()
+        for a, alt in enumerate(alternatives):
+            parent = f"n{rec.id}"
+            if len(alternatives) > 1:
+                parent = f"n{rec.id}a{a}"
+                lines.append(f'  {parent} [label="", shape=point];')
+                lines.append(f"  n{rec.id} -> {parent};")
+            for i, child in enumerate(alt):
+                lines.append(f'  {parent} -> n{child} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

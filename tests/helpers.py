@@ -37,6 +37,37 @@ ARITH = """
 
 ARITH_LEFT = ARITH.replace("[add] E", "%assoc left [add] E")
 
+# the unambiguous left-recursive chain of acceptance criterion 8
+UNAMBIGUOUS_CHAIN = """
+%token plus /\\+/
+%token int /1/
+%token semi /;/
+%start S
+S ::= E semi ;
+E ::= E plus T ;
+E ::= T ;
+T ::= int ;
+"""
+
+# the running example's units as a list: every slashed number reads as a
+# Real or as Integer Point Integer, and selection precedence keeps the Real
+UNIT_LIST = """
+%token Integer /(-|\\+)?[0-9]+/
+%token Real /(-|\\+)?[0-9]+\\.[0-9]+/
+%token Point /\\./
+%token Slash /\\//
+%token Ampersand /\\&/
+%start L
+L ::= L U ;
+L ::= U ;
+U ::= A B ;
+A ::= Ampersand Real Ampersand ;
+B ::= Slash Num Slash ;
+[real] Num ::= Real ;
+[split] Num ::= Integer Point Integer ;
+%prefer select real over split ;
+"""
+
 DANGLING_ELSE = """
 %token if /if/
 %token else /else/

@@ -5,12 +5,15 @@ from fence import oracle_parse_all
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
 from fence.lexgraph import TokenizationError, tokenize
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, chain, grammar, pipeline, pipeline_trees
-
-# the unambiguous left-recursive chain of acceptance criterion 8
-UNAMBIGUOUS_CHAIN = (
-    "%token plus /\\+/\n%token int /1/\n%token semi /;/\n%start S\n"
-    "S ::= E semi ;\nE ::= E plus T ;\nE ::= T ;\nT ::= int ;\n"
+from helpers import (
+    AMBIG_INPUT,
+    AMBIG_NUMBERS,
+    ARITH,
+    UNAMBIGUOUS_CHAIN,
+    chain,
+    grammar,
+    pipeline,
+    pipeline_trees,
 )
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -25,6 +26,8 @@ from helpers import (
     ARITH_LEFT,
     DANGLING_ELSE,
     OUTPUT_CALL,
+    UNAMBIGUOUS_CHAIN,
+    UNIT_LIST,
     catalan,
     chain,
     grammar,
@@ -87,13 +90,17 @@ def test_nullable_position_gets_zero_width_placeholder():
 
 
 def test_two_candidates_before_constraints():
+    # both bracketings are packed into one node, one alternative each
     g = grammar(ARITH)
     _la, _ig, eg = pipeline(g, "1+1+1", enforce=False)
-    spans = [
+    (node,) = [
         n for n in eg.nodes
         if n.production_id == 0 and (n.start, n.end) == (0, 5)
     ]
-    assert len(spans) == 2  # left-heavy and right-heavy
+    splits = sorted(
+        tuple((eg.nodes[c].start, eg.nodes[c].end) for c in alt) for alt in node.children
+    )
+    assert splits == [((0, 1), (1, 2), (2, 5)), ((0, 3), (3, 4), (4, 5))]
 
 
 def test_left_associativity_rejects_right_nesting():
@@ -180,7 +187,15 @@ def test_tree_counts():
     _la, _ig, eg2 = pipeline(ga, chain(4))
     counts = tree_counts(eg2)
     assert counts.total == 5  # all binary bracketings of four operands
-    assert all(v == 1 for v in counts.per_root.values())
+    assert counts.per_root == {eg2.roots[0]: 5}  # one packed root holds them all
+
+
+def test_canonical_tree_refuses_a_node_with_several_trees():
+    g = grammar(ARITH)
+    _la, _ig, eg = pipeline(g, chain(4))
+    with pytest.raises(ValueError, match="holds 5 trees"):
+        canonical_tree(eg, g, eg.roots[0])
+    assert canonical_tree(eg, g, eg.nodes[eg.roots[0]].children[0][1]) == ("t", "plus", 1, 2, "+")
 
 
 def test_enumerate_trees_is_sorted_and_limited():
@@ -204,24 +219,34 @@ def test_forest_document_and_gc():
     g = grammar(ARITH)
     _la, _ig, eg = pipeline(g, "1+1+1")
     doc = egraph_document(eg, g)
+    assert doc["formatVersion"] == 2
     assert set(doc) >= {"nodes", "roots", "treeCounts"}
     ids = {n["id"] for n in doc["nodes"]}
     assert ids == set(range(len(doc["nodes"])))  # renumbered densely
     for n in doc["nodes"]:
-        assert ("lexeme" in n) != ("production" in n)
-        for c in n.get("children", ()):
-            assert c in ids
-    assert doc["treeCounts"] == {str(r): 1 for r in doc["roots"]}
-    # every node reachable from some root
-    reachable = set()
-    stack = list(doc["roots"])
+        assert ("lexeme" in n) != ("production" in n) == ("alternatives" in n)
+        for alt in n.get("alternatives", ()):
+            assert all(c in ids for c in alt)
+    # one root holds both bracketings as two alternatives
+    (root,) = doc["roots"]
+    assert doc["treeCounts"] == {str(root): 2}
     by_id = {n["id"]: n for n in doc["nodes"]}
+    assert len(by_id[root]["alternatives"]) == 2
+    assert sum(len(n.get("alternatives", ())) > 1 for n in doc["nodes"]) == 1
+    # one node per (start, end, symbol, production): shared, not repeated per tree
+    keys = [(n["start"], n["end"], n["symbol"], n.get("production")) for n in doc["nodes"]]
+    assert len(keys) == len(set(keys))
+    # every node reachable from the root, which is numbered first (preorder)
+    assert root == 0
+    reachable = set()
+    stack = [root]
     while stack:
         i = stack.pop()
         if i in reachable:
             continue
         reachable.add(i)
-        stack.extend(by_id[i].get("children", ()))
+        for alt in by_id[i].get("alternatives", ()):
+            stack.extend(alt)
     assert reachable == ids
 
 
@@ -232,6 +257,19 @@ def test_dot_output_uses_squares_for_nonterminals():
     assert dot.startswith("digraph")
     assert "shape=box" in dot and "shape=ellipse" in dot
     assert "peripheries=2" in dot  # the root stands out
+
+
+def test_dot_output_draws_packed_alternatives():
+    g = grammar(ARITH)
+    _la, _ig, eg = pipeline(g, "1+1+1", enforce=False)
+    dot = egraph_to_dot(eg, g)
+    (root,) = eg.roots
+    assert dot.count("shape=point") == 2  # only the root holds two alternatives
+    for a in (0, 1):
+        assert f'n{root}a{a} [label="", shape=point];' in dot
+        assert f"n{root} -> n{root}a{a};" in dot
+        for i, child in enumerate(eg.nodes[root].children[a]):
+            assert f'n{root}a{a} -> n{child} [label="{i}"];' in dot
 
 
 def test_tree_to_jsonable_roundtrips_structure():
@@ -324,5 +362,77 @@ def test_roots_never_repeat():
                         assert len(set(outcome.egraph.roots)) == len(outcome.egraph.roots)
                         seen += len(outcome.egraph.roots)
     _la, _ig, eg = pipeline(grammar(ARITH), chain(7))
-    assert len(set(eg.roots)) == len(eg.roots) == catalan(6)
+    assert len(eg.roots) == 1 and tree_counts(eg).total == catalan(6)
     assert seen > 100
+
+
+# -- the packed forest stays small when the tree count is not ----------------------
+
+
+def test_random_suite_seed_16_is_counted_without_enumeration():
+    # the trees multiply about 45x per added token; the forest must not
+    g = randsuite.make_instance(16).grammar
+    started = time.perf_counter()
+    totals, sizes = [], []
+    for n in (3, 4, 5, 6):
+        eg = parse_text(g, "a" * n).egraph
+        totals.append(tree_counts(eg).total)
+        sizes.append(len(eg.nodes))
+    assert totals[:3] == [1_016, 40_736, 1_835_200]
+    assert totals[3] > totals[2] and sizes[3] < 1_000
+    assert time.perf_counter() - started < 10.0
+
+
+def test_unconstrained_lattice_forest_grows_linearly():
+    # each unit doubles the trees; the forest gains a fixed number of nodes
+    g = grammar(UNIT_LIST)
+    started = time.perf_counter()
+    sizes = {}
+    for units in (8, 10, 12, 14):
+        text = " ".join([AMBIG_INPUT] * units)
+        eg = parse_text(g, text, enforce_constraints=False).egraph
+        assert tree_counts(eg).total == 2**units
+        sizes[units] = len(eg.nodes)
+        assert tree_counts(parse_text(g, text).egraph).total == 1
+    assert all(sizes[u] <= sizes[8] * u / 8 for u in sizes), sizes
+    assert time.perf_counter() - started < 10.0
+
+
+def test_chain_constructions_grow_linearly():
+    g = grammar(UNAMBIGUOUS_CHAIN)
+    started = time.perf_counter()
+    made = {}
+    for n in (250, 500, 1000, 2000):
+        _la, _ig, eg = pipeline(g, chain(n // 2) + ";")
+        assert tree_counts(eg).total == 1
+        made[n] = eg.constructions
+    for n in (500, 1000, 2000):
+        assert made[n] / made[n // 2] <= 2.2, made
+    assert time.perf_counter() - started < 10.0
+
+
+def test_left_associative_constructions_are_linear_in_operands():
+    # the chart derives every E [i,j); expansion builds only the left-deep tree
+    g = grammar(ARITH_LEFT)
+    started = time.perf_counter()
+    made = {}
+    for operands in (50, 100, 200):
+        _la, _ig, eg = pipeline(g, chain(operands))
+        assert tree_counts(eg).total == 1
+        made[operands] = eg.constructions
+    assert made[200] - made[100] == 2 * (made[100] - made[50]), made
+    assert time.perf_counter() - started < 30.0
+
+
+def test_enumeration_stops_at_the_limit():
+    g = grammar(ARITH)
+    _la, _ig, eg = pipeline(g, chain(8))
+    every = enumerate_trees(eg, g, 10**6)
+    assert len(every) == catalan(7)
+    assert enumerate_trees(eg, g, 7) == every[:7]
+    # a node keeps at most ``limit`` trees, so a Catalan(29) forest lists its first three
+    started = time.perf_counter()
+    _la, _ig, big = pipeline(g, chain(30))
+    first = enumerate_trees(big, g, 3)
+    assert len(first) == 3 and first == sorted(first)
+    assert time.perf_counter() - started < 10.0

@@ -1,12 +1,13 @@
 """Pipeline sessions, rejection diagnostics, and the command-line driver."""
 
 import json
+import time
 
 import pytest
 
 from fence.cli import _dumps, main
 from fence.pipeline import explain_rejection, parse_text
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, ARITH_LEFT, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, ARITH_LEFT, catalan, chain, grammar
 
 
 @pytest.fixture()
@@ -120,6 +121,14 @@ def test_ambiguous_count(arith_grammar_file, capsys):
     code = main(["parse", "--grammar", arith_grammar_file, "--text", "1+1+1", "--count"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_count_of_a_thirty_operand_sum(arith_grammar_file, capsys):
+    started = time.perf_counter()
+    code = main(["parse", "--grammar", arith_grammar_file, "--text", chain(30), "--count"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "1002242216651368" == str(catalan(29))
+    assert time.perf_counter() - started < 10.0
 
 
 def test_usage_errors_exit_2(numbers_grammar_file, capsys):
