@@ -2,9 +2,11 @@
 
 The parser predicts the start symbol at the starting core, then drains an
 agenda of (handle, node) pairs where the node matches the symbol after the
-handle's dot. A handle is (production, dot, first matched node); its start
-offset is that node's start, or its core's position before anything is
-matched. Matching the last pending symbol reduces: a node (handle start,
+handle's dot. A handle is an Earley item (production, dot, origin): the
+origin is the start offset of its first matched node, or its core's own
+position while nothing is matched. Nodes are never zero-width, so a handle
+that has matched something sits in a core after its origin and the two cases
+never share a key. Matching the last pending symbol reduces: a node (origin,
 matched node end, lhs) is created or merged, wired to the cores at its
 boundaries, and every handle already waiting for that symbol in its start
 core is re-awakened. Otherwise the advanced handle is added to the core
@@ -23,7 +25,7 @@ builds derives a symbol predicted at its start core.
 Nullable symbols never materialize as nodes. When a handle is stored, any
 run of nullable symbols after its dot also stores the skipped variants in the
 same core, and a skip run that reaches the end of the production completes
-it immediately, using the last actually-matched node for the end offset.
+it immediately, ending where the last actually-matched node ends.
 This is the nullable step of Aycock and Horspool ("Practical Earley
 Parsing", 2002): predicting a nullable symbol also moves past it, so an
 empty derivation needs neither a node nor a completion. A skipped variant
@@ -91,8 +93,9 @@ class ChartParser:
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
     wait for its left-hand side are stored. ``agenda`` holds pending
-    (production, dot, first node, node) entries and is drained from the end;
-    the module docstring explains why the order does not affect the graph.
+    (production, dot, origin, node) entries, a handle and the node that
+    matches the symbol after its dot, and is drained from the end; the
+    module docstring explains why the order does not affect the graph.
     """
 
     def __init__(self, grammar: Grammar, ela: ELAGraph):
@@ -108,31 +111,28 @@ class ChartParser:
     # -- core operations ----------------------------------------------------
 
     def add_handle(
-        self,
-        production_id: int,
-        matched: int,
-        first_id: int | None,
-        core: Core,
-        last_node_id: int | None = None,
+        self, production_id: int, dot: int, origin: int, core: Core, end: int | None = None
     ) -> None:
         """Store the handle (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
         the symbol after the dot, and predicts that symbol in ``core`` the
-        first time a handle waits for it there. When skipping nullable
-        symbols reaches the end of the production and at least one real node
-        was matched, the production is complete and reduces immediately.
+        first time a handle waits for it there. ``end`` is where the last
+        matched node ends, None while nothing is matched. When skipping
+        nullable symbols reaches the end of the production and something was
+        matched, the production is complete and reduces over (origin, end);
+        that happens on every call, since two matched nodes that end at
+        different offsets can lead to the same core.
         """
         rhs = self._rhs[production_id]
         size = len(rhs)
-        dot = matched
         while True:
             if dot == size:
-                if first_id is not None and last_node_id is not None:
-                    self._reduce(production_id, first_id, last_node_id)
+                if end is not None:
+                    self._reduce(production_id, origin, end)
                 return
             sym = rhs[dot]
-            handle = (production_id, dot, first_id)
+            handle = (production_id, dot, origin)
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
@@ -153,14 +153,12 @@ class ChartParser:
         productions, reached = self._predictions[sym]
         core.predicted |= reached
         for production_id in productions:
-            self.add_handle(production_id, 0, None, core)
+            self.add_handle(production_id, 0, core.position, core)
 
-    def _reduce(self, production_id: int, first_id: int, last_id: int) -> None:
+    def _reduce(self, production_id: int, start: int, end: int) -> None:
         ela = self.ela
         nodes = ela.nodes
         production = self.grammar.productions[production_id]
-        start = nodes[first_id].start
-        end = nodes[last_id].end
         key = (start, end, production.lhs.id)
         if key in ela.node_ids:
             return
@@ -190,16 +188,14 @@ class ChartParser:
         nodes = ela.nodes
         agenda = self.agenda
         while agenda:
-            production_id, dot, first_id, node_id = agenda.pop()
+            production_id, dot, origin, node_id = agenda.pop()
             self.pops += 1
-            node = nodes[node_id]
-            first = first_id if first_id is not None else node_id
+            end = nodes[node_id].end
             nxt = dot + 1
             if nxt == len(self._rhs[production_id]):
-                self._reduce(production_id, first, node_id)
+                self._reduce(production_id, origin, end)
             else:
-                core = ela.cores[ela.next_core[node.end]]
-                self.add_handle(production_id, nxt, first, core, node_id)
+                self.add_handle(production_id, nxt, origin, ela.cores[ela.next_core[end]], end)
         return self._igraph()
 
     def _igraph(self) -> IGraph:

@@ -95,12 +95,6 @@ class ELAGraph:
     starting_core: int = 0
     last_core: int = 0
 
-    def preceding_cores(self, node: ImplicitNode) -> tuple[int, ...]:
-        return (self.core_at[node.start],)
-
-    def following_cores(self, node: ImplicitNode) -> tuple[int, ...]:
-        return (self.next_core[node.end],)
-
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
     """Complete a pruned lattice with cores and re-house tokens as parse nodes."""
@@ -159,8 +153,8 @@ def ela_document(ela: ELAGraph, grammar: Grammar) -> dict:
                 "symbol": grammar.symbol_by_id[n.symbol_id].name,
                 "start": n.start,
                 "end": n.end,
-                "preceding": list(ela.preceding_cores(n)),
-                "following": list(ela.following_cores(n)),
+                "preceding": [ela.core_at[n.start]],
+                "following": [ela.next_core[n.end]],
             }
             for n in ela.nodes
         ],

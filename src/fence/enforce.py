@@ -13,13 +13,13 @@ Alternatives come from a right-to-left walk through the handles the chart
 left in its cores; nothing is searched. The child at the last position ends
 where the node ends, so it is one of the nodes preceding the core after that
 end. A child at position j that starts at offset o is taken only if the core
-at o holds a handle (production, j, first) whose first node starts where the
-forest node starts: the chart stored that handle only after deriving
-positions 0..j-1 from there, so the walk never extends a suffix whose prefix
-cannot be derived. Position j-1 is then filled from the nodes preceding that
-core. A nullable position may instead be skipped when the same core holds the
-handle for that position (the chart stores skip variants beside the handle
-they skip from). A skipped position gets a zero-width placeholder carrying
+at o holds the handle (production, j, start), whose origin is the forest
+node's start: the chart stored that handle only after deriving positions
+0..j-1 from there, so the walk never extends a suffix whose prefix cannot be
+derived. Position j-1 is then filled from the nodes preceding that core. A
+nullable position may instead be skipped when the same core holds the handle
+for that position (the chart stores skip variants beside the handle they
+skip from). A skipped position gets a zero-width placeholder carrying
 the symbol's canonical minimal empty derivation, at the end of the real
 child to its left, or at the node's start when there is none. Placeholder
 internals are canonical and not subject to constraints, but a placeholder is
@@ -61,7 +61,7 @@ from itertools import chain, islice, product
 
 from .chart import IGraph
 from .errors import EvaluatorError
-from .grammar import ASSOC_LEFT, ASSOC_NONE, ASSOC_RIGHT, Grammar, NodeView
+from .grammar import Grammar, NodeView
 
 __all__ = [
     "ForestNode",
@@ -119,17 +119,27 @@ class EGraph:
 
 
 def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id: int, offset: int) -> int:
-    """The record of ``symbol_id``'s canonical empty derivation at ``offset``."""
-    key = (symbol_id, offset)
-    got = cache.get(key)
-    if got is None:
-        pid = grammar.epsilon_derivations[symbol_id][0]
-        children = tuple(
-            _placeholder(grammar, records, cache, s.id, offset) for s in grammar.productions[pid].rhs
-        )
-        got = cache[key] = len(records)
-        records.append((symbol_id, offset, offset, pid, (children,)))
-    return got
+    """The record of ``symbol_id``'s canonical empty derivation at ``offset``.
+
+    Built children first from an explicit stack, so a long nullable chain
+    costs no interpreter frames.
+    """
+    stack = [symbol_id]
+    while stack:
+        sym = stack[-1]
+        if (sym, offset) in cache:
+            stack.pop()
+            continue
+        pid = grammar.epsilon_production[sym]
+        rhs = grammar.rhs_ids[pid]
+        missing = [s for s in rhs if (s, offset) not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        cache[sym, offset] = len(records)
+        records.append((sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),)))
+    return cache[symbol_id, offset]
 
 
 def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list[ForestNode], tuple[int, ...]]:
@@ -172,13 +182,6 @@ class _Expander:
         self.constructions = 0
         self._leaves: dict[int, int] = {}
         self._placeholders: dict[tuple[int, int], int] = {}
-        # the chart's handles as bit masks, read in per core by ``_viable``
-        self._stride = 1 + max(map(len, grammar.rhs_ids), default=0)
-        self._slots = len(grammar.productions) * self._stride
-        self._masks: dict[int, int] = {}
-        self._indexed: set[int] = set()
-        self._blocks: dict[int, tuple[frozenset[int], ...]] = {}
-        self._preferred: dict[int, tuple[int, ...]] = {}
         self._trees: dict[int, tuple[int, ...]] = {}
         self._interned: dict[tuple, int] = {}
         self._views: dict[int, NodeView] = {}
@@ -246,6 +249,7 @@ class _Expander:
         """
         node_id, context, blocked = key
         memo = self.memo
+        preferred_over = self.grammar.preferred_over if self.enforce else {}
         out = []
         for p in self.grammar.productions_by_lhs[self.ig.nodes[node_id].symbol_id]:
             if blocked and p.id in blocked:
@@ -256,7 +260,7 @@ class _Expander:
                 got = yield wanted
             if got == _EMPTY:
                 continue
-            for q in self._preferred_over(p.id):
+            for q in preferred_over.get(p.id, ()):
                 wanted = (node_id, q, context)
                 other = memo.get(wanted)
                 if other is None:
@@ -284,13 +288,11 @@ class _Expander:
         grammar = self.grammar
         eps = grammar.epsilon_ids
         groups = self.groups
-        viable = self._viable
         node = nodes[node_id]
         start, end = node.start, node.end
-        origin = core_at[start]
         context = (outer or frozenset()) | {node_id}
         rhs = grammar.rhs_ids[pid]
-        blocks = self._position_blocks(pid) if self.enforce else None
+        blocks = grammar.position_blocks[pid] if self.enforce else None
         alternatives = []
         stack = [(len(rhs) - 1, None, ())]
         while stack:
@@ -301,19 +303,19 @@ class _Expander:
                 continue
             sym = rhs[pos]
             blocked = blocks[pos] if blocks else None
-            handle = pid * self._stride + pos  # (pid, pos), in the masks' numbering
+            handle = (pid, pos, start)
             cid = ig.next_core[end] if right is None else core_at[right]
             if (
                 sym in eps
-                and not (blocked and grammar.epsilon_derivations[sym][0] in blocked)
-                and viable(cid, handle, origin)
+                and not (blocked and grammar.epsilon_production[sym] in blocked)
+                and handle in cores[cid].handles
             ):
                 stack.append((pos - 1, right, (~sym,) + suffix))
             for child_id in cores[cid].preceding:
                 child = nodes[child_id]
                 if child.symbol_id != sym or (right is None and child.end != end) or child.start < start:
                     continue
-                if not viable(core_at[child.start], handle, origin):
+                if handle not in cores[core_at[child.start]].handles:
                     continue
                 if child.is_token:
                     options = (self._leaf(child),)
@@ -343,64 +345,7 @@ class _Expander:
         self.memo[key] = result
         return result
 
-    def _viable(self, cid: int, handle: int, origin: int) -> bool:
-        """Whether core ``cid`` holds a handle ``handle`` whose first node starts in core ``origin``.
-
-        The handles of a core are read into bit masks on its first visit: bit
-        d of the mask under (core, production, dot) is set when such a handle
-        starts d cores earlier (in the core itself when nothing is matched yet).
-        """
-        masks = self._masks
-        base = cid * self._slots
-        if cid not in self._indexed:
-            ig = self.ig
-            for pid, dot, first in ig.cores[cid].handles:
-                key = base + pid * self._stride + dot
-                distance = 0 if first is None else cid - ig.core_at[ig.nodes[first].start]
-                masks[key] = masks.get(key, 0) | 1 << distance
-            self._indexed.add(cid)
-        return masks.get(base + handle, 0) >> (cid - origin) & 1 == 1
-
-    # -- constraint checks -----------------------------------------------------
-
-    def _position_blocks(self, pid: int) -> tuple[frozenset[int], ...]:
-        """Per right-hand-side position, the productions a child there may not have.
-
-        Composition precedence blocks the same productions everywhere;
-        associativity adds the production itself at the last position (left,
-        none) and at the first (right, none).
-        """
-        got = self._blocks.get(pid)
-        if got is None:
-            blocked = self.grammar.composition_blocks.get(pid, frozenset())
-            direction = self.grammar.constraints.associativity.get(pid)
-            last = len(self.grammar.rhs_ids[pid]) - 1
-            positions = []
-            for i in range(last + 1):
-                edge = (i == last and direction in (ASSOC_LEFT, ASSOC_NONE)) or (
-                    i == 0 and direction in (ASSOC_RIGHT, ASSOC_NONE)
-                )
-                positions.append(blocked | {pid} if edge else blocked)
-            got = self._blocks[pid] = tuple(positions)
-        return got
-
-    def _preferred_over(self, pid: int) -> tuple[int, ...]:
-        """Productions of the same symbol preferred over ``pid`` by selection precedence.
-
-        The preference relation is transitively closed, so dropping a
-        production when one of these holds a tree keeps the same productions
-        as resolving the preferences in topological order.
-        """
-        if not (self.enforce and self.grammar.has_selection):
-            return ()
-        got = self._preferred.get(pid)
-        if got is None:
-            productions = self.grammar.productions
-            lhs = productions[pid].lhs.id
-            got = self._preferred[pid] = tuple(
-                q for q in self.grammar.preferred_over.get(pid, ()) if productions[q].lhs.id == lhs
-            )
-        return got
+    # -- custom evaluators -----------------------------------------------------
 
     def _evaluated(self, pid: int, node, alternatives: list, evaluator) -> list[tuple[int, ...]]:
         """One alternative per tree that the evaluator accepts, with single-tree children."""

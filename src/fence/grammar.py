@@ -241,9 +241,13 @@ class Grammar:
 
         self.selection_closed = _closure(self.constraints.selection)
         self.composition_closed = _closure(self.constraints.composition)
+        # Selection only ever compares productions of one symbol, so a pair
+        # across symbols is dropped, but only after closing: a chain through
+        # another symbol's production still relates the two ends.
         preferred: dict[int, list[int]] = {}
         for q, p in sorted(self.selection_closed):
-            preferred.setdefault(p, []).append(q)
+            if self.productions[q].lhs.id == self.productions[p].lhs.id:
+                preferred.setdefault(p, []).append(q)
         self.preferred_over: dict[int, tuple[int, ...]] = {
             p: tuple(qs) for p, qs in preferred.items()
         }
@@ -335,17 +339,18 @@ class Grammar:
         return table
 
     @cached_property
-    def epsilon_derivations(self) -> dict[int, tuple]:
-        """Canonical minimal empty derivation per nullable symbol.
+    def epsilon_production(self) -> dict[int, int]:
+        """The production of each nullable symbol's canonical minimal empty derivation.
 
-        Maps symbol id to a nested ``(production_id, (child, ...))`` skeleton,
-        choosing the derivation with the fewest nodes and breaking ties by the
-        lowest production id. Used to materialize zero-width placeholder
-        children for skipped nullable positions.
+        Maps symbol id to production id, choosing the derivation with the
+        fewest nodes and breaking ties by the lowest production id. Every
+        child of the chosen production has a cheaper derivation of its own,
+        so following the table always ends. Used to materialize zero-width
+        placeholder children for skipped nullable positions.
         """
         inf = float("inf")
         cost: dict[int, float] = {}
-        choice: dict[int, Production] = {}
+        choice: dict[int, int] = {}
         changed = True
         while changed:
             changed = False
@@ -353,16 +358,35 @@ class Grammar:
                 if all(s.id in cost for s in p.rhs):
                     c = 1 + sum(cost[s.id] for s in p.rhs)
                     old = cost.get(p.lhs.id, inf)
-                    if c < old or (c == old and p.id < choice[p.lhs.id].id):
+                    if c < old or (c == old and p.id < choice[p.lhs.id]):
                         cost[p.lhs.id] = c
-                        choice[p.lhs.id] = p
+                        choice[p.lhs.id] = p.id
                         changed = True
+        return choice
 
-        def build(sym_id: int) -> tuple:
-            p = choice[sym_id]
-            return (p.id, tuple(build(s.id) for s in p.rhs))
+    @cached_property
+    def position_blocks(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """Per production and right-hand-side position, the productions a child there may not have.
 
-        return {sym_id: build(sym_id) for sym_id in cost}
+        Composition precedence blocks the same productions at every position;
+        associativity adds the production itself at the last position (left,
+        none) and at the first (right, none).
+        """
+        table = []
+        for p in self.productions:
+            blocked = self.composition_blocks.get(p.id, frozenset())
+            direction = self.constraints.associativity.get(p.id)
+            last = len(p.rhs) - 1
+            table.append(
+                tuple(
+                    blocked | {p.id}
+                    if (i == last and direction in (ASSOC_LEFT, ASSOC_NONE))
+                    or (i == 0 and direction in (ASSOC_RIGHT, ASSOC_NONE))
+                    else blocked
+                    for i in range(last + 1)
+                )
+            )
+        return tuple(table)
 
     # -- comparison and serialization --------------------------------------
 

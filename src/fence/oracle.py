@@ -51,11 +51,8 @@ def _marker_tree(grammar: Grammar, symbol_id: int, offset: int) -> tuple:
     key = (symbol_id, offset)
     got = cache.get(key)
     if got is None:
-        pid, child_skeletons = grammar.epsilon_derivations[symbol_id]
-        p = grammar.productions[pid]
-        children = tuple(
-            _marker_tree(grammar, sym.id, offset) for _sk, sym in zip(child_skeletons, p.rhs)
-        )
+        pid = grammar.epsilon_production[symbol_id]
+        children = tuple(_marker_tree(grammar, sym.id, offset) for sym in grammar.productions[pid].rhs)
         got = ("n", grammar.symbol_by_id[symbol_id].name, offset, offset, pid, children)
         cache[key] = got
     return got

@@ -31,7 +31,7 @@ def test_add_handle_single_production():
     ela = build(g, "a")
     parser = ChartParser(g, ela)
     core = ela.cores[0]
-    parser.add_handle(0, 0, None, core)
+    parser.add_handle(0, 0, core.position, core)
     assert len(core.handles) == 1
     assert len(parser.agenda) == 1
 
@@ -41,10 +41,33 @@ def test_add_handle_expands_nullable_skips():
     ela = build(g, "b")
     parser = ChartParser(g, ela)
     core = ela.cores[0]
-    parser.add_handle(0, 0, None, core)
+    parser.add_handle(0, 0, core.position, core)
     dots = sorted(h[1] for h in core.handles)
     assert dots == [0, 1]  # dot before A, and A skipped
     assert len(parser.agenda) == 1  # the b token matches the advanced handle
+
+
+def test_a_handle_is_keyed_by_its_origin_not_its_first_node():
+    # after "a a" the dot-2 handle of S is reached through A [0,1) A [1,3)
+    # and through A [0,2) A [2,3): two first nodes, one origin
+    g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= A A b ;\nA ::= a ;\nA ::= a a ;\n")
+    ela = build(g, "aaab")
+    ig = run_chart(g, ela)
+    assert len(ig.starting) == 1
+    core = ela.cores[ela.core_at[3]]
+    assert sorted(h for h in core.handles if h[0] == 0 and h[1] == 2) == [(0, 2, 0)]
+
+
+def test_a_skip_run_to_the_end_reduces_for_every_end():
+    # "a" and "a " end at 1 and 2, and both are followed by the core at 2:
+    # the handle X ::= A . N stored there once completes X [0,1) and X [0,2)
+    g = grammar(
+        "%token a /a/\n%token asp /a /\n%token c /c/\n%skip /[ ]+/\n%start S\n"
+        "S ::= X c ;\nX ::= A N ;\nA ::= a ;\nA ::= asp ;\nN ::= ;\n"
+    )
+    ig = run_chart(g, build(g, "a c"))
+    assert [t for t in node_triples(g, ig) if t[2] == "X"] == [(0, 1, "X"), (0, 2, "X")]
+    assert len(_assert_matches_oracle(g, "a c")) == 2
 
 
 def test_initialization_of_running_example():
@@ -57,7 +80,7 @@ def test_initialization_of_running_example():
     by_name = {s.name: s.id for s in g.symbols.values()}
     start_core = ela.cores[ela.starting_core]
     assert start_core.handles == {
-        (p.id, 0, None) for p in g.productions if p.lhs.name in ("E", "A")
+        (p.id, 0, 0) for p in g.productions if p.lhs.name in ("E", "A")
     }
     assert start_core.predicted == {by_name["E"], by_name["A"], by_name["Ampersand"]}
     # every other core stays empty until the run reaches it
@@ -66,8 +89,8 @@ def test_initialization_of_running_example():
             assert not core.handles and not core.predicted
     # only one entry: the Ampersand matching A's production
     assert len(parser.agenda) == 1
-    pid, dot, first, node_id = parser.agenda[0]
-    assert g.productions[pid].lhs.name == "A" and dot == 0 and first is None
+    pid, dot, origin, node_id = parser.agenda[0]
+    assert g.productions[pid].lhs.name == "A" and dot == 0 and origin == 0
     assert g.symbol_by_id[ela.nodes[node_id].symbol_id].name == "Ampersand"
 
 

@@ -73,8 +73,9 @@ def test_same_offset_tokens_share_their_preceding_core():
     la = tokenize(g, "5.2")
     ela = build_ela_graph(la)
     by_start = {}
-    for n in ela.nodes:
-        by_start.setdefault(n.start, set()).add(ela.preceding_cores(n)[0])
+    for core in ela.cores:
+        for nid in core.following:
+            by_start.setdefault(ela.nodes[nid].start, set()).add(core.id)
     for cores in by_start.values():
         assert len(cores) == 1
 
@@ -83,10 +84,8 @@ def test_adjacency_is_symmetric():
     g = grammar(AMBIG_NUMBERS)
     ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
     for n in ela.nodes:
-        (pre,) = ela.preceding_cores(n)
-        (post,) = ela.following_cores(n)
-        assert n.id in ela.cores[pre].following
-        assert n.id in ela.cores[post].preceding
+        assert n.id in ela.cores[ela.core_at[n.start]].following
+        assert n.id in ela.cores[ela.next_core[n.end]].preceding
 
 
 def test_document_schema():

@@ -8,6 +8,7 @@ import pytest
 
 import randsuite
 
+from fence.cli import main
 from fence.enforce import (
     canonical_tree,
     egraph_document,
@@ -87,6 +88,17 @@ def test_nullable_position_gets_zero_width_placeholder():
     assert trees == {
         ("n", "S", 0, 1, 0, (("n", "A", 0, 0, 1, ()), ("t", "b", 0, 1, "b")))
     }
+
+
+def test_a_placeholder_is_checked_against_its_parents_constraints():
+    # the empty E before "a" derives by [empty], which [pair] may not take
+    g = grammar(
+        "%token a /a/\n%start S\n[pair] S ::= E a ;\n[empty] E ::= ;\n[one] E ::= a ;\n"
+        "%prefer compose pair over empty ;\n"
+    )
+    assert pipeline_trees(g, "a") == frozenset()
+    assert pipeline_trees(g, "a", enforce=False) != frozenset()
+    assert len(pipeline_trees(g, "aa")) == 1
 
 
 def test_two_candidates_before_constraints():
@@ -323,6 +335,35 @@ def test_evaluator_sees_a_deeply_nested_candidate():
     )
     _la, _ig, eg = pipeline(g, chain(520))
     assert tree_counts(eg).total == 1
+
+
+def test_long_nullable_chain_parses_without_recursion(tmp_path, capsys):
+    # the placeholder for A0 is a 1,001-level chain of empty derivations
+    levels = 1000
+    source = (
+        "%token a /a/\n%start S\nS ::= A0 a ;\n"
+        + "".join(f"A{i} ::= A{i + 1} ;\n" for i in range(levels))
+        + f"A{levels} ::= ;\n"
+    )
+    started = time.perf_counter()
+    g = grammar(source)
+    eg = parse_text(g, "a").egraph
+    assert tree_counts(eg).total == 1
+    tree = canonical_tree(eg, g, eg.roots[0])
+    depth = 0
+    node = tree[5][0]
+    while node[5]:
+        node = node[5][0]
+        depth += 1
+    assert (node[1], depth) == (f"A{levels}", levels)
+    path = tmp_path / "chain.fence"
+    path.write_text(source)
+    assert main(["parse", "--grammar", str(path), "--text", "a", "--enumerate", "1"]) == 0
+    printed = capsys.readouterr().out  # too deep for json.loads
+    assert printed.count('"symbol": "S"') == 1
+    assert printed.count('"symbol": "A') == levels + 1
+    # building the grammar's nullable tables is quadratic in the chain length
+    assert time.perf_counter() - started < 60.0
 
 
 def test_concurrent_parses_leave_the_recursion_limit_alone():

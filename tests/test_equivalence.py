@@ -7,11 +7,12 @@ exercise.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 import randsuite
-from fence import enumerate_trees, oracle_parse_all, parse_text, tokenize
+from fence import enumerate_trees, oracle_filter, oracle_parse_all, parse_text, tokenize
+from fence.grammar import ConstraintSet, Grammar, GrammarError
 from fence.lexgraph import TokenizationError
 from helpers import ARITH, grammar, pipeline_trees
 
@@ -73,18 +74,65 @@ def test_every_single_constraint_only_removes_trees():
 
 
 @st.composite
-def small_grammars(draw):
-    """2-3 nonterminals with 1-3 productions each, right-hand sides of 0-3
-    symbols over overlapping tokens: nullable left corners, unit cycles and
-    lattice forks come up often."""
+def small_grammars(draw, ambiguous=False):
+    """2-3 nonterminals with 1-3 labelled productions each, right-hand sides
+    of 0-3 symbols over overlapping tokens: nullable left corners, unit
+    cycles and lattice forks come up often. Up to two %assoc lines go on
+    productions of two or more symbols, and up to two each of %prefer select
+    and %prefer compose are drawn over all labels, selection across symbols
+    included; a grammar with cyclic precedence is discarded.
+
+    ``ambiguous`` adds ``S ::= S S`` with a drawn associativity and a second
+    copy of a drawn production, so that most inputs have trees for the
+    constraints to remove."""
     names = ("S", "A", "B")[: draw(st.integers(2, 3))]
     symbol = st.sampled_from(("a", "b", "ab") + names)
     rules = [
-        f"{lhs} ::= {' '.join(rhs)} ;"
+        (lhs, rhs)
         for lhs in names
         for rhs in draw(st.lists(st.lists(symbol, max_size=3), min_size=1, max_size=3))
     ]
-    return grammar("%token a /a/\n%token b /b/\n%token ab /ab/\n%start S\n" + "\n".join(rules) + "\n")
+    labels = [f"p{i}" for i in range(len(rules))]
+    direction = st.sampled_from(("left", "right", "none"))
+    # associativity can only apply to a production with two or more symbols
+    binary = [name for name, (_lhs, rhs) in zip(labels, rules) if len(rhs) >= 2]
+    assoc = dict(draw(st.lists(st.tuples(st.sampled_from(binary), direction), max_size=2))) if binary else {}
+    if ambiguous:
+        rules.append(draw(st.sampled_from(rules)))
+        rules.append(("S", ["S", "S"]))
+        labels.extend(f"p{len(labels) + i}" for i in range(2))
+        assoc[labels[-1]] = draw(direction)
+    label = st.sampled_from(labels)
+    lines = [
+        ("%assoc " + assoc[name] + " " if name in assoc else "") + f"[{name}] {lhs} ::= {' '.join(rhs)} ;"
+        for name, (lhs, rhs) in zip(labels, rules)
+    ]
+    pair = st.lists(label, min_size=2, max_size=2, unique=True)
+    for kind in ("select", "compose"):
+        lines.extend(f"%prefer {kind} {a} over {b} ;" for a, b in draw(st.lists(pair, max_size=2)))
+    try:
+        return grammar("%token a /a/\n%token b /b/\n%token ab /ab/\n%start S\n" + "\n".join(lines) + "\n")
+    except GrammarError:
+        assume(False)
+
+
+@st.composite
+def sentences(draw, g, limit=6):
+    """The text of a drawn derivation of the start symbol, at most ``limit`` characters."""
+    out = []
+    stack = [g.start]
+    steps = 0
+    while stack:
+        sym = stack.pop()
+        if sym.is_terminal:
+            out.append(sym.name)  # each token's name is its lexeme
+            continue
+        steps += 1
+        assume(steps <= 16 and len("".join(out)) <= limit)
+        stack.extend(reversed(draw(st.sampled_from(g.productions_by_lhs[sym.id])).rhs))
+    text = "".join(out)
+    assume(len(text) <= limit)
+    return text
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,3 +144,27 @@ def test_pipeline_equals_oracle_on_small_grammars(g, text):
     outcome = parse_text(g, text, enforce_constraints=False)
     trees = frozenset(enumerate_trees(outcome.egraph, g, 10**6)) if outcome.accepted else frozenset()
     assert trees == ground[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_constrained_pipeline_equals_filtered_oracle(data):
+    g = data.draw(small_grammars(ambiguous=True))
+    text = data.draw(st.one_of(sentences(g), st.text(alphabet="ab", max_size=5)))
+    ground = randsuite.oracle_trees(g, text)
+    if ground is None:
+        return
+    la, base = ground
+    expected = oracle_filter(base, g, la)
+    # steer the search, kind by kind, toward inputs whose constraints remove trees
+    cs = g.constraints
+    for kind, only in (
+        ("assoc", ConstraintSet(associativity=cs.associativity)),
+        ("select", ConstraintSet(selection=cs.selection)),
+        ("compose", ConstraintSet(composition=cs.composition)),
+    ):
+        part = Grammar(g.token_defs, g.productions, g.start, only, g.skip_pattern)
+        target(float(len(base) - len(oracle_filter(base, part, la))), label=kind)
+    outcome = parse_text(g, text)
+    trees = frozenset(enumerate_trees(outcome.egraph, g, 10**6)) if outcome.accepted else frozenset()
+    assert trees == expected

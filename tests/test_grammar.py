@@ -141,6 +141,29 @@ def test_cross_symbol_selection_warns():
     assert any(i.kind == "cross-symbol-selection" for i in g.constraint_warnings)
 
 
+def test_selection_across_symbols_is_closed_before_it_is_filtered():
+    g = parse_grammar_text(
+        "%token a /a/\n%start S\n[s1] S ::= a ;\n[s2] S ::= A ;\n[x] A ::= a ;\n"
+        "%prefer select s1 over x ;\n%prefer select x over s2 ;\n"
+    )
+    # s1 over x and x over s2 close to s1 over s2; the pairs across symbols go
+    assert g.preferred_over == {1: (0,)}
+    assert pipeline_trees(g, "a") == {("n", "S", 0, 1, 0, (("t", "a", 0, 1, "a"),))}
+
+
+def test_position_blocks_join_associativity_and_composition():
+    g = parse_grammar_text(
+        "%token plus /\\+/\n%token hat /\\^/\n%token int /[0-9]+/\n%start E\n"
+        "%assoc left [add] E ::= E plus E ;\n%assoc right [pow] E ::= E hat E ;\n[lit] E ::= int ;\n"
+        "%prefer compose pow over add ;\n"
+    )
+    add, pow_, lit = (g.by_label[label].id for label in ("add", "pow", "lit"))
+    none = frozenset()
+    assert g.position_blocks[add] == (none, none, {add})
+    assert g.position_blocks[pow_] == ({pow_, add}, {add}, {add})
+    assert g.position_blocks[lit] == (none,)
+
+
 @pytest.mark.parametrize(
     "source, fragment",
     [
