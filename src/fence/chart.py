@@ -22,6 +22,23 @@ and the closure's symbols are marked predicted. A production is therefore
 seeded only where its left-hand side is predicted, and every node the chart
 builds derives a symbol predicted at its start core.
 
+With ``enforce_constraints`` on, associativity and composition precedence
+act here rather than after the chart, as disambiguation filters pushed into
+the parser (Visser, "A case study in optimizing parsing schemata by
+disambiguation filters", 1997). The handle (production, dot, origin) waits
+for the symbol after its dot with the blocked set that
+``Grammar.position_blocks`` gives that position: the productions a child
+there may not have. An empty blocked set predicts as above. A non-empty one
+predicts the pair (symbol, blocked set) once per core, seeding only the
+symbol's productions outside the set, plus those that selection precedence
+prefers over one of them, because expansion needs the preferred node to
+judge the other. The seeded productions' own left corners are predicted as
+their handles are stored. A production that some position blocks is
+classed: its nodes are keyed (start, end, symbol, production), while every
+other production keeps the (start, end, symbol) key, so a grammar without
+these constraints has one class per symbol. A handle never advances over a
+node whose class its blocked set holds.
+
 Nullable symbols never materialize as nodes. When a handle is stored, any
 run of nullable symbols after its dot also stores the skipped variants in the
 same core, and a skip run that reaches the end of the production completes
@@ -30,33 +47,39 @@ This is the nullable step of Aycock and Horspool ("Practical Earley
 Parsing", 2002): predicting a nullable symbol also moves past it, so an
 empty derivation needs neither a node nor a completion. A skipped variant
 predicts the symbol it waits for like any other stored handle, and the
-left-corner closure walks past nullable prefixes for the same reason.
+left-corner closure walks past nullable prefixes for the same reason. A
+position is not skipped when its blocked set holds the canonical production
+of the symbol's empty derivation (``Grammar.epsilon_production``), the one
+expansion would place there.
 
 Termination holds for cyclic production sets and nullable chains because
-nodes merge on their (start, end, symbol) identity, handles merge within
-their core and a core predicts each symbol at most once, so all three
-stores are finite and only grow. No (handle, node) pair is pushed twice: a
-handle is stored once and then meets the nodes already following its core,
-and a node is created once and then meets the handles already waiting in
-its start core, so each pair is pushed by whichever of the two came second.
-Prediction pushes nothing itself: the handles it seeds are stored through
-the same store-once path as advanced ones, so both arguments cover them.
+nodes merge on their key, handles merge within their core and a core
+predicts each symbol, or each (symbol, blocked set) pair, at most once. There
+are finitely many symbols, classes and blocked sets, so all three stores are
+finite and only grow. No (handle, node) pair is pushed twice: a handle is
+stored once and then meets the nodes already following its core, and a node
+is created once and then meets the handles already waiting in its start
+core, so each pair is pushed by whichever of the two came second, and only
+if the handle's blocked set admits the node's class. Prediction pushes
+nothing itself: the handles it seeds are stored through the same store-once
+path as advanced ones, so both arguments cover them.
 
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
-change the result: popping an entry only adds handles, predicted symbols and
+change the result: popping an entry only adds handles, predictions and
 nodes, each keyed by its identity, and every entry pushed is popped before
 the run ends, so the final sets are the closure of the start symbol's
 prediction under the predict, advance and reduce steps whatever the order.
 Prediction keeps that true because it depends only on which handles a core
-holds, never on when they arrived. The order fixes only the ids that nodes
-receive, and one fixed order keeps those deterministic.
+holds, never on when they arrived, and the blocked sets depend only on the
+handle. The order fixes only the ids that nodes receive, and one fixed order
+keeps those deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elagraph import Core, ELAGraph, ImplicitNode
+from .elagraph import ClassedNode, Core, ELAGraph, ImplicitNode
 from .grammar import Grammar
 
 __all__ = ["IGraph", "ChartParser", "run_chart", "igraph_stats", "igraph_document"]
@@ -72,7 +95,9 @@ class IGraph:
     the extended graph: ``cores`` with their handles and ``preceding`` node
     lists, ``core_at`` mapping a token start offset to its core and
     ``next_core`` mapping a token end offset to the core that follows it. No
-    index is built for it.
+    index is built for it. ``classed`` holds the productions whose nodes the
+    chart kept apart, empty unless it enforced the blocked positions, and
+    ``node_ids`` maps each node's key to its id.
     """
 
     input: str
@@ -83,22 +108,29 @@ class IGraph:
     cores: list[Core] = field(repr=False)
     core_at: dict[int, int] = field(repr=False)
     next_core: dict[int, int] = field(repr=False)
+    node_ids: dict[tuple, int] = field(repr=False)
+    classed: frozenset[int] = field(default=frozenset(), repr=False)
 
 
 class ChartParser:
     """One predictive chart run over one extended graph.
 
-    The graph is mutated in place (cores gain predicted symbols and handles,
-    the node store grows), so construct a fresh extended graph per run.
+    The graph is mutated in place (cores gain predictions and handles, the
+    node store grows), so construct a fresh extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
     wait for its left-hand side are stored. ``agenda`` holds pending
     (production, dot, origin, node) entries, a handle and the node that
     matches the symbol after its dot, and is drained from the end; the
     module docstring explains why the order does not affect the graph.
+
+    With ``enforce_constraints`` on, each handle waits with the blocked set of
+    its position, classed productions get nodes of their own, and no handle
+    advances over or skips to what its blocked set holds. Off, or for a
+    grammar whose positions block nothing, the chart holds every derivation.
     """
 
-    def __init__(self, grammar: Grammar, ela: ELAGraph):
+    def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
         self.grammar = grammar
         self.ela = ela
         self.agenda: list[tuple] = []
@@ -106,6 +138,9 @@ class ChartParser:
         self._rhs = grammar.rhs_ids
         self._eps = grammar.epsilon_ids
         self._predictions = grammar.predictions
+        self._classed = grammar.classed_productions if enforce_constraints else frozenset()
+        # Per production and position, the blocked set; None when nothing is blocked.
+        self._blocks = grammar.position_blocks if self._classed else None
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -116,15 +151,16 @@ class ChartParser:
         """Store the handle (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
-        the symbol after the dot, and predicts that symbol in ``core`` the
-        first time a handle waits for it there. ``end`` is where the last
-        matched node ends, None while nothing is matched. When skipping
-        nullable symbols reaches the end of the production and something was
-        matched, the production is complete and reduces over (origin, end);
-        that happens on every call, since two matched nodes that end at
-        different offsets can lead to the same core.
+        the symbol after the dot and that the position's blocked set admits,
+        and predicts that symbol in ``core`` the first time a handle waits for
+        it there. ``end`` is where the last matched node ends, None while
+        nothing is matched. When skipping nullable symbols reaches the end of
+        the production and something was matched, the production is complete
+        and reduces over (origin, end); that happens on every call, since two
+        matched nodes that end at different offsets can lead to the same core.
         """
         rhs = self._rhs[production_id]
+        blocks = self._blocks[production_id] if self._blocks is not None else None
         size = len(rhs)
         while True:
             if dot == size:
@@ -132,53 +168,76 @@ class ChartParser:
                     self._reduce(production_id, origin, end)
                 return
             sym = rhs[dot]
+            blocked = blocks[dot] if blocks else None
             handle = (production_id, dot, origin)
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
-                for node_id in core.following_by_sym.get(sym, ()):
+                following = core.following_by_sym.get(sym, ())
+                if blocked:
+                    nodes = self.ela.nodes
+                    following = [n for n in following if nodes[n].production_id not in blocked]
+                for node_id in following:
                     self.agenda.append(handle + (node_id,))
-                if sym not in core.predicted:
-                    self._predict(sym, core)
-            if sym not in self._eps:
+                if sym not in core.predicted and (sym, blocked) not in core.predicted:
+                    self._predict(sym, blocked, core)
+            if sym not in self._eps or (blocked and self.grammar.epsilon_production[sym] in blocked):
                 return
             dot += 1
 
-    def _predict(self, sym: int, core: Core) -> None:
-        """Seed ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
+    def _predict(self, sym: int, blocked: frozenset[int] | None, core: Core) -> None:
+        """Seed ``core`` with the dot-0 handles that predicting ``sym`` calls for.
 
-        The closure's symbols are marked first, so the seeded handles, which
-        all wait for one of them, predict nothing further.
+        With no blocked set these are the handles of ``sym``'s left-corner
+        closure, whose symbols are marked first, so the seeded handles, which
+        all wait for one of them, predict nothing further. Otherwise they are
+        the handles of ``sym``'s productions outside ``blocked``, and of the
+        blocked ones that selection precedence prefers over one of those:
+        expansion drops a production's node where a preferred one holds a
+        tree, so it needs the preferred node too.
         """
-        productions, reached = self._predictions[sym]
-        core.predicted |= reached
+        if not blocked:
+            productions, reached = self._predictions[sym]
+            core.predicted |= reached
+        else:
+            core.predicted.add((sym, blocked))
+            options = self.grammar.productions_by_lhs.get(sym, ())
+            kept = [p.id for p in options if p.id not in blocked]
+            needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
+            productions = [p.id for p in options if p.rhs and p.id in needed]
         for production_id in productions:
             self.add_handle(production_id, 0, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         ela = self.ela
         nodes = ela.nodes
-        production = self.grammar.productions[production_id]
-        key = (start, end, production.lhs.id)
+        lhs = self.grammar.productions[production_id].lhs.id
+        cls = production_id if production_id in self._classed else None
+        key = (start, end, lhs) if cls is None else (start, end, lhs, cls)
         if key in ela.node_ids:
             return
         node_id = len(nodes)
         ela.node_ids[key] = node_id
-        nodes.append(ImplicitNode(node_id, start, end, production.lhs.id, False))
+        if cls is None:
+            nodes.append(ImplicitNode(node_id, start, end, lhs, False))
+        else:
+            nodes.append(ClassedNode(node_id, start, end, lhs, cls))
         pre = ela.cores[ela.core_at[start]]
         pre.following.append(node_id)
-        pre.following_by_sym.setdefault(production.lhs.id, []).append(node_id)
+        pre.following_by_sym.setdefault(lhs, []).append(node_id)
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
-        for handle in pre.waiting.get(production.lhs.id, ()):
-            self.agenda.append(handle + (node_id,))
+        blocks = self._blocks
+        for handle in pre.waiting.get(lhs, ()):
+            if cls is None or cls not in blocks[handle[0]][handle[1]]:
+                self.agenda.append(handle + (node_id,))
 
     # -- driver --------------------------------------------------------------
 
     def initialize(self) -> None:
         """Predict the start symbol at the starting core."""
-        self._predict(self.grammar.start.id, self.ela.cores[self.ela.starting_core])
+        self._predict(self.grammar.start.id, None, self.ela.cores[self.ela.starting_core])
         self._seeded = True
 
     def run(self) -> IGraph:
@@ -218,12 +277,20 @@ class ChartParser:
             cores=ela.cores,
             core_at=ela.core_at,
             next_core=ela.next_core,
+            node_ids=ela.node_ids,
+            classed=self._classed,
         )
 
 
-def run_chart(grammar: Grammar, ela: ELAGraph) -> IGraph:
-    """Parse the extended graph predictively; an empty ``starting`` means rejection."""
-    return ChartParser(grammar, ela).run()
+def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False) -> IGraph:
+    """Parse the extended graph predictively; an empty ``starting`` means rejection.
+
+    The chart holds every derivation unless ``enforce_constraints`` is on;
+    then it leaves out what associativity and composition precedence forbid,
+    as :class:`ChartParser` describes. Expansion still checks every
+    constraint, so the forest is the same either way when it enforces them.
+    """
+    return ChartParser(grammar, ela, enforce_constraints).run()
 
 
 def igraph_stats(ig: IGraph) -> dict:
@@ -237,16 +304,24 @@ def igraph_stats(ig: IGraph) -> dict:
 
 
 def igraph_document(ig: IGraph, grammar: Grammar) -> dict:
-    """Structured dump of the implicit graph."""
-    entries = sorted(
-        (n.start, n.end, grammar.symbol_by_id[n.symbol_id].name) for n in ig.nodes
-    )
-    starting = sorted(
-        (ig.nodes[i].start, ig.nodes[i].end, grammar.symbol_by_id[ig.nodes[i].symbol_id].name)
-        for i in ig.starting
-    )
+    """Structured dump of the implicit graph.
+
+    A classed node also lists its ``production``, which tells apart the nodes
+    that share one (start, end, symbol).
+    """
+
+    def entries(ids) -> list[dict]:
+        out = []
+        for n in sorted((ig.nodes[i] for i in ids), key=lambda n: (n.start, n.end, names[n.symbol_id].name)):
+            entry = {"start": n.start, "end": n.end, "symbol": names[n.symbol_id].name}
+            if n.production_id is not None:
+                entry["production"] = n.production_id
+            out.append(entry)
+        return out
+
+    names = grammar.symbol_by_id
     return {
-        "nodes": [{"start": s, "end": e, "symbol": sym} for s, e, sym in entries],
-        "starting": [{"start": s, "end": e, "symbol": sym} for s, e, sym in starting],
+        "nodes": entries(range(len(ig.nodes))),
+        "starting": entries(ig.starting),
         "stats": {"agendaPops": ig.agenda_pops, "handles": ig.handle_count},
     }

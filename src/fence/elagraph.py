@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .grammar import Grammar
 from .lexgraph import LAGraph
 
-__all__ = ["Core", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
+__all__ = ["Core", "ImplicitNode", "ClassedNode", "ELAGraph", "build_ela_graph", "ela_document"]
 
 
 class Core:
@@ -30,7 +30,9 @@ class Core:
     a single lookup answers which handles a freshly derived node can advance.
     ``predicted`` holds the symbols already predicted here: once a symbol is
     in it, the dot-0 handles of its left-corner closure are in ``handles``,
-    so a later handle waiting for it seeds nothing new.
+    so a later handle waiting for it seeds nothing new. A chart that enforces
+    blocked positions also keeps (symbol, blocked productions) pairs in it,
+    one for each restricted prediction made here.
     """
 
     __slots__ = (
@@ -42,7 +44,7 @@ class Core:
         self.position = position
         self.handles: set[tuple] = set()
         self.waiting: dict[int, list[tuple]] = {}
-        self.predicted: set[int] = set()
+        self.predicted: set = set()
         self.preceding: list[int] = []
         self.following: list[int] = []
         self.following_by_sym: dict[int, list[int]] = {}
@@ -56,10 +58,12 @@ class ImplicitNode:
 
     Re-derivations of the same triple merge into one node, which is what keeps
     cyclic production sets finite. Token nodes are the re-housed lattice
-    tokens; every other node is created by a reduction.
+    tokens; every other node is created by a reduction. ``production_id`` is
+    None except on a :class:`ClassedNode`.
     """
 
     __slots__ = ("id", "start", "end", "symbol_id", "is_token")
+    production_id = None
 
     def __init__(self, node_id: int, start: int, end: int, symbol_id: int, is_token: bool):
         self.id = node_id
@@ -77,19 +81,36 @@ class ImplicitNode:
         return f"ImplicitNode({self.start},{self.end},s{self.symbol_id},{kind})"
 
 
+class ClassedNode(ImplicitNode):
+    """The derivations of one classed production over one (start, end, symbol).
+
+    A chart that enforces blocked positions keeps them apart from the other
+    derivations of the triple, so that a handle can refuse them alone; they
+    merge only with re-derivations by the same ``production_id``.
+    """
+
+    __slots__ = ("production_id",)
+
+    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, production_id: int):
+        super().__init__(node_id, start, end, symbol_id, False)
+        self.production_id = production_id
+
+
 @dataclass
 class ELAGraph:
     """Cores and parse nodes over one lattice.
 
     ``core_at`` maps a token start offset to its core and ``next_core`` maps
     a token end offset to the core after it; every node starts where a token
-    starts and ends where one ends, so both serve all nodes.
+    starts and ends where one ends, so both serve all nodes. ``node_ids``
+    maps a node's (start, end, symbol) key, extended by its production for a
+    classed node, to its id.
     """
 
     input: str
     cores: list[Core]
     nodes: list[ImplicitNode]
-    node_ids: dict[tuple[int, int, int], int]
+    node_ids: dict[tuple, int]
     core_at: dict[int, int] = field(repr=False)
     next_core: dict[int, int] = field(repr=False)
     starting_core: int = 0
@@ -112,7 +133,7 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         next_core[token_end] = last.id if nxt == end else core_at[nxt]
 
     nodes: list[ImplicitNode] = []
-    node_ids: dict[tuple[int, int, int], int] = {}
+    node_ids: dict[tuple, int] = {}
     for t in la.nodes:
         node = ImplicitNode(t.id, t.start, t.end, t.symbol_id, True)
         nodes.append(node)

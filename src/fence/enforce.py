@@ -27,24 +27,30 @@ an ordinary child for the checks on its parent.
 
 Associativity and composition precedence look only at a child's production,
 so the blocked productions at a position are skipped before they are
-expanded. Selection precedence compares the forest nodes of one (start, end,
-symbol) in one context: a production's node is dropped when a preferred
-production's node holds a tree. Custom evaluators judge whole trees. Under a
-production that carries one, every combination of child trees of every
-alternative is assembled and shown to the evaluator, and each accepted
-candidate becomes an alternative of its own whose children hold one tree
-each. Only these productions cost one alternative per tree, and the
-evaluator still sees each candidate as a ``NodeView`` of one whole tree.
-``EGraph.constructions`` counts the alternatives built plus the candidates
-evaluated.
+expanded. A chart that enforced them already left those children out, and
+kept each classed production's derivations in an implicit node of its own:
+such a node is expanded by its own production only, an unclassed node by the
+productions of its symbol that are not classed. The checks stay here all the
+same, as the definition. Selection precedence compares the forest nodes of
+one (start, end, symbol) in one context, whichever implicit nodes hold them:
+a production's node is dropped when a preferred production's node holds a
+tree. Custom evaluators judge whole trees. Under a production that carries
+one, every combination of child trees of every alternative is assembled and
+shown to the evaluator, and each accepted candidate becomes an alternative
+of its own whose children hold one tree each. Only these productions cost
+one alternative per tree, and the evaluator still sees each candidate as a
+``NodeView`` of one whole tree. ``EGraph.constructions`` counts the
+alternatives built plus the candidates evaluated.
 
 No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
-a child that would re-enter an implicit node already under expansion is cut.
-Ancestor spans contain a node's span, so only ancestors of exactly its span
-can recur inside it, and the set of those ancestors is the node's cycle
-context. A cut makes a node's alternatives depend on that context, so the
-context is part of the node's key; a node with no equal-span ancestor, the
-common case, has none, and ordinary nested ambiguity still shares one node.
+a child that would re-enter a (start, end, symbol) already under expansion
+is cut. Ancestor spans contain a node's span, so only ancestors of exactly
+its span can recur inside it, and the set of those ancestors' (start, end,
+symbol) triples is the node's cycle context. It holds triples rather than
+implicit nodes because two classed nodes can share one triple. A cut makes
+a node's alternatives depend on that context, so the context is part of the
+node's key; a node with no equal-span ancestor, the common case, has none,
+and ordinary nested ambiguity still shares one node.
 
 Expansion starts at the accepted roots and builds only the nodes it reaches.
 It runs on the caller's thread without recursion: each forest node under
@@ -243,15 +249,25 @@ class _Expander:
         """Generator returning the records that may fill one position.
 
         ``key`` is (implicit node id, cycle context, blocked productions):
-        one record per production of the node that is not blocked, holds a
-        tree and loses to no preferred production that holds one. It yields
-        the keys of the forest nodes the memo lacks.
+        one record per production of the node's class that is not blocked,
+        holds a tree and loses to no preferred production that holds one. A
+        classed node's class is its own production, and an unclassed node's
+        the productions of its symbol that are not classed. It yields the
+        keys of the forest nodes the memo lacks.
         """
         node_id, context, blocked = key
         memo = self.memo
-        preferred_over = self.grammar.preferred_over if self.enforce else {}
+        grammar = self.grammar
+        preferred_over = grammar.preferred_over if self.enforce else {}
+        ig = self.ig
+        node = ig.nodes[node_id]
+        productions = grammar.productions_by_lhs[node.symbol_id]
+        if node.production_id is not None:
+            productions = (grammar.productions[node.production_id],)
+        elif ig.classed:
+            productions = [p for p in productions if p.id not in ig.classed]
         out = []
-        for p in self.grammar.productions_by_lhs[self.ig.nodes[node_id].symbol_id]:
+        for p in productions:
             if blocked and p.id in blocked:
                 continue
             wanted = (node_id, p.id, context)
@@ -261,7 +277,12 @@ class _Expander:
             if got == _EMPTY:
                 continue
             for q in preferred_over.get(p.id, ()):
-                wanted = (node_id, q, context)
+                # q's derivations over this span sit in the node of q's class
+                span = (node.start, node.end, node.symbol_id)
+                other_id = ig.node_ids.get(span + (q,) if q in ig.classed else span)
+                if other_id is None:
+                    continue
+                wanted = (other_id, q, context)
                 other = memo.get(wanted)
                 if other is None:
                     other = yield wanted
@@ -289,8 +310,8 @@ class _Expander:
         eps = grammar.epsilon_ids
         groups = self.groups
         node = nodes[node_id]
-        start, end = node.start, node.end
-        context = (outer or frozenset()) | {node_id}
+        start, end, symbol_id = node.start, node.end, node.symbol_id
+        context = (outer or frozenset()) | {(start, end, symbol_id)}
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
         alternatives = []
@@ -322,7 +343,7 @@ class _Expander:
                 else:
                     if child.start != start or child.end != end:
                         child_context = None
-                    elif child_id in context:
+                    elif (start, end, sym) in context:
                         continue  # cyclic re-entry contributes nothing on this path
                     else:
                         child_context = context
@@ -336,18 +357,16 @@ class _Expander:
 
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         if evaluator is not None:
-            alternatives = self._evaluated(pid, node, alternatives, evaluator)
+            alternatives = self._evaluated(pid, start, end, alternatives, evaluator)
         else:
             self.constructions += len(alternatives)
-        result = (
-            self._add((node.symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
-        )
+        result = self._add((symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
         self.memo[key] = result
         return result
 
     # -- custom evaluators -----------------------------------------------------
 
-    def _evaluated(self, pid: int, node, alternatives: list, evaluator) -> list[tuple[int, ...]]:
+    def _evaluated(self, pid: int, start: int, end: int, alternatives: list, evaluator) -> list[tuple[int, ...]]:
         """One alternative per tree that the evaluator accepts, with single-tree children."""
         p = self.grammar.productions[pid]
         accepted = []
@@ -356,13 +375,13 @@ class _Expander:
                 self.constructions += 1
                 view = NodeView(
                     symbol=p.lhs.name,
-                    start=node.start,
-                    end=node.end,
+                    start=start,
+                    end=end,
                     production=pid,
                     label=p.label,
                     children=tuple(self._view(c) for c in children),
                     lexeme=None,
-                    text=self.ig.input[node.start : node.end],
+                    text=self.ig.input[start:end],
                 )
                 try:
                     keep = bool(evaluator(view))

@@ -14,6 +14,7 @@ parse sessions.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,16 +148,26 @@ def compute_epsilon_symbols(productions: Iterable[Production]) -> frozenset[Symb
 
     A symbol qualifies if some production for it has every right-hand-side
     symbol already in the result; an empty right-hand side qualifies vacuously.
+    A worklist keyed by right-hand-side symbol counts each production's
+    symbols not yet known nullable, so every occurrence is visited once.
     """
     prods = tuple(productions)
+    pending = [len(p.rhs) for p in prods]
+    uses: dict[int, list[int]] = {}
+    for i, p in enumerate(prods):
+        for s in p.rhs:
+            uses.setdefault(s.id, []).append(i)
     nullable: dict[int, Symbol] = {}
-    changed = True
-    while changed:
-        changed = False
-        for p in prods:
-            if p.lhs.id not in nullable and all(s.id in nullable for s in p.rhs):
-                nullable[p.lhs.id] = p.lhs
-                changed = True
+    work = [p.lhs for p in prods if not p.rhs]
+    while work:
+        sym = work.pop()
+        if sym.id in nullable:
+            continue
+        nullable[sym.id] = sym
+        for i in uses.get(sym.id, ()):
+            pending[i] -= 1
+            if not pending[i]:
+                work.append(prods[i].lhs)
     return frozenset(nullable.values())
 
 
@@ -347,21 +358,43 @@ class Grammar:
         child of the chosen production has a cheaper derivation of its own,
         so following the table always ends. Used to materialize zero-width
         placeholder children for skipped nullable positions.
+
+        Computed cheapest first, as in Knuth's generalisation of Dijkstra's
+        algorithm ("A generalization of Dijkstra's algorithm", 1977): a
+        symbol's cost is final when it leaves the heap, and a production is
+        priced once every right-hand-side symbol is final. A production's
+        children all cost less than it does, so every production that ties
+        for a symbol's cost is priced before the symbol leaves the heap.
         """
-        inf = float("inf")
-        cost: dict[int, float] = {}
+        pending = [len(p.rhs) for p in self.productions]
+        uses: dict[int, list[int]] = {}
+        for p in self.productions:
+            for s in p.rhs:
+                uses.setdefault(s.id, []).append(p.id)
+        best: dict[int, tuple[int, int]] = {}  # symbol -> (cost, production) so far
+        cost: dict[int, int] = {}
         choice: dict[int, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for p in self.productions:
-                if all(s.id in cost for s in p.rhs):
-                    c = 1 + sum(cost[s.id] for s in p.rhs)
-                    old = cost.get(p.lhs.id, inf)
-                    if c < old or (c == old and p.id < choice[p.lhs.id]):
-                        cost[p.lhs.id] = c
-                        choice[p.lhs.id] = p.id
-                        changed = True
+        heap: list[tuple[int, int]] = []
+
+        def price(p: Production) -> None:
+            offer = (1 + sum(cost[s.id] for s in p.rhs), p.id)
+            if p.lhs.id not in best or offer < best[p.lhs.id]:
+                best[p.lhs.id] = offer
+                heapq.heappush(heap, (offer[0], p.lhs.id))
+
+        for p in self.productions:
+            if not p.rhs:
+                price(p)
+        while heap:
+            c, sym = heapq.heappop(heap)
+            if sym in cost:
+                continue
+            cost[sym] = c
+            choice[sym] = best[sym][1]
+            for pid in uses.get(sym, ()):
+                pending[pid] -= 1
+                if not pending[pid]:
+                    price(self.productions[pid])
         return choice
 
     @cached_property
@@ -387,6 +420,15 @@ class Grammar:
                 )
             )
         return tuple(table)
+
+    @cached_property
+    def classed_productions(self) -> frozenset[int]:
+        """The productions that some position blocks.
+
+        A chart that enforces the blocked sets keeps the nodes of each such
+        production apart from the other nodes of the same symbol and span.
+        """
+        return frozenset(q for blocks in self.position_blocks for blocked in blocks for q in blocked)
 
     # -- comparison and serialization --------------------------------------
 

@@ -44,18 +44,51 @@ _marker_caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _marker_tree(grammar: Grammar, symbol_id: int, offset: int) -> tuple:
+    """The canonical zero-width tree of ``symbol_id`` at ``offset``.
+
+    Built children first from an explicit stack, so a long nullable chain
+    costs no interpreter frames.
+    """
     cache = _marker_caches.get(grammar)
     if cache is None:
         cache = {}
         _marker_caches[grammar] = cache
-    key = (symbol_id, offset)
-    got = cache.get(key)
-    if got is None:
-        pid = grammar.epsilon_production[symbol_id]
-        children = tuple(_marker_tree(grammar, sym.id, offset) for sym in grammar.productions[pid].rhs)
-        got = ("n", grammar.symbol_by_id[symbol_id].name, offset, offset, pid, children)
-        cache[key] = got
-    return got
+    stack = [symbol_id]
+    while stack:
+        sym = stack[-1]
+        if (sym, offset) in cache:
+            stack.pop()
+            continue
+        pid = grammar.epsilon_production[sym]
+        rhs = [s.id for s in grammar.productions[pid].rhs]
+        missing = [s for s in rhs if (s, offset) not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        children = tuple(cache[s, offset] for s in rhs)
+        cache[sym, offset] = ("n", grammar.symbol_by_id[sym].name, offset, offset, pid, children)
+    return cache[symbol_id, offset]
+
+
+def _reach_terminals(grammar: Grammar) -> frozenset[int]:
+    """Symbols from which some terminal is reachable through right-hand sides.
+
+    No other symbol derives a non-empty string, so the search tries those
+    on empty spans only, as skipped nullable positions.
+    """
+    users: dict[int, list[int]] = {}
+    for p in grammar.productions:
+        for s in p.rhs:
+            users.setdefault(s.id, []).append(p.lhs.id)
+    found = {s.id for s in grammar.symbol_by_id.values() if s.is_terminal}
+    stack = list(found)
+    while stack:
+        for lhs in users.get(stack.pop(), ()):
+            if lhs not in found:
+                found.add(lhs)
+                stack.append(lhs)
+    return frozenset(found)
 
 
 def oracle_parse_all(
@@ -70,6 +103,7 @@ def oracle_parse_all(
     if len(paths) > bounds.max_paths:
         raise OracleLimitError(f"more than {bounds.max_paths} token paths")
     eps = grammar.epsilon_ids
+    solid = _reach_terminals(grammar)
     names = grammar.symbol_by_id
     out: set[tuple] = set()
     work = [0]
@@ -120,7 +154,7 @@ def oracle_parse_all(
                             res.extend(
                                 [leaf] + rest for rest in match(pos + 1, k + 1, t.end)
                             )
-                    else:
+                    elif sym.id in solid:
                         for k2 in range(k + 1, j + 1):
                             subs = derive(sym.id, k, k2, hist, depth + 1)
                             if not subs:
@@ -217,6 +251,7 @@ class _LatticeFilter:
             self.tokens_at.setdefault(t.start, []).append(t)
         self._segment_ends: dict[int, tuple[int, ...]] = {}
         self._cache: dict[tuple, list[tuple]] = {}
+        self._solid = _reach_terminals(grammar)
 
     def segment_ends(self, offset: int) -> tuple[int, ...]:
         got = self._segment_ends.get(offset)
@@ -282,7 +317,7 @@ class _LatticeFilter:
                         [leaf] + rest
                         for rest in self._match(p, pos + 1, nxt, t.end, limit_end, hist)
                     )
-        else:
+        elif sym.id in self._solid:
             for seg_end in self.segment_ends(offset):
                 if seg_end > limit_end:
                     break

@@ -46,6 +46,12 @@ def parse_text(
     An input with no tokens at all is accepted exactly when the start symbol
     can derive the empty string; the forest is then the canonical zero-width
     derivation, produced without running the chart.
+
+    ``enforce_constraints`` reaches the chart too, which then leaves out what
+    associativity and composition precedence forbid. When that rejects the
+    input, the chart is run again without them, and ``ela`` and ``igraph``
+    hold that run, so that ``explain_rejection`` can tell a derivation the
+    constraints pruned from no derivation at all.
     """
     outcome = ParseOutcome(grammar, text)
     try:
@@ -62,11 +68,14 @@ def parse_text(
             outcome.furthest = outcome.la.content_start
         return outcome
     outcome.ela = build_ela_graph(outcome.la)
-    outcome.igraph = run_chart(grammar, outcome.ela)
+    outcome.igraph = run_chart(grammar, outcome.ela, enforce_constraints)
     outcome.egraph = expand_forest(grammar, outcome.igraph, enforce_constraints)
     if not outcome.egraph.roots:
         outcome.failure = "parse"
         outcome.furthest = max(t.end for t in outcome.la.nodes)
+        if outcome.igraph.classed:
+            outcome.ela = build_ela_graph(outcome.la)
+            outcome.igraph = run_chart(grammar, outcome.ela)
     return outcome
 
 

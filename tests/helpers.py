@@ -108,10 +108,13 @@ def catalan(m: int) -> int:
 
 
 def pipeline(grammar, text, enforce=True):
-    """Tokenize, extend, chart, expand; returns (la, ig, eg)."""
+    """Tokenize, extend, chart, expand; returns (la, ig, eg).
+
+    ``enforce`` reaches the chart as well as expansion, as in ``parse_text``.
+    """
     la = tokenize(grammar, text)
     ela = build_ela_graph(la)
-    ig = run_chart(grammar, ela)
+    ig = run_chart(grammar, ela, enforce)
     eg = expand_forest(grammar, ig, enforce_constraints=enforce)
     return la, ig, eg
 

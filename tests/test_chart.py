@@ -1,14 +1,20 @@
 """Chart phase: handle management, reductions, merging, termination."""
 
+import json
+import time
+from collections import Counter
+
 import randsuite
-from fence import oracle_parse_all
+from fence import explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
+from fence.grammar import Grammar
 from fence.lexgraph import TokenizationError, tokenize
 from helpers import (
     AMBIG_INPUT,
     AMBIG_NUMBERS,
     ARITH,
+    ARITH_LEFT,
     UNAMBIGUOUS_CHAIN,
     chain,
     grammar,
@@ -163,7 +169,7 @@ class _RecordingAgenda(list):
 def test_no_agenda_entry_is_pushed_twice():
     # the random grammars include nullable chains, unit cycles and
     # self-nesting productions
-    runs = 0
+    runs = classed = 0
     for seed in range(120):
         inst = randsuite.make_instance(seed)
         if inst is None:
@@ -175,14 +181,21 @@ def test_no_agenda_entry_is_pushed_twice():
                 continue
             if not la.nodes:
                 continue
-            parser = ChartParser(inst.grammar, build_ela_graph(la))
-            parser.agenda = _RecordingAgenda()
-            ig = parser.run()
-            pushed = parser.agenda.pushed
-            assert len(set(pushed)) == len(pushed), (seed, text)
-            assert ig.agenda_pops == len(pushed)
-            runs += 1
-    assert runs > 150
+            # the constrained variant's chart also blocks positions
+            for g, enforce in ((inst.grammar, False), (inst.constrained, True)):
+                parser = ChartParser(g, build_ela_graph(la), enforce)
+                parser.agenda = _RecordingAgenda()
+                ig = parser.run()
+                pushed = parser.agenda.pushed
+                assert len(set(pushed)) == len(pushed), (seed, text, enforce)
+                assert ig.agenda_pops == len(pushed)
+                if enforce:  # no handle meets a node its position blocks
+                    blocks = g.position_blocks
+                    blocked = [e for e in pushed if ig.nodes[e[3]].production_id in blocks[e[0]][e[1]]]
+                    assert not blocked, (seed, text)
+                    classed += bool(ig.classed)
+                runs += 1
+    assert runs > 300 and classed > 50
 
 
 def test_stats_and_document():
@@ -233,6 +246,104 @@ def test_pops_grow_linearly_on_the_unambiguous_chain():
         pops[n] = ig.agenda_pops
     for n in (500, 1000, 2000):
         assert pops[n] / pops[n // 2] <= 2.2, pops
+
+
+def test_left_associative_pops_grow_linearly():
+    # the chart predicts no add production where an add may not be a child,
+    # so only the left-nested E [0,k) are built
+    g = grammar(ARITH_LEFT)
+    pops = {}
+    for n in (50, 100, 200, 400):
+        t0 = time.perf_counter()
+        outcome = parse_text(g, chain(n))
+        seconds = time.perf_counter() - t0
+        assert tree_counts(outcome.egraph).total == 1
+        pops[n] = outcome.igraph.agenda_pops
+    for n in (100, 200, 400):
+        assert pops[n] / pops[n // 2] <= 2.2, pops
+    assert seconds < 1.0  # 400 operands, end to end
+
+
+def test_the_default_chart_ignores_the_constraints():
+    # criterion 9 expands one default chart both with and without enforcement
+    g = grammar(ARITH_LEFT)
+    free = Grammar(g.token_defs, g.productions, g.start, None, g.skip_pattern)
+    text = chain(8)
+    default = run_chart(g, build(g, text))
+    unfiltered = run_chart(free, build(free, text))
+    assert (default.agenda_pops, default.handle_count, len(default.nodes)) == (
+        unfiltered.agenda_pops, unfiltered.handle_count, len(unfiltered.nodes)
+    )
+    assert not default.classed and all(n.production_id is None for n in default.nodes)
+    filtered = run_chart(g, build(g, text), enforce_constraints=True)
+    assert filtered.agenda_pops < default.agenda_pops
+    assert filtered.classed == {g.by_label["add"].id}
+
+
+def test_a_skip_to_a_blocked_placeholder_is_not_taken():
+    g = grammar(
+        "%token a /a/\n%token b /b/\n%start S\n"
+        "[s] S ::= a N ;\n[none] N ::= ;\n[one] N ::= b ;\n%prefer compose s over none ;\n"
+    )
+    assert g.epsilon_production[g.symbol("N").id] == g.by_label["none"].id
+    assert len(run_chart(g, build(g, "a")).starting) == 1
+    assert run_chart(g, build(g, "a"), enforce_constraints=True).starting == ()
+    assert len(run_chart(g, build(g, "ab"), enforce_constraints=True).starting) == 1
+    la = tokenize(g, "a")
+    assert oracle_filter(oracle_parse_all(g, la), g, la) == frozenset()
+    assert explain_rejection(parse_text(g, "a")).startswith("derived but pruned")
+
+
+# A unit cycle whose productions block each other's alternatives: on "a",
+# A [0,1) has a node of the classed aa and one of a2 and ab, and B [0,1) a
+# node of the classed bs and one of ba.
+CLASSED_CYCLE = (
+    "%token a /a/\n%token b /b/\n%start S\n[s] S ::= A ;\n"
+    "[ab] A ::= B ;\n[aa] A ::= a ;\n[a2] A ::= a ;\n[ba] B ::= A ;\n[bb] B ::= b ;\n[bs] B ::= a ;\n"
+    "%prefer compose ab over bs ;\n%prefer compose ba over aa ;\n"
+)
+
+
+def test_a_classed_unit_cycle_agrees_with_the_filtered_oracle():
+    g = grammar(CLASSED_CYCLE)
+    # "a" keeps A(aa) and A(a2); "b" keeps A(ab B(bb)); every A [0,1) that
+    # re-enters itself through ba is cut
+    for text, trees in (("a", 2), ("b", 1)):
+        la = tokenize(g, text)
+        expected = oracle_filter(oracle_parse_all(g, la), g, la)
+        assert len(expected) == trees
+        assert pipeline_trees(g, text) == expected, text
+    ig = parse_text(g, "a").igraph
+    shared = Counter(n.key for n in ig.nodes)
+    assert shared[(0, 1, g.symbol("A").id)] == 2
+    assert shared[(0, 1, g.symbol("B").id)] == 2
+
+
+def test_the_document_names_the_production_of_a_classed_node_only():
+    g = grammar(CLASSED_CYCLE)
+    plain = igraph_document(run_chart(g, build(g, "a")), g)
+    assert all("production" not in entry for entry in plain["nodes"])
+    doc = igraph_document(run_chart(g, build(g, "a"), enforce_constraints=True), g)
+    a_nodes = sorted((e for e in doc["nodes"] if e["symbol"] == "A"), key=lambda e: e.get("production", -1))
+    assert a_nodes == [
+        {"start": 0, "end": 1, "symbol": "A"},
+        {"start": 0, "end": 1, "symbol": "A", "production": g.by_label["aa"].id},
+    ]
+    assert len({json.dumps(e) for e in doc["nodes"]}) == len(doc["nodes"])
+
+
+def test_a_blocked_production_that_selection_prefers_is_still_derived():
+    # q may not sit under s, yet q's tree over [1,2) is what drops p there
+    g = grammar(
+        "%token a /a/\n%start S\n[s] S ::= a E ;\n[q] E ::= a ;\n[p] E ::= a ;\n"
+        "%prefer select q over p ;\n%prefer compose s over q ;\n"
+    )
+    la = tokenize(g, "aa")
+    assert len(oracle_parse_all(g, la)) == 2
+    assert oracle_filter(oracle_parse_all(g, la), g, la) == frozenset()
+    outcome = parse_text(g, "aa")
+    assert not outcome.accepted
+    assert explain_rejection(outcome).startswith("derived but pruned")
 
 
 def test_every_chart_node_of_the_unambiguous_chain_is_in_the_forest():

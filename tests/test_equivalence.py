@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 import randsuite
-from fence import enumerate_trees, oracle_filter, oracle_parse_all, parse_text, tokenize
+from fence import build_ela_graph, enumerate_trees, oracle_filter, oracle_parse_all, parse_text, run_chart, tokenize
 from fence.grammar import ConstraintSet, Grammar, GrammarError
 from fence.lexgraph import TokenizationError
 from helpers import ARITH, grammar, pipeline_trees
@@ -168,3 +168,24 @@ def test_constrained_pipeline_equals_filtered_oracle(data):
     outcome = parse_text(g, text)
     trees = frozenset(enumerate_trees(outcome.egraph, g, 10**6)) if outcome.accepted else frozenset()
     assert trees == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_enforcing_chart_builds_a_subset_of_the_nodes(data):
+    g = data.draw(small_grammars(ambiguous=True))
+    text = data.draw(st.one_of(sentences(g), st.text(alphabet="ab", max_size=5)))
+    try:
+        la = tokenize(g, text)
+    except TokenizationError:
+        return
+    if not la.nodes:
+        return
+    full = run_chart(g, build_ela_graph(la))
+    kept = run_chart(g, build_ela_graph(la), enforce_constraints=True)
+
+    def triples(ig, ids):
+        return {ig.nodes[i].key for i in ids}
+
+    assert triples(kept, range(len(kept.nodes))) <= triples(full, range(len(full.nodes)))
+    assert triples(kept, kept.starting) <= triples(full, full.starting)

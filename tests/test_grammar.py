@@ -1,11 +1,16 @@
 """Grammar model, text format, nullable computation, constraint validation."""
 
+import gc
+import time
+
 import pytest
+import randsuite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fence.grammar import (
     ASSOC_LEFT,
+    Grammar,
     GrammarError,
     NONTERMINAL,
     Production,
@@ -100,6 +105,74 @@ def test_epsilon_computation_is_monotone(data):
     before = compute_epsilon_symbols(prods)
     after = compute_epsilon_symbols(prods + [extra])
     assert before <= after
+
+
+def _fixpoint_tables(productions):
+    """Both nullable tables by whole-production passes repeated until nothing
+    changes, the definition the worklists must reproduce."""
+    nullable = {}
+    changed = True
+    while changed:
+        changed = False
+        for p in productions:
+            if p.lhs.id not in nullable and all(s.id in nullable for s in p.rhs):
+                nullable[p.lhs.id] = p.lhs
+                changed = True
+    cost, choice = {}, {}
+    changed = True
+    while changed:
+        changed = False
+        for p in productions:
+            if all(s.id in cost for s in p.rhs):
+                c = 1 + sum(cost[s.id] for s in p.rhs)
+                old = cost.get(p.lhs.id, float("inf"))
+                if c < old or (c == old and p.id < choice[p.lhs.id]):
+                    cost[p.lhs.id] = c
+                    choice[p.lhs.id] = p.id
+                    changed = True
+    return frozenset(nullable.values()), choice
+
+
+def test_nullable_tables_equal_the_fixpoint_on_the_random_suite():
+    checked = nullable = 0
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            symbols, choice = _fixpoint_tables(g.productions)
+            assert compute_epsilon_symbols(g.productions) == symbols, seed
+            assert g.epsilon_production == choice, seed
+            checked += 1
+            nullable += bool(choice)
+    assert checked > 300 and nullable > 100
+
+
+def _nullable_chain(levels):
+    # listed outermost first: a whole-production pass would settle one level
+    rules = "".join(f"A{i} ::= A{i + 1} ;\n" for i in range(levels))
+    return f"%token a /a/\n%start S\nS ::= A0 a ;\n{rules}A{levels} ::= ;\n"
+
+
+def test_nullable_tables_grow_linearly_in_a_nullable_chain():
+    levels = (500, 1000, 2000, 4000)
+    grammars = {n: parse_grammar_text(_nullable_chain(n)) for n in levels}
+    best = dict.fromkeys(levels, float("inf"))
+    for _ in range(7):  # rounds over every size, so drift in machine speed hits all alike
+        for n in levels:
+            gc.collect()
+            gc.disable()  # a collection inside one timing would swamp it
+            try:
+                t0 = time.perf_counter()
+                compute_epsilon_symbols(grammars[n].productions)
+                Grammar.epsilon_production.func(grammars[n])
+                best[n] = min(best[n], time.perf_counter() - t0)
+            finally:
+                gc.enable()
+    # at most 2.5x per doubling over the three doublings; whole-production
+    # passes took 4x
+    assert best[4000] / best[500] <= 2.5**3, best
+    assert best[4000] < 1.0, best
 
 
 def test_selection_cycle_reported_with_both_productions():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from fence.enforce import enumerate_trees
 from fence.lexgraph import tokenize
 from fence.oracle import OracleBounds, OracleLimitError, oracle_filter, oracle_parse_all
+from fence.pipeline import parse_text
 from helpers import (
     AMBIG_INPUT,
     AMBIG_NUMBERS,
@@ -75,6 +77,29 @@ def test_cyclic_grammar_cut():
     g = grammar("%token c /c/\n%start A\nA ::= c ;\nA ::= B ;\nB ::= A ;\n")
     trees = oracle_parse_all(g, tokenize(g, "c"))
     assert trees == {("n", "A", 0, 1, 0, (("t", "c", 0, 1, "c"),))}
+
+
+def _preorder(tree):
+    """A tree as its nodes in preorder, each with its child count; built
+    without recursion, so deep trees compare without deep comparisons."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] == "t":
+            out.append(node)
+        else:
+            out.append(node[:5] + (len(node[5]),))
+            stack.extend(reversed(node[5]))
+    return out
+
+
+def test_a_deep_nullable_chain_gives_the_pipelines_tree():
+    rules = "".join(f"A{i} ::= A{i + 1} ;\n" for i in range(1000))
+    g = grammar(f"%token a /a/\n%start S\nS ::= A0 a ;\n{rules}A1000 ::= ;\n")
+    [ours] = oracle_parse_all(g, tokenize(g, "a"))
+    [theirs] = enumerate_trees(parse_text(g, "a").egraph, g, 2)
+    assert _preorder(ours) == _preorder(theirs)
+    assert len(_preorder(ours)) == 1003  # S, the chain A0..A1000 and the token
 
 
 def test_empty_input_nullable_start():

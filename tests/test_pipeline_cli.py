@@ -92,6 +92,29 @@ def test_derived_but_pruned_is_not_reported_as_no_parse(tmp_path, capsys):
     assert "derived but pruned" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "source, text",
+    [
+        # only left nesting derives the chain, and right associativity forbids it
+        ("%token plus /\\+/\n%token int /[0-9]+/\n%start E\n"
+         "%assoc right [add] E ::= E plus int ;\n[lit] E ::= int ;\n", "1+1+1"),
+        (ARITH_LEFT.replace("%assoc left", "%assoc none"), "1+1+1"),
+        ("%token plus /\\+/\n%token int /[0-9]+/\n%start S\n[top] S ::= E ;\n"
+         "[add] E ::= E plus E ;\n[lit] E ::= int ;\n%prefer compose top over add ;\n", "1+1"),
+    ],
+    ids=["assoc-right", "assoc-none", "compose"],
+)
+def test_a_derivation_the_chart_pruned_is_reported_as_pruned(source, text):
+    g = grammar(source)
+    assert parse_text(g, text, enforce_constraints=False).accepted
+    outcome = parse_text(g, text)
+    assert outcome.failure == "parse" and not outcome.egraph.roots
+    # the chart that blocked the constraints was run again without them
+    assert outcome.igraph.starting and not outcome.igraph.classed
+    message = explain_rejection(outcome)
+    assert message.startswith("derived but pruned") and "no parse" not in message
+
+
 def test_empty_input_acceptance_depends_on_nullable_start():
     nullable = grammar("%token a /a/\n%start S\nS ::= ;\nS ::= a ;\n")
     outcome = parse_text(nullable, "  ")
@@ -198,6 +221,19 @@ def test_dumps_are_emitted_in_pipeline_order(numbers_grammar_file, capsys):
     assert all(c["handleCount"] > 0 for c in ela_doc["cores"][:1])  # chart has run
     assert {"nodes", "starting", "stats"} <= ig_doc.keys()
     assert out.rstrip().endswith("1")  # the count comes last
+
+
+def test_the_chart_dump_names_a_classed_nodes_production(tmp_path, capsys):
+    path = tmp_path / "arith.fence"
+    path.write_text(ARITH_LEFT)
+    assert main(["parse", "--grammar", str(path), "--text", "1+1+1", "--dump-ig", "--count"]) == 0
+    out = capsys.readouterr().out
+    nodes = json.loads(out[: out.rindex("}") + 1])["nodes"]
+    add = grammar(ARITH_LEFT).by_label["add"].id
+    # add is blocked as a right operand, so only the left-nested sums are built
+    assert [(n["start"], n["end"], n.get("production")) for n in nodes if n["symbol"] == "E"] == [
+        (0, 1, None), (0, 3, add), (0, 5, add), (2, 3, None), (4, 5, None)
+    ]
 
 
 def test_dumps_available_even_on_rejection(numbers_grammar_file, capsys):
