@@ -138,9 +138,12 @@ class ChartParser:
         self._rhs = grammar.rhs_ids
         self._eps = grammar.epsilon_ids
         self._predictions = grammar.predictions
+        self._lhs = [p.lhs.id for p in grammar.productions]
         self._classed = grammar.classed_productions if enforce_constraints else frozenset()
         # Per production and position, the blocked set; None when nothing is blocked.
         self._blocks = grammar.position_blocks if self._classed else None
+        if self._classed:
+            self._reduce = self._reduce_classed
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -151,16 +154,17 @@ class ChartParser:
         """Store the handle (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
-        the symbol after the dot and that the position's blocked set admits,
-        and predicts that symbol in ``core`` the first time a handle waits for
-        it there. ``end`` is where the last matched node ends, None while
-        nothing is matched. When skipping nullable symbols reaches the end of
-        the production and something was matched, the production is complete
-        and reduces over (origin, end); that happens on every call, since two
-        matched nodes that end at different offsets can lead to the same core.
+        the symbol after the dot, and predicts that symbol in ``core`` the
+        first time a handle waits for it there; a handle at a blocked position
+        does both through :meth:`_wait_blocked`. ``end`` is where the last
+        matched node ends, None while nothing is matched. When skipping
+        nullable symbols reaches the end of the production and something was
+        matched, the production is complete and reduces over (origin, end);
+        that happens on every call, since two matched nodes that end at
+        different offsets can lead to the same core.
         """
         rhs = self._rhs[production_id]
-        blocks = self._blocks[production_id] if self._blocks is not None else None
+        blocks = self._blocks and self._blocks[production_id]
         size = len(rhs)
         while True:
             if dot == size:
@@ -168,76 +172,109 @@ class ChartParser:
                     self._reduce(production_id, origin, end)
                 return
             sym = rhs[dot]
-            blocked = blocks[dot] if blocks else None
+            blocked = blocks and blocks[dot]
             handle = (production_id, dot, origin)
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
-                following = core.following_by_sym.get(sym, ())
                 if blocked:
-                    nodes = self.ela.nodes
-                    following = [n for n in following if nodes[n].production_id not in blocked]
-                for node_id in following:
-                    self.agenda.append(handle + (node_id,))
-                if sym not in core.predicted and (sym, blocked) not in core.predicted:
-                    self._predict(sym, blocked, core)
+                    self._wait_blocked(handle, sym, blocked, core)
+                else:
+                    for node_id in core.following_by_sym.get(sym, ()):
+                        self.agenda.append(handle + (node_id,))
+                    if sym not in core.predicted:
+                        self._predict(sym, core)
             if sym not in self._eps or (blocked and self.grammar.epsilon_production[sym] in blocked):
                 return
             dot += 1
 
-    def _predict(self, sym: int, blocked: frozenset[int] | None, core: Core) -> None:
-        """Seed ``core`` with the dot-0 handles that predicting ``sym`` calls for.
+    def _predict(self, sym: int, core: Core) -> None:
+        """Seed ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
 
-        With no blocked set these are the handles of ``sym``'s left-corner
-        closure, whose symbols are marked first, so the seeded handles, which
-        all wait for one of them, predict nothing further. Otherwise they are
-        the handles of ``sym``'s productions outside ``blocked``, and of the
-        blocked ones that selection precedence prefers over one of those:
-        expansion drops a production's node where a preferred one holds a
-        tree, so it needs the preferred node too.
+        The closure's symbols are marked first, so the seeded handles, which
+        all wait for one of them, predict nothing further.
         """
-        if not blocked:
-            productions, reached = self._predictions[sym]
-            core.predicted |= reached
-        else:
-            core.predicted.add((sym, blocked))
-            options = self.grammar.productions_by_lhs.get(sym, ())
-            kept = [p.id for p in options if p.id not in blocked]
-            needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
-            productions = [p.id for p in options if p.rhs and p.id in needed]
+        productions, reached = self._predictions[sym]
+        core.predicted |= reached
         for production_id in productions:
             self.add_handle(production_id, 0, core.position, core)
+
+    def _wait_blocked(self, handle: tuple, sym: int, blocked: frozenset[int], core: Core) -> None:
+        """Push and predict for a handle whose position blocks ``blocked``.
+
+        Only the following nodes whose class ``blocked`` admits are pushed.
+        Unless ``sym`` is already predicted here, with or without this
+        blocked set, the handles of ``sym``'s productions outside ``blocked``
+        are seeded, with those of the blocked ones that selection precedence
+        prefers over one of them: expansion drops a production's node where a
+        preferred one holds a tree, so it needs the preferred node too.
+        """
+        nodes = self.ela.nodes
+        for node_id in core.following_by_sym.get(sym, ()):
+            if nodes[node_id].production_id not in blocked:
+                self.agenda.append(handle + (node_id,))
+        if sym in core.predicted or (sym, blocked) in core.predicted:
+            return
+        core.predicted.add((sym, blocked))
+        options = self.grammar.productions_by_lhs.get(sym, ())
+        kept = [p.id for p in options if p.id not in blocked]
+        needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
+        for p in options:
+            if p.rhs and p.id in needed:
+                self.add_handle(p.id, 0, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         ela = self.ela
         nodes = ela.nodes
-        lhs = self.grammar.productions[production_id].lhs.id
-        cls = production_id if production_id in self._classed else None
-        key = (start, end, lhs) if cls is None else (start, end, lhs, cls)
+        lhs = self._lhs[production_id]
+        key = (start, end, lhs)
         if key in ela.node_ids:
             return
         node_id = len(nodes)
         ela.node_ids[key] = node_id
-        if cls is None:
-            nodes.append(ImplicitNode(node_id, start, end, lhs, False))
-        else:
-            nodes.append(ClassedNode(node_id, start, end, lhs, cls))
+        nodes.append(ImplicitNode(node_id, start, end, lhs, False))
         pre = ela.cores[ela.core_at[start]]
         pre.following.append(node_id)
         pre.following_by_sym.setdefault(lhs, []).append(node_id)
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
+        for handle in pre.waiting.get(lhs, ()):
+            self.agenda.append(handle + (node_id,))
+
+    def _reduce_classed(self, production_id: int, start: int, end: int) -> None:
+        """``_reduce`` for a chart with classed productions; ``__init__`` binds it in its place.
+
+        A classed production's node is keyed by the production too, and only
+        the waiting handles whose position admits it are re-awakened. Kept
+        apart so that a chart without classes pays for neither test.
+        """
+        if production_id not in self._classed:
+            ChartParser._reduce(self, production_id, start, end)
+            return
+        ela = self.ela
+        nodes = ela.nodes
+        lhs = self._lhs[production_id]
+        key = (start, end, lhs, production_id)
+        if key in ela.node_ids:
+            return
+        node_id = len(nodes)
+        ela.node_ids[key] = node_id
+        nodes.append(ClassedNode(node_id, start, end, lhs, production_id))
+        pre = ela.cores[ela.core_at[start]]
+        pre.following.append(node_id)
+        pre.following_by_sym.setdefault(lhs, []).append(node_id)
+        ela.cores[ela.next_core[end]].preceding.append(node_id)
         blocks = self._blocks
         for handle in pre.waiting.get(lhs, ()):
-            if cls is None or cls not in blocks[handle[0]][handle[1]]:
+            if production_id not in blocks[handle[0]][handle[1]]:
                 self.agenda.append(handle + (node_id,))
 
     # -- driver --------------------------------------------------------------
 
     def initialize(self) -> None:
         """Predict the start symbol at the starting core."""
-        self._predict(self.grammar.start.id, None, self.ela.cores[self.ela.starting_core])
+        self._predict(self.grammar.start.id, self.ela.cores[self.ela.starting_core])
         self._seeded = True
 
     def run(self) -> IGraph:
@@ -288,7 +325,9 @@ def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False
     The chart holds every derivation unless ``enforce_constraints`` is on;
     then it leaves out what associativity and composition precedence forbid,
     as :class:`ChartParser` describes. Expansion still checks every
-    constraint, so the forest is the same either way when it enforces them.
+    constraint, so the forest is the same either way when it enforces them;
+    ``expand_forest`` refuses to expand a chart that left derivations out
+    with its own enforcement off.
     """
     return ChartParser(grammar, ela, enforce_constraints).run()
 

@@ -46,8 +46,9 @@ No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
 a child that would re-enter a (start, end, symbol) already under expansion
 is cut. Ancestor spans contain a node's span, so only ancestors of exactly
 its span can recur inside it, and the set of those ancestors' (start, end,
-symbol) triples is the node's cycle context. It holds triples rather than
-implicit nodes because two classed nodes can share one triple. A cut makes
+symbol) triples is the node's cycle context. Each triple is named by the
+id of the first implicit node over it, because two classed nodes can share
+one; without classed nodes that is the node's own id. A cut makes
 a node's alternatives depend on that context, so the context is part of the
 node's key; a node with no equal-span ancestor, the common case, has none,
 and ordinary nested ambiguity still shares one node.
@@ -191,6 +192,18 @@ class _Expander:
         self._trees: dict[int, tuple[int, ...]] = {}
         self._interned: dict[tuple, int] = {}
         self._views: dict[int, NodeView] = {}
+        # The productions an unclassed node of each symbol derives by, and the
+        # id that names each node's (start, end, symbol) in cycle contexts
+        # (None: its own id).
+        self._unclassed = grammar.productions_by_lhs
+        self._span_id = None
+        if ig.classed:
+            self._unclassed = {
+                sym: [p for p in options if p.id not in ig.classed]
+                for sym, options in grammar.productions_by_lhs.items()
+            }
+            first: dict[tuple, int] = {}
+            self._span_id = [first.setdefault(n.key, n.id) for n in ig.nodes]
 
     def run(self) -> tuple[int, ...]:
         """Records of the accepted roots, expanding every node they reach.
@@ -261,11 +274,10 @@ class _Expander:
         preferred_over = grammar.preferred_over if self.enforce else {}
         ig = self.ig
         node = ig.nodes[node_id]
-        productions = grammar.productions_by_lhs[node.symbol_id]
-        if node.production_id is not None:
+        if node.production_id is None:
+            productions = self._unclassed[node.symbol_id]
+        else:
             productions = (grammar.productions[node.production_id],)
-        elif ig.classed:
-            productions = [p for p in productions if p.id not in ig.classed]
         out = []
         for p in productions:
             if blocked and p.id in blocked:
@@ -277,11 +289,13 @@ class _Expander:
             if got == _EMPTY:
                 continue
             for q in preferred_over.get(p.id, ()):
-                # q's derivations over this span sit in the node of q's class
-                span = (node.start, node.end, node.symbol_id)
-                other_id = ig.node_ids.get(span + (q,) if q in ig.classed else span)
-                if other_id is None:
-                    continue
+                other_id = node_id
+                if p.id in ig.classed or q in ig.classed:
+                    # q's derivations over this span sit in the node of q's class
+                    span = (node.start, node.end, node.symbol_id)
+                    other_id = ig.node_ids.get(span + (q,) if q in ig.classed else span)
+                    if other_id is None:
+                        continue
                 wanted = (other_id, q, context)
                 other = memo.get(wanted)
                 if other is None:
@@ -310,8 +324,9 @@ class _Expander:
         eps = grammar.epsilon_ids
         groups = self.groups
         node = nodes[node_id]
-        start, end, symbol_id = node.start, node.end, node.symbol_id
-        context = (outer or frozenset()) | {(start, end, symbol_id)}
+        start, end = node.start, node.end
+        span_id = self._span_id
+        context = (outer or frozenset()) | {node_id if span_id is None else span_id[node_id]}
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
         alternatives = []
@@ -343,7 +358,7 @@ class _Expander:
                 else:
                     if child.start != start or child.end != end:
                         child_context = None
-                    elif (start, end, sym) in context:
+                    elif (child_id if span_id is None else span_id[child_id]) in context:
                         continue  # cyclic re-entry contributes nothing on this path
                     else:
                         child_context = context
@@ -357,16 +372,18 @@ class _Expander:
 
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         if evaluator is not None:
-            alternatives = self._evaluated(pid, start, end, alternatives, evaluator)
+            alternatives = self._evaluated(pid, node, alternatives, evaluator)
         else:
             self.constructions += len(alternatives)
-        result = self._add((symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
+        result = (
+            self._add((node.symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
+        )
         self.memo[key] = result
         return result
 
     # -- custom evaluators -----------------------------------------------------
 
-    def _evaluated(self, pid: int, start: int, end: int, alternatives: list, evaluator) -> list[tuple[int, ...]]:
+    def _evaluated(self, pid: int, node, alternatives: list, evaluator) -> list[tuple[int, ...]]:
         """One alternative per tree that the evaluator accepts, with single-tree children."""
         p = self.grammar.productions[pid]
         accepted = []
@@ -375,13 +392,13 @@ class _Expander:
                 self.constructions += 1
                 view = NodeView(
                     symbol=p.lhs.name,
-                    start=start,
-                    end=end,
+                    start=node.start,
+                    end=node.end,
                     production=pid,
                     label=p.label,
                     children=tuple(self._view(c) for c in children),
                     lexeme=None,
-                    text=self.ig.input[start:end],
+                    text=self.ig.input[node.start : node.end],
                 )
                 try:
                     keep = bool(evaluator(view))
@@ -454,7 +471,11 @@ def expand_forest(grammar: Grammar, ig: IGraph, enforce_constraints: bool = True
     With ``enforce_constraints`` off, every derivation survives; the result is
     the raw ambiguity of the grammar over the input. The roots are the forest
     nodes of the accepted implicit roots, one per surviving production.
+    A chart that enforced the blocked positions lacks the derivations they
+    forbid, so expanding it without enforcement raises ``ValueError``.
     """
+    if ig.classed and not enforce_constraints:
+        raise ValueError("this chart enforced the constraints; expand it with enforce_constraints on")
     expander = _Expander(grammar, ig, enforce_constraints)
     roots = expander.run()
     nodes, roots = _emit(expander.records, roots, ig.input)

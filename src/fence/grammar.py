@@ -14,7 +14,6 @@ parse sessions.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -366,6 +365,8 @@ class Grammar:
         children all cost less than it does, so every production that ties
         for a symbol's cost is priced before the symbol leaves the heap.
         """
+        import heapq  # only grammars with nullable symbols need it; the import costs about 1 ms
+
         pending = [len(p.rhs) for p in self.productions]
         uses: dict[int, list[int]] = {}
         for p in self.productions:

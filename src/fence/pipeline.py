@@ -8,7 +8,7 @@ the outcome instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chart import IGraph, run_chart
 from .elagraph import ELAGraph, build_ela_graph
@@ -21,18 +21,43 @@ __all__ = ["ParseOutcome", "parse_text", "explain_rejection"]
 
 @dataclass
 class ParseOutcome:
+    """The intermediate results and the verdict of one parse session.
+
+    ``ela`` and ``igraph`` are the extended graph and the chart run over it.
+    When the chart enforced associativity and composition precedence and the
+    input was rejected, they are instead those of the unfiltered chart, run
+    on first access, so that they show whether the input derives the start
+    symbol at all. That run costs what the unfiltered chart costs, up to
+    cubic in the input; only a caller that reads them pays it.
+    """
+
     grammar: Grammar
     text: str
     la: LAGraph | None = None
-    ela: ELAGraph | None = None
-    igraph: IGraph | None = None
     egraph: EGraph | None = None
     failure: str | None = None  # None, "lexical", or "parse"
     furthest: int | None = None
+    chart: tuple[ELAGraph, IGraph] | None = field(default=None, repr=False)
 
     @property
     def accepted(self) -> bool:
         return self.failure is None
+
+    @property
+    def ela(self) -> ELAGraph | None:
+        return self._unfiltered()[0]
+
+    @property
+    def igraph(self) -> IGraph | None:
+        return self._unfiltered()[1]
+
+    def _unfiltered(self) -> tuple:
+        if self.chart is None:
+            return None, None
+        if self.failure is not None and self.chart[1].classed:
+            ela = build_ela_graph(self.la)
+            self.chart = (ela, run_chart(self.grammar, ela))
+        return self.chart
 
 
 def parse_text(
@@ -48,10 +73,8 @@ def parse_text(
     derivation, produced without running the chart.
 
     ``enforce_constraints`` reaches the chart too, which then leaves out what
-    associativity and composition precedence forbid. When that rejects the
-    input, the chart is run again without them, and ``ela`` and ``igraph``
-    hold that run, so that ``explain_rejection`` can tell a derivation the
-    constraints pruned from no derivation at all.
+    associativity and composition precedence forbid. ``chart`` holds the
+    extended graph and the chart that ran.
     """
     outcome = ParseOutcome(grammar, text)
     try:
@@ -67,15 +90,13 @@ def parse_text(
             outcome.failure = "parse"
             outcome.furthest = outcome.la.content_start
         return outcome
-    outcome.ela = build_ela_graph(outcome.la)
-    outcome.igraph = run_chart(grammar, outcome.ela, enforce_constraints)
-    outcome.egraph = expand_forest(grammar, outcome.igraph, enforce_constraints)
+    ela = build_ela_graph(outcome.la)
+    ig = run_chart(grammar, ela, enforce_constraints)
+    outcome.chart = (ela, ig)
+    outcome.egraph = expand_forest(grammar, ig, enforce_constraints)
     if not outcome.egraph.roots:
         outcome.failure = "parse"
         outcome.furthest = max(t.end for t in outcome.la.nodes)
-        if outcome.igraph.classed:
-            outcome.ela = build_ela_graph(outcome.la)
-            outcome.igraph = run_chart(grammar, outcome.ela)
     return outcome
 
 
@@ -87,7 +108,9 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
     removed every derivation. A no-derivation diagnostic also names the
     terminals expected at the furthest core where a handle waits for one;
     under prediction every handle continues a derivation from the start
-    symbol, so these are the terminals the grammar allows there.
+    symbol, so these are the terminals the grammar allows there. It reads
+    the outcome's ``igraph``, so it pays for the unfiltered chart that
+    ``ParseOutcome`` describes.
     """
     if outcome.accepted:
         return "input accepted"

@@ -110,19 +110,33 @@ def catalan(m: int) -> int:
 def pipeline(grammar, text, enforce=True):
     """Tokenize, extend, chart, expand; returns (la, ig, eg).
 
-    ``enforce`` reaches the chart as well as expansion, as in ``parse_text``.
+    The chart is the unfiltered one that ``run_chart`` builds by default, so
+    ``enforce`` reaches expansion alone and expansion's own checks are what
+    is tested.
     """
     la = tokenize(grammar, text)
     ela = build_ela_graph(la)
-    ig = run_chart(grammar, ela, enforce)
+    ig = run_chart(grammar, ela)
     eg = expand_forest(grammar, ig, enforce_constraints=enforce)
     return la, ig, eg
 
 
-def pipeline_trees(grammar, text, enforce=True):
-    """Canonical tree set produced by the full pipeline."""
-    _la, _ig, eg = pipeline(grammar, text, enforce)
+def forest_trees(grammar, eg):
     return frozenset(enumerate_trees(eg, grammar, 10**6)) if eg.roots else frozenset()
+
+
+def pipeline_trees(grammar, text, enforce=True):
+    """Canonical tree set produced by the full pipeline.
+
+    With ``enforce`` on, the chart that enforces the blocked positions, as in
+    ``parse_text``, must give the same trees as the unfiltered one.
+    """
+    la, _ig, eg = pipeline(grammar, text, enforce)
+    trees = forest_trees(grammar, eg)
+    if enforce:
+        filtered = expand_forest(grammar, run_chart(grammar, build_ela_graph(la), enforce_constraints=True))
+        assert forest_trees(grammar, filtered) == trees, text
+    return trees
 
 
 def grammar(text, **kw):

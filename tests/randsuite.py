@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 from fence import (
     OracleLimitError,
+    build_ela_graph,
     enumerate_trees,
+    expand_forest,
     oracle_filter,
     oracle_parse_all,
     parse_grammar_text,
+    run_chart,
     tokenize,
 )
 from fence.grammar import Grammar
@@ -182,6 +185,12 @@ def _pipeline_trees(g: Grammar, text: str) -> frozenset:
     return frozenset(enumerate_trees(outcome.egraph, g, 10**6))
 
 
+def _unfiltered_chart_trees(g: Grammar, la) -> frozenset:
+    """Trees of the enforcing expansion of the chart that enforces nothing."""
+    eg = expand_forest(g, run_chart(g, build_ela_graph(la)))
+    return frozenset(enumerate_trees(eg, g, 10**6)) if eg.roots else frozenset()
+
+
 def oracle_trees(g: Grammar, text: str) -> tuple | None:
     """(lattice, oracle tree set) of an input the suite can check, else None.
 
@@ -218,6 +227,10 @@ def check_instance(inst: Instance) -> tuple[int, int]:
         assert _pipeline_trees(gc, text) == expected_constrained, (
             f"constrained pipeline/oracle mismatch: seed={inst.seed} input={text!r}"
         )
+        if la.nodes:
+            assert _unfiltered_chart_trees(gc, la) == expected_constrained, (
+                f"constrained expansion of the unfiltered chart/oracle mismatch: seed={inst.seed} input={text!r}"
+            )
         checked += 2
     return checked, skipped
 

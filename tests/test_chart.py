@@ -4,8 +4,10 @@ import json
 import time
 from collections import Counter
 
+import pytest
+
 import randsuite
-from fence import explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
+from fence import expand_forest, explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
 from fence.elagraph import build_ela_graph
 from fence.grammar import Grammar
@@ -262,6 +264,32 @@ def test_left_associative_pops_grow_linearly():
     for n in (100, 200, 400):
         assert pops[n] / pops[n // 2] <= 2.2, pops
     assert seconds < 1.0  # 400 operands, end to end
+
+
+def test_a_rejected_left_associative_sum_is_charted_once():
+    # the trailing operator leaves no derivation; parse_text runs only the
+    # enforcing chart, and the unfiltered one waits until the outcome's
+    # igraph is read
+    g = grammar(ARITH_LEFT)
+    t0 = time.perf_counter()
+    outcome = parse_text(g, chain(400) + "+")
+    seconds = time.perf_counter() - t0
+    _ela, ig = outcome.chart
+    assert outcome.failure == "parse" and ig.classed
+    assert ig.agenda_pops < 2000
+    assert seconds < 1.0
+
+
+def test_a_chart_that_enforced_the_constraints_is_not_expanded_without_them():
+    g = grammar(ARITH_LEFT)
+    ig = run_chart(g, build(g, "1+1+1"), enforce_constraints=True)
+    with pytest.raises(ValueError):
+        expand_forest(g, ig, enforce_constraints=False)
+    assert tree_counts(expand_forest(g, ig)).total == 1
+    # a chart of a grammar whose positions block nothing expands either way
+    free = grammar(ARITH)
+    ig = run_chart(free, build(free, "1+1+1"), enforce_constraints=True)
+    assert tree_counts(expand_forest(free, ig, enforce_constraints=False)).total == 2
 
 
 def test_the_default_chart_ignores_the_constraints():

@@ -168,6 +168,8 @@ def test_constrained_pipeline_equals_filtered_oracle(data):
     outcome = parse_text(g, text)
     trees = frozenset(enumerate_trees(outcome.egraph, g, 10**6)) if outcome.accepted else frozenset()
     assert trees == expected
+    if la.nodes:  # expanding the unfiltered chart with enforcement agrees too
+        assert pipeline_trees(g, text) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -109,10 +109,22 @@ def test_a_derivation_the_chart_pruned_is_reported_as_pruned(source, text):
     assert parse_text(g, text, enforce_constraints=False).accepted
     outcome = parse_text(g, text)
     assert outcome.failure == "parse" and not outcome.egraph.roots
-    # the chart that blocked the constraints was run again without them
+    # the chart that ran blocked the derivation; reading the outcome's chart
+    # runs it again without the constraints
+    assert outcome.chart[1].classed and not outcome.chart[1].starting
     assert outcome.igraph.starting and not outcome.igraph.classed
     message = explain_rejection(outcome)
     assert message.startswith("derived but pruned") and "no parse" not in message
+
+
+def test_a_no_parse_diagnostic_does_not_depend_on_the_chart_that_ran():
+    g = grammar(ARITH_LEFT)
+    for text in ("1+1+", "1++1", "+1"):
+        outcome = parse_text(g, text)
+        assert outcome.chart[1].classed
+        message = explain_rejection(outcome)
+        assert message.startswith("no parse") and "expected one of {int}" in message
+        assert message == explain_rejection(parse_text(g, text, enforce_constraints=False))
 
 
 def test_empty_input_acceptance_depends_on_nullable_start():
