@@ -97,7 +97,7 @@ class IGraph:
     ``next_core`` mapping a token end offset to the core that follows it. No
     index is built for it. ``classed`` holds the productions whose nodes the
     chart kept apart, empty unless it enforced the blocked positions, and
-    ``node_ids`` maps each node's key to its id.
+    ``node_ids`` maps each nonterminal node's key to its id.
     """
 
     input: str
@@ -234,7 +234,6 @@ class ChartParser:
         ela.node_ids[key] = node_id
         nodes.append(ImplicitNode(node_id, start, end, lhs, False))
         pre = ela.cores[ela.core_at[start]]
-        pre.following.append(node_id)
         pre.following_by_sym.setdefault(lhs, []).append(node_id)
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         # Re-awaken handles already waiting for this symbol. Handles stored
@@ -262,7 +261,6 @@ class ChartParser:
         ela.node_ids[key] = node_id
         nodes.append(ClassedNode(node_id, start, end, lhs, production_id))
         pre = ela.cores[ela.core_at[start]]
-        pre.following.append(node_id)
         pre.following_by_sym.setdefault(lhs, []).append(node_id)
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         blocks = self._blocks

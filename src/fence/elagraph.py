@@ -32,12 +32,12 @@ class Core:
     in it, the dot-0 handles of its left-corner closure are in ``handles``,
     so a later handle waiting for it seeds nothing new. A chart that enforces
     blocked positions also keeps (symbol, blocked productions) pairs in it,
-    one for each restricted prediction made here.
+    one for each restricted prediction made here. ``preceding`` lists the
+    nodes that end just before the core, and ``following_by_sym`` the nodes
+    that start at it, by symbol.
     """
 
-    __slots__ = (
-        "id", "position", "handles", "waiting", "predicted", "preceding", "following", "following_by_sym"
-    )
+    __slots__ = ("id", "position", "handles", "waiting", "predicted", "preceding", "following_by_sym")
 
     def __init__(self, core_id: int, position: int):
         self.id = core_id
@@ -46,7 +46,6 @@ class Core:
         self.waiting: dict[int, list[tuple]] = {}
         self.predicted: set = set()
         self.preceding: list[int] = []
-        self.following: list[int] = []
         self.following_by_sym: dict[int, list[int]] = {}
 
     def __repr__(self):
@@ -103,8 +102,9 @@ class ELAGraph:
     ``core_at`` maps a token start offset to its core and ``next_core`` maps
     a token end offset to the core after it; every node starts where a token
     starts and ends where one ends, so both serve all nodes. ``node_ids``
-    maps a node's (start, end, symbol) key, extended by its production for a
-    classed node, to its id.
+    maps a nonterminal node's (start, end, symbol) key, extended by its
+    production for a classed node, to its id; tokens are never looked up by
+    key, so theirs are left out.
     """
 
     input: str
@@ -133,21 +133,16 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         next_core[token_end] = last.id if nxt == end else core_at[nxt]
 
     nodes: list[ImplicitNode] = []
-    node_ids: dict[tuple, int] = {}
     for t in la.nodes:
-        node = ImplicitNode(t.id, t.start, t.end, t.symbol_id, True)
-        nodes.append(node)
-        node_ids[node.key] = node.id
-        pre = cores[core_at[t.start]]
-        pre.following.append(t.id)
-        pre.following_by_sym.setdefault(t.symbol_id, []).append(t.id)
+        nodes.append(ImplicitNode(t.id, t.start, t.end, t.symbol_id, True))
+        cores[core_at[t.start]].following_by_sym.setdefault(t.symbol_id, []).append(t.id)
         cores[next_core[t.end]].preceding.append(t.id)
 
     return ELAGraph(
         input=la.input,
         cores=cores,
         nodes=nodes,
-        node_ids=node_ids,
+        node_ids={},
         core_at=core_at,
         next_core=next_core,
         starting_core=core_at[la.content_start],
@@ -164,7 +159,7 @@ def ela_document(ela: ELAGraph, grammar: Grammar) -> dict:
                 "position": c.position,
                 "handleCount": len(c.handles),
                 "preceding": sorted(c.preceding),
-                "following": sorted(c.following),
+                "following": sorted(i for ids in c.following_by_sym.values() for i in ids),
             }
             for c in ela.cores
         ],

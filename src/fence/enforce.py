@@ -34,13 +34,15 @@ productions of its symbol that are not classed. The checks stay here all the
 same, as the definition. Selection precedence compares the forest nodes of
 one (start, end, symbol) in one context, whichever implicit nodes hold them:
 a production's node is dropped when a preferred production's node holds a
-tree. Custom evaluators judge whole trees. Under a production that carries
-one, every combination of child trees of every alternative is assembled and
-shown to the evaluator, and each accepted candidate becomes an alternative
-of its own whose children hold one tree each. Only these productions cost
-one alternative per tree, and the evaluator still sees each candidate as a
-``NodeView`` of one whole tree. ``EGraph.constructions`` counts the
-alternatives built plus the candidates evaluated.
+tree. The preferred nodes are expanded first, so a dropped node is never
+expanded at all, and a custom evaluator under a dominated production is
+never called. Custom evaluators judge whole trees. Under a production that
+carries one, every combination of child trees of every alternative is
+assembled and shown to the evaluator, and each accepted candidate becomes
+an alternative of its own whose children hold one tree each. Only these
+productions cost one alternative per tree, and the evaluator still sees
+each candidate as a ``NodeView`` of one whole tree. ``EGraph.constructions``
+counts the alternatives built plus the candidates evaluated.
 
 No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
 a child that would re-enter a (start, end, symbol) already under expansion
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, product
+from typing import NamedTuple
 
 from .chart import IGraph
 from .errors import EvaluatorError
@@ -92,8 +95,7 @@ FOREST_FORMAT_VERSION = 2
 _EMPTY = -1  # memo value of a forest node left without alternatives
 
 
-@dataclass(frozen=True, slots=True)
-class ForestNode:
+class ForestNode(NamedTuple):
     """A symbol over a span, derived by one production in packed form.
 
     ``children`` holds the packed alternatives, one ordered tuple of child
@@ -164,15 +166,16 @@ def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list
         if alternatives:
             for alt in reversed(alternatives):
                 stack.extend(reversed(alt))
+    make = tuple.__new__  # ForestNode's own constructor adds a Python call per node
     nodes = []
-    for rid in order:
+    for eid, rid in enumerate(order):
         symbol_id, start, end, pid, alternatives = records[rid]
         if alternatives is None:
-            nodes.append(ForestNode(len(nodes), symbol_id, start, end, None, None, text[start:end]))
+            nodes.append(make(ForestNode, (eid, symbol_id, start, end, None, None, text[start:end])))
         else:
-            children = tuple(tuple(number[c] for c in alt) for alt in alternatives)
-            nodes.append(ForestNode(len(nodes), symbol_id, start, end, pid, children, None))
-    return nodes, tuple(number[r] for r in roots)
+            children = tuple([tuple([number[c] for c in alt]) for alt in alternatives])
+            nodes.append(make(ForestNode, (eid, symbol_id, start, end, pid, children, None)))
+    return nodes, tuple([number[r] for r in roots])
 
 
 class _Expander:
@@ -282,12 +285,6 @@ class _Expander:
         for p in productions:
             if blocked and p.id in blocked:
                 continue
-            wanted = (node_id, p.id, context)
-            got = memo.get(wanted)
-            if got is None:
-                got = yield wanted
-            if got == _EMPTY:
-                continue
             for q in preferred_over.get(p.id, ()):
                 other_id = node_id
                 if p.id in ig.classed or q in ig.classed:
@@ -301,9 +298,14 @@ class _Expander:
                 if other is None:
                     other = yield wanted
                 if other != _EMPTY:
-                    break
+                    break  # p loses to q, so p's node is never expanded
             else:
-                out.append(got)
+                wanted = (node_id, p.id, context)
+                got = memo.get(wanted)
+                if got is None:
+                    got = yield wanted
+                if got != _EMPTY:
+                    out.append(got)
         got = self.groups[key] = tuple(out)
         return got
 
@@ -326,7 +328,8 @@ class _Expander:
         node = nodes[node_id]
         start, end = node.start, node.end
         span_id = self._span_id
-        context = (outer or frozenset()) | {node_id if span_id is None else span_id[node_id]}
+        own = node_id if span_id is None else span_id[node_id]
+        context = None  # built when the first child over this node's own span appears
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
         alternatives = []
@@ -358,9 +361,12 @@ class _Expander:
                 else:
                     if child.start != start or child.end != end:
                         child_context = None
-                    elif (child_id if span_id is None else span_id[child_id]) in context:
-                        continue  # cyclic re-entry contributes nothing on this path
                     else:
+                        span = child_id if span_id is None else span_id[child_id]
+                        if span == own or (outer and span in outer):
+                            continue  # cyclic re-entry contributes nothing on this path
+                        if context is None:
+                            context = (outer or frozenset()) | {own}
                         child_context = context
                     wanted = (child_id, child_context, blocked)
                     options = groups.get(wanted)

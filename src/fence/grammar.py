@@ -183,6 +183,33 @@ def _closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset(closed)
 
 
+class _Predictions(dict):
+    """``Grammar.predictions``: a symbol's entry is filled on its first lookup.
+
+    Filling is idempotent, so threads that share a grammar and miss the same
+    entry at once both store the same value.
+    """
+
+    def __init__(self, corners: dict[int, list[int]], productions_by_lhs: dict[int, tuple[Production, ...]]):
+        super().__init__()
+        self._corners = corners
+        self._productions_by_lhs = productions_by_lhs
+
+    def __missing__(self, sym_id: int) -> tuple[tuple[int, ...], frozenset[int]]:
+        reached = {sym_id}
+        stack = [sym_id]
+        while stack:
+            for nxt in self._corners.get(stack.pop(), ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        productions = sorted(
+            p.id for s in reached for p in self._productions_by_lhs.get(s, ()) if p.rhs
+        )
+        entry = self[sym_id] = (tuple(productions), frozenset(reached))
+        return entry
+
+
 class Grammar:
     """An immutable language definition.
 
@@ -327,6 +354,10 @@ class Grammar:
         only if B is nullable too). ``productions`` are the ids, in order, of
         the non-empty productions of the reached nonterminals. A terminal
         reaches only itself and seeds nothing.
+
+        Each entry is computed on its first lookup, in time linear in what
+        it holds: a chart asks only for the symbols it predicts, and one
+        prediction marks its whole closure predicted.
         """
         corners: dict[int, list[int]] = {}
         for p in self.productions:
@@ -335,18 +366,7 @@ class Grammar:
                 begins.append(s.id)
                 if s.id not in self.epsilon_ids:
                     break
-        table = {}
-        for sym_id in self.symbol_by_id:
-            reached = {sym_id}
-            stack = [sym_id]
-            while stack:
-                for nxt in corners.get(stack.pop(), ()):
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        stack.append(nxt)
-            productions = tuple(p.id for p in self.productions if p.rhs and p.lhs.id in reached)
-            table[sym_id] = (productions, frozenset(reached))
-        return table
+        return _Predictions(corners, self.productions_by_lhs)
 
     @cached_property
     def epsilon_production(self) -> dict[int, int]:

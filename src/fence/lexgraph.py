@@ -7,6 +7,14 @@ pattern). Paths through the resulting graph are the candidate tokenizations
 of the input. ``prune_la_graph`` is the one place where branches that cannot
 reach the end of the input are dropped, for lexed and loaded lattices alike.
 
+Links are positional, as in the lexical analysis graph of the Lamb lexer
+(Quesada, Berzal and Cortijo, "Lamb: a lexical analyzer with ambiguity
+support", ICSOFT 2011): every token whose next position is offset p precedes
+every token that starts at p, and no other link exists. ``load_la_graph``
+rejects a document that breaks this, since the extended graph and the chart
+link tokens by position alone. It lets the lexer visit offsets in increasing
+order and the pruner decide liveness per offset rather than per link.
+
 Per token definition, a single match is kept at a given offset, with the
 match extent decided by the definition's regex (greedy quantifiers yield the
 longest match). Distinct definitions matching at the same offset all coexist,
@@ -17,6 +25,8 @@ zero-width and the skip pattern is consumed only between tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -46,8 +56,16 @@ class LatticeFormatError(FenceError):
     """A lexical analysis graph document violates its schema or invariants."""
 
 
-@dataclass(frozen=True)
-class TokenNode:
+class TokenNode(NamedTuple):
+    """One match of one token definition over ``[start, end)``.
+
+    ``preceding`` holds the ids of the tokens whose next position is
+    ``start``, and ``following`` those of the tokens that start at this
+    token's next position. Tokens that start at one offset share one
+    ``following`` tuple, and tokens with one next position share one
+    ``preceding`` tuple.
+    """
+
     id: int
     symbol_id: int
     start: int
@@ -89,15 +107,50 @@ def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
     return pos
 
 
+def _link(
+    text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int]
+) -> tuple[tuple[TokenNode, ...], dict[int, tuple[int, ...]]]:
+    """Tokens over ``spans`` (start, end, symbol id), numbered in list order.
+
+    Links are positional: a token precedes every token that starts at its
+    next position. Also returns, per start offset, the ids of the tokens
+    starting there: the ``following`` tuple shared by the tokens whose next
+    position that offset is.
+    """
+    at: dict[int, list[int]] = {}
+    into: dict[int, list[int]] = {}
+    for i, (start, end, _sym) in enumerate(spans):
+        at.setdefault(start, []).append(i)
+        into.setdefault(next_position[end], []).append(i)
+    following = {pos: tuple(ids) for pos, ids in at.items()}
+    preceding = {pos: tuple(ids) for pos, ids in into.items()}
+    make = tuple.__new__  # TokenNode's own constructor adds a Python call per token
+    nodes = tuple(
+        [
+            make(
+                TokenNode,
+                (
+                    i, sym, start, end, text[start:end],
+                    preceding.get(start, ()),
+                    following.get(next_position[end], ()),
+                ),
+            )
+            for i, (start, end, sym) in enumerate(spans)
+        ]
+    )
+    return nodes, following
+
+
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
     """Build the lexical analysis graph for ``text``.
 
     Every match at every offset reachable from the start becomes a token of a
     raw lattice, linked to all tokens at its next position, and the result is
-    that lattice after ``prune_la_graph``. Raises :class:`TokenizationError`
-    when no token path spans the input, reporting the furthest offset reached.
-    An input consisting solely of skip characters (or nothing) yields an
-    empty graph.
+    that lattice after ``prune_la_graph``. Offsets are visited in increasing
+    order, so tokens are numbered by start, then end, then symbol id. Raises
+    :class:`TokenizationError` when no token path spans the input, reporting
+    the furthest offset reached. An input consisting solely of skip
+    characters (or nothing) yields an empty graph.
     """
     if not grammar.token_defs:
         raise TokenizationError(0)
@@ -106,41 +159,41 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     if start_pos == n:
         return LAGraph(text, (), (), {}, start_pos)
 
-    raw: list[tuple[int, int, int]] = []
+    skip = grammar.skip_re.match if grammar.skip_re is not None else None
+    matchers = [(td.regex.match, td.symbol.id) for td in grammar.token_defs]
+    spans: list[tuple[int, int, int]] = []
     next_position: dict[int, int] = {}
-    explored: set[int] = set()
-    stack = [start_pos]
-    furthest = start_pos
-    while stack:
-        pos = stack.pop()
-        if pos in explored or pos >= n:
-            continue
-        explored.add(pos)
-        furthest = max(furthest, pos)
-        for td in grammar.token_defs:
-            m = td.regex.match(text, pos)
-            if m is None or m.end() == pos:
+    reached = bytearray(n + 1)  # reached[p]: some token's next position is p
+    pos = furthest = start_pos
+    while 0 <= pos < n:
+        if pos > furthest:
+            furthest = pos
+        here = []
+        for match, sym in matchers:
+            m = match(text, pos)
+            if m is None:
                 continue
             end = m.end()
-            furthest = max(furthest, end)
-            raw.append((pos, end, td.symbol.id))
+            if end == pos:
+                continue
+            here.append((pos, end, sym))
             if end not in next_position:
-                next_position[end] = _skip_from(grammar, text, end)
-            stack.append(next_position[end])
-    raw.sort()
+                if end > furthest:
+                    furthest = end
+                nxt = end
+                if skip is not None:
+                    m = skip(text, end)
+                    if m:
+                        nxt = m.end()
+                next_position[end] = nxt
+                reached[nxt] = 1
+        if len(here) > 1:
+            here.sort()
+        spans += here
+        pos = reached.find(1, pos + 1)
 
-    by_start: dict[int, list[int]] = {}
-    by_next: dict[int, list[int]] = {}
-    for i, (s, e, _sym) in enumerate(raw):
-        by_start.setdefault(s, []).append(i)
-        by_next.setdefault(next_position[e], []).append(i)
-    nodes = []
-    for i, (s, e, sym) in enumerate(raw):
-        preceding = tuple(by_next.get(s, ()))
-        following = tuple(by_start.get(next_position[e], ()))
-        nodes.append(TokenNode(i, sym, s, e, text[s:e], preceding, following))
-    starting = tuple(by_start.get(start_pos, ()))
-    graph = prune_la_graph(LAGraph(text, tuple(nodes), starting, next_position, start_pos))
+    nodes, following = _link(text, spans, next_position)
+    graph = prune_la_graph(LAGraph(text, nodes, following.get(start_pos, ()), next_position, start_pos))
     if not graph.nodes:
         raise TokenizationError(furthest)
     return graph
@@ -180,49 +233,38 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
 
 
 def prune_la_graph(graph: LAGraph) -> LAGraph:
-    """Drop nodes that lie on no full start-to-end path; idempotent.
+    """Drop tokens that lie on no full start-to-end path; idempotent.
 
     This is the lattice's only pruner: ``tokenize`` and ``load_la_graph`` both
-    build an unpruned lattice and pass it here. A lattice that loses no node
-    is returned as it is, since renumbering would be the identity.
+    build an unpruned lattice and pass it here. Since links are positional,
+    liveness is decided per offset, in O(tokens) rather than O(links): an
+    offset is live when a token starting there ends the input or steps to a
+    live offset (found right to left), and reachable when it is
+    ``content_start`` or a kept token steps to it (found left to right). A
+    token is kept when its next position is live and its start reachable. A
+    lattice that loses no token is returned as it is, since renumbering
+    would be the identity.
     """
-    n = len(graph.input)
-    alive: set[int] = set()
-    order = sorted(graph.nodes, key=lambda t: t.start, reverse=True)
-    for node in order:
-        if graph.next_position[node.end] == n or any(f in alive for f in node.following):
-            alive.add(node.id)
-    reachable: set[int] = set()
-    stack = [i for i in graph.starting if i in alive]
-    while stack:
-        i = stack.pop()
-        if i in reachable:
-            continue
-        reachable.add(i)
-        for f in graph.nodes[i].following:
-            if f in alive:
-                stack.append(f)
-    if len(reachable) == len(graph.nodes):
+    next_position = graph.next_position
+    by_start = sorted(graph.nodes, key=attrgetter("start"))
+    live = {len(graph.input)}
+    for t in reversed(by_start):
+        if next_position[t.end] in live:
+            live.add(t.start)
+    reachable = {graph.content_start}
+    kept: set[int] = set()
+    for t in by_start:
+        nxt = next_position[t.end]
+        if nxt in live and t.start in reachable:
+            reachable.add(nxt)
+            kept.add(t.id)
+    if len(kept) == len(graph.nodes):
         return graph
-    keep = sorted(reachable)
-    remap = {old: new for new, old in enumerate(keep)}
-    nodes = []
-    for old in keep:
-        t = graph.nodes[old]
-        nodes.append(
-            TokenNode(
-                remap[old],
-                t.symbol_id,
-                t.start,
-                t.end,
-                t.lexeme,
-                tuple(remap[p] for p in t.preceding if p in remap),
-                tuple(remap[f] for f in t.following if f in remap),
-            )
-        )
-    starting = tuple(remap[i] for i in graph.starting if i in remap)
-    next_position = {t.end: graph.next_position[t.end] for t in nodes}
-    return LAGraph(graph.input, tuple(nodes), starting, next_position, graph.content_start)
+    spans = [(t.start, t.end, t.symbol_id) for t in graph.nodes if t.id in kept]
+    next_position = {end: next_position[end] for _start, end, _sym in spans}
+    nodes, following = _link(graph.input, spans, next_position)
+    starting = following.get(graph.content_start, ())
+    return LAGraph(graph.input, nodes, starting, next_position, graph.content_start)
 
 
 def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
@@ -248,10 +290,14 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     """Rebuild and re-validate a lattice from its document form.
 
     Checks the schema, symbol references, token spans, link symmetry, and
-    positional adjacency (a follower must start where its predecessor's skip
-    run ends), then prunes dead branches. A document whose tokens leave no
-    full path over an input with content is rejected, as ``tokenize`` rejects
-    such an input; only a skip-only input loads as the empty lattice.
+    that links are positional: a token's ``following`` must be exactly the
+    tokens that start where its skip run ends, and its ``preceding`` exactly
+    the tokens whose skip run ends at its start. The chart links tokens by
+    position, so a document that dropped or added a link would be parsed as
+    a lattice it does not describe. Dead branches are then pruned. A document
+    whose tokens leave no full path over an input with content is rejected,
+    as ``tokenize`` rejects such an input; only a skip-only input loads as
+    the empty lattice.
     """
     if not isinstance(doc, dict) or "input" not in doc or "nodes" not in doc:
         raise LatticeFormatError("document must be an object with 'input' and 'nodes'")
@@ -269,7 +315,8 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
         seen_ids.add(entry["id"])
     remap = {old: new for new, old in enumerate(sorted(seen_ids))}
 
-    nodes: list[TokenNode] = []
+    spans: list[tuple[int, int, int]] = []
+    links: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (preceding, following)
     for entry in sorted(raw_nodes, key=lambda e: e["id"]):
         name = entry["symbol"]
         sym = grammar.symbols.get(name)
@@ -283,39 +330,41 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
         for ref in (*entry["preceding"], *entry["following"]):
             if ref not in remap:
                 raise LatticeFormatError(f"token {entry['id']} links to unknown node {ref}")
-        nodes.append(
-            TokenNode(
-                remap[entry["id"]],
-                sym.id,
-                start,
-                end,
-                text[start:end],
+        spans.append((start, end, sym.id))
+        links.append(
+            (
                 tuple(sorted(remap[p] for p in entry["preceding"])),
                 tuple(sorted(remap[f] for f in entry["following"])),
             )
         )
 
-    for t in nodes:
-        for f in t.following:
-            if t.id not in nodes[f].preceding:
+    for i, (preceding, following) in enumerate(links):
+        for f in following:
+            if i not in links[f][0]:
                 raise LatticeFormatError(
-                    f"asymmetric link: node {t.id} lists {f} as following, "
-                    f"but {f} does not list {t.id} as preceding"
+                    f"asymmetric link: node {i} lists {f} as following, "
+                    f"but {f} does not list {i} as preceding"
                 )
-        for p in t.preceding:
-            if t.id not in nodes[p].following:
+        for p in preceding:
+            if i not in links[p][1]:
                 raise LatticeFormatError(
-                    f"asymmetric link: node {t.id} lists {p} as preceding, "
-                    f"but {p} does not list {t.id} as following"
+                    f"asymmetric link: node {i} lists {p} as preceding, "
+                    f"but {p} does not list {i} as following"
                 )
 
-    next_position = {t.end: _skip_from(grammar, text, t.end) for t in nodes}
-    for t in nodes:
-        for f in t.following:
-            if nodes[f].start != next_position[t.end]:
-                raise LatticeFormatError(
-                    f"nodes {t.id} and {f} are linked but not adjacent in the input"
-                )
+    next_position = {end: _skip_from(grammar, text, end) for _start, end, _sym in spans}
+    nodes, _following = _link(text, spans, next_position)
+    for t, (preceding, following) in zip(nodes, links):
+        if following != t.following:
+            raise LatticeFormatError(
+                f"node {t.id} must be followed by exactly the tokens starting at "
+                f"offset {next_position[t.end]}, {list(t.following)}, not {list(following)}"
+            )
+        if preceding != t.preceding:
+            raise LatticeFormatError(
+                f"node {t.id} must be preceded by exactly the tokens whose next "
+                f"position is offset {t.start}, {list(t.preceding)}, not {list(preceding)}"
+            )
 
     content_start = _skip_from(grammar, text, 0)
     declared = tuple(sorted(remap[i] for i in doc.get("starting", ())))
@@ -329,7 +378,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
             raise LatticeFormatError(
                 f"starting node {i} does not start at the beginning of the input"
             )
-    graph = prune_la_graph(LAGraph(text, tuple(nodes), derived, next_position, content_start))
+    graph = prune_la_graph(LAGraph(text, nodes, derived, next_position, content_start))
     if not graph.nodes and content_start < len(text):
         raise LatticeFormatError(f"no token path spans the input from offset {content_start}")
     return graph

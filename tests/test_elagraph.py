@@ -7,6 +7,11 @@ from fence.lexgraph import enumerate_token_paths, tokenize
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
 
 
+def following(core):
+    """The ids of the nodes that start at ``core``."""
+    return sorted(i for ids in core.following_by_sym.values() for i in ids)
+
+
 def test_running_example_core_placement():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, AMBIG_INPUT)
@@ -17,7 +22,7 @@ def test_running_example_core_placement():
     assert ela.cores[ela.starting_core].position == 0
     assert ela.cores[ela.last_core].position == len(AMBIG_INPUT)
     # the starting core precedes exactly the former starting tokens
-    assert sorted(ela.cores[ela.starting_core].following) == sorted(la.starting)
+    assert following(ela.cores[ela.starting_core]) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
     assert sorted(ela.cores[ela.last_core].preceding) == sorted(la.final_ids)
 
@@ -56,7 +61,7 @@ def test_token_paths_preserved_through_cores():
             if core.id == ela.last_core:
                 out.append(tuple(acc))
                 return
-            for nid in sorted(core.following):
+            for nid in following(core):
                 node = ela.nodes[nid]
                 acc.append(nid)
                 walk(ela.cores[ela.next_core[node.end]], acc)
@@ -74,7 +79,7 @@ def test_same_offset_tokens_share_their_preceding_core():
     ela = build_ela_graph(la)
     by_start = {}
     for core in ela.cores:
-        for nid in core.following:
+        for nid in following(core):
             by_start.setdefault(ela.nodes[nid].start, set()).add(core.id)
     for cores in by_start.values():
         assert len(cores) == 1
@@ -84,7 +89,7 @@ def test_adjacency_is_symmetric():
     g = grammar(AMBIG_NUMBERS)
     ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
     for n in ela.nodes:
-        assert n.id in ela.cores[ela.core_at[n.start]].following
+        assert n.id in following(ela.cores[ela.core_at[n.start]])
         assert n.id in ela.cores[ela.next_core[n.end]].preceding
 
 

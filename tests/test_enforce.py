@@ -163,6 +163,30 @@ def test_selection_precedence_falls_back_when_preferred_dies():
     assert g.productions[tree[4]].label == "q"
 
 
+def test_a_dominated_production_is_never_expanded():
+    # every slashed number is a Real or Integer Point Integer; the Real is
+    # preferred and always holds a tree, so only kept alternatives are built
+    text = " ".join([AMBIG_INPUT] * 3)
+    eg = parse_text(grammar(UNIT_LIST), text).egraph
+    kept = sum(len(n.children) for n in eg.nodes if n.children is not None and n.start != n.end)
+    assert tree_counts(eg).total == 1
+    assert eg.constructions == kept
+
+    calls = []
+    judged = grammar(UNIT_LIST, evaluators={"split": lambda view: calls.append(view) or True})
+    judged_eg = parse_text(judged, text).egraph
+    assert calls == []
+    assert egraph_document(judged_eg, judged) == egraph_document(eg, grammar(UNIT_LIST))
+
+
+def test_forest_nodes_refuse_attribute_assignment():
+    _la, _ig, eg = pipeline(grammar(AMBIG_NUMBERS), AMBIG_INPUT)
+    with pytest.raises(AttributeError):
+        eg.nodes[0].children = None
+    with pytest.raises(AttributeError):
+        eg.nodes[0].extra = 1
+
+
 def test_custom_evaluator_vetoes_and_reports_errors():
     src = "%token a /a/\n%start S\n[dup] S ::= S S ;\n[one] S ::= a ;\n"
     seen = []

@@ -22,6 +22,7 @@ from fence.grammar import (
     parse_grammar_text,
     validate_constraints,
 )
+from fence.pipeline import parse_text
 from helpers import AMBIG_NUMBERS, ARITH, pipeline_trees
 
 
@@ -173,6 +174,53 @@ def test_nullable_tables_grow_linearly_in_a_nullable_chain():
     # passes took 4x
     assert best[4000] / best[500] <= 2.5**3, best
     assert best[4000] < 1.0, best
+
+
+def _eager_predictions(g):
+    """Every symbol's prediction entry, each closure walked and every
+    production scanned for it, the definition the lazy table must match."""
+    corners = {}
+    for p in g.productions:
+        begins = corners.setdefault(p.lhs.id, [])
+        for s in p.rhs:
+            begins.append(s.id)
+            if s.id not in g.epsilon_ids:
+                break
+    table = {}
+    for sym_id in g.symbol_by_id:
+        reached = {sym_id}
+        stack = [sym_id]
+        while stack:
+            for nxt in corners.get(stack.pop(), ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        productions = tuple(p.id for p in g.productions if p.rhs and p.lhs.id in reached)
+        table[sym_id] = (productions, frozenset(reached))
+    return table
+
+
+def test_lazy_predictions_equal_the_eager_table_on_the_random_suite():
+    checked = 0
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            eager = _eager_predictions(g)
+            assert {sym: g.predictions[sym] for sym in eager} == eager, seed
+            checked += 1
+    assert checked > 300
+
+
+def test_first_parse_of_a_long_nullable_chain_is_fast():
+    # a table computed whole for every symbol took about 1 s at 2,000 levels
+    g = parse_grammar_text(_nullable_chain(2000))
+    t0 = time.perf_counter()
+    outcome = parse_text(g, "a")
+    seconds = time.perf_counter() - t0
+    assert outcome.accepted
+    assert seconds < 0.25, seconds
 
 
 def test_selection_cycle_reported_with_both_productions():

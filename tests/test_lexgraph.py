@@ -4,11 +4,14 @@ import random
 import re
 
 import pytest
+import randsuite
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fence.lexgraph import (
+    LAGraph,
     LatticeFormatError,
+    TokenNode,
     TokenizationError,
     enumerate_token_paths,
     load_la_graph,
@@ -145,6 +148,32 @@ def test_load_rejects_zero_width_and_unknown_symbols():
         load_la_graph(bad, g)
 
 
+def test_load_rejects_links_that_are_not_positional():
+    # Kept links a->c and A->C describe the paths [a c] and [A C] only, but
+    # the chart links tokens by position and would also parse [a C] and [A c].
+    g = grammar(
+        "%token a /a/\n%token A /[ab]/\n%token c /c/\n%token C /[cd]/\n%start S\n"
+        "S ::= a C ;\nS ::= A c ;\n"
+    )
+    doc = serialize_la_graph(tokenize(g, "ac"), g)
+    ids = {entry["symbol"]: entry["id"] for entry in doc["nodes"]}
+    kept = {(ids["a"], ids["c"]), (ids["A"], ids["C"])}
+    for entry in doc["nodes"]:
+        entry["following"] = [f for f in entry["following"] if (entry["id"], f) in kept]
+        entry["preceding"] = [p for p in entry["preceding"] if (p, entry["id"]) in kept]
+    with pytest.raises(LatticeFormatError) as err:
+        load_la_graph(doc, g)
+    assert "exactly the tokens" in str(err.value)
+
+
+def test_tokens_refuse_attribute_assignment():
+    la = tokenize(grammar(AMBIG_NUMBERS), "5.2")
+    with pytest.raises(AttributeError):
+        la.nodes[0].start = 1
+    with pytest.raises(AttributeError):
+        la.nodes[0].extra = 1
+
+
 def test_load_handwritten_two_path_lattice():
     g = grammar(AMBIG_NUMBERS)
     doc = {
@@ -179,15 +208,14 @@ def test_load_rejects_a_document_with_no_full_path():
     assert blank.nodes == () and blank.content_start == 2
 
 
+def _after_skip(g, text, pos):
+    m = g.skip_re.match(text, pos) if g.skip_re else None
+    return m.end() if m and m.end() > pos else pos
+
+
 def _brute_force_paths(g, text):
     """Independent enumeration of full tokenizations by direct recursion."""
-    skip = g.skip_re
     n = len(text)
-
-    def after_skip(pos):
-        m = skip.match(text, pos) if skip else None
-        return m.end() if m and m.end() > pos else pos
-
     out = []
 
     def walk(pos, acc):
@@ -198,10 +226,10 @@ def _brute_force_paths(g, text):
             m = td.regex.match(text, pos)
             if m and m.end() > pos:
                 acc.append((pos, m.end(), td.symbol.name))
-                walk(after_skip(m.end()), acc)
+                walk(_after_skip(g, text, m.end()), acc)
                 acc.pop()
 
-    walk(after_skip(0), [])
+    walk(_after_skip(g, text, 0), [])
     return sorted(out)
 
 
@@ -277,3 +305,71 @@ def test_pruned_lattice_is_the_union_of_full_paths(text):
     assert nodes == {token for path in expected for token in path}
     assert prune_la_graph(la) == la
     assert load_la_graph(serialize_la_graph(la, g), g) == la
+
+
+def _unpruned_lattice(g, text):
+    """Every match at every offset reachable from the start, linked by
+    position by direct comparison of offsets, with no pruning."""
+    start = _after_skip(g, text, 0)
+    spans, todo, seen = set(), [start], set()
+    while todo:
+        pos = todo.pop()
+        if pos in seen or pos >= len(text):
+            continue
+        seen.add(pos)
+        for td in g.token_defs:
+            m = td.regex.match(text, pos)
+            if m and m.end() > pos:
+                spans.add((pos, m.end(), td.symbol.id))
+                todo.append(_after_skip(g, text, m.end()))
+    spans = sorted(spans)
+    nxt = {e: _after_skip(g, text, e) for _s, e, _sym in spans}
+    nodes = tuple(
+        TokenNode(
+            i,
+            sym,
+            s,
+            e,
+            text[s:e],
+            tuple(j for j, (_s2, e2, _y) in enumerate(spans) if nxt[e2] == s),
+            tuple(j for j, (s2, _e2, _y) in enumerate(spans) if s2 == nxt[e]),
+        )
+        for i, (s, e, sym) in enumerate(spans)
+    )
+    starting = tuple(i for i, (s, _e, _sym) in enumerate(spans) if s == start)
+    return LAGraph(text, nodes, starting, nxt, start)
+
+
+def _assert_positional(la):
+    """Each token's links are exactly the tokens at its next position and
+    the tokens whose next position is its start."""
+    for t in la.nodes:
+        assert t.following == tuple(u.id for u in la.nodes if u.start == la.next_position[t.end])
+        assert t.preceding == tuple(u.id for u in la.nodes if la.next_position[u.end] == t.start)
+
+
+def test_pruning_keeps_exactly_the_tokens_on_full_paths():
+    checked = pruned_some = 0
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        g = inst.grammar
+        for text in inst.inputs:
+            raw = _unpruned_lattice(g, text)
+            paths = enumerate_token_paths(raw, 10**5) if raw.nodes else []
+            assert len(paths) < 10**5
+            full = [p for p in paths if raw.is_final(raw.nodes[p[-1]])]
+            on_a_path = {(t.start, t.end, t.symbol_id) for p in full for t in map(raw.nodes.__getitem__, p)}
+            pruned = prune_la_graph(raw)
+            assert {(t.start, t.end, t.symbol_id) for t in pruned.nodes} == on_a_path, (seed, text)
+            _assert_positional(raw)
+            _assert_positional(pruned)
+            if on_a_path:
+                assert tokenize(g, text) == pruned
+            else:
+                with pytest.raises(TokenizationError):
+                    tokenize(g, text)
+            checked += 1
+            pruned_some += len(pruned.nodes) < len(raw.nodes)
+    assert checked > 600 and pruned_some > 20, (checked, pruned_some)
