@@ -699,12 +699,13 @@ def egraph_to_dot(eg: EGraph, grammar: Grammar) -> str:
     A node with several alternatives points at one small dot per
     alternative, and each dot at that alternative's children.
     """
+    escapes = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
     lines = ["digraph forest {"]
     roots = set(eg.roots)
     for rec in eg.nodes:
         name = grammar.symbol_by_id[rec.symbol_id].name
         if rec.children is None:
-            label = f"{name}\\n{rec.lexeme}"
+            label = f"{name}\\n{rec.lexeme.translate(escapes)}"
             shape = "ellipse"
             style = ""
         else:

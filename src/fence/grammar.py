@@ -171,15 +171,20 @@ def compute_epsilon_symbols(productions: Iterable[Production]) -> frozenset[Symb
 
 
 def _closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in tuple(closed):
-            for c, d in tuple(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
+    """Transitive closure of a relation, by depth-first reachability from each source."""
+    succ: dict[int, set[int]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closed: set[tuple[int, int]] = set()
+    for a in succ:
+        reached: set[int] = set()
+        stack = [a]
+        while stack:
+            for b in succ.get(stack.pop(), ()):
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        closed.update((a, b) for b in reached)
     return frozenset(closed)
 
 
@@ -687,6 +692,12 @@ def _parse_statement(text: str, line: int, decls: _Decls) -> None:
     decls.rules.append(_RuleDecl(line, label, head, rhs, assoc))
 
 
+def _check_writable(pattern: str, owner: str, line: int) -> None:
+    """Reject a pattern that ``grammar_to_text`` could not write between slashes."""
+    if not re.fullmatch(_REGEX_BODY, pattern) or "".join(pattern.splitlines()) != pattern:
+        raise GrammarError(f"pattern of {owner} has an unescaped '/' or a line break", line)
+
+
 def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Grammar:
     seen_tokens: dict[str, int] = {}
     for line, name, _pattern in decls.tokens:
@@ -716,6 +727,7 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
             regex = re.compile(pattern)
         except re.error as exc:
             raise GrammarError(f"bad regex for token {name}: {exc}", line) from None
+        _check_writable(pattern, f"token {name!r}", line)
         token_defs.append(TokenDef(symbols[name], pattern, regex))
 
     labels: dict[str, int] = {}
@@ -769,6 +781,7 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
             re.compile(skip)
         except re.error as exc:
             raise GrammarError(f"bad %skip regex: {exc}", decls.skip[0]) from None
+        _check_writable(skip, "%skip", decls.skip[0])
 
     constraints = ConstraintSet(
         associativity=assoc,

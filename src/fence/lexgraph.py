@@ -1,19 +1,19 @@
 """All-matches lexer producing a lexical analysis graph (token lattice).
 
 Instead of committing to one tokenization, the lexer records every token any
-definition can match at every reachable offset and links each token to every
-token that can start where it ends (after consuming the inter-token skip
-pattern). Paths through the resulting graph are the candidate tokenizations
-of the input. ``prune_la_graph`` is the one place where branches that cannot
-reach the end of the input are dropped, for lexed and loaded lattices alike.
+definition can match at every reachable offset. Paths through the resulting
+graph are the candidate tokenizations of the input. ``prune_la_graph`` is the
+one place where branches that cannot reach the end of the input are dropped,
+for lexed and loaded lattices alike.
 
 Links are positional, as in the lexical analysis graph of the Lamb lexer
 (Quesada, Berzal and Cortijo, "Lamb: a lexical analyzer with ambiguity
-support", ICSOFT 2011): every token whose next position is offset p precedes
-every token that starts at p, and no other link exists. ``load_la_graph``
-rejects a document that breaks this, since the extended graph and the chart
-link tokens by position alone. It lets the lexer visit offsets in increasing
-order and the pruner decide liveness per offset rather than per link.
+support", ICSOFT 2011): every token whose next position (its end, after the
+inter-token skip pattern) is offset p precedes every token that starts at p,
+and no other link exists. Tokens therefore store positions only; ``_links``
+derives the document's ``preceding`` and ``following`` lists, and
+``load_la_graph`` still validates them. The lexer visits offsets in
+increasing order and the pruner decides liveness per offset, not per link.
 
 Per token definition, a single match is kept at a given offset, with the
 match extent decided by the definition's regex (greedy quantifiers yield the
@@ -59,11 +59,8 @@ class LatticeFormatError(FenceError):
 class TokenNode(NamedTuple):
     """One match of one token definition over ``[start, end)``.
 
-    ``preceding`` holds the ids of the tokens whose next position is
-    ``start``, and ``following`` those of the tokens that start at this
-    token's next position. Tokens that start at one offset share one
-    ``following`` tuple, and tokens with one next position share one
-    ``preceding`` tuple.
+    A token stores its positions and no links: it precedes exactly the
+    tokens that start at its next position (see ``_links``).
     """
 
     id: int
@@ -71,8 +68,6 @@ class TokenNode(NamedTuple):
     start: int
     end: int
     lexeme: str
-    preceding: tuple[int, ...]
-    following: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,8 @@ class LAGraph:
 
     ``next_position`` maps each token end offset to the offset where the next
     token may start (after skip consumption); ``content_start`` is that offset
-    for the beginning of the input. ``starting`` lists the nodes with no
-    predecessor, of which there may be several.
+    for the beginning of the input. ``starting`` lists the nodes that start
+    there: the nodes with no predecessor. ``nodes[i].id`` is ``i``.
     """
 
     input: str
@@ -107,50 +102,41 @@ def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
     return pos
 
 
-def _link(
-    text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int]
-) -> tuple[tuple[TokenNode, ...], dict[int, tuple[int, ...]]]:
-    """Tokens over ``spans`` (start, end, symbol id), numbered in list order.
-
-    Links are positional: a token precedes every token that starts at its
-    next position. Also returns, per start offset, the ids of the tokens
-    starting there: the ``following`` tuple shared by the tokens whose next
-    position that offset is.
-    """
-    at: dict[int, list[int]] = {}
-    into: dict[int, list[int]] = {}
-    for i, (start, end, _sym) in enumerate(spans):
-        at.setdefault(start, []).append(i)
-        into.setdefault(next_position[end], []).append(i)
-    following = {pos: tuple(ids) for pos, ids in at.items()}
-    preceding = {pos: tuple(ids) for pos, ids in into.items()}
+def _lattice(
+    text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int
+) -> LAGraph:
+    """The lattice of tokens over ``spans`` (start, end, symbol id), numbered in list order."""
     make = tuple.__new__  # TokenNode's own constructor adds a Python call per token
     nodes = tuple(
-        [
-            make(
-                TokenNode,
-                (
-                    i, sym, start, end, text[start:end],
-                    preceding.get(start, ()),
-                    following.get(next_position[end], ()),
-                ),
-            )
-            for i, (start, end, sym) in enumerate(spans)
-        ]
+        [make(TokenNode, (i, sym, s, e, text[s:e])) for i, (s, e, sym) in enumerate(spans)]
     )
-    return nodes, following
+    starting = tuple([i for i, (s, _e, _sym) in enumerate(spans) if s == content_start])
+    return LAGraph(text, nodes, starting, next_position, content_start)
+
+
+def _links(
+    nodes: tuple[TokenNode, ...], next_position: dict[int, int]
+) -> list[tuple[list[int], list[int]]]:
+    """Each token's (preceding, following) ids, derived per offset from the
+    tokens starting there and the tokens whose next position it is. Tokens
+    share these lists, so callers copy them rather than change them."""
+    starting_at: dict[int, list[int]] = {}
+    ending_at: dict[int, list[int]] = {}
+    for t in nodes:
+        starting_at.setdefault(t.start, []).append(t.id)
+        ending_at.setdefault(next_position[t.end], []).append(t.id)
+    return [(ending_at.get(t.start, []), starting_at.get(next_position[t.end], [])) for t in nodes]
 
 
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
     """Build the lexical analysis graph for ``text``.
 
     Every match at every offset reachable from the start becomes a token of a
-    raw lattice, linked to all tokens at its next position, and the result is
-    that lattice after ``prune_la_graph``. Offsets are visited in increasing
-    order, so tokens are numbered by start, then end, then symbol id. Raises
-    :class:`TokenizationError` when no token path spans the input, reporting
-    the furthest offset reached. An input consisting solely of skip
-    characters (or nothing) yields an empty graph.
+    raw lattice, and the result is that lattice after ``prune_la_graph``.
+    Offsets are visited in increasing order, so tokens are numbered by start,
+    then end, then symbol id. Raises :class:`TokenizationError` when no token
+    path spans the input, reporting the furthest offset reached. An input
+    consisting solely of skip characters (or nothing) yields an empty graph.
     """
     if not grammar.token_defs:
         raise TokenizationError(0)
@@ -192,8 +178,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
         spans += here
         pos = reached.find(1, pos + 1)
 
-    nodes, following = _link(text, spans, next_position)
-    graph = prune_la_graph(LAGraph(text, nodes, following.get(start_pos, ()), next_position, start_pos))
+    graph = prune_la_graph(_lattice(text, spans, next_position, start_pos))
     if not graph.nodes:
         raise TokenizationError(furthest)
     return graph
@@ -209,6 +194,7 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    links = _links(graph.nodes, graph.next_position)
     out: list[tuple[int, ...]] = []
     path: list[int] = []
     # stack[k] yields the candidates for path position k
@@ -221,9 +207,9 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
                 path.pop()
             continue
         path.append(node_id)
-        following = graph.nodes[node_id].following
+        following = links[node_id][1]
         if following:
-            stack.append(iter(sorted(following)))
+            stack.append(iter(following))
             continue
         out.append(tuple(path))
         if len(out) >= limit:
@@ -262,13 +248,12 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
         return graph
     spans = [(t.start, t.end, t.symbol_id) for t in graph.nodes if t.id in kept]
     next_position = {end: next_position[end] for _start, end, _sym in spans}
-    nodes, following = _link(graph.input, spans, next_position)
-    starting = following.get(graph.content_start, ())
-    return LAGraph(graph.input, nodes, starting, next_position, graph.content_start)
+    return _lattice(graph.input, spans, next_position, graph.content_start)
 
 
 def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
     """Loss-free structured document for a lattice (see ``load_la_graph``)."""
+    links = _links(graph.nodes, graph.next_position)
     return {
         "input": graph.input,
         "nodes": [
@@ -277,10 +262,10 @@ def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
                 "symbol": grammar.symbol_by_id[t.symbol_id].name,
                 "start": t.start,
                 "end": t.end,
-                "preceding": sorted(t.preceding),
-                "following": sorted(t.following),
+                "preceding": list(preceding),
+                "following": list(following),
             }
-            for t in graph.nodes
+            for t, (preceding, following) in zip(graph.nodes, links)
         ],
         "starting": sorted(graph.starting),
     }
@@ -316,7 +301,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     remap = {old: new for new, old in enumerate(sorted(seen_ids))}
 
     spans: list[tuple[int, int, int]] = []
-    links: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # (preceding, following)
+    links: list[tuple[list[int], list[int]]] = []  # (preceding, following)
     for entry in sorted(raw_nodes, key=lambda e: e["id"]):
         name = entry["symbol"]
         sym = grammar.symbols.get(name)
@@ -331,12 +316,8 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
             if ref not in remap:
                 raise LatticeFormatError(f"token {entry['id']} links to unknown node {ref}")
         spans.append((start, end, sym.id))
-        links.append(
-            (
-                tuple(sorted(remap[p] for p in entry["preceding"])),
-                tuple(sorted(remap[f] for f in entry["following"])),
-            )
-        )
+        preceding = sorted(remap[p] for p in entry["preceding"])
+        links.append((preceding, sorted(remap[f] for f in entry["following"])))
 
     for i, (preceding, following) in enumerate(links):
         for f in following:
@@ -353,32 +334,33 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
                 )
 
     next_position = {end: _skip_from(grammar, text, end) for _start, end, _sym in spans}
-    nodes, _following = _link(text, spans, next_position)
-    for t, (preceding, following) in zip(nodes, links):
-        if following != t.following:
+    content_start = _skip_from(grammar, text, 0)
+    graph = _lattice(text, spans, next_position, content_start)
+    positional = _links(graph.nodes, next_position)
+    for t, (preceding, following), expected in zip(graph.nodes, links, positional):
+        if following != expected[1]:
             raise LatticeFormatError(
                 f"node {t.id} must be followed by exactly the tokens starting at "
-                f"offset {next_position[t.end]}, {list(t.following)}, not {list(following)}"
+                f"offset {next_position[t.end]}, {expected[1]}, not {following}"
             )
-        if preceding != t.preceding:
+        if preceding != expected[0]:
             raise LatticeFormatError(
                 f"node {t.id} must be preceded by exactly the tokens whose next "
-                f"position is offset {t.start}, {list(t.preceding)}, not {list(preceding)}"
+                f"position is offset {t.start}, {expected[0]}, not {preceding}"
             )
 
-    content_start = _skip_from(grammar, text, 0)
     declared = tuple(sorted(remap[i] for i in doc.get("starting", ())))
-    derived = tuple(t.id for t in nodes if not t.preceding)
+    derived = tuple(i for i, (preceding, _following) in enumerate(positional) if not preceding)
     if declared != derived:
         raise LatticeFormatError(
             "declared starting nodes do not match the nodes with no predecessor"
         )
     for i in derived:
-        if nodes[i].start != content_start:
+        if graph.nodes[i].start != content_start:
             raise LatticeFormatError(
                 f"starting node {i} does not start at the beginning of the input"
             )
-    graph = prune_la_graph(LAGraph(text, nodes, derived, next_position, content_start))
+    graph = prune_la_graph(graph)  # its ``starting`` is ``derived``, as checked
     if not graph.nodes and content_start < len(text):
         raise LatticeFormatError(f"no token path spans the input from offset {content_start}")
     return graph

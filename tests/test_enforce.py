@@ -1,5 +1,6 @@
 """Forest expansion, constraint rules, counting, enumeration, documents."""
 
+import re
 import sys
 import threading
 import time
@@ -306,6 +307,16 @@ def test_dot_output_draws_packed_alternatives():
         assert f"n{root} -> n{root}a{a};" in dot
         for i, child in enumerate(eg.nodes[root].children[a]):
             assert f'n{root}a{a} -> n{child} [label="{i}"];' in dot
+
+
+def test_dot_output_escapes_lexemes():
+    g = grammar('%token q /"/\n' r"%token b /\\/" "\n%start S\nS ::= q b ;\n")
+    _la, _ig, eg = pipeline(g, '"\\')  # a quote, then a backslash
+    dot = egraph_to_dot(eg, g)
+    assert r'label="q\n\""' in dot
+    assert r'label="b\n\\"' in dot
+    for line in dot.splitlines():
+        assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
 
 
 def test_tree_to_jsonable_roundtrips_structure():

@@ -1,6 +1,7 @@
 """Grammar model, text format, nullable computation, constraint validation."""
 
 import gc
+import random
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from fence.grammar import (
     Production,
     Symbol,
     TERMINAL,
+    _closure,
     compute_epsilon_symbols,
     grammar_to_text,
     make_grammar,
@@ -272,6 +274,40 @@ def test_selection_across_symbols_is_closed_before_it_is_filtered():
     assert pipeline_trees(g, "a") == {("n", "S", 0, 1, 0, (("t", "a", 0, 1, "a"),))}
 
 
+def _prefer_chain(kind, levels):
+    rules = "".join(f"[p{i}] S ::= a ;\n" for i in range(levels))
+    prefers = "".join(f"%prefer {kind} p{i} over p{i + 1} ;\n" for i in range(levels - 1))
+    return "%token a /a/\n%start S\n" + rules + prefers
+
+
+@pytest.mark.parametrize("kind", ["select", "compose"])
+def test_long_precedence_chain_closes_fast(kind):
+    # a whole-relation fixpoint took about 5 s at 100 levels
+    t0 = time.perf_counter()
+    g = parse_grammar_text(_prefer_chain(kind, 300))
+    seconds = time.perf_counter() - t0
+    closed = g.selection_closed if kind == "select" else g.composition_closed
+    assert len(closed) == 300 * 299 // 2 == 44_850
+    assert seconds < 1.0, seconds
+
+
+def _brute_force_closure(pairs):
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def test_closure_equals_brute_force_on_random_relations():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        assert _closure(pairs) == _brute_force_closure(pairs), pairs
+
+
 def test_position_blocks_join_associativity_and_composition():
     g = parse_grammar_text(
         "%token plus /\\+/\n%token hat /\\^/\n%token int /[0-9]+/\n%start E\n"
@@ -329,6 +365,17 @@ def test_roundtrip_with_constraints_and_labels():
     g2 = parse_grammar_text(text)
     assert g.signature() == g2.signature()
     assert grammar_to_text(g2) == text
+
+
+def test_patterns_the_text_format_cannot_write_are_rejected():
+    with pytest.raises(GrammarError) as err:
+        make_grammar([("slash", "/"), ("a", "a")], [("S", ["slash", "a"])], "S")
+    assert "slash" in str(err.value)
+    with pytest.raises(GrammarError) as err:
+        make_grammar([("a", "a")], [("S", ["a"])], "S", skip="\n")
+    assert "%skip" in str(err.value)
+    g = make_grammar([("slash", r"\/"), ("a", "a")], [("S", ["slash", "a"])], "S")
+    assert parse_grammar_text(grammar_to_text(g)).signature() == g.signature()
 
 
 def test_production_ids_stable_under_reparse():

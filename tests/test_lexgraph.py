@@ -19,6 +19,7 @@ from fence.lexgraph import (
     serialize_la_graph,
     tokenize,
 )
+from fence.elagraph import build_ela_graph
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
 
 
@@ -43,7 +44,8 @@ def test_single_token_input():
     la = tokenize(g, "&")
     assert len(la.nodes) == 1
     assert la.starting == (0,)
-    assert la.nodes[0].preceding == () and la.nodes[0].following == ()
+    entry = serialize_la_graph(la, g)["nodes"][0]
+    assert entry["preceding"] == [] and entry["following"] == []
 
 
 def test_integer_point_integer_versus_real():
@@ -190,6 +192,34 @@ def test_load_handwritten_two_path_lattice():
     assert len(enumerate_token_paths(la, 10)) == 2
 
 
+def test_load_lattice_with_unordered_ids():
+    # ids are neither contiguous nor in offset order, and listed out of order
+    g = grammar(AMBIG_NUMBERS)
+    doc = {
+        "input": "5.2",
+        "nodes": [
+            {"id": 7, "symbol": "Point", "start": 1, "end": 2, "preceding": [9], "following": [12]},
+            {"id": 40, "symbol": "Real", "start": 0, "end": 3, "preceding": [], "following": []},
+            {"id": 12, "symbol": "Integer", "start": 2, "end": 3, "preceding": [7], "following": []},
+            {"id": 9, "symbol": "Integer", "start": 0, "end": 1, "preceding": [], "following": [7]},
+        ],
+        "starting": [40, 9],
+    }
+    la = load_la_graph(doc, g)
+    paths = enumerate_token_paths(la, 10)
+    assert set(path_names(g, la, paths)) == {"Integer Point Integer", "Real"}
+    assert load_la_graph(serialize_la_graph(la, g), g) == la
+    ela = build_ela_graph(la)
+    core_paths, todo = [], [(ela.starting_core, ())]
+    while todo:
+        core, path = todo.pop()
+        if core == ela.last_core:
+            core_paths.append(path)
+        for ids in ela.cores[core].following_by_sym.values():
+            todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ids]
+    assert sorted(core_paths) == paths
+
+
 def test_load_rejects_a_document_with_no_full_path():
     # the empty lattice stands for a skip-only input; a document over real
     # content whose tokens all prune away is as malformed as a lexical error
@@ -308,8 +338,8 @@ def test_pruned_lattice_is_the_union_of_full_paths(text):
 
 
 def _unpruned_lattice(g, text):
-    """Every match at every offset reachable from the start, linked by
-    position by direct comparison of offsets, with no pruning."""
+    """Every match at every offset reachable from the start, with no
+    pruning; ``_assert_positional`` checks the links written for it."""
     start = _after_skip(g, text, 0)
     spans, todo, seen = set(), [start], set()
     while todo:
@@ -324,28 +354,18 @@ def _unpruned_lattice(g, text):
                 todo.append(_after_skip(g, text, m.end()))
     spans = sorted(spans)
     nxt = {e: _after_skip(g, text, e) for _s, e, _sym in spans}
-    nodes = tuple(
-        TokenNode(
-            i,
-            sym,
-            s,
-            e,
-            text[s:e],
-            tuple(j for j, (_s2, e2, _y) in enumerate(spans) if nxt[e2] == s),
-            tuple(j for j, (s2, _e2, _y) in enumerate(spans) if s2 == nxt[e]),
-        )
-        for i, (s, e, sym) in enumerate(spans)
-    )
+    nodes = tuple(TokenNode(i, sym, s, e, text[s:e]) for i, (s, e, sym) in enumerate(spans))
     starting = tuple(i for i, (s, _e, _sym) in enumerate(spans) if s == start)
     return LAGraph(text, nodes, starting, nxt, start)
 
 
-def _assert_positional(la):
-    """Each token's links are exactly the tokens at its next position and
-    the tokens whose next position is its start."""
-    for t in la.nodes:
-        assert t.following == tuple(u.id for u in la.nodes if u.start == la.next_position[t.end])
-        assert t.preceding == tuple(u.id for u in la.nodes if la.next_position[u.end] == t.start)
+def _assert_positional(g, la):
+    """The links ``serialize_la_graph`` writes for each token are exactly
+    the tokens at its next position and the tokens whose next position is
+    its start, found by direct comparison of offsets."""
+    for t, entry in zip(la.nodes, serialize_la_graph(la, g)["nodes"]):
+        assert entry["following"] == [u.id for u in la.nodes if u.start == la.next_position[t.end]]
+        assert entry["preceding"] == [u.id for u in la.nodes if la.next_position[u.end] == t.start]
 
 
 def test_pruning_keeps_exactly_the_tokens_on_full_paths():
@@ -363,8 +383,8 @@ def test_pruning_keeps_exactly_the_tokens_on_full_paths():
             on_a_path = {(t.start, t.end, t.symbol_id) for p in full for t in map(raw.nodes.__getitem__, p)}
             pruned = prune_la_graph(raw)
             assert {(t.start, t.end, t.symbol_id) for t in pruned.nodes} == on_a_path, (seed, text)
-            _assert_positional(raw)
-            _assert_positional(pruned)
+            _assert_positional(g, raw)
+            _assert_positional(g, pruned)
             if on_a_path:
                 assert tokenize(g, text) == pruned
             else:
