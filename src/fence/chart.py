@@ -77,15 +77,12 @@ keeps those deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .elagraph import ClassedNode, Core, ELAGraph, ImplicitNode
 from .grammar import Grammar
 
 __all__ = ["IGraph", "ChartParser", "run_chart", "igraph_stats", "igraph_document"]
 
 
-@dataclass
 class IGraph:
     """The implicit parse graph: every derived node predicted at its start.
 
@@ -100,16 +97,22 @@ class IGraph:
     ``node_ids`` maps each nonterminal node's key to its id.
     """
 
-    input: str
-    nodes: list[ImplicitNode]
-    starting: tuple[int, ...]
-    agenda_pops: int
-    handle_count: int
-    cores: list[Core] = field(repr=False)
-    core_at: dict[int, int] = field(repr=False)
-    next_core: dict[int, int] = field(repr=False)
-    node_ids: dict[tuple, int] = field(repr=False)
-    classed: frozenset[int] = field(default=frozenset(), repr=False)
+    __slots__ = ("input", "nodes", "starting", "agenda_pops", "handle_count", "cores", "core_at", "next_core",
+                 "node_ids", "classed")
+
+    def __init__(self, input: str, nodes: list[ImplicitNode], starting: tuple[int, ...], agenda_pops: int,
+                 handle_count: int, cores: list[Core], core_at: dict[int, int], next_core: dict[int, int],
+                 node_ids: dict[tuple, int], classed: frozenset[int] = frozenset()):
+        self.input = input
+        self.nodes = nodes
+        self.starting = starting
+        self.agenda_pops = agenda_pops
+        self.handle_count = handle_count
+        self.cores = cores
+        self.core_at = core_at
+        self.next_core = next_core
+        self.node_ids = node_ids
+        self.classed = classed
 
 
 class ChartParser:
@@ -216,12 +219,12 @@ class ChartParser:
         if sym in core.predicted or (sym, blocked) in core.predicted:
             return
         core.predicted.add((sym, blocked))
-        options = self.grammar.productions_by_lhs.get(sym, ())
-        kept = [p.id for p in options if p.id not in blocked]
+        options = self.grammar.production_ids_by_lhs.get(sym, ())
+        kept = [p for p in options if p not in blocked]
         needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
         for p in options:
-            if p.rhs and p.id in needed:
-                self.add_handle(p.id, 0, core.position, core)
+            if self._rhs[p] and p in needed:
+                self.add_handle(p, 0, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         ela = self.ela

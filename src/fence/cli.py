@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chart import igraph_document
@@ -35,15 +34,19 @@ from .pipeline import explain_rejection, parse_text
 __all__ = ["SessionConfig", "run_pipeline", "main"]
 
 
-@dataclass
 class SessionConfig:
-    grammar_path: str
-    input_path: str | None = None
-    text: str | None = None
-    count_only: bool = False
-    enumerate_limit: int | None = None
-    fmt: str = "json"
-    dumps: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ("grammar_path", "input_path", "text", "count_only", "enumerate_limit", "fmt", "dumps")
+
+    def __init__(self, grammar_path: str, input_path: str | None = None, text: str | None = None,
+                 count_only: bool = False, enumerate_limit: int | None = None, fmt: str = "json",
+                 dumps: tuple[str, ...] = ()):
+        self.grammar_path = grammar_path
+        self.input_path = input_path
+        self.text = text
+        self.count_only = count_only
+        self.enumerate_limit = enumerate_limit
+        self.fmt = fmt
+        self.dumps = dumps
 
     def validate(self) -> None:
         if (self.input_path is None) == (self.text is None):

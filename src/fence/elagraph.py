@@ -14,8 +14,6 @@ nodes, so build a fresh graph per parse session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .grammar import Grammar
 from .lexgraph import LAGraph
 
@@ -95,7 +93,6 @@ class ClassedNode(ImplicitNode):
         self.production_id = production_id
 
 
-@dataclass
 class ELAGraph:
     """Cores and parse nodes over one lattice.
 
@@ -107,14 +104,18 @@ class ELAGraph:
     key, so theirs are left out.
     """
 
-    input: str
-    cores: list[Core]
-    nodes: list[ImplicitNode]
-    node_ids: dict[tuple, int]
-    core_at: dict[int, int] = field(repr=False)
-    next_core: dict[int, int] = field(repr=False)
-    starting_core: int = 0
-    last_core: int = 0
+    __slots__ = ("input", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core", "last_core")
+
+    def __init__(self, input: str, cores: list[Core], nodes: list[ImplicitNode], node_ids: dict[tuple, int],
+                 core_at: dict[int, int], next_core: dict[int, int], starting_core: int = 0, last_core: int = 0):
+        self.input = input
+        self.cores = cores
+        self.nodes = nodes
+        self.node_ids = node_ids
+        self.core_at = core_at
+        self.next_core = next_core
+        self.starting_core = starting_core
+        self.last_core = last_core
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:

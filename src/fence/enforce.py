@@ -65,7 +65,6 @@ reachable from the roots are finally numbered and emitted in preorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import NamedTuple
 
@@ -113,14 +112,16 @@ class ForestNode(NamedTuple):
     lexeme: str | None
 
 
-@dataclass
 class EGraph:
     """The packed parse forest: the nodes reachable from the roots, in preorder."""
 
-    input: str
-    nodes: list[ForestNode]
-    roots: tuple[int, ...]
-    constructions: int
+    __slots__ = ("input", "nodes", "roots", "constructions")
+
+    def __init__(self, input: str, nodes: list[ForestNode], roots: tuple[int, ...], constructions: int):
+        self.input = input
+        self.nodes = nodes
+        self.roots = roots
+        self.constructions = constructions
 
 
 # Until they are emitted, forest nodes are records
@@ -198,12 +199,12 @@ class _Expander:
         # The productions an unclassed node of each symbol derives by, and the
         # id that names each node's (start, end, symbol) in cycle contexts
         # (None: its own id).
-        self._unclassed = grammar.productions_by_lhs
+        self._unclassed = grammar.production_ids_by_lhs
         self._span_id = None
         if ig.classed:
             self._unclassed = {
-                sym: [p for p in options if p.id not in ig.classed]
-                for sym, options in grammar.productions_by_lhs.items()
+                sym: [p for p in options if p not in ig.classed]
+                for sym, options in grammar.production_ids_by_lhs.items()
             }
             first: dict[tuple, int] = {}
             self._span_id = [first.setdefault(n.key, n.id) for n in ig.nodes]
@@ -280,14 +281,14 @@ class _Expander:
         if node.production_id is None:
             productions = self._unclassed[node.symbol_id]
         else:
-            productions = (grammar.productions[node.production_id],)
+            productions = (node.production_id,)
         out = []
         for p in productions:
-            if blocked and p.id in blocked:
+            if blocked and p in blocked:
                 continue
-            for q in preferred_over.get(p.id, ()):
+            for q in preferred_over.get(p, ()):
                 other_id = node_id
-                if p.id in ig.classed or q in ig.classed:
+                if p in ig.classed or q in ig.classed:
                     # q's derivations over this span sit in the node of q's class
                     span = (node.start, node.end, node.symbol_id)
                     other_id = ig.node_ids.get(span + (q,) if q in ig.classed else span)
@@ -300,7 +301,7 @@ class _Expander:
                 if other != _EMPTY:
                     break  # p loses to q, so p's node is never expanded
             else:
-                wanted = (node_id, p.id, context)
+                wanted = (node_id, p, context)
                 got = memo.get(wanted)
                 if got is None:
                     got = yield wanted
@@ -504,8 +505,7 @@ def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGrap
 # -- forest queries -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeCount:
+class TreeCount(NamedTuple):
     total: int
     per_root: dict[int, int]
     saturated: bool

@@ -15,9 +15,9 @@ parse sessions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FenceError
 
@@ -50,8 +50,7 @@ class GrammarError(FenceError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     id: int
     name: str
     kind: str
@@ -64,8 +63,7 @@ class Symbol:
         return f"Symbol({self.id}, {self.name!r}, {self.kind})"
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(NamedTuple):
     id: int
     lhs: Symbol
     rhs: tuple[Symbol, ...]
@@ -84,15 +82,13 @@ class Production:
         return f"{self.lhs.name} ::= {rhs}".rstrip()
 
 
-@dataclass(frozen=True)
-class TokenDef:
+class TokenDef(NamedTuple):
     symbol: Symbol
     pattern: str
     regex: re.Pattern
 
 
-@dataclass(frozen=True)
-class NodeView:
+class NodeView(NamedTuple):
     """Read-only view of a candidate parse node, passed to custom evaluators."""
 
     symbol: str
@@ -105,8 +101,7 @@ class NodeView:
     text: str
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     """Constraint declarations attached to productions.
 
     ``selection`` and ``composition`` hold the declared pairs; their transitive
@@ -115,25 +110,23 @@ class ConstraintSet:
     pair (p, q) means p may not take a direct child derived by q.
     """
 
-    associativity: Mapping[int, str] = field(default_factory=dict)
+    associativity: Mapping[int, str] = MappingProxyType({})
     selection: tuple[tuple[int, int], ...] = ()
     composition: tuple[tuple[int, int], ...] = ()
-    custom: Mapping[int, Callable[[NodeView], bool]] = field(default_factory=dict)
+    custom: Mapping[int, Callable[[NodeView], bool]] = MappingProxyType({})
 
     @property
     def empty(self) -> bool:
         return not (self.associativity or self.selection or self.composition or self.custom)
 
 
-@dataclass(frozen=True)
-class ConstraintIssue:
+class ConstraintIssue(NamedTuple):
     kind: str
     message: str
     productions: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     errors: tuple[ConstraintIssue, ...]
     warnings: tuple[ConstraintIssue, ...]
 
@@ -269,6 +262,10 @@ class Grammar:
         self.productions_by_lhs: dict[int, tuple[Production, ...]] = {
             k: tuple(v) for k, v in by_lhs.items()
         }
+        # By id, for the loops of the chart and expansion: reading a named tuple's field costs more
+        self.production_ids_by_lhs: dict[int, tuple[int, ...]] = {
+            k: tuple(p.id for p in v) for k, v in by_lhs.items()
+        }
         self.by_label: dict[str, Production] = {
             p.label: p for p in self.productions if p.label is not None
         }
@@ -300,18 +297,14 @@ class Grammar:
             p: frozenset(qs) for p, qs in blocks.items()
         }
 
+        # Rank: the longest chain preferred over p. In the closed acyclic relation each q
+        # preferred over p has fewer productions preferred over it, so q is ranked first.
         rank: dict[int, int] = {}
-
-        def _rank(pid: int) -> int:
-            if pid in rank:
-                return rank[pid]
-            above = self.preferred_over.get(pid, ())
-            rank[pid] = 0 if not above else 1 + max(_rank(q) for q in above)
-            return rank[pid]
-
+        for p, above in sorted(self.preferred_over.items(), key=lambda item: len(item[1])):
+            rank[p] = 1 + max(rank.get(q, 0) for q in above)
         self.selection_order_by_lhs: dict[int, tuple[int, ...]] = {
-            lhs: tuple(sorted((p.id for p in prods), key=lambda i: (_rank(i), i)))
-            for lhs, prods in self.productions_by_lhs.items()
+            lhs: tuple(sorted(ids, key=lambda i: (rank.get(i, 0), i)))
+            for lhs, ids in self.production_ids_by_lhs.items()
         }
         self.has_selection = bool(self.constraints.selection)
 
@@ -588,22 +581,26 @@ def validate_constraints(grammar: Grammar) -> ConstraintReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _RuleDecl:
-    line: int
-    label: str | None
-    lhs: str
-    rhs: tuple[str, ...]
-    assoc: str | None = None
+    __slots__ = ("line", "label", "lhs", "rhs", "assoc")
+
+    def __init__(self, line: int, label: str | None, lhs: str, rhs: tuple[str, ...], assoc: str | None = None):
+        self.line = line
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
+        self.assoc = assoc
 
 
-@dataclass
 class _Decls:
-    tokens: list[tuple[int, str, str]] = field(default_factory=list)
-    skip: tuple[int, str] | None = None
-    start: tuple[int, str] | None = None
-    rules: list[_RuleDecl] = field(default_factory=list)
-    prefers: list[tuple[int, str, str, str]] = field(default_factory=list)
+    __slots__ = ("tokens", "skip", "start", "rules", "prefers")
+
+    def __init__(self):
+        self.tokens: list[tuple[int, str, str]] = []
+        self.skip: tuple[int, str] | None = None
+        self.start: tuple[int, str] | None = None
+        self.rules: list[_RuleDecl] = []
+        self.prefers: list[tuple[int, str, str, str]] = []
 
 
 def _scan(source: str) -> _Decls:
@@ -696,6 +693,12 @@ def _check_writable(pattern: str, owner: str, line: int) -> None:
     """Reject a pattern that ``grammar_to_text`` could not write between slashes."""
     if not re.fullmatch(_REGEX_BODY, pattern) or "".join(pattern.splitlines()) != pattern:
         raise GrammarError(f"pattern of {owner} has an unescaped '/' or a line break", line)
+
+
+def _check_name(name: str, what: str) -> None:
+    """Reject a name that ``grammar_to_text`` could not write for the text parser to read back."""
+    if not _NAME_RE.match(name):
+        raise GrammarError(f"bad {what} {name!r}")
 
 
 def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Grammar:
@@ -821,13 +824,18 @@ def make_grammar(
     """
     decls = _Decls()
     for name, pattern in tokens:
+        _check_name(name, "token name")
         decls.tokens.append((0, name, pattern))
+    _check_name(start, "start symbol")
     decls.skip = (0, skip)
     decls.start = (0, start)
     rule_decls: dict[str, _RuleDecl] = {}
     for entry in rules:
         lhs, rhs = entry[0], tuple(entry[1])
         label = entry[2] if len(entry) > 2 else None
+        _check_name(lhs, "nonterminal name")
+        if label is not None:
+            _check_name(label, "production label")
         decl = _RuleDecl(0, label, lhs, rhs)
         decls.rules.append(decl)
         if label:

@@ -24,7 +24,6 @@ zero-width and the skip pattern is consumed only between tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ class TokenNode(NamedTuple):
     lexeme: str
 
 
-@dataclass(frozen=True)
-class LAGraph:
+class LAGraph(NamedTuple):
     """A token lattice over one input string, pruned by ``prune_la_graph``.
 
     ``next_position`` maps each token end offset to the offset where the next
@@ -83,7 +81,7 @@ class LAGraph:
     input: str
     nodes: tuple[TokenNode, ...]
     starting: tuple[int, ...]
-    next_position: dict[int, int] = field(repr=False)
+    next_position: dict[int, int]
     content_start: int = 0
 
     def is_final(self, node: TokenNode) -> bool:

@@ -20,7 +20,7 @@ is acceptable, so explicit bounds keep runs finite.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvaluatorError, FenceError
 from .grammar import ASSOC_LEFT, ASSOC_NONE, ASSOC_RIGHT, Grammar, NodeView
@@ -33,8 +33,7 @@ class OracleLimitError(FenceError):
     """The instance exceeds the oracle's bounds (distinct from a rejection)."""
 
 
-@dataclass(frozen=True)
-class OracleBounds:
+class OracleBounds(NamedTuple):
     max_paths: int = 500
     max_depth: int = 80
     max_work: int = 2_000_000  # nodes assembled across the whole run

@@ -8,8 +8,6 @@ the outcome instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .chart import IGraph, run_chart
 from .elagraph import ELAGraph, build_ela_graph
 from .enforce import EGraph, epsilon_forest, expand_forest
@@ -19,7 +17,6 @@ from .lexgraph import LAGraph, TokenizationError, tokenize
 __all__ = ["ParseOutcome", "parse_text", "explain_rejection"]
 
 
-@dataclass
 class ParseOutcome:
     """The intermediate results and the verdict of one parse session.
 
@@ -31,13 +28,18 @@ class ParseOutcome:
     cubic in the input; only a caller that reads them pays it.
     """
 
-    grammar: Grammar
-    text: str
-    la: LAGraph | None = None
-    egraph: EGraph | None = None
-    failure: str | None = None  # None, "lexical", or "parse"
-    furthest: int | None = None
-    chart: tuple[ELAGraph, IGraph] | None = field(default=None, repr=False)
+    __slots__ = ("grammar", "text", "la", "egraph", "failure", "furthest", "chart")
+
+    def __init__(self, grammar: Grammar, text: str, la: LAGraph | None = None, egraph: EGraph | None = None,
+                 failure: str | None = None, furthest: int | None = None,
+                 chart: tuple[ELAGraph, IGraph] | None = None):
+        self.grammar = grammar
+        self.text = text
+        self.la = la
+        self.egraph = egraph
+        self.failure = failure  # None, "lexical", or "parse"
+        self.furthest = furthest
+        self.chart = chart
 
     @property
     def accepted(self) -> bool:

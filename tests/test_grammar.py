@@ -443,3 +443,44 @@ def test_production_lookup_by_reference():
         g.production_by_ref("E")  # two E productions, label required
     single = parse_grammar_text("%token a /a/\n%start S\nS ::= a ;\n")
     assert single.production_by_ref("S").id == 0
+
+
+def test_a_long_selection_chain_declared_bottom_up_is_ranked_without_recursion():
+    # a recursive ranking needed one interpreter frame per level and raised RecursionError
+    levels = 1100
+    rules = "".join(f"[p{i}] S ::= a ;\n" for i in range(levels))
+    prefers = "".join(f"%prefer select p{i + 1} over p{i} ;\n" for i in range(levels - 1))
+    t0 = time.perf_counter()
+    g = parse_grammar_text("%token a /a/\n%start S\n" + rules + prefers)
+    seconds = time.perf_counter() - t0
+    assert isinstance(g, Grammar)
+    assert g.selection_order_by_lhs[g.start.id] == tuple(range(levels - 1, -1, -1))
+    assert seconds < 30.0, seconds
+
+
+@pytest.mark.parametrize(
+    "tokens, rules, start, bad",
+    [
+        ([("semi;colon", ";")], [("S", ["semi;colon"])], "S", "semi;colon"),
+        ([("a", "a")], [("S", ["T x"]), ("T x", ["a"])], "S", "T x"),
+        ([("a", "a")], [("S", ["a"], "my label")], "S", "my label"),
+        ([("a", "a")], [("S", ["a"])], "S;", "S;"),
+    ],
+    ids=["token", "nonterminal", "label", "start"],
+)
+def test_names_the_text_format_cannot_write_are_rejected(tokens, rules, start, bad):
+    with pytest.raises(GrammarError) as err:
+        make_grammar(tokens, rules, start)
+    assert repr(bad) in str(err.value)
+
+
+def test_valid_names_round_trip_through_the_text_format():
+    g = make_grammar(
+        [("_tok1", "a"), ("Tok_2", "b")],
+        [("Start_0", ["_tok1", "Rest"], "first_label"), ("Rest", ["Tok_2"], "_second2"), ("Rest", [], "rest_0")],
+        "Start_0",
+        select=[("_second2", "rest_0")],
+    )
+    text = grammar_to_text(g)
+    assert parse_grammar_text(text).signature() == g.signature()
+    assert grammar_to_text(parse_grammar_text(text)) == text
