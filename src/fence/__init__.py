@@ -10,7 +10,7 @@ precedence, and custom predicate constraints prune interpretations as early
 as possible.
 """
 
-from .chart import ChartParser, IGraph, igraph_document, igraph_stats, run_chart
+from .chart import ChartParser, igraph_document, igraph_stats, run_chart
 from .elagraph import ELAGraph, build_ela_graph, ela_document
 from .enforce import (
     EGraph,
@@ -56,7 +56,6 @@ __all__ = [
     "FenceError",
     "Grammar",
     "GrammarError",
-    "IGraph",
     "LAGraph",
     "LatticeFormatError",
     "NodeView",

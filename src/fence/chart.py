@@ -10,7 +10,8 @@ never share a key. Matching the last pending symbol reduces: a node (origin,
 matched node end, lhs) is created or merged, wired to the cores at its
 boundaries, and every handle already waiting for that symbol in its start
 core is re-awakened. Otherwise the advanced handle is added to the core
-following the matched node.
+following the matched node. The chart fills the extended graph it is given,
+and the filled graph is the implicit graph that expansion walks.
 
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
@@ -77,49 +78,18 @@ keeps those deterministic.
 
 from __future__ import annotations
 
-from .elagraph import ClassedNode, Core, ELAGraph, ImplicitNode
+from .elagraph import Core, ELAGraph, ImplicitNode
 from .grammar import Grammar
 
-__all__ = ["IGraph", "ChartParser", "run_chart", "igraph_stats", "igraph_document"]
-
-
-class IGraph:
-    """The implicit parse graph: every derived node predicted at its start.
-
-    ``starting`` holds the accepted roots: start-symbol nodes whose only
-    preceding core is the starting core and whose only following core is the
-    last one. The expansion phase walks the chart's own cores, shared with
-    the extended graph: ``cores`` with their handles and ``preceding`` node
-    lists, ``core_at`` mapping a token start offset to its core and
-    ``next_core`` mapping a token end offset to the core that follows it. No
-    index is built for it. ``classed`` holds the productions whose nodes the
-    chart kept apart, empty unless it enforced the blocked positions, and
-    ``node_ids`` maps each nonterminal node's key to its id.
-    """
-
-    __slots__ = ("input", "nodes", "starting", "agenda_pops", "handle_count", "cores", "core_at", "next_core",
-                 "node_ids", "classed")
-
-    def __init__(self, input: str, nodes: list[ImplicitNode], starting: tuple[int, ...], agenda_pops: int,
-                 handle_count: int, cores: list[Core], core_at: dict[int, int], next_core: dict[int, int],
-                 node_ids: dict[tuple, int], classed: frozenset[int] = frozenset()):
-        self.input = input
-        self.nodes = nodes
-        self.starting = starting
-        self.agenda_pops = agenda_pops
-        self.handle_count = handle_count
-        self.cores = cores
-        self.core_at = core_at
-        self.next_core = next_core
-        self.node_ids = node_ids
-        self.classed = classed
+__all__ = ["ChartParser", "run_chart", "igraph_stats", "igraph_document"]
 
 
 class ChartParser:
     """One predictive chart run over one extended graph.
 
-    The graph is mutated in place (cores gain predictions and handles, the
-    node store grows), so construct a fresh extended graph per run.
+    The graph is filled in place (cores gain predictions and handles, the
+    node store grows, and :meth:`run` records the roots and work counts on
+    it), so construct a fresh extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
     wait for its left-hand side are stored. ``agenda`` holds pending
@@ -145,8 +115,6 @@ class ChartParser:
         self._classed = grammar.classed_productions if enforce_constraints else frozenset()
         # Per production and position, the blocked set; None when nothing is blocked.
         self._blocks = grammar.position_blocks if self._classed else None
-        if self._classed:
-            self._reduce = self._reduce_classed
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -227,48 +195,29 @@ class ChartParser:
                 self.add_handle(p, 0, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
+        """Create or merge the node of a completed production and re-awaken its waiting handles.
+
+        A classed production's node is keyed by the production too, and only
+        the waiting handles whose position admits it are re-awakened.
+        """
         ela = self.ela
         nodes = ela.nodes
         lhs = self._lhs[production_id]
-        key = (start, end, lhs)
+        classed = production_id in self._classed
+        key = (start, end, lhs, production_id) if classed else (start, end, lhs)
         if key in ela.node_ids:
             return
         node_id = len(nodes)
         ela.node_ids[key] = node_id
-        nodes.append(ImplicitNode(node_id, start, end, lhs, False))
+        nodes.append(ImplicitNode(node_id, start, end, lhs, production_id if classed else None))
         pre = ela.cores[ela.core_at[start]]
         pre.following_by_sym.setdefault(lhs, []).append(node_id)
         ela.cores[ela.next_core[end]].preceding.append(node_id)
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
-        for handle in pre.waiting.get(lhs, ()):
-            self.agenda.append(handle + (node_id,))
-
-    def _reduce_classed(self, production_id: int, start: int, end: int) -> None:
-        """``_reduce`` for a chart with classed productions; ``__init__`` binds it in its place.
-
-        A classed production's node is keyed by the production too, and only
-        the waiting handles whose position admits it are re-awakened. Kept
-        apart so that a chart without classes pays for neither test.
-        """
-        if production_id not in self._classed:
-            ChartParser._reduce(self, production_id, start, end)
-            return
-        ela = self.ela
-        nodes = ela.nodes
-        lhs = self._lhs[production_id]
-        key = (start, end, lhs, production_id)
-        if key in ela.node_ids:
-            return
-        node_id = len(nodes)
-        ela.node_ids[key] = node_id
-        nodes.append(ClassedNode(node_id, start, end, lhs, production_id))
-        pre = ela.cores[ela.core_at[start]]
-        pre.following_by_sym.setdefault(lhs, []).append(node_id)
-        ela.cores[ela.next_core[end]].preceding.append(node_id)
         blocks = self._blocks
         for handle in pre.waiting.get(lhs, ()):
-            if production_id not in blocks[handle[0]][handle[1]]:
+            if not classed or production_id not in blocks[handle[0]][handle[1]]:
                 self.agenda.append(handle + (node_id,))
 
     # -- driver --------------------------------------------------------------
@@ -278,7 +227,8 @@ class ChartParser:
         self._predict(self.grammar.start.id, self.ela.cores[self.ela.starting_core])
         self._seeded = True
 
-    def run(self) -> IGraph:
+    def run(self) -> ELAGraph:
+        """Drain the agenda, record the roots and work counts, and return the filled graph."""
         if not self._seeded:
             self.initialize()
         ela = self.ela
@@ -293,35 +243,23 @@ class ChartParser:
                 self._reduce(production_id, origin, end)
             else:
                 self.add_handle(production_id, nxt, origin, ela.cores[ela.next_core[end]], end)
-        return self._igraph()
-
-    def _igraph(self) -> IGraph:
-        ela = self.ela
         start_sym = self.grammar.start.id
         s0 = ela.cores[ela.starting_core].position
-        starting = tuple(
+        ela.starting = tuple(
             n.id
-            for n in ela.nodes
+            for n in nodes
             if n.symbol_id == start_sym
             and n.start == s0
             and ela.next_core[n.end] == ela.last_core
         )
-        return IGraph(
-            input=ela.input,
-            nodes=ela.nodes,
-            starting=starting,
-            agenda_pops=self.pops,
-            handle_count=sum(len(c.handles) for c in ela.cores),
-            cores=ela.cores,
-            core_at=ela.core_at,
-            next_core=ela.next_core,
-            node_ids=ela.node_ids,
-            classed=self._classed,
-        )
+        ela.agenda_pops = self.pops
+        ela.handle_count = sum(len(c.handles) for c in ela.cores)
+        ela.classed = self._classed
+        return ela
 
 
-def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False) -> IGraph:
-    """Parse the extended graph predictively; an empty ``starting`` means rejection.
+def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False) -> ELAGraph:
+    """Fill the extended graph predictively and return it; an empty ``starting`` means rejection.
 
     The chart holds every derivation unless ``enforce_constraints`` is on;
     then it leaves out what associativity and composition precedence forbid,
@@ -333,7 +271,7 @@ def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False
     return ChartParser(grammar, ela, enforce_constraints).run()
 
 
-def igraph_stats(ig: IGraph) -> dict:
+def igraph_stats(ig: ELAGraph) -> dict:
     """Deterministic chart statistics (node and work counts)."""
     return {
         "nodes": len(ig.nodes),
@@ -343,8 +281,8 @@ def igraph_stats(ig: IGraph) -> dict:
     }
 
 
-def igraph_document(ig: IGraph, grammar: Grammar) -> dict:
-    """Structured dump of the implicit graph.
+def igraph_document(ig: ELAGraph, grammar: Grammar) -> dict:
+    """Structured dump of the implicit graph: the nodes and roots of a charted extended graph.
 
     A classed node also lists its ``production``, which tells apart the nodes
     that share one (start, end, symbol).

@@ -7,9 +7,10 @@ tokenization alternative is automatically visible to the others. A starting
 core precedes the tokens with no predecessor and a last core follows the
 tokens that reach the end of the input.
 
-The chart phase mutates an extended graph in place: it fills cores with
-predicted symbols and handles and grows the node store with nonterminal
-nodes, so build a fresh graph per parse session.
+The chart phase fills an extended graph in place: cores gain predicted
+symbols and handles, the node store grows nonterminal nodes and the graph
+records its accepted roots and work counts. The filled graph is the implicit
+graph that expansion walks, so build a fresh graph per parse session.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from .grammar import Grammar
 from .lexgraph import LAGraph
 
-__all__ = ["Core", "ImplicitNode", "ClassedNode", "ELAGraph", "build_ela_graph", "ela_document"]
+__all__ = ["Core", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
 
 
 class Core:
@@ -55,46 +56,34 @@ class ImplicitNode:
 
     Re-derivations of the same triple merge into one node, which is what keeps
     cyclic production sets finite. Token nodes are the re-housed lattice
-    tokens; every other node is created by a reduction. ``production_id`` is
-    None except on a :class:`ClassedNode`.
+    tokens, the nodes whose symbol is a terminal; every other node is created
+    by a reduction. ``production_id`` is None except on a classed node: a
+    chart that enforces blocked positions keeps the derivations of each
+    classed production apart from the other derivations of the triple, so
+    that a handle can refuse them alone, and they merge only with
+    re-derivations by the same production.
     """
 
-    __slots__ = ("id", "start", "end", "symbol_id", "is_token")
-    production_id = None
+    __slots__ = ("id", "start", "end", "symbol_id", "production_id")
 
-    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, is_token: bool):
+    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, production_id: int | None):
         self.id = node_id
         self.start = start
         self.end = end
         self.symbol_id = symbol_id
-        self.is_token = is_token
+        self.production_id = production_id
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.start, self.end, self.symbol_id)
 
     def __repr__(self):
-        kind = "tok" if self.is_token else "nt"
-        return f"ImplicitNode({self.start},{self.end},s{self.symbol_id},{kind})"
-
-
-class ClassedNode(ImplicitNode):
-    """The derivations of one classed production over one (start, end, symbol).
-
-    A chart that enforces blocked positions keeps them apart from the other
-    derivations of the triple, so that a handle can refuse them alone; they
-    merge only with re-derivations by the same ``production_id``.
-    """
-
-    __slots__ = ("production_id",)
-
-    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, production_id: int):
-        super().__init__(node_id, start, end, symbol_id, False)
-        self.production_id = production_id
+        classed = "" if self.production_id is None else f",p{self.production_id}"
+        return f"ImplicitNode({self.start},{self.end},s{self.symbol_id}{classed})"
 
 
 class ELAGraph:
-    """Cores and parse nodes over one lattice.
+    """Cores and parse nodes over one lattice; the chart fills it in place.
 
     ``core_at`` maps a token start offset to its core and ``next_core`` maps
     a token end offset to the core after it; every node starts where a token
@@ -102,9 +91,17 @@ class ELAGraph:
     maps a nonterminal node's (start, end, symbol) key, extended by its
     production for a classed node, to its id; tokens are never looked up by
     key, so theirs are left out.
+
+    The chart's results stay empty or zero until a chart runs. ``starting``
+    then holds the accepted roots: start-symbol nodes whose only preceding
+    core is the starting core and whose only following core is the last one.
+    ``agenda_pops`` and ``handle_count`` count the chart's work, and
+    ``classed`` holds the productions whose nodes it kept apart, empty unless
+    it enforced the blocked positions.
     """
 
-    __slots__ = ("input", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core", "last_core")
+    __slots__ = ("input", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core", "last_core",
+                 "starting", "agenda_pops", "handle_count", "classed")
 
     def __init__(self, input: str, cores: list[Core], nodes: list[ImplicitNode], node_ids: dict[tuple, int],
                  core_at: dict[int, int], next_core: dict[int, int], starting_core: int = 0, last_core: int = 0):
@@ -116,6 +113,10 @@ class ELAGraph:
         self.next_core = next_core
         self.starting_core = starting_core
         self.last_core = last_core
+        self.starting: tuple[int, ...] = ()
+        self.agenda_pops = 0
+        self.handle_count = 0
+        self.classed: frozenset[int] = frozenset()
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
@@ -135,7 +136,7 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
 
     nodes: list[ImplicitNode] = []
     for t in la.nodes:
-        nodes.append(ImplicitNode(t.id, t.start, t.end, t.symbol_id, True))
+        nodes.append(ImplicitNode(t.id, t.start, t.end, t.symbol_id, None))
         cores[core_at[t.start]].following_by_sym.setdefault(t.symbol_id, []).append(t.id)
         cores[next_core[t.end]].preceding.append(t.id)
 

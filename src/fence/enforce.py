@@ -68,7 +68,7 @@ from __future__ import annotations
 from itertools import chain, islice, product
 from typing import NamedTuple
 
-from .chart import IGraph
+from .elagraph import ELAGraph
 from .errors import EvaluatorError
 from .grammar import Grammar, NodeView
 
@@ -180,7 +180,7 @@ def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list
 
 
 class _Expander:
-    def __init__(self, grammar: Grammar, ig: IGraph, enforce: bool):
+    def __init__(self, grammar: Grammar, ig: ELAGraph, enforce: bool):
         self.grammar = grammar
         self.ig = ig
         self.enforce = enforce
@@ -325,6 +325,7 @@ class _Expander:
         core_at = ig.core_at
         grammar = self.grammar
         eps = grammar.epsilon_ids
+        terminals = grammar.terminal_ids
         groups = self.groups
         node = nodes[node_id]
         start, end = node.start, node.end
@@ -351,13 +352,14 @@ class _Expander:
                 and handle in cores[cid].handles
             ):
                 stack.append((pos - 1, right, (~sym,) + suffix))
+            token = sym in terminals
             for child_id in cores[cid].preceding:
                 child = nodes[child_id]
                 if child.symbol_id != sym or (right is None and child.end != end) or child.start < start:
                     continue
                 if handle not in cores[core_at[child.start]].handles:
                     continue
-                if child.is_token:
+                if token:
                     options = (self._leaf(child),)
                 else:
                     if child.start != start or child.end != end:
@@ -472,10 +474,11 @@ class _Expander:
         return views[rid]
 
 
-def expand_forest(grammar: Grammar, ig: IGraph, enforce_constraints: bool = True) -> EGraph:
-    """Expand the accepted implicit roots into the packed forest.
+def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = True) -> EGraph:
+    """Expand the accepted implicit roots of a charted graph into the packed forest.
 
-    With ``enforce_constraints`` off, every derivation survives; the result is
+    ``ig`` is the extended graph after ``run_chart`` filled it. With
+    ``enforce_constraints`` off, every derivation survives; the result is
     the raw ambiguity of the grammar over the input. The roots are the forest
     nodes of the accepted implicit roots, one per surviving production.
     A chart that enforced the blocked positions lacks the derivations they

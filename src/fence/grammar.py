@@ -31,9 +31,10 @@ _ASSOC_DIRECTIONS = (ASSOC_LEFT, ASSOC_RIGHT, ASSOC_NONE)
 
 DEFAULT_SKIP = r"[ \t\r\n]+"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 _REGEX_BODY = r"((?:[^/\\]|\\.)*)"
-_TOKEN_LINE = re.compile(r"\s*%token\s+([A-Za-z_]\w*)\s+/" + _REGEX_BODY + r"/\s*(?:#.*)?$")
+_TOKEN_LINE = re.compile(r"\s*%token\s+(" + _NAME + r")\s+/" + _REGEX_BODY + r"/\s*(?:#.*)?$")
 _SKIP_LINE = re.compile(r"\s*%skip\s+/" + _REGEX_BODY + r"/\s*(?:#.*)?$")
 
 
@@ -243,6 +244,7 @@ class Grammar:
         if len(set(ids)) != len(ids):
             raise GrammarError("symbol ids are not unique")
         self.symbol_by_id: dict[int, Symbol] = {s.id: s for s in self.symbols.values()}
+        self.terminal_ids = frozenset(s.id for s in self.symbols.values() if s.is_terminal)
         terminal_names = {s.name for s in self.symbols.values() if s.is_terminal}
         nonterminal_names = {s.name for s in self.symbols.values() if not s.is_terminal}
         if terminal_names & nonterminal_names:
@@ -273,13 +275,11 @@ class Grammar:
         self.epsilon_symbols = compute_epsilon_symbols(self.productions)
         self.epsilon_ids = frozenset(s.id for s in self.epsilon_symbols)
 
-        report = validate_constraints(self)
+        report, self.selection_closed, self.composition_closed = _check_constraints(self)
         if not report.ok:
             raise GrammarError("; ".join(i.message for i in report.errors))
         self.constraint_warnings = report.warnings
 
-        self.selection_closed = _closure(self.constraints.selection)
-        self.composition_closed = _closure(self.constraints.composition)
         # Selection only ever compares productions of one symbol, so a pair
         # across symbols is dropped, but only after closing: a chain through
         # another symbol's production still relates the two ends.
@@ -474,6 +474,16 @@ def validate_constraints(grammar: Grammar) -> ConstraintReport:
     precedence declarations, bad associativity directions. Warnings flag
     declarations that can never influence a parse.
     """
+    return _check_constraints(grammar)[0]
+
+
+def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, frozenset]:
+    """``validate_constraints``'s report, with the closed selection and composition relations.
+
+    Each relation is closed once, for the cycle check; when the report has no
+    errors, every declared pair was closed, so the grammar keeps the result.
+    """
+    closures = []
     errors: list[ConstraintIssue] = []
     warnings: list[ConstraintIssue] = []
     cs = grammar.constraints
@@ -535,6 +545,7 @@ def validate_constraints(grammar: Grammar) -> ConstraintReport:
                 continue
             edges.setdefault(a, set()).add(b)
         closed = _closure((a, b) for a, bs in edges.items() for b in bs)
+        closures.append(closed)
         cyclic = sorted({a for a, b in closed if a == b})
         if cyclic:
             errors.append(
@@ -564,7 +575,7 @@ def validate_constraints(grammar: Grammar) -> ConstraintReport:
                 ConstraintIssue("unknown-production", f"evaluator on unknown production #{pid}", (pid,))
             )
 
-    return ConstraintReport(tuple(errors), tuple(warnings))
+    return ConstraintReport(tuple(errors), tuple(warnings)), closures[0], closures[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the outcome instead of raising.
 
 from __future__ import annotations
 
-from .chart import IGraph, run_chart
+from .chart import run_chart
 from .elagraph import ELAGraph, build_ela_graph
 from .enforce import EGraph, epsilon_forest, expand_forest
 from .grammar import Grammar
@@ -20,19 +20,19 @@ __all__ = ["ParseOutcome", "parse_text", "explain_rejection"]
 class ParseOutcome:
     """The intermediate results and the verdict of one parse session.
 
-    ``ela`` and ``igraph`` are the extended graph and the chart run over it.
-    When the chart enforced associativity and composition precedence and the
-    input was rejected, they are instead those of the unfiltered chart, run
-    on first access, so that they show whether the input derives the start
-    symbol at all. That run costs what the unfiltered chart costs, up to
-    cubic in the input; only a caller that reads them pays it.
+    ``chart`` is the extended graph the chart filled, and ``ela`` and
+    ``igraph`` both name it. When the chart enforced associativity and
+    composition precedence and the input was rejected, the first read of
+    either property replaces it with a graph that the unfiltered chart
+    filled, so that it shows whether the input derives the start symbol at
+    all. That run costs what the unfiltered chart costs, up to cubic in the
+    input; only a caller that reads them pays it.
     """
 
     __slots__ = ("grammar", "text", "la", "egraph", "failure", "furthest", "chart")
 
     def __init__(self, grammar: Grammar, text: str, la: LAGraph | None = None, egraph: EGraph | None = None,
-                 failure: str | None = None, furthest: int | None = None,
-                 chart: tuple[ELAGraph, IGraph] | None = None):
+                 failure: str | None = None, furthest: int | None = None, chart: ELAGraph | None = None):
         self.grammar = grammar
         self.text = text
         self.la = la
@@ -45,21 +45,12 @@ class ParseOutcome:
     def accepted(self) -> bool:
         return self.failure is None
 
-    @property
-    def ela(self) -> ELAGraph | None:
-        return self._unfiltered()[0]
-
-    @property
-    def igraph(self) -> IGraph | None:
-        return self._unfiltered()[1]
-
-    def _unfiltered(self) -> tuple:
-        if self.chart is None:
-            return None, None
-        if self.failure is not None and self.chart[1].classed:
-            ela = build_ela_graph(self.la)
-            self.chart = (ela, run_chart(self.grammar, ela))
+    def _unfiltered(self) -> ELAGraph | None:
+        if self.chart is not None and self.failure is not None and self.chart.classed:
+            self.chart = run_chart(self.grammar, build_ela_graph(self.la))
         return self.chart
+
+    ela = igraph = property(_unfiltered)
 
 
 def parse_text(
@@ -76,7 +67,7 @@ def parse_text(
 
     ``enforce_constraints`` reaches the chart too, which then leaves out what
     associativity and composition precedence forbid. ``chart`` holds the
-    extended graph and the chart that ran.
+    extended graph that the chart filled.
     """
     outcome = ParseOutcome(grammar, text)
     try:
@@ -92,10 +83,8 @@ def parse_text(
             outcome.failure = "parse"
             outcome.furthest = outcome.la.content_start
         return outcome
-    ela = build_ela_graph(outcome.la)
-    ig = run_chart(grammar, ela, enforce_constraints)
-    outcome.chart = (ela, ig)
-    outcome.egraph = expand_forest(grammar, ig, enforce_constraints)
+    outcome.chart = run_chart(grammar, build_ela_graph(outcome.la), enforce_constraints)
+    outcome.egraph = expand_forest(grammar, outcome.chart, enforce_constraints)
     if not outcome.egraph.roots:
         outcome.failure = "parse"
         outcome.furthest = max(t.end for t in outcome.la.nodes)
@@ -131,21 +120,16 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
         lines = [f"no parse: input tokenizes up to offset {outcome.furthest}"]
         shown = []
         if ig is not None:
-            for core in reversed(outcome.ela.cores):  # cores are in position order
-                names = sorted(
-                    grammar.symbol_by_id[s].name
-                    for s in core.waiting
-                    if grammar.symbol_by_id[s].is_terminal
-                )
+            terminals = grammar.terminal_ids
+            for core in reversed(ig.cores):  # cores are in position order
+                names = sorted(grammar.symbol_by_id[s].name for s in core.waiting if s in terminals)
                 if names:
                     lines.append(f"expected one of {{{', '.join(names)}}} at offset {core.position}")
                     break
             nodes = sorted(
-                ig.nodes,
-                key=lambda n: (n.end - n.start, not n.is_token),
-                reverse=True,
+                ig.nodes, key=lambda n: (n.end - n.start, n.symbol_id not in terminals), reverse=True
             )
-            nonterminals = [n for n in nodes if not n.is_token]
+            nonterminals = [n for n in nodes if n.symbol_id not in terminals]
             shown = (nonterminals or nodes)[:limit]
             what = "longest nonterminal spans" if nonterminals else "longest token spans"
             lines.append(f"{what}:")

@@ -223,6 +223,14 @@ def test_rejected_input_is_an_empty_starting_set_not_an_error():
     assert len(ig.nodes) == 2  # both tokens survive, nothing reduces
 
 
+def test_the_chart_fills_and_returns_the_graph_it_is_given():
+    g = grammar(AMBIG_NUMBERS)
+    ela = build(g, AMBIG_INPUT)
+    assert (ela.starting, ela.agenda_pops, ela.handle_count, ela.classed) == ((), 0, 0, frozenset())
+    assert run_chart(g, ela) is ela
+    assert ela.starting and ela.agenda_pops and ela.handle_count
+
+
 def test_run_only_grows_the_seeded_state():
     g = grammar(AMBIG_NUMBERS)
     ela = build(g, AMBIG_INPUT)
@@ -234,7 +242,7 @@ def test_run_only_grows_the_seeded_state():
     for core in ela.cores:
         assert seeded_handles[core.id] <= core.handles
     assert len(ig.nodes) >= token_count
-    assert all(ig.nodes[i].is_token for i in range(token_count))
+    assert all(ig.nodes[i].symbol_id in g.terminal_ids for i in range(token_count))
 
 
 def test_pops_grow_linearly_on_the_unambiguous_chain():
@@ -274,7 +282,7 @@ def test_a_rejected_left_associative_sum_is_charted_once():
     t0 = time.perf_counter()
     outcome = parse_text(g, chain(400) + "+")
     seconds = time.perf_counter() - t0
-    _ela, ig = outcome.chart
+    ig = outcome.chart
     assert outcome.failure == "parse" and ig.classed
     assert ig.agenda_pops < 2000
     assert seconds < 1.0
@@ -349,9 +357,18 @@ def test_a_classed_unit_cycle_agrees_with_the_filtered_oracle():
 
 def test_the_document_names_the_production_of_a_classed_node_only():
     g = grammar(CLASSED_CYCLE)
-    plain = igraph_document(run_chart(g, build(g, "a")), g)
+    plain_ig = run_chart(g, build(g, "a"))
+    assert all(n.production_id is None for n in plain_ig.nodes)
+    plain = igraph_document(plain_ig, g)
     assert all("production" not in entry for entry in plain["nodes"])
-    doc = igraph_document(run_chart(g, build(g, "a"), enforce_constraints=True), g)
+    ig = run_chart(g, build(g, "a"), enforce_constraints=True)
+    # token nodes and the nodes of unclassed productions name no production
+    for n in ig.nodes:
+        if n.symbol_id in g.terminal_ids or ig.node_ids.get(n.key) == n.id:
+            assert n.production_id is None, n
+        else:
+            assert n.production_id in ig.classed and ig.node_ids[n.key + (n.production_id,)] == n.id, n
+    doc = igraph_document(ig, g)
     a_nodes = sorted((e for e in doc["nodes"] if e["symbol"] == "A"), key=lambda e: e.get("production", -1))
     assert a_nodes == [
         {"start": 0, "end": 1, "symbol": "A"},
@@ -379,7 +396,7 @@ def test_every_chart_node_of_the_unambiguous_chain_is_in_the_forest():
     # so every node the chart builds is used by the one tree
     g = grammar(UNAMBIGUOUS_CHAIN)
     _la, ig, eg = pipeline(g, chain(40) + ";")
-    chart = {n.key for n in ig.nodes if not n.is_token}
+    chart = {n.key for n in ig.nodes if n.symbol_id not in g.terminal_ids}
     forest = {(e.start, e.end, e.symbol_id) for e in eg.nodes}
     assert len(chart) == 40 * 2 + 1  # E and T per operand, and S
     assert chart <= forest

@@ -234,6 +234,27 @@ def test_selection_cycle_reported_with_both_productions():
     assert "p0" in str(err.value) and "p1" in str(err.value)
 
 
+def test_each_precedence_relation_is_closed_once(monkeypatch):
+    import fence.grammar
+
+    calls = []
+    closure = fence.grammar._closure
+
+    def counted(pairs):
+        calls.append(1)
+        return closure(pairs)
+
+    monkeypatch.setattr(fence.grammar, "_closure", counted)
+    g = parse_grammar_text(
+        "%token a /a/\n%start S\n[p] S ::= a ;\n[q] S ::= a a ;\n[r] S ::= a a a ;\n"
+        "%prefer select p over q ;\n%prefer select q over r ;\n%prefer compose p over r ;\n"
+    )
+    assert len(calls) == 2
+    p, q, r = (g.by_label[x].id for x in "pqr")
+    assert g.selection_closed == {(p, q), (q, r), (p, r)}
+    assert g.composition_closed == {(p, r)}
+
+
 def test_empty_constraint_set_is_ok():
     g = parse_grammar_text("%token a /a/\n%start S\nS ::= a ;\n")
     report = validate_constraints(g)
@@ -334,6 +355,7 @@ def test_position_blocks_join_associativity_and_composition():
         ("%token a /a/\n%start S\nS ::= a ;\nS ::= ;\n%prefer select S over S ;\n", "ambiguous"),
         ("%token a /(/\n%start S\nS ::= a ;\n", "bad regex"),
         ("%token S /s/\n%start S\nS ::= S ;\n", "both as a token and a nonterminal"),
+        ("%token aé /x/\n%start S\nS ::= aé ;\n", "malformed %token line"),
     ],
 )
 def test_grammar_errors(source, fragment):

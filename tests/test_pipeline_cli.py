@@ -33,6 +33,8 @@ def test_accept_outcome_keeps_intermediates():
     assert outcome.accepted
     assert outcome.la is not None and outcome.ela is not None
     assert outcome.igraph is not None and len(outcome.egraph.roots) == 1
+    # one graph: the extended graph the chart filled
+    assert outcome.ela is outcome.igraph is outcome.chart
 
 
 def test_lexical_rejection():
@@ -111,8 +113,9 @@ def test_a_derivation_the_chart_pruned_is_reported_as_pruned(source, text):
     assert outcome.failure == "parse" and not outcome.egraph.roots
     # the chart that ran blocked the derivation; reading the outcome's chart
     # runs it again without the constraints
-    assert outcome.chart[1].classed and not outcome.chart[1].starting
+    assert outcome.chart.classed and not outcome.chart.starting
     assert outcome.igraph.starting and not outcome.igraph.classed
+    assert outcome.ela is outcome.igraph is outcome.chart
     message = explain_rejection(outcome)
     assert message.startswith("derived but pruned") and "no parse" not in message
 
@@ -121,7 +124,7 @@ def test_a_no_parse_diagnostic_does_not_depend_on_the_chart_that_ran():
     g = grammar(ARITH_LEFT)
     for text in ("1+1+", "1++1", "+1"):
         outcome = parse_text(g, text)
-        assert outcome.chart[1].classed
+        assert outcome.chart.classed
         message = explain_rejection(outcome)
         assert message.startswith("no parse") and "expected one of {int}" in message
         assert message == explain_rejection(parse_text(g, text, enforce_constraints=False))
