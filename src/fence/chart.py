@@ -34,11 +34,14 @@ predicts the pair (symbol, blocked set) once per core, seeding only the
 symbol's productions outside the set, plus those that selection precedence
 prefers over one of them, because expansion needs the preferred node to
 judge the other. The seeded productions' own left corners are predicted as
-their handles are stored. A production that some position blocks is
-classed: its nodes are keyed (start, end, symbol, production), while every
-other production keeps the (start, end, symbol) key, so a grammar without
-these constraints has one class per symbol. A handle never advances over a
-node whose class its blocked set holds.
+their handles are stored. A node stands for one (start, end, symbol) and
+records the productions that derived it, as an SPPF symbol node holds
+one packed child per production (Scott, "SPPF-style parsing from Earley
+recognisers", 2008). A handle advances over a node only when one of those
+productions lies outside its blocked set; a handle that meets a node all of
+whose productions it blocks advances when the first production it admits
+re-derives the node. Terminal positions block nothing, since a token has no
+production to refuse.
 
 Nullable symbols never materialize as nodes. When a handle is stored, any
 run of nullable symbols after its dot also stores the skipped variants in the
@@ -56,14 +59,17 @@ expansion would place there.
 Termination holds for cyclic production sets and nullable chains because
 nodes merge on their key, handles merge within their core and a core
 predicts each symbol, or each (symbol, blocked set) pair, at most once. There
-are finitely many symbols, classes and blocked sets, so all three stores are
-finite and only grow. No (handle, node) pair is pushed twice: a handle is
+are finitely many symbols, productions and blocked sets, so all three stores
+are finite and only grow. No (handle, node) pair is pushed twice: a handle is
 stored once and then meets the nodes already following its core, and a node
 is created once and then meets the handles already waiting in its start
-core, so each pair is pushed by whichever of the two came second, and only
-if the handle's blocked set admits the node's class. Prediction pushes
-nothing itself: the handles it seeds are stored through the same store-once
-path as advanced ones, so both arguments cover them.
+core, so each pair is pushed by whichever of the two came second. Under a
+blocked position the pair is pushed instead when the position first admits
+one of the node's productions: when the handle is stored, when the node is
+created, or when a production the position admits first joins the node, and
+each of these happens once. Prediction pushes nothing itself: the handles it
+seeds are stored through the same store-once path as advanced ones, so the
+same arguments cover them.
 
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
 change the result: popping an entry only adds handles, predictions and
@@ -98,8 +104,8 @@ class ChartParser:
     module docstring explains why the order does not affect the graph.
 
     With ``enforce_constraints`` on, each handle waits with the blocked set of
-    its position, classed productions get nodes of their own, and no handle
-    advances over or skips to what its blocked set holds. Off, or for a
+    its position and advances only over a node that a production outside the
+    set derived, and never skips to a blocked empty derivation. Off, or for a
     grammar whose positions block nothing, the chart holds every derivation.
     """
 
@@ -112,9 +118,11 @@ class ChartParser:
         self._eps = grammar.epsilon_ids
         self._predictions = grammar.predictions
         self._lhs = [p.lhs.id for p in grammar.productions]
-        self._classed = grammar.classed_productions if enforce_constraints else frozenset()
+        # One shared ``productions`` tuple per production, for the nodes it alone derives
+        self._single = [(p,) for p in range(len(grammar.productions))]
+        blocks = grammar.position_blocks if enforce_constraints else ()
         # Per production and position, the blocked set; None when nothing is blocked.
-        self._blocks = grammar.position_blocks if self._classed else None
+        self._blocks = blocks if any(any(row) for row in blocks) else None
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -173,7 +181,9 @@ class ChartParser:
     def _wait_blocked(self, handle: tuple, sym: int, blocked: frozenset[int], core: Core) -> None:
         """Push and predict for a handle whose position blocks ``blocked``.
 
-        Only the following nodes whose class ``blocked`` admits are pushed.
+        Only the following nodes that a production outside ``blocked``
+        derived are pushed; :meth:`_reduce` pushes the others if such a
+        production derives them later.
         Unless ``sym`` is already predicted here, with or without this
         blocked set, the handles of ``sym``'s productions outside ``blocked``
         are seeded, with those of the blocked ones that selection precedence
@@ -182,7 +192,7 @@ class ChartParser:
         """
         nodes = self.ela.nodes
         for node_id in core.following_by_sym.get(sym, ()):
-            if nodes[node_id].production_id not in blocked:
+            if not blocked.issuperset(nodes[node_id].productions):
                 self.agenda.append(handle + (node_id,))
         if sym in core.predicted or (sym, blocked) in core.predicted:
             return
@@ -195,30 +205,45 @@ class ChartParser:
                 self.add_handle(p, 0, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
-        """Create or merge the node of a completed production and re-awaken its waiting handles.
+        """Create or extend the node of a completed production and re-awaken its waiting handles.
 
-        A classed production's node is keyed by the production too, and only
-        the waiting handles whose position admits it are re-awakened.
+        A re-derivation by a production the node already records changes
+        nothing. A new production joins the node's ``productions``; the
+        handles waiting for it have met the node already, except those whose
+        blocked set held every earlier production, and they are pushed now if
+        they admit the new one.
         """
         ela = self.ela
         nodes = ela.nodes
         lhs = self._lhs[production_id]
-        classed = production_id in self._classed
-        key = (start, end, lhs, production_id) if classed else (start, end, lhs)
-        if key in ela.node_ids:
-            return
-        node_id = len(nodes)
-        ela.node_ids[key] = node_id
-        nodes.append(ImplicitNode(node_id, start, end, lhs, production_id if classed else None))
-        pre = ela.cores[ela.core_at[start]]
-        pre.following_by_sym.setdefault(lhs, []).append(node_id)
-        ela.cores[ela.next_core[end]].preceding.append(node_id)
+        key = (start, end, lhs)
+        blocks = self._blocks
+        node_id = ela.node_ids.get(key)
+        if node_id is None:
+            node_id = len(nodes)
+            ela.node_ids[key] = node_id
+            nodes.append(ImplicitNode(node_id, start, end, lhs, self._single[production_id]))
+            pre = ela.cores[ela.core_at[start]]
+            pre.following_by_sym.setdefault(lhs, []).append(node_id)
+            ela.cores[ela.next_core[end]].preceding.append(node_id)
+            earlier = ()
+        else:
+            node = nodes[node_id]
+            earlier = node.productions
+            if production_id in earlier:
+                return
+            node.productions = tuple(sorted(earlier + (production_id,)))
+            if blocks is None:
+                return
+            pre = ela.cores[ela.core_at[start]]
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
-        blocks = self._blocks
         for handle in pre.waiting.get(lhs, ()):
-            if not classed or production_id not in blocks[handle[0]][handle[1]]:
-                self.agenda.append(handle + (node_id,))
+            if blocks is not None:
+                blocked = blocks[handle[0]][handle[1]]
+                if production_id in blocked or not blocked.issuperset(earlier):
+                    continue
+            self.agenda.append(handle + (node_id,))
 
     # -- driver --------------------------------------------------------------
 
@@ -254,7 +279,7 @@ class ChartParser:
         )
         ela.agenda_pops = self.pops
         ela.handle_count = sum(len(c.handles) for c in ela.cores)
-        ela.classed = self._classed
+        ela.filtered = self._blocks is not None
         return ela
 
 
@@ -284,16 +309,15 @@ def igraph_stats(ig: ELAGraph) -> dict:
 def igraph_document(ig: ELAGraph, grammar: Grammar) -> dict:
     """Structured dump of the implicit graph: the nodes and roots of a charted extended graph.
 
-    A classed node also lists its ``production``, which tells apart the nodes
-    that share one (start, end, symbol).
+    A nonterminal node also lists the ``productions`` that derived it.
     """
 
     def entries(ids) -> list[dict]:
         out = []
         for n in sorted((ig.nodes[i] for i in ids), key=lambda n: (n.start, n.end, names[n.symbol_id].name)):
             entry = {"start": n.start, "end": n.end, "symbol": names[n.symbol_id].name}
-            if n.production_id is not None:
-                entry["production"] = n.production_id
+            if n.productions:
+                entry["productions"] = list(n.productions)
             out.append(entry)
         return out
 

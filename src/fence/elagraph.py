@@ -56,30 +56,30 @@ class ImplicitNode:
 
     Re-derivations of the same triple merge into one node, which is what keeps
     cyclic production sets finite. Token nodes are the re-housed lattice
-    tokens, the nodes whose symbol is a terminal; every other node is created
-    by a reduction. ``production_id`` is None except on a classed node: a
-    chart that enforces blocked positions keeps the derivations of each
-    classed production apart from the other derivations of the triple, so
-    that a handle can refuse them alone, and they merge only with
-    re-derivations by the same production.
+    tokens, the nodes whose symbol is a terminal, and their ``productions``
+    is empty. Every other node is created by a reduction, and
+    ``productions`` holds the ascending ids of the productions that derived
+    it, as an SPPF symbol node holds one packed child per production. A
+    node derived by one production shares the chart's one-element tuple of
+    that production.
     """
 
-    __slots__ = ("id", "start", "end", "symbol_id", "production_id")
+    __slots__ = ("id", "start", "end", "symbol_id", "productions")
 
-    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, production_id: int | None):
+    def __init__(self, node_id: int, start: int, end: int, symbol_id: int, productions: tuple[int, ...]):
         self.id = node_id
         self.start = start
         self.end = end
         self.symbol_id = symbol_id
-        self.production_id = production_id
+        self.productions = productions
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.start, self.end, self.symbol_id)
 
     def __repr__(self):
-        classed = "" if self.production_id is None else f",p{self.production_id}"
-        return f"ImplicitNode({self.start},{self.end},s{self.symbol_id}{classed})"
+        derived = "".join(f",p{p}" for p in self.productions)
+        return f"ImplicitNode({self.start},{self.end},s{self.symbol_id}{derived})"
 
 
 class ELAGraph:
@@ -88,20 +88,19 @@ class ELAGraph:
     ``core_at`` maps a token start offset to its core and ``next_core`` maps
     a token end offset to the core after it; every node starts where a token
     starts and ends where one ends, so both serve all nodes. ``node_ids``
-    maps a nonterminal node's (start, end, symbol) key, extended by its
-    production for a classed node, to its id; tokens are never looked up by
-    key, so theirs are left out.
+    maps a nonterminal node's (start, end, symbol) key to its id; tokens are
+    never looked up by key, so theirs are left out.
 
     The chart's results stay empty or zero until a chart runs. ``starting``
     then holds the accepted roots: start-symbol nodes whose only preceding
     core is the starting core and whose only following core is the last one.
     ``agenda_pops`` and ``handle_count`` count the chart's work, and
-    ``classed`` holds the productions whose nodes it kept apart, empty unless
-    it enforced the blocked positions.
+    ``filtered`` tells whether it enforced blocked positions and so may lack
+    derivations that the constraints forbid.
     """
 
     __slots__ = ("input", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core", "last_core",
-                 "starting", "agenda_pops", "handle_count", "classed")
+                 "starting", "agenda_pops", "handle_count", "filtered")
 
     def __init__(self, input: str, cores: list[Core], nodes: list[ImplicitNode], node_ids: dict[tuple, int],
                  core_at: dict[int, int], next_core: dict[int, int], starting_core: int = 0, last_core: int = 0):
@@ -116,7 +115,7 @@ class ELAGraph:
         self.starting: tuple[int, ...] = ()
         self.agenda_pops = 0
         self.handle_count = 0
-        self.classed: frozenset[int] = frozenset()
+        self.filtered = False
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
@@ -136,7 +135,7 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
 
     nodes: list[ImplicitNode] = []
     for t in la.nodes:
-        nodes.append(ImplicitNode(t.id, t.start, t.end, t.symbol_id, None))
+        nodes.append(ImplicitNode(t.id, t.start, t.end, t.symbol_id, ()))
         cores[core_at[t.start]].following_by_sym.setdefault(t.symbol_id, []).append(t.id)
         cores[next_core[t.end]].preceding.append(t.id)
 

@@ -25,15 +25,14 @@ child to its left, or at the node's start when there is none. Placeholder
 internals are canonical and not subject to constraints, but a placeholder is
 an ordinary child for the checks on its parent.
 
-Associativity and composition precedence look only at a child's production,
-so the blocked productions at a position are skipped before they are
-expanded. A chart that enforced them already left those children out, and
-kept each classed production's derivations in an implicit node of its own:
-such a node is expanded by its own production only, an unclassed node by the
-productions of its symbol that are not classed. The checks stay here all the
-same, as the definition. Selection precedence compares the forest nodes of
-one (start, end, symbol) in one context, whichever implicit nodes hold them:
-a production's node is dropped when a preferred production's node holds a
+An implicit node is expanded once per production that derived it, each
+production giving a forest node of its own. Associativity and composition
+precedence look only at a child's production, so the blocked productions at
+a position are skipped before they are expanded. A chart that enforced them
+already left out the children that no admitted production derives; the
+checks stay here all the same, as the definition. Selection precedence
+compares the forest nodes of one implicit node in one context: a
+production's node is dropped when a preferred production's node holds a
 tree. The preferred nodes are expanded first, so a dropped node is never
 expanded at all, and a custom evaluator under a dominated production is
 never called. Custom evaluators judge whole trees. Under a production that
@@ -47,13 +46,11 @@ counts the alternatives built plus the candidates evaluated.
 No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
 a child that would re-enter a (start, end, symbol) already under expansion
 is cut. Ancestor spans contain a node's span, so only ancestors of exactly
-its span can recur inside it, and the set of those ancestors' (start, end,
-symbol) triples is the node's cycle context. Each triple is named by the
-id of the first implicit node over it, because two classed nodes can share
-one; without classed nodes that is the node's own id. A cut makes
-a node's alternatives depend on that context, so the context is part of the
-node's key; a node with no equal-span ancestor, the common case, has none,
-and ordinary nested ambiguity still shares one node.
+its span can recur inside it, and the set of the implicit nodes of those
+ancestors, one per (start, end, symbol), is the node's cycle context. A cut
+makes a node's alternatives depend on that context, so the context is part
+of the node's key; a node with no equal-span ancestor, the common case, has
+none, and ordinary nested ambiguity still shares one node.
 
 Expansion starts at the accepted roots and builds only the nodes it reaches.
 It runs on the caller's thread without recursion: each forest node under
@@ -65,7 +62,7 @@ reachable from the roots are finally numbered and emitted in preorder.
 
 from __future__ import annotations
 
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .elagraph import ELAGraph
@@ -187,27 +184,12 @@ class _Expander:
         self.records: list[tuple] = []
         # (implicit node id, production id, cycle context) -> record, or _EMPTY
         self.memo: dict[tuple, int] = {}
-        # (implicit node id, cycle context, blocked productions) -> the records
-        # that may fill a position
-        self.groups: dict[tuple, tuple[int, ...]] = {}
         self.constructions = 0
         self._leaves: dict[int, int] = {}
         self._placeholders: dict[tuple[int, int], int] = {}
         self._trees: dict[int, tuple[int, ...]] = {}
         self._interned: dict[tuple, int] = {}
         self._views: dict[int, NodeView] = {}
-        # The productions an unclassed node of each symbol derives by, and the
-        # id that names each node's (start, end, symbol) in cycle contexts
-        # (None: its own id).
-        self._unclassed = grammar.production_ids_by_lhs
-        self._span_id = None
-        if ig.classed:
-            self._unclassed = {
-                sym: [p for p in options if p not in ig.classed]
-                for sym, options in grammar.production_ids_by_lhs.items()
-            }
-            first: dict[tuple, int] = {}
-            self._span_id = [first.setdefault(n.key, n.id) for n in ig.nodes]
 
     def run(self) -> tuple[int, ...]:
         """Records of the accepted roots, expanding every node they reach.
@@ -233,7 +215,12 @@ class _Expander:
     def _roots(self):
         roots: list[int] = []
         for node_id in sorted(self.ig.starting):
-            roots.extend((yield from self._group((node_id, None, None))))
+            for p in self.ig.nodes[node_id].productions:
+                got = self.memo.get((node_id, p, None))
+                if got is None:
+                    got = yield (node_id, p, None)
+                if got != _EMPTY:
+                    roots.append(got)
         return tuple(roots)
 
     # -- records ----------------------------------------------------------------
@@ -262,75 +249,39 @@ class _Expander:
 
     # -- expansion ----------------------------------------------------------------
 
-    def _group(self, key: tuple):
-        """Generator returning the records that may fill one position.
-
-        ``key`` is (implicit node id, cycle context, blocked productions):
-        one record per production of the node's class that is not blocked,
-        holds a tree and loses to no preferred production that holds one. A
-        classed node's class is its own production, and an unclassed node's
-        the productions of its symbol that are not classed. It yields the
-        keys of the forest nodes the memo lacks.
-        """
-        node_id, context, blocked = key
-        memo = self.memo
-        grammar = self.grammar
-        preferred_over = grammar.preferred_over if self.enforce else {}
-        ig = self.ig
-        node = ig.nodes[node_id]
-        if node.production_id is None:
-            productions = self._unclassed[node.symbol_id]
-        else:
-            productions = (node.production_id,)
-        out = []
-        for p in productions:
-            if blocked and p in blocked:
-                continue
-            for q in preferred_over.get(p, ()):
-                other_id = node_id
-                if p in ig.classed or q in ig.classed:
-                    # q's derivations over this span sit in the node of q's class
-                    span = (node.start, node.end, node.symbol_id)
-                    other_id = ig.node_ids.get(span + (q,) if q in ig.classed else span)
-                    if other_id is None:
-                        continue
-                wanted = (other_id, q, context)
-                other = memo.get(wanted)
-                if other is None:
-                    other = yield wanted
-                if other != _EMPTY:
-                    break  # p loses to q, so p's node is never expanded
-            else:
-                wanted = (node_id, p, context)
-                got = memo.get(wanted)
-                if got is None:
-                    got = yield wanted
-                if got != _EMPTY:
-                    out.append(got)
-        got = self.groups[key] = tuple(out)
-        return got
-
     def _derive(self, key: tuple):
         """Generator building one forest node's alternatives; memoizes and returns its record.
 
-        A stack of partial suffixes is extended right to left, as the module
+        ``key`` is (implicit node id, production id, cycle context). Under
+        enforcement the node of each production preferred over this one is
+        checked first, and if one holds a tree this node is empty. Otherwise
+        a stack of partial suffixes is extended right to left, as the module
         docstring describes. An entry is (position to fill next, start of the
         real child right of it or None when there is none, children chosen
-        right of it).
+        right of it). A nonterminal child offers the records of its
+        productions that the position does not block and that hold a tree.
         """
         node_id, pid, outer = key
         ig = self.ig
         nodes = ig.nodes
+        memo = self.memo
+        node = nodes[node_id]
+        if self.enforce:
+            for q in self.grammar.preferred_over.get(pid, ()):
+                if q in node.productions:
+                    wanted = (node_id, q, outer)
+                    other = memo.get(wanted)
+                    if other is None:
+                        other = yield wanted
+                    if other != _EMPTY:
+                        memo[key] = _EMPTY  # pid loses to q
+                        return _EMPTY
         cores = ig.cores
         core_at = ig.core_at
         grammar = self.grammar
         eps = grammar.epsilon_ids
         terminals = grammar.terminal_ids
-        groups = self.groups
-        node = nodes[node_id]
         start, end = node.start, node.end
-        span_id = self._span_id
-        own = node_id if span_id is None else span_id[node_id]
         context = None  # built when the first child over this node's own span appears
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
@@ -364,17 +315,22 @@ class _Expander:
                 else:
                     if child.start != start or child.end != end:
                         child_context = None
+                    elif child_id == node_id or (outer and child_id in outer):
+                        continue  # cyclic re-entry contributes nothing on this path
                     else:
-                        span = child_id if span_id is None else span_id[child_id]
-                        if span == own or (outer and span in outer):
-                            continue  # cyclic re-entry contributes nothing on this path
                         if context is None:
-                            context = (outer or frozenset()) | {own}
+                            context = (outer or frozenset()) | {node_id}
                         child_context = context
-                    wanted = (child_id, child_context, blocked)
-                    options = groups.get(wanted)
-                    if options is None:
-                        options = yield from self._group(wanted)
+                    options = []
+                    for p in child.productions:
+                        if blocked and p in blocked:
+                            continue
+                        wanted = (child_id, p, child_context)
+                        got = memo.get(wanted)
+                        if got is None:
+                            got = yield wanted
+                        if got != _EMPTY:
+                            options.append(got)
                 if options:
                     filled = self._fill(suffix, child.end)
                     stack.extend((pos - 1, child.start, (o,) + filled) for o in options)
@@ -387,7 +343,7 @@ class _Expander:
         result = (
             self._add((node.symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
         )
-        self.memo[key] = result
+        memo[key] = result
         return result
 
     # -- custom evaluators -----------------------------------------------------
@@ -484,7 +440,7 @@ def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = Tr
     A chart that enforced the blocked positions lacks the derivations they
     forbid, so expanding it without enforcement raises ``ValueError``.
     """
-    if ig.classed and not enforce_constraints:
+    if ig.filtered and not enforce_constraints:
         raise ValueError("this chart enforced the constraints; expand it with enforce_constraints on")
     expander = _Expander(grammar, ig, enforce_constraints)
     roots = expander.run()
@@ -592,11 +548,13 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
 def _first(ordered: list[list[tuple]], limit: int) -> list[tuple]:
     """The first ``limit`` items of the merge of sorted lists.
 
-    Sorting finds the lists as runs and merges them.
+    The merge is lazy, so it compares about ``limit`` items, not all of them.
     """
     if len(ordered) == 1:
         return ordered[0][:limit]
-    return sorted(chain.from_iterable(ordered))[:limit]
+    import heapq  # only ambiguous forests need it; the import costs about 1 ms
+
+    return list(islice(heapq.merge(*ordered), limit))
 
 
 def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:

@@ -420,34 +420,29 @@ class Grammar:
     def position_blocks(self) -> tuple[tuple[frozenset[int], ...], ...]:
         """Per production and right-hand-side position, the productions a child there may not have.
 
-        Composition precedence blocks the same productions at every position;
-        associativity adds the production itself at the last position (left,
-        none) and at the first (right, none).
+        Composition precedence blocks the same productions at every
+        nonterminal position; associativity adds the production itself at
+        the last position (left, none) and at the first (right, none). A
+        terminal position blocks nothing, since a token has no production.
         """
+        none: frozenset[int] = frozenset()
         table = []
         for p in self.productions:
-            blocked = self.composition_blocks.get(p.id, frozenset())
+            blocked = self.composition_blocks.get(p.id, none)
             direction = self.constraints.associativity.get(p.id)
             last = len(p.rhs) - 1
             table.append(
                 tuple(
-                    blocked | {p.id}
+                    none
+                    if s.is_terminal
+                    else blocked | {p.id}
                     if (i == last and direction in (ASSOC_LEFT, ASSOC_NONE))
                     or (i == 0 and direction in (ASSOC_RIGHT, ASSOC_NONE))
                     else blocked
-                    for i in range(last + 1)
+                    for i, s in enumerate(p.rhs)
                 )
             )
         return tuple(table)
-
-    @cached_property
-    def classed_productions(self) -> frozenset[int]:
-        """The productions that some position blocks.
-
-        A chart that enforces the blocked sets keeps the nodes of each such
-        production apart from the other nodes of the same symbol and span.
-        """
-        return frozenset(q for blocks in self.position_blocks for blocked in blocks for q in blocked)
 
     # -- comparison and serialization --------------------------------------
 

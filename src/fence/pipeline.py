@@ -21,11 +21,11 @@ class ParseOutcome:
     """The intermediate results and the verdict of one parse session.
 
     ``chart`` is the extended graph the chart filled, and ``ela`` and
-    ``igraph`` both name it. When the chart enforced associativity and
-    composition precedence and the input was rejected, the first read of
-    either property replaces it with a graph that the unfiltered chart
-    filled, so that it shows whether the input derives the start symbol at
-    all. That run costs what the unfiltered chart costs, up to cubic in the
+    ``igraph`` both name it. When the chart left out derivations that
+    associativity or composition precedence forbid (``ELAGraph.filtered``)
+    and the input was rejected, the first read of either property replaces
+    it with a graph that the unfiltered chart filled, so that it shows
+    whether the input derives the start symbol at all. That run costs what the unfiltered chart costs, up to cubic in the
     input; only a caller that reads them pays it.
     """
 
@@ -46,7 +46,7 @@ class ParseOutcome:
         return self.failure is None
 
     def _unfiltered(self) -> ELAGraph | None:
-        if self.chart is not None and self.failure is not None and self.chart.classed:
+        if self.chart is not None and self.failure is not None and self.chart.filtered:
             self.chart = run_chart(self.grammar, build_ela_graph(self.la))
         return self.chart
 

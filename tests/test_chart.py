@@ -171,7 +171,7 @@ class _RecordingAgenda(list):
 def test_no_agenda_entry_is_pushed_twice():
     # the random grammars include nullable chains, unit cycles and
     # self-nesting productions
-    runs = classed = 0
+    runs = filtered = 0
     for seed in range(120):
         inst = randsuite.make_instance(seed)
         if inst is None:
@@ -191,13 +191,16 @@ def test_no_agenda_entry_is_pushed_twice():
                 pushed = parser.agenda.pushed
                 assert len(set(pushed)) == len(pushed), (seed, text, enforce)
                 assert ig.agenda_pops == len(pushed)
-                if enforce:  # no handle meets a node its position blocks
+                if enforce:  # no handle meets a node all of whose productions its position blocks
                     blocks = g.position_blocks
-                    blocked = [e for e in pushed if ig.nodes[e[3]].production_id in blocks[e[0]][e[1]]]
+                    blocked = [
+                        e for e in pushed
+                        if ig.nodes[e[3]].productions and blocks[e[0]][e[1]].issuperset(ig.nodes[e[3]].productions)
+                    ]
                     assert not blocked, (seed, text)
-                    classed += bool(ig.classed)
+                    filtered += ig.filtered
                 runs += 1
-    assert runs > 300 and classed > 50
+    assert runs > 300 and filtered > 50
 
 
 def test_stats_and_document():
@@ -209,9 +212,13 @@ def test_stats_and_document():
     assert stats["starting"] == 1
     assert stats["agendaPops"] > 0 and stats["handles"] > 0
     doc = igraph_document(ig, g)
-    assert doc["starting"] == [{"start": 0, "end": 13, "symbol": "E"}]
+    top = g.productions_by_lhs[g.symbol("E").id][0].id
+    assert doc["starting"] == [{"start": 0, "end": 13, "symbol": "E", "productions": [top]}]
     assert doc["stats"]["agendaPops"] == ig.agenda_pops
     assert {"start", "end", "symbol"} <= doc["nodes"][0].keys()
+    # a nonterminal entry lists the productions that derived it, a token entry none
+    for entry in doc["nodes"]:
+        assert ("productions" in entry) == (not g.symbol(entry["symbol"]).is_terminal), entry
     rejection = run_chart(g, build(g, "&&"))
     assert igraph_stats(rejection)["starting"] == 0
 
@@ -226,7 +233,7 @@ def test_rejected_input_is_an_empty_starting_set_not_an_error():
 def test_the_chart_fills_and_returns_the_graph_it_is_given():
     g = grammar(AMBIG_NUMBERS)
     ela = build(g, AMBIG_INPUT)
-    assert (ela.starting, ela.agenda_pops, ela.handle_count, ela.classed) == ((), 0, 0, frozenset())
+    assert (ela.starting, ela.agenda_pops, ela.handle_count, ela.filtered) == ((), 0, 0, False)
     assert run_chart(g, ela) is ela
     assert ela.starting and ela.agenda_pops and ela.handle_count
 
@@ -283,7 +290,7 @@ def test_a_rejected_left_associative_sum_is_charted_once():
     outcome = parse_text(g, chain(400) + "+")
     seconds = time.perf_counter() - t0
     ig = outcome.chart
-    assert outcome.failure == "parse" and ig.classed
+    assert outcome.failure == "parse" and ig.filtered
     assert ig.agenda_pops < 2000
     assert seconds < 1.0
 
@@ -310,10 +317,11 @@ def test_the_default_chart_ignores_the_constraints():
     assert (default.agenda_pops, default.handle_count, len(default.nodes)) == (
         unfiltered.agenda_pops, unfiltered.handle_count, len(unfiltered.nodes)
     )
-    assert not default.classed and all(n.production_id is None for n in default.nodes)
-    filtered = run_chart(g, build(g, text), enforce_constraints=True)
-    assert filtered.agenda_pops < default.agenda_pops
-    assert filtered.classed == {g.by_label["add"].id}
+    assert not default.filtered
+    assert [n.productions for n in default.nodes] == [n.productions for n in unfiltered.nodes]
+    enforced = run_chart(g, build(g, text), enforce_constraints=True)
+    assert enforced.agenda_pops < default.agenda_pops
+    assert enforced.filtered
 
 
 def test_a_skip_to_a_blocked_placeholder_is_not_taken():
@@ -331,8 +339,8 @@ def test_a_skip_to_a_blocked_placeholder_is_not_taken():
 
 
 # A unit cycle whose productions block each other's alternatives: on "a",
-# A [0,1) has a node of the classed aa and one of a2 and ab, and B [0,1) a
-# node of the classed bs and one of ba.
+# A [0,1) is derived by the blocked aa and by a2 and ab, and B [0,1) by the
+# blocked bs and by ba.
 CLASSED_CYCLE = (
     "%token a /a/\n%token b /b/\n%start S\n[s] S ::= A ;\n"
     "[ab] A ::= B ;\n[aa] A ::= a ;\n[a2] A ::= a ;\n[ba] B ::= A ;\n[bb] B ::= b ;\n[bs] B ::= a ;\n"
@@ -351,30 +359,90 @@ def test_a_classed_unit_cycle_agrees_with_the_filtered_oracle():
         assert pipeline_trees(g, text) == expected, text
     ig = parse_text(g, "a").igraph
     shared = Counter(n.key for n in ig.nodes)
-    assert shared[(0, 1, g.symbol("A").id)] == 2
-    assert shared[(0, 1, g.symbol("B").id)] == 2
+    assert shared[(0, 1, g.symbol("A").id)] == 1
+    assert shared[(0, 1, g.symbol("B").id)] == 1
+    (a_node,) = [n for n in ig.nodes if n.key == (0, 1, g.symbol("A").id)]
+    assert a_node.productions == tuple(sorted(g.by_label[label].id for label in ("ab", "aa", "a2")))
 
 
-def test_the_document_names_the_production_of_a_classed_node_only():
+def test_the_document_lists_the_productions_of_each_node():
     g = grammar(CLASSED_CYCLE)
-    plain_ig = run_chart(g, build(g, "a"))
-    assert all(n.production_id is None for n in plain_ig.nodes)
-    plain = igraph_document(plain_ig, g)
-    assert all("production" not in entry for entry in plain["nodes"])
+    plain = igraph_document(run_chart(g, build(g, "a")), g)
     ig = run_chart(g, build(g, "a"), enforce_constraints=True)
-    # token nodes and the nodes of unclassed productions name no production
-    for n in ig.nodes:
-        if n.symbol_id in g.terminal_ids or ig.node_ids.get(n.key) == n.id:
-            assert n.production_id is None, n
-        else:
-            assert n.production_id in ig.classed and ig.node_ids[n.key + (n.production_id,)] == n.id, n
     doc = igraph_document(ig, g)
-    a_nodes = sorted((e for e in doc["nodes"] if e["symbol"] == "A"), key=lambda e: e.get("production", -1))
+    # enforcing the blocked positions removes no derivation of "a" from the chart
+    assert doc["nodes"] == plain["nodes"]
+    for n in ig.nodes:
+        assert n.productions == tuple(sorted(n.productions))
+        assert bool(n.productions) == (n.symbol_id not in g.terminal_ids), n
+        assert n.symbol_id in g.terminal_ids or ig.node_ids[n.key] == n.id
+    a_nodes = [e for e in doc["nodes"] if e["symbol"] == "A"]
     assert a_nodes == [
-        {"start": 0, "end": 1, "symbol": "A"},
-        {"start": 0, "end": 1, "symbol": "A", "production": g.by_label["aa"].id},
+        {"start": 0, "end": 1, "symbol": "A",
+         "productions": sorted(g.by_label[label].id for label in ("ab", "aa", "a2"))},
     ]
     assert len({json.dumps(e) for e in doc["nodes"]}) == len(doc["nodes"])
+
+
+def test_an_enforcing_chart_keeps_one_node_per_triple():
+    blocking = 0
+    shared = []
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        g = inst.constrained
+        for text in inst.inputs:
+            try:
+                la = tokenize(g, text)
+            except TokenizationError:
+                continue
+            if not la.nodes:
+                continue
+            ig = run_chart(g, build_ela_graph(la), enforce_constraints=True)
+            keys = [n.key for n in ig.nodes]
+            if len(keys) != len(set(keys)):
+                shared.append((seed, text))
+            blocking += any(any(row) for row in g.position_blocks)
+    assert not shared
+    assert blocking > 100
+
+
+@pytest.mark.parametrize("p2_first", [False, True], ids=["p1-declared-first", "p2-declared-first"])
+def test_a_blocked_and_an_admitted_production_share_one_node(p2_first):
+    # s blocks p1 and t blocks nothing, so both of A's productions derive
+    # A [0,1); with p2 declared first, p1 reduces first and s meets the node
+    # while it holds p1 alone
+    productions = ["[p1] A ::= a ;\n", "[p2] A ::= a ;\n"]
+    if p2_first:
+        productions.reverse()
+    g = grammar(
+        "%token a /a/\n%start S\n[s] S ::= A ;\n[t] S ::= A A ;\n"
+        + "".join(productions)
+        + "%prefer compose s over p1 ;\n"
+    )
+    p1, p2, s = (g.by_label[label].id for label in ("p1", "p2", "s"))
+    ig = run_chart(g, build(g, "a"), enforce_constraints=True)
+    (a_node,) = [n for n in ig.nodes if n.symbol_id == g.symbol("A").id]
+    assert a_node.productions == tuple(sorted((p1, p2)))
+    # s's position blocks p1, yet it advances over the node that p2 derived too
+    assert [ig.nodes[i].productions for i in ig.starting] == [(s,)]
+    for text, trees in (("a", 1), ("aa", 4)):
+        la = tokenize(g, text)
+        expected = oracle_filter(oracle_parse_all(g, la), g, la)
+        assert len(expected) == trees
+        assert pipeline_trees(g, text) == expected, text
+
+
+def test_a_handle_advances_once_per_triple():
+    # random-suite seed 135's constrained grammar blocks some of a symbol's
+    # productions at some positions; a handle there advances over each
+    # (start, end, symbol) once, however many productions derive it
+    g = randsuite.make_instance(135).constrained
+    ig = run_chart(g, build(g, "aabba"), enforce_constraints=True)
+    assert ig.handle_count == 62
+    # 57 pops; advancing once per production's derivation instead would take 76
+    assert ig.agenda_pops < 76
 
 
 def test_a_blocked_production_that_selection_prefers_is_still_derived():

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+from itertools import product
 
 import pytest
 
@@ -243,6 +244,57 @@ def test_enumerate_trees_is_sorted_and_limited():
     assert enumerate_trees(eg, g, 2) == trees[:2]
     with pytest.raises(ValueError):
         enumerate_trees(eg, g, 0)
+
+
+def _every_tree(eg, g):
+    """Every tree of the forest, sorted: each alternative's full product, with no limit."""
+    trees = {}
+
+    def of(eid):
+        if eid not in trees:
+            rec = eg.nodes[eid]
+            name = g.symbol_by_id[rec.symbol_id].name
+            if rec.children is None:
+                trees[eid] = [("t", name, rec.start, rec.end, rec.lexeme)]
+            else:
+                trees[eid] = [
+                    ("n", name, rec.start, rec.end, rec.production_id, children)
+                    for alt in rec.children
+                    for children in product(*(of(c) for c in alt))
+                ]
+        return trees[eid]
+
+    return sorted(t for root in eg.roots for t in of(root))
+
+
+def test_enumeration_equals_the_sorted_full_enumeration():
+    compared = 0
+    for seed in range(60):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            for text in inst.inputs:
+                eg = parse_text(g, text).egraph
+                if eg is None or not eg.roots or tree_counts(eg).total > 2_000:
+                    continue
+                every = _every_tree(eg, g)
+                for limit in (1, 3, 10):
+                    assert enumerate_trees(eg, g, limit) == every[:limit], (seed, text, limit)
+                compared += 1
+    assert compared > 100
+
+
+def test_enumeration_merges_alternatives_lazily():
+    # about 1.3e13 trees over 491 forest nodes: keeping each node's first 100
+    # trees must not sort every alternative's list
+    g = randsuite.make_instance(16).grammar
+    started = time.perf_counter()
+    eg = parse_text(g, "a" * 9).egraph
+    trees = enumerate_trees(eg, g, 100)
+    seconds = time.perf_counter() - started
+    assert len(trees) == 100 and trees == sorted(trees)
+    assert seconds < 2.5
 
 
 def test_epsilon_forest_for_empty_input():

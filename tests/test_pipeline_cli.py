@@ -113,8 +113,8 @@ def test_a_derivation_the_chart_pruned_is_reported_as_pruned(source, text):
     assert outcome.failure == "parse" and not outcome.egraph.roots
     # the chart that ran blocked the derivation; reading the outcome's chart
     # runs it again without the constraints
-    assert outcome.chart.classed and not outcome.chart.starting
-    assert outcome.igraph.starting and not outcome.igraph.classed
+    assert outcome.chart.filtered and not outcome.chart.starting
+    assert outcome.igraph.starting and not outcome.igraph.filtered
     assert outcome.ela is outcome.igraph is outcome.chart
     message = explain_rejection(outcome)
     assert message.startswith("derived but pruned") and "no parse" not in message
@@ -124,7 +124,7 @@ def test_a_no_parse_diagnostic_does_not_depend_on_the_chart_that_ran():
     g = grammar(ARITH_LEFT)
     for text in ("1+1+", "1++1", "+1"):
         outcome = parse_text(g, text)
-        assert outcome.chart.classed
+        assert outcome.chart.filtered
         message = explain_rejection(outcome)
         assert message.startswith("no parse") and "expected one of {int}" in message
         assert message == explain_rejection(parse_text(g, text, enforce_constraints=False))
@@ -238,17 +238,19 @@ def test_dumps_are_emitted_in_pipeline_order(numbers_grammar_file, capsys):
     assert out.rstrip().endswith("1")  # the count comes last
 
 
-def test_the_chart_dump_names_a_classed_nodes_production(tmp_path, capsys):
+def test_the_chart_dump_lists_each_nodes_productions(tmp_path, capsys):
     path = tmp_path / "arith.fence"
     path.write_text(ARITH_LEFT)
     assert main(["parse", "--grammar", str(path), "--text", "1+1+1", "--dump-ig", "--count"]) == 0
     out = capsys.readouterr().out
     nodes = json.loads(out[: out.rindex("}") + 1])["nodes"]
-    add = grammar(ARITH_LEFT).by_label["add"].id
+    g = grammar(ARITH_LEFT)
+    add, lit = g.by_label["add"].id, g.by_label["lit"].id
     # add is blocked as a right operand, so only the left-nested sums are built
-    assert [(n["start"], n["end"], n.get("production")) for n in nodes if n["symbol"] == "E"] == [
-        (0, 1, None), (0, 3, add), (0, 5, add), (2, 3, None), (4, 5, None)
+    assert [(n["start"], n["end"], n["productions"]) for n in nodes if n["symbol"] == "E"] == [
+        (0, 1, [lit]), (0, 3, [add]), (0, 5, [add]), (2, 3, [lit]), (4, 5, [lit])
     ]
+    assert all("productions" not in n for n in nodes if n["symbol"] in ("int", "plus"))
 
 
 def test_dumps_available_even_on_rejection(numbers_grammar_file, capsys):
