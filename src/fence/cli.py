@@ -20,6 +20,7 @@ from pathlib import Path
 from .chart import igraph_document
 from .elagraph import ela_document
 from .enforce import (
+    COUNT_CAP,
     egraph_document,
     egraph_to_dot,
     enumerate_trees,
@@ -134,7 +135,11 @@ def run_pipeline(config: SessionConfig) -> int:
 
     egraph = outcome.egraph
     if config.count_only:
-        print(tree_counts(egraph).total)
+        counts = tree_counts(egraph)
+        print(counts.total)
+        if counts.saturated:
+            print(f"fence: note: the count is saturated at {COUNT_CAP}; there are at least that many trees",
+                  file=sys.stderr)
     elif config.enumerate_limit is not None:
         trees = enumerate_trees(egraph, grammar, config.enumerate_limit)
         _emit([tree_to_jsonable(t) for t in trees])

@@ -7,7 +7,9 @@ child per right-hand-side position: a forest node, a token leaf or a
 zero-width placeholder. A node stands for the union of its alternatives'
 trees and an alternative for the product of its children's, so the forest
 stays polynomial in the input while the trees it holds may be exponential,
-and counting them is a sum of products over the nodes (``tree_counts``).
+and counting them is a sum of products over the nodes. Each node's count is
+computed when the node is built, from its children's, which are built
+before it; ``EGraph.counts`` keeps them and ``tree_counts`` reads them.
 
 Alternatives come from a right-to-left walk through the handles the chart
 left in its cores; nothing is searched. The child at the last position ends
@@ -57,7 +59,8 @@ It runs on the caller's thread without recursion: each forest node under
 expansion is a generator on an explicit stack, which hands the driver the
 child nodes it needs. Input nesting depth therefore costs memory, not
 interpreter frames, and parsing changes no process-wide setting. The nodes
-reachable from the roots are finally numbered and emitted in preorder.
+reachable from the roots are finally numbered and emitted in preorder, after
+the expander's memo and caches are released.
 """
 
 from __future__ import annotations
@@ -110,19 +113,27 @@ class ForestNode(NamedTuple):
 
 
 class EGraph:
-    """The packed parse forest: the nodes reachable from the roots, in preorder."""
+    """The packed parse forest: the nodes reachable from the roots, in preorder.
 
-    __slots__ = ("input", "nodes", "roots", "constructions")
+    ``counts`` is indexed like ``nodes``: the trees each node holds, capped
+    at ``COUNT_CAP``, kept as expansion built the node.
+    """
 
-    def __init__(self, input: str, nodes: list[ForestNode], roots: tuple[int, ...], constructions: int):
+    __slots__ = ("input", "nodes", "counts", "roots", "constructions")
+
+    def __init__(self, input: str, nodes: list[ForestNode], counts: list[int], roots: tuple[int, ...],
+                 constructions: int):
         self.input = input
         self.nodes = nodes
+        self.counts = counts
         self.roots = roots
         self.constructions = constructions
 
 
-# Until they are emitted, forest nodes are records
-# (symbol id, start, end, production id, alternatives), alternatives None for tokens.
+# Until they are emitted, forest nodes are records (symbol id, start, end,
+# production id, alternatives, tree count), alternatives None for tokens. A
+# record is made after its children, so its count, the sum over its
+# alternatives of the product of their children's counts, is made with it.
 
 
 def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id: int, offset: int) -> int:
@@ -145,18 +156,20 @@ def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id:
             continue
         stack.pop()
         cache[sym, offset] = len(records)
-        records.append((sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),)))
+        records.append((sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),), 1))
     return cache[symbol_id, offset]
 
 
-def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list[ForestNode], tuple[int, ...]]:
-    """The forest nodes reachable from ``roots``, numbered in preorder."""
-    number: dict[int, int] = {}
+def _emit(
+    records: list[tuple], roots: tuple[int, ...], text: str
+) -> tuple[list[ForestNode], list[int], tuple[int, ...]]:
+    """The forest nodes reachable from ``roots``, numbered in preorder, and their tree counts."""
+    number = [-1] * len(records)
     order: list[int] = []
     stack = list(reversed(roots))
     while stack:
         rid = stack.pop()
-        if rid in number:
+        if number[rid] >= 0:
             continue
         number[rid] = len(order)
         order.append(rid)
@@ -165,15 +178,18 @@ def _emit(records: list[tuple], roots: tuple[int, ...], text: str) -> tuple[list
             for alt in reversed(alternatives):
                 stack.extend(reversed(alt))
     make = tuple.__new__  # ForestNode's own constructor adds a Python call per node
+    renumber = number.__getitem__
     nodes = []
+    counts = []
     for eid, rid in enumerate(order):
-        symbol_id, start, end, pid, alternatives = records[rid]
+        symbol_id, start, end, pid, alternatives, count = records[rid]
+        counts.append(count)
         if alternatives is None:
             nodes.append(make(ForestNode, (eid, symbol_id, start, end, None, None, text[start:end])))
         else:
-            children = tuple([tuple([number[c] for c in alt]) for alt in alternatives])
+            children = tuple([tuple(map(renumber, alt)) for alt in alternatives])
             nodes.append(make(ForestNode, (eid, symbol_id, start, end, pid, children, None)))
-    return nodes, tuple([number[r] for r in roots])
+    return nodes, counts, tuple([number[r] for r in roots])
 
 
 class _Expander:
@@ -223,25 +239,11 @@ class _Expander:
                     roots.append(got)
         return tuple(roots)
 
-    # -- records ----------------------------------------------------------------
-
-    def _add(self, record: tuple) -> int:
-        self.records.append(record)
-        return len(self.records) - 1
-
-    def _leaf(self, node) -> int:
-        got = self._leaves.get(node.id)
-        if got is None:
-            got = self._leaves[node.id] = self._add((node.symbol_id, node.start, node.end, None, None))
-        return got
-
     def _fill(self, suffix: tuple[int, ...], offset: int) -> tuple[int, ...]:
-        """``suffix`` with its leading open placeholders, stored as ~symbol, put at ``offset``."""
-        n = 0
+        """``suffix``, which starts with open placeholders stored as ~symbol, with those put at ``offset``."""
+        n = 1
         while n < len(suffix) and suffix[n] < 0:
             n += 1
-        if not n:
-            return suffix
         placed = tuple(
             _placeholder(self.grammar, self.records, self._placeholders, ~s, offset) for s in suffix[:n]
         )
@@ -258,8 +260,10 @@ class _Expander:
         a stack of partial suffixes is extended right to left, as the module
         docstring describes. An entry is (position to fill next, start of the
         real child right of it or None when there is none, children chosen
-        right of it). A nonterminal child offers the records of its
-        productions that the position does not block and that hold a tree.
+        right of it, the product of their tree counts). A nonterminal child
+        offers the records of its productions that the position does not
+        block and that hold a tree; a suffix that starts with open
+        placeholders has them put at the end of the child placed before it.
         """
         node_id, pid, outer = key
         ig = self.ig
@@ -279,6 +283,8 @@ class _Expander:
         cores = ig.cores
         core_at = ig.core_at
         grammar = self.grammar
+        records = self.records
+        leaves = self._leaves
         eps = grammar.epsilon_ids
         terminals = grammar.terminal_ids
         start, end = node.start, node.end
@@ -286,12 +292,14 @@ class _Expander:
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
         alternatives = []
-        stack = [(len(rhs) - 1, None, ())]
+        trees = 0
+        stack = [(len(rhs) - 1, None, (), 1)]
         while stack:
-            pos, right, suffix = stack.pop()
+            pos, right, suffix, made = stack.pop()
             if pos < 0:
                 if right == start:  # a node is never zero-width, so something was matched
-                    alternatives.append(self._fill(suffix, start))
+                    alternatives.append(self._fill(suffix, start) if suffix and suffix[0] < 0 else suffix)
+                    trees += made
                 continue
             sym = rhs[pos]
             blocked = blocks[pos] if blocks else None
@@ -302,47 +310,52 @@ class _Expander:
                 and not (blocked and grammar.epsilon_production[sym] in blocked)
                 and handle in cores[cid].handles
             ):
-                stack.append((pos - 1, right, (~sym,) + suffix))
+                stack.append((pos - 1, right, (~sym,) + suffix, made))
             token = sym in terminals
+            open_placeholders = suffix and suffix[0] < 0
             for child_id in cores[cid].preceding:
                 child = nodes[child_id]
                 if child.symbol_id != sym or (right is None and child.end != end) or child.start < start:
                     continue
                 if handle not in cores[core_at[child.start]].handles:
                     continue
+                filled = self._fill(suffix, child.end) if open_placeholders else suffix
                 if token:
-                    options = (self._leaf(child),)
+                    leaf = leaves.get(child_id)
+                    if leaf is None:
+                        leaf = leaves[child_id] = len(records)
+                        records.append((sym, child.start, child.end, None, None, 1))
+                    stack.append((pos - 1, child.start, (leaf,) + filled, made))
+                    continue
+                if child.start != start or child.end != end:
+                    child_context = None
+                elif child_id == node_id or (outer and child_id in outer):
+                    continue  # cyclic re-entry contributes nothing on this path
                 else:
-                    if child.start != start or child.end != end:
-                        child_context = None
-                    elif child_id == node_id or (outer and child_id in outer):
-                        continue  # cyclic re-entry contributes nothing on this path
-                    else:
-                        if context is None:
-                            context = (outer or frozenset()) | {node_id}
-                        child_context = context
-                    options = []
-                    for p in child.productions:
-                        if blocked and p in blocked:
-                            continue
-                        wanted = (child_id, p, child_context)
-                        got = memo.get(wanted)
-                        if got is None:
-                            got = yield wanted
-                        if got != _EMPTY:
-                            options.append(got)
-                if options:
-                    filled = self._fill(suffix, child.end)
-                    stack.extend((pos - 1, child.start, (o,) + filled) for o in options)
+                    if context is None:
+                        context = (outer or frozenset()) | {node_id}
+                    child_context = context
+                for p in child.productions:
+                    if blocked and p in blocked:
+                        continue
+                    wanted = (child_id, p, child_context)
+                    got = memo.get(wanted)
+                    if got is None:
+                        got = yield wanted
+                    if got != _EMPTY:
+                        stack.append((pos - 1, child.start, (got,) + filled, made * records[got][5]))
 
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         if evaluator is not None:
             alternatives = self._evaluated(pid, node, alternatives, evaluator)
+            trees = len(alternatives)  # each accepted alternative holds one tree
         else:
             self.constructions += len(alternatives)
-        result = (
-            self._add((node.symbol_id, start, end, pid, tuple(alternatives))) if alternatives else _EMPTY
-        )
+        if alternatives:
+            result = len(records)
+            records.append((node.symbol_id, start, end, pid, tuple(alternatives), min(trees, COUNT_CAP)))
+        else:
+            result = _EMPTY
         memo[key] = result
         return result
 
@@ -381,7 +394,7 @@ class _Expander:
             i, ready = stack.pop()
             if i in trees:
                 continue
-            symbol_id, start, end, pid, alternatives = self.records[i]
+            symbol_id, start, end, pid, alternatives, _count = self.records[i]
             if alternatives is None:
                 trees[i] = (i,)
             elif not ready:
@@ -396,7 +409,8 @@ class _Expander:
                         key = (symbol_id, start, end, pid, children)
                         got = self._interned.get(key)
                         if got is None:
-                            got = self._interned[key] = self._add((symbol_id, start, end, pid, (children,)))
+                            got = self._interned[key] = len(self.records)
+                            self.records.append((symbol_id, start, end, pid, (children,), 1))
                         out.append(got)
                 trees[i] = tuple(out)
         return trees[rid]
@@ -410,7 +424,7 @@ class _Expander:
             i, ready = stack.pop()
             if i in views:
                 continue
-            symbol_id, start, end, pid, alternatives = self.records[i]
+            symbol_id, start, end, pid, alternatives, _count = self.records[i]
             children = alternatives[0] if alternatives else ()
             if children and not ready:
                 stack.append((i, True))
@@ -444,8 +458,10 @@ def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = Tr
         raise ValueError("this chart enforced the constraints; expand it with enforce_constraints on")
     expander = _Expander(grammar, ig, enforce_constraints)
     roots = expander.run()
-    nodes, roots = _emit(expander.records, roots, ig.input)
-    return EGraph(ig.input, nodes, roots, expander.constructions)
+    records, constructions = expander.records, expander.constructions
+    del expander  # its memo and caches go before the nodes are made
+    nodes, counts, roots = _emit(records, roots, ig.input)
+    return EGraph(ig.input, nodes, counts, roots, constructions)
 
 
 def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGraph:
@@ -457,8 +473,8 @@ def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGrap
     """
     records: list[tuple] = []
     root = _placeholder(grammar, records, {}, grammar.start.id, offset)
-    nodes, roots = _emit(records, (root,), input_text)
-    return EGraph(input_text, nodes, roots, len(records))
+    nodes, counts, roots = _emit(records, (root,), input_text)
+    return EGraph(input_text, nodes, counts, roots, len(records))
 
 
 # -- forest queries -----------------------------------------------------------
@@ -470,45 +486,23 @@ class TreeCount(NamedTuple):
     saturated: bool
 
 
-def _counts(eg: EGraph, tops, cap: int) -> dict[int, int]:
-    """Trees held by every node below ``tops``, each capped at ``cap``."""
-    counts: dict[int, int] = {}
-    for top in tops:
-        stack = [(top, False)]
-        while stack:
-            eid, ready = stack.pop()
-            if eid in counts:
-                continue
-            alternatives = eg.nodes[eid].children
-            if alternatives is None:
-                counts[eid] = 1
-            elif ready:
-                total = 0
-                for alt in alternatives:
-                    trees = 1
-                    for c in alt:
-                        trees *= counts[c]
-                    total += trees
-                counts[eid] = min(total, cap)
-            else:
-                stack.append((eid, True))
-                for alt in alternatives:
-                    stack.extend((c, False) for c in alt if c not in counts)
-    return counts
-
-
 def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
     """Trees held by each root: a sum over alternatives of products over children.
 
-    Nothing is enumerated. Counts are capped at ``cap``; hitting the cap sets
-    the saturated flag instead of silently overflowing.
+    Nothing is enumerated or walked: expansion kept each node's count, capped
+    at ``COUNT_CAP``, in ``eg.counts``. Counts are capped at ``cap``, at most
+    ``COUNT_CAP``; hitting the cap sets the saturated flag instead of
+    silently overflowing. A sum of products of children capped at ``cap``
+    is the true count capped at ``cap``, so the smaller cap is exact.
     """
-    counts = _counts(eg, eg.roots, cap)
+    if cap > COUNT_CAP:
+        raise ValueError(f"cap must be at most COUNT_CAP ({COUNT_CAP})")
+    counts = eg.counts
     per_root: dict[int, int] = {}
     total = 0
     saturated = False
     for root in eg.roots:
-        per_root[root] = counts[root]
+        per_root[root] = min(counts[root], cap)
         total += per_root[root]
         if per_root[root] >= cap or total > cap:
             saturated = True
@@ -523,7 +517,7 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
     ("n", symbol, start, end, production id, (children...)). A node holding
     more than one tree raises ``ValueError``; ``enumerate_trees`` lists them.
     """
-    count = _counts(eg, (eid,), COUNT_CAP)[eid]
+    count = eg.counts[eid]
     if count != 1:
         raise ValueError(f"node {eid} holds {count} trees, not one; use enumerate_trees")
     built: dict[int, tuple] = {}
@@ -545,13 +539,13 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
     return built[eid]
 
 
-def _first(ordered: list[list[tuple]], limit: int) -> list[tuple]:
-    """The first ``limit`` items of the merge of sorted lists.
+def _first(ordered: list, limit: int) -> list[tuple]:
+    """The first ``limit`` items of the merge of sorted iterables.
 
-    The merge is lazy, so it compares about ``limit`` items, not all of them.
+    The merge is lazy, so it draws about ``limit`` items, not all of them.
     """
     if len(ordered) == 1:
-        return ordered[0][:limit]
+        return list(islice(ordered[0], limit))
     import heapq  # only ambiguous forests need it; the import costs about 1 ms
 
     return list(islice(heapq.merge(*ordered), limit))
@@ -563,7 +557,8 @@ def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
     Every node keeps only its first ``limit`` trees, in order: an
     alternative's trees come out of the product of its children's lists in
     order, because canonical tuples compare children left to right, and a
-    node's alternatives are merged. A tree that uses a child's later tree
+    node's alternatives are merged lazily, one generator each, so about
+    ``limit`` trees are built per node. A tree that uses a child's later tree
     follows at least ``limit`` trees that use earlier ones, so nothing past a
     child's first ``limit`` is ever needed.
     """
@@ -584,11 +579,7 @@ def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
             elif ready:
                 head = ("n", name, rec.start, rec.end, rec.production_id)
                 trees[eid] = _first(
-                    [
-                        [head + (children,) for children in islice(product(*(trees[c] for c in alt)), limit)]
-                        for alt in rec.children
-                    ],
-                    limit,
+                    [(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in rec.children], limit
                 )
             else:
                 stack.append((eid, True))

@@ -9,7 +9,9 @@ from fence import (
     parse_grammar_text,
     run_chart,
     tokenize,
+    tree_counts,
 )
+from fence.enforce import COUNT_CAP
 
 # The lexically ambiguous running example: digits around points read either as
 # Real tokens or as Integer Point Integer, disambiguated by the productions.
@@ -121,8 +123,48 @@ def pipeline(grammar, text, enforce=True):
     return la, ig, eg
 
 
+def reference_counts(eg) -> list[int]:
+    """Trees held by every forest node, capped at ``COUNT_CAP``, by a walk of the finished forest.
+
+    A node's count is the sum, over its alternatives, of the product of its
+    children's counts, and a leaf's is 1. The counts expansion keeps as it
+    builds the forest (``EGraph.counts``) must equal these.
+    """
+    counts: dict[int, int] = {}
+    for top in range(len(eg.nodes)):
+        stack = [(top, False)]
+        while stack:
+            eid, ready = stack.pop()
+            if eid in counts:
+                continue
+            alternatives = eg.nodes[eid].children
+            if alternatives is None:
+                counts[eid] = 1
+            elif ready:
+                total = 0
+                for alt in alternatives:
+                    trees = 1
+                    for c in alt:
+                        trees *= counts[c]
+                    total += trees
+                counts[eid] = min(total, COUNT_CAP)
+            else:
+                stack.append((eid, True))
+                for alt in alternatives:
+                    stack.extend((c, False) for c in alt if c not in counts)
+    return [counts[eid] for eid in range(len(eg.nodes))]
+
+
+def assert_counts(grammar, eg, limit=10**6):
+    """The stored counts equal the reference walk, and the roots' total equals the trees listed."""
+    assert eg.counts == reference_counts(eg)
+    trees = enumerate_trees(eg, grammar, limit)
+    assert len(trees) == min(tree_counts(eg).total, limit)
+    return trees
+
+
 def forest_trees(grammar, eg):
-    return frozenset(enumerate_trees(eg, grammar, 10**6)) if eg.roots else frozenset()
+    return frozenset(assert_counts(grammar, eg)) if eg.roots else frozenset()
 
 
 def pipeline_trees(grammar, text, enforce=True):

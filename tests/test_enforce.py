@@ -12,6 +12,7 @@ import randsuite
 
 from fence.cli import main
 from fence.enforce import (
+    COUNT_CAP,
     canonical_tree,
     egraph_document,
     egraph_to_dot,
@@ -31,11 +32,13 @@ from helpers import (
     OUTPUT_CALL,
     UNAMBIGUOUS_CHAIN,
     UNIT_LIST,
+    assert_counts,
     catalan,
     chain,
     grammar,
     pipeline,
     pipeline_trees,
+    reference_counts,
 )
 
 
@@ -179,6 +182,7 @@ def test_a_dominated_production_is_never_expanded():
     judged_eg = parse_text(judged, text).egraph
     assert calls == []
     assert egraph_document(judged_eg, judged) == egraph_document(eg, grammar(UNIT_LIST))
+    assert len(assert_counts(judged, judged_eg)) == 1
 
 
 def test_forest_nodes_refuse_attribute_assignment():
@@ -211,6 +215,17 @@ def test_custom_evaluator_vetoes_and_reports_errors():
     assert "dup" in str(err.value)
 
 
+def test_an_evaluated_node_counts_the_candidates_it_accepts():
+    # of the five bracketings of four operands, two put no more operands
+    # left than right at every split: a(a(aa)) and (aa)(aa)
+    src = "%token a /a/\n%start S\n[dup] S ::= S S ;\n[one] S ::= a ;\n"
+    g = grammar(src, evaluators={"dup": lambda v: v.children[0].end - v.start <= v.end - v.children[1].start})
+    _la, _ig, eg = pipeline(g, "aaaa")
+    assert tree_counts(eg).total == 2
+    assert len(assert_counts(g, eg)) == 2
+    assert eg.constructions > 2  # rejected candidates were assembled too
+
+
 def test_tree_counts():
     g = grammar(AMBIG_NUMBERS)
     _la, _ig, eg = pipeline(g, AMBIG_INPUT)
@@ -226,6 +241,40 @@ def test_tree_counts():
     counts = tree_counts(eg2)
     assert counts.total == 5  # all binary bracketings of four operands
     assert counts.per_root == {eg2.roots[0]: 5}  # one packed root holds them all
+
+
+def test_a_count_past_the_cap_is_saturated():
+    # Catalan(39) is about 1.7e21 trees, past COUNT_CAP
+    _la, _ig, eg = pipeline(grammar(ARITH), chain(40))
+    (root,) = eg.roots
+    counts = tree_counts(eg)
+    assert catalan(39) > COUNT_CAP
+    assert counts == (COUNT_CAP, {root: COUNT_CAP}, True)
+    # a smaller cap gives min(count, cap) and flags the cap it reached
+    assert tree_counts(eg, 10**6) == (10**6, {root: 10**6}, True)
+    _la, _ig, small = pipeline(grammar(ARITH), chain(10))
+    (small_root,) = small.roots
+    assert tree_counts(small, 100) == (100, {small_root: 100}, True)
+    assert tree_counts(small, 10_000) == (catalan(9), {small_root: catalan(9)}, False)
+    # counts were capped as the forest was built, so a larger cap cannot be honoured
+    with pytest.raises(ValueError, match="COUNT_CAP"):
+        tree_counts(eg, COUNT_CAP + 1)
+
+
+def test_stored_counts_equal_the_reference_walk():
+    compared = 0
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            for text in inst.inputs:
+                for enforce in (True, False):
+                    eg = parse_text(g, text, enforce_constraints=enforce).egraph
+                    if eg is not None:
+                        assert eg.counts == reference_counts(eg), (seed, text, enforce)
+                        compared += 1
+    assert compared > 1000
 
 
 def test_canonical_tree_refuses_a_node_with_several_trees():
@@ -422,6 +471,7 @@ def test_evaluator_sees_a_deeply_nested_candidate():
     )
     _la, _ig, eg = pipeline(g, chain(520))
     assert tree_counts(eg).total == 1
+    assert len(assert_counts(g, eg)) == 1
 
 
 def test_long_nullable_chain_parses_without_recursion(tmp_path, capsys):

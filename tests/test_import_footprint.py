@@ -1,4 +1,7 @@
-"""Importing the package and its command line loads no dataclass or introspection machinery."""
+"""Importing the package and its command line loads no dataclass or introspection machinery.
+
+Nor ``heapq``: only enumerating the trees of an ambiguous forest needs it.
+"""
 
 import pathlib
 import subprocess
@@ -9,7 +12,7 @@ import pytest
 import fence
 
 SOURCE_ROOT = pathlib.Path(fence.__file__).parent.parent
-HEAVY = ("dataclasses", "inspect", "ast", "dis")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "heapq")
 
 
 @pytest.mark.parametrize("module", ["fence", "fence.cli"])

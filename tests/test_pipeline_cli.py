@@ -169,6 +169,16 @@ def test_count_of_a_thirty_operand_sum(arith_grammar_file, capsys):
     assert time.perf_counter() - started < 10.0
 
 
+def test_a_saturated_count_says_so_on_stderr(arith_grammar_file, capsys):
+    # Catalan(39) is about 1.7e21 trees, past the 10^18 cap
+    assert main(["parse", "--grammar", arith_grammar_file, "--text", chain(40), "--count"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == "1000000000000000000\n"
+    assert len(printed.err.splitlines()) == 1 and "saturated" in printed.err
+    assert main(["parse", "--grammar", arith_grammar_file, "--text", chain(30), "--count"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_errors_exit_2(numbers_grammar_file, capsys):
     assert main(["parse", "--grammar", numbers_grammar_file]) == 2
     assert main(["parse", "--grammar", "/nonexistent", "--text", "x"]) == 2
