@@ -58,9 +58,13 @@ Expansion starts at the accepted roots and builds only the nodes it reaches.
 It runs on the caller's thread without recursion: each forest node under
 expansion is a generator on an explicit stack, which hands the driver the
 child nodes it needs. Input nesting depth therefore costs memory, not
-interpreter frames, and parsing changes no process-wide setting. The nodes
-reachable from the roots are finally numbered and emitted in preorder, after
-the expander's memo and caches are released.
+interpreter frames, and parsing changes no process-wide setting. A forest
+node is appended to the forest as soon as it is finished, so its id is its
+creation index and its children, finished before it, have smaller ids. A
+node built for a derivation that does not complete (a cut cycle, a suffix
+whose prefix fails, a candidate an evaluator rejects) is left unreachable
+from the roots; one sweep from the last node down finds such nodes, and the
+forest is compacted only when there are any.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class ForestNode(NamedTuple):
 
 
 class EGraph:
-    """The packed parse forest: the nodes reachable from the roots, in preorder.
+    """The packed parse forest: the nodes reachable from the roots, each numbered after its children.
 
     ``counts`` is indexed like ``nodes``: the trees each node holds, capped
     at ``COUNT_CAP``, kept as expansion built the node.
@@ -130,14 +134,14 @@ class EGraph:
         self.constructions = constructions
 
 
-# Until they are emitted, forest nodes are records (symbol id, start, end,
-# production id, alternatives, tree count), alternatives None for tokens. A
-# record is made after its children, so its count, the sum over its
-# alternatives of the product of their children's counts, is made with it.
+# ForestNode's own constructor adds a Python call per node.
+_make = tuple.__new__
 
 
-def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id: int, offset: int) -> int:
-    """The record of ``symbol_id``'s canonical empty derivation at ``offset``.
+def _placeholder(
+    grammar: Grammar, nodes: list[ForestNode], counts: list[int], cache: dict, symbol_id: int, offset: int
+) -> int:
+    """The node of ``symbol_id``'s canonical empty derivation at ``offset``.
 
     Built children first from an explicit stack, so a long nullable chain
     costs no interpreter frames.
@@ -155,41 +159,46 @@ def _placeholder(grammar: Grammar, records: list[tuple], cache: dict, symbol_id:
             stack.extend(missing)
             continue
         stack.pop()
-        cache[sym, offset] = len(records)
-        records.append((sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),), 1))
+        eid = cache[sym, offset] = len(nodes)
+        nodes.append(_make(ForestNode, (eid, sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),), None)))
+        counts.append(1)
     return cache[symbol_id, offset]
 
 
-def _emit(
-    records: list[tuple], roots: tuple[int, ...], text: str
+def _reachable(
+    nodes: list[ForestNode], counts: list[int], roots: tuple[int, ...]
 ) -> tuple[list[ForestNode], list[int], tuple[int, ...]]:
-    """The forest nodes reachable from ``roots``, numbered in preorder, and their tree counts."""
-    number = [-1] * len(records)
-    order: list[int] = []
-    stack = list(reversed(roots))
-    while stack:
-        rid = stack.pop()
-        if number[rid] >= 0:
-            continue
-        number[rid] = len(order)
-        order.append(rid)
-        alternatives = records[rid][4]
-        if alternatives:
-            for alt in reversed(alternatives):
-                stack.extend(reversed(alt))
-    make = tuple.__new__  # ForestNode's own constructor adds a Python call per node
+    """The nodes reachable from ``roots`` and their counts, renumbered densely in the same order.
+
+    Children precede their parents, so one sweep from the last node down
+    marks every reachable node. When all of them are, the lists are returned
+    as they are.
+    """
+    keep = [False] * len(nodes)
+    for r in roots:
+        keep[r] = True
+    for eid in range(len(nodes) - 1, -1, -1):
+        if keep[eid]:
+            alternatives = nodes[eid].children
+            if alternatives:
+                for alt in alternatives:
+                    for c in alt:
+                        keep[c] = True
+    if all(keep):
+        return nodes, counts, roots
+    order = [eid for eid, kept in enumerate(keep) if kept]
+    number = [-1] * len(nodes)
+    for new, old in enumerate(order):
+        number[old] = new
     renumber = number.__getitem__
-    nodes = []
-    counts = []
-    for eid, rid in enumerate(order):
-        symbol_id, start, end, pid, alternatives, count = records[rid]
-        counts.append(count)
-        if alternatives is None:
-            nodes.append(make(ForestNode, (eid, symbol_id, start, end, None, None, text[start:end])))
-        else:
-            children = tuple([tuple(map(renumber, alt)) for alt in alternatives])
-            nodes.append(make(ForestNode, (eid, symbol_id, start, end, pid, children, None)))
-    return nodes, counts, tuple([number[r] for r in roots])
+    compacted = []
+    for new, old in enumerate(order):
+        node = nodes[old]
+        alternatives = node.children
+        if alternatives is not None:
+            alternatives = tuple([tuple(map(renumber, alt)) for alt in alternatives])
+        compacted.append(node._replace(id=new, children=alternatives))
+    return compacted, [counts[eid] for eid in order], tuple([number[r] for r in roots])
 
 
 class _Expander:
@@ -197,8 +206,9 @@ class _Expander:
         self.grammar = grammar
         self.ig = ig
         self.enforce = enforce
-        self.records: list[tuple] = []
-        # (implicit node id, production id, cycle context) -> record, or _EMPTY
+        self.nodes: list[ForestNode] = []
+        self.counts: list[int] = []  # each node's trees, capped at COUNT_CAP
+        # (implicit node id, production id, cycle context) -> forest node id, or _EMPTY
         self.memo: dict[tuple, int] = {}
         self.constructions = 0
         self._leaves: dict[int, int] = {}
@@ -208,9 +218,9 @@ class _Expander:
         self._views: dict[int, NodeView] = {}
 
     def run(self) -> tuple[int, ...]:
-        """Records of the accepted roots, expanding every node they reach.
+        """Forest nodes of the accepted roots, expanding every node they reach.
 
-        The innermost generator on the stack is resumed with the record it
+        The innermost generator on the stack is resumed with the node id it
         asked for; a generator that needs a node the memo lacks yields that
         node's key and a ``_derive`` generator for it is pushed.
         """
@@ -245,14 +255,15 @@ class _Expander:
         while n < len(suffix) and suffix[n] < 0:
             n += 1
         placed = tuple(
-            _placeholder(self.grammar, self.records, self._placeholders, ~s, offset) for s in suffix[:n]
+            _placeholder(self.grammar, self.nodes, self.counts, self._placeholders, ~s, offset)
+            for s in suffix[:n]
         )
         return placed + suffix[n:]
 
     # -- expansion ----------------------------------------------------------------
 
     def _derive(self, key: tuple):
-        """Generator building one forest node's alternatives; memoizes and returns its record.
+        """Generator building one forest node's alternatives; memoizes and returns its id.
 
         ``key`` is (implicit node id, production id, cycle context). Under
         enforcement the node of each production preferred over this one is
@@ -261,7 +272,7 @@ class _Expander:
         docstring describes. An entry is (position to fill next, start of the
         real child right of it or None when there is none, children chosen
         right of it, the product of their tree counts). A nonterminal child
-        offers the records of its productions that the position does not
+        offers the forest nodes of its productions that the position does not
         block and that hold a tree; a suffix that starts with open
         placeholders has them put at the end of the child placed before it.
         """
@@ -283,7 +294,9 @@ class _Expander:
         cores = ig.cores
         core_at = ig.core_at
         grammar = self.grammar
-        records = self.records
+        forest = self.nodes
+        counts = self.counts
+        text = ig.input
         leaves = self._leaves
         eps = grammar.epsilon_ids
         terminals = grammar.terminal_ids
@@ -323,8 +336,10 @@ class _Expander:
                 if token:
                     leaf = leaves.get(child_id)
                     if leaf is None:
-                        leaf = leaves[child_id] = len(records)
-                        records.append((sym, child.start, child.end, None, None, 1))
+                        leaf = leaves[child_id] = len(forest)
+                        lexeme = text[child.start : child.end]
+                        forest.append(_make(ForestNode, (leaf, sym, child.start, child.end, None, None, lexeme)))
+                        counts.append(1)
                     stack.append((pos - 1, child.start, (leaf,) + filled, made))
                     continue
                 if child.start != start or child.end != end:
@@ -343,7 +358,7 @@ class _Expander:
                     if got is None:
                         got = yield wanted
                     if got != _EMPTY:
-                        stack.append((pos - 1, child.start, (got,) + filled, made * records[got][5]))
+                        stack.append((pos - 1, child.start, (got,) + filled, made * counts[got]))
 
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         if evaluator is not None:
@@ -352,8 +367,9 @@ class _Expander:
         else:
             self.constructions += len(alternatives)
         if alternatives:
-            result = len(records)
-            records.append((node.symbol_id, start, end, pid, tuple(alternatives), min(trees, COUNT_CAP)))
+            result = len(forest)
+            forest.append(_make(ForestNode, (result, node.symbol_id, start, end, pid, tuple(alternatives), None)))
+            counts.append(min(trees, COUNT_CAP))
         else:
             result = _EMPTY
         memo[key] = result
@@ -386,15 +402,16 @@ class _Expander:
                     accepted.append(children)
         return accepted
 
-    def _trees_of(self, rid: int) -> tuple[int, ...]:
-        """Records holding one tree each, together the trees of record ``rid``."""
+    def _trees_of(self, eid: int) -> tuple[int, ...]:
+        """Forest nodes holding one tree each, together the trees of node ``eid``."""
         trees = self._trees
-        stack = [(rid, False)]
+        nodes = self.nodes
+        stack = [(eid, False)]
         while stack:
             i, ready = stack.pop()
             if i in trees:
                 continue
-            symbol_id, start, end, pid, alternatives, _count = self.records[i]
+            _id, symbol_id, start, end, pid, alternatives, _lexeme = nodes[i]
             if alternatives is None:
                 trees[i] = (i,)
             elif not ready:
@@ -409,22 +426,23 @@ class _Expander:
                         key = (symbol_id, start, end, pid, children)
                         got = self._interned.get(key)
                         if got is None:
-                            got = self._interned[key] = len(self.records)
-                            self.records.append((symbol_id, start, end, pid, (children,), 1))
+                            got = self._interned[key] = len(nodes)
+                            nodes.append(_make(ForestNode, (got, symbol_id, start, end, pid, (children,), None)))
+                            self.counts.append(1)
                         out.append(got)
                 trees[i] = tuple(out)
-        return trees[rid]
+        return trees[eid]
 
-    def _view(self, rid: int) -> NodeView:
-        """The evaluator's view of a record that holds one tree."""
+    def _view(self, eid: int) -> NodeView:
+        """The evaluator's view of a forest node that holds one tree."""
         views = self._views
         text = self.ig.input
-        stack = [(rid, False)]
+        stack = [(eid, False)]
         while stack:
             i, ready = stack.pop()
             if i in views:
                 continue
-            symbol_id, start, end, pid, alternatives, _count = self.records[i]
+            _id, symbol_id, start, end, pid, alternatives, lexeme = self.nodes[i]
             children = alternatives[0] if alternatives else ()
             if children and not ready:
                 stack.append((i, True))
@@ -438,10 +456,10 @@ class _Expander:
                 production=pid,
                 label=label,
                 children=tuple(views[c] for c in children),
-                lexeme=text[start:end] if alternatives is None else None,
+                lexeme=lexeme,
                 text=text[start:end],
             )
-        return views[rid]
+        return views[eid]
 
 
 def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = True) -> EGraph:
@@ -458,9 +476,9 @@ def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = Tr
         raise ValueError("this chart enforced the constraints; expand it with enforce_constraints on")
     expander = _Expander(grammar, ig, enforce_constraints)
     roots = expander.run()
-    records, constructions = expander.records, expander.constructions
-    del expander  # its memo and caches go before the nodes are made
-    nodes, counts, roots = _emit(records, roots, ig.input)
+    nodes, counts, constructions = expander.nodes, expander.counts, expander.constructions
+    del expander  # its memo and caches go before the sweep
+    nodes, counts, roots = _reachable(nodes, counts, roots)
     return EGraph(ig.input, nodes, counts, roots, constructions)
 
 
@@ -471,10 +489,10 @@ def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGrap
     parse machinery proper cannot represent zero-width roots, so this case is
     produced directly.
     """
-    records: list[tuple] = []
-    root = _placeholder(grammar, records, {}, grammar.start.id, offset)
-    nodes, counts, roots = _emit(records, (root,), input_text)
-    return EGraph(input_text, nodes, counts, roots, len(records))
+    nodes: list[ForestNode] = []
+    counts: list[int] = []
+    root = _placeholder(grammar, nodes, counts, {}, grammar.start.id, offset)
+    return EGraph(input_text, nodes, counts, (root,), len(nodes))
 
 
 # -- forest queries -----------------------------------------------------------
@@ -565,25 +583,16 @@ def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     names = grammar.symbol_by_id
-    trees: dict[int, list[tuple]] = {}
-    for root in eg.roots:
-        stack = [(root, False)]
-        while stack:
-            eid, ready = stack.pop()
-            if eid in trees:
-                continue
-            rec = eg.nodes[eid]
-            name = names[rec.symbol_id].name
-            if rec.children is None:
-                trees[eid] = [("t", name, rec.start, rec.end, rec.lexeme)]
-            elif ready:
-                head = ("n", name, rec.start, rec.end, rec.production_id)
-                trees[eid] = _first(
-                    [(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in rec.children], limit
-                )
-            else:
-                stack.append((eid, True))
-                stack.extend((c, False) for alt in rec.children for c in alt if c not in trees)
+    trees: list[list[tuple]] = []  # children come before their parents
+    for rec in eg.nodes:
+        name = names[rec.symbol_id].name
+        if rec.children is None:
+            trees.append([("t", name, rec.start, rec.end, rec.lexeme)])
+        else:
+            head = ("n", name, rec.start, rec.end, rec.production_id)
+            trees.append(
+                _first([(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in rec.children], limit)
+            )
     return _first([trees[r] for r in eg.roots], limit)
 
 

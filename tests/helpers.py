@@ -155,8 +155,28 @@ def reference_counts(eg) -> list[int]:
     return [counts[eid] for eid in range(len(eg.nodes))]
 
 
+def assert_forest_shape(eg):
+    """Node ids are list indices, every child precedes its parent, and every node is reachable from a root."""
+    nodes = eg.nodes
+    assert len(eg.counts) == len(nodes)
+    for i, node in enumerate(nodes):
+        assert node.id == i
+        for alt in node.children or ():
+            assert all(c < i for c in alt), (i, alt)
+    reachable = set()
+    stack = list(eg.roots)
+    while stack:
+        i = stack.pop()
+        if i not in reachable:
+            reachable.add(i)
+            for alt in nodes[i].children or ():
+                stack.extend(alt)
+    assert reachable == set(range(len(nodes)))
+
+
 def assert_counts(grammar, eg, limit=10**6):
-    """The stored counts equal the reference walk, and the roots' total equals the trees listed."""
+    """The forest's shape holds, the stored counts equal the reference walk, and the roots' total equals the trees listed."""
+    assert_forest_shape(eg)
     assert eg.counts == reference_counts(eg)
     trees = enumerate_trees(eg, grammar, limit)
     assert len(trees) == min(tree_counts(eg).total, limit)

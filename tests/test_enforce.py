@@ -13,6 +13,7 @@ import randsuite
 from fence.cli import main
 from fence.enforce import (
     COUNT_CAP,
+    _Expander,
     canonical_tree,
     egraph_document,
     egraph_to_dot,
@@ -33,6 +34,7 @@ from helpers import (
     UNAMBIGUOUS_CHAIN,
     UNIT_LIST,
     assert_counts,
+    assert_forest_shape,
     catalan,
     chain,
     grammar,
@@ -277,6 +279,37 @@ def test_stored_counts_equal_the_reference_walk():
     assert compared > 1000
 
 
+def test_nodes_left_unreachable_are_compacted_away():
+    # S ::= A and A ::= S form a unit cycle; on "w" expansion builds a fourth
+    # node under the cut that no root reaches
+    g = randsuite.make_instance(4).grammar
+    _la, ig, eg = pipeline(g, "w", enforce=False)
+    expander = _Expander(g, ig, False)
+    expander.run()
+    assert len(expander.nodes) == 4
+    assert len(eg.nodes) == 3
+    assert_forest_shape(eg)
+    assert eg.counts == reference_counts(eg) == [1, 1, 1]
+    _la, expected = randsuite.oracle_trees(g, "w")
+    assert frozenset(assert_counts(g, eg)) == expected
+
+
+def test_every_random_suite_forest_is_numbered_children_first():
+    shaped = 0
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            for text in inst.inputs:
+                for enforce in (True, False):
+                    eg = parse_text(g, text, enforce_constraints=enforce).egraph
+                    if eg is not None:
+                        assert_forest_shape(eg)
+                        shaped += 1
+    assert shaped > 1000
+
+
 def test_canonical_tree_refuses_a_node_with_several_trees():
     g = grammar(ARITH)
     _la, _ig, eg = pipeline(g, chain(4))
@@ -374,8 +407,12 @@ def test_forest_document_and_gc():
     # one node per (start, end, symbol, production): shared, not repeated per tree
     keys = [(n["start"], n["end"], n["symbol"], n.get("production")) for n in doc["nodes"]]
     assert len(keys) == len(set(keys))
-    # every node reachable from the root, which is numbered first (preorder)
-    assert root == 0
+    # children are numbered before their parents, so the single root comes last
+    for n in doc["nodes"]:
+        for alt in n.get("alternatives", ()):
+            assert all(c < n["id"] for c in alt)
+    assert root == len(doc["nodes"]) - 1
+    # every node reachable from the root
     reachable = set()
     stack = [root]
     while stack:
