@@ -73,6 +73,43 @@ def test_every_single_constraint_only_removes_trees():
             assert pipeline_trees(grammar(variant), text) <= full
 
 
+# Evaluators for drawn grammars. Each reads only the node and its direct
+# children, the part of a candidate that one packed alternative fixes.
+def _first_no_wider_than_last(view):
+    first, last = view.children[0], view.children[-1]
+    return first.end - first.start <= last.end - last.start
+
+
+def _no_ab_token(view):
+    return all(c.lexeme != "ab" for c in view.children)
+
+
+def _no_empty_child(view):
+    return all(c.start < c.end for c in view.children)
+
+
+def _no_child_by_its_own_production(view):
+    return all(c.production != view.production for c in view.children)
+
+
+def _no_child_labelled_p0(view):
+    return all(c.label != "p0" for c in view.children)
+
+
+def _last_child_is_a_token(view):
+    return view.children[-1].production is None
+
+
+EVALUATORS = (
+    _first_no_wider_than_last,
+    _no_ab_token,
+    _no_empty_child,
+    _no_child_by_its_own_production,
+    _no_child_labelled_p0,
+    _last_child_is_a_token,
+)
+
+
 @st.composite
 def small_grammars(draw, ambiguous=False):
     """2-3 nonterminals with 1-3 labelled productions each, right-hand sides
@@ -84,7 +121,8 @@ def small_grammars(draw, ambiguous=False):
 
     ``ambiguous`` adds ``S ::= S S`` with a drawn associativity and a second
     copy of a drawn production, so that most inputs have trees for the
-    constraints to remove."""
+    constraints to remove, and attaches up to two of ``EVALUATORS`` to drawn
+    labels."""
     names = ("S", "A", "B")[: draw(st.integers(2, 3))]
     symbol = st.sampled_from(("a", "b", "ab") + names)
     rules = [
@@ -110,8 +148,15 @@ def small_grammars(draw, ambiguous=False):
     pair = st.lists(label, min_size=2, max_size=2, unique=True)
     for kind in ("select", "compose"):
         lines.extend(f"%prefer {kind} {a} over {b} ;" for a, b in draw(st.lists(pair, max_size=2)))
+    evaluators = None
+    if ambiguous:  # a production with no symbols derives only placeholders, which are never judged
+        judged = st.sampled_from([name for name, (_lhs, rhs) in zip(labels, rules) if rhs])
+        evaluators = draw(st.dictionaries(judged, st.sampled_from(EVALUATORS), max_size=2))
     try:
-        return grammar("%token a /a/\n%token b /b/\n%token ab /ab/\n%start S\n" + "\n".join(lines) + "\n")
+        return grammar(
+            "%token a /a/\n%token b /b/\n%token ab /ab/\n%start S\n" + "\n".join(lines) + "\n",
+            evaluators=evaluators,
+        )
     except GrammarError:
         assume(False)
 
@@ -162,6 +207,7 @@ def test_constrained_pipeline_equals_filtered_oracle(data):
         ("assoc", ConstraintSet(associativity=cs.associativity)),
         ("select", ConstraintSet(selection=cs.selection)),
         ("compose", ConstraintSet(composition=cs.composition)),
+        ("custom", ConstraintSet(custom=cs.custom)),
     ):
         part = Grammar(g.token_defs, g.productions, g.start, only, g.skip_pattern)
         target(float(len(base) - len(oracle_filter(base, part, la))), label=kind)
