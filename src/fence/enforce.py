@@ -281,9 +281,11 @@ class _Expander:
         nodes = ig.nodes
         memo = self.memo
         node = nodes[node_id]
-        if self.enforce:
-            for q in self.grammar.preferred_over.get(pid, ()):
-                if q in node.productions:
+        preferred = self.grammar.preferred_over.get(pid) if self.enforce else None
+        if preferred:
+            derived = set(node.productions)
+            for q in preferred:
+                if q in derived:
                     wanted = (node_id, q, outer)
                     other = memo.get(wanted)
                     if other is None:
