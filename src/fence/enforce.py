@@ -37,13 +37,13 @@ compares the forest nodes of one implicit node in one context: a
 production's node is dropped when a preferred production's node holds a
 tree. The preferred nodes are expanded first, so a dropped node is never
 expanded at all, and a custom evaluator under a dominated production is
-never called. Custom evaluators judge whole trees. Under a production that
-carries one, every combination of child trees of every alternative is
-assembled and shown to the evaluator, and each accepted candidate becomes
-an alternative of its own whose children hold one tree each. Only these
-productions cost one alternative per tree, and the evaluator still sees
-each candidate as a ``NodeView`` of one whole tree. ``EGraph.constructions``
-counts the alternatives built plus the candidates evaluated.
+never called. A custom evaluator judges one packed alternative as it is
+completed: it sees a ``NodeView`` of the node whose children are one-level
+views of the alternative's direct children, and a rejected alternative is
+dropped with its trees. A child forest node fixes its own symbol, span,
+production and label, so every tree of an alternative looks the same to
+the evaluator, and the forest stays packed. ``EGraph.constructions`` counts
+the alternatives built, those an evaluator rejects included.
 
 No (start, end, symbol) repeats on any root-to-leaf path of an output tree:
 a child that would re-enter a (start, end, symbol) already under expansion
@@ -62,7 +62,7 @@ interpreter frames, and parsing changes no process-wide setting. A forest
 node is appended to the forest as soon as it is finished, so its id is its
 creation index and its children, finished before it, have smaller ids. A
 node built for a derivation that does not complete (a cut cycle, a suffix
-whose prefix fails, a candidate an evaluator rejects) is left unreachable
+whose prefix fails, an alternative an evaluator rejects) is left unreachable
 from the roots; one sweep from the last node down finds such nodes, and the
 forest is compacted only when there are any.
 """
@@ -213,9 +213,6 @@ class _Expander:
         self.constructions = 0
         self._leaves: dict[int, int] = {}
         self._placeholders: dict[tuple[int, int], int] = {}
-        self._trees: dict[int, tuple[int, ...]] = {}
-        self._interned: dict[tuple, int] = {}
-        self._views: dict[int, NodeView] = {}
 
     def run(self) -> tuple[int, ...]:
         """Forest nodes of the accepted roots, expanding every node they reach.
@@ -275,6 +272,8 @@ class _Expander:
         offers the forest nodes of its productions that the position does not
         block and that hold a tree; a suffix that starts with open
         placeholders has them put at the end of the child placed before it.
+        A suffix that reaches the node's start is an alternative, kept only
+        if the production's custom evaluator, when it has one, accepts it.
         """
         node_id, pid, outer = key
         ig = self.ig
@@ -306,6 +305,7 @@ class _Expander:
         context = None  # built when the first child over this node's own span appears
         rhs = grammar.rhs_ids[pid]
         blocks = grammar.position_blocks[pid] if self.enforce else None
+        evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         alternatives = []
         trees = 0
         stack = [(len(rhs) - 1, None, (), 1)]
@@ -313,8 +313,13 @@ class _Expander:
             pos, right, suffix, made = stack.pop()
             if pos < 0:
                 if right == start:  # a node is never zero-width, so something was matched
-                    alternatives.append(self._fill(suffix, start) if suffix and suffix[0] < 0 else suffix)
-                    trees += made
+                    if suffix and suffix[0] < 0:
+                        suffix = self._fill(suffix, start)
+                    if evaluator is None or self._accepts(evaluator, pid, start, end, suffix):
+                        alternatives.append(suffix)
+                        trees += made
+                    else:
+                        self.constructions += 1
                 continue
             sym = rhs[pos]
             blocked = blocks[pos] if blocks else None
@@ -362,12 +367,7 @@ class _Expander:
                     if got != _EMPTY:
                         stack.append((pos - 1, child.start, (got,) + filled, made * counts[got]))
 
-        evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
-        if evaluator is not None:
-            alternatives = self._evaluated(pid, node, alternatives, evaluator)
-            trees = len(alternatives)  # each accepted alternative holds one tree
-        else:
-            self.constructions += len(alternatives)
+        self.constructions += len(alternatives)
         if alternatives:
             result = len(forest)
             forest.append(_make(ForestNode, (result, node.symbol_id, start, end, pid, tuple(alternatives), None)))
@@ -377,91 +377,23 @@ class _Expander:
         memo[key] = result
         return result
 
-    # -- custom evaluators -----------------------------------------------------
-
-    def _evaluated(self, pid: int, node, alternatives: list, evaluator) -> list[tuple[int, ...]]:
-        """One alternative per tree that the evaluator accepts, with single-tree children."""
-        p = self.grammar.productions[pid]
-        accepted = []
-        for alt in alternatives:
-            for children in product(*(self._trees_of(c) for c in alt)):
-                self.constructions += 1
-                view = NodeView(
-                    symbol=p.lhs.name,
-                    start=node.start,
-                    end=node.end,
-                    production=pid,
-                    label=p.label,
-                    children=tuple(self._view(c) for c in children),
-                    lexeme=None,
-                    text=self.ig.input[node.start : node.end],
-                )
-                try:
-                    keep = bool(evaluator(view))
-                except Exception as exc:
-                    raise EvaluatorError(pid, p.label, exc) from exc
-                if keep:
-                    accepted.append(children)
-        return accepted
-
-    def _trees_of(self, eid: int) -> tuple[int, ...]:
-        """Forest nodes holding one tree each, together the trees of node ``eid``."""
-        trees = self._trees
-        nodes = self.nodes
-        stack = [(eid, False)]
-        while stack:
-            i, ready = stack.pop()
-            if i in trees:
-                continue
-            _id, symbol_id, start, end, pid, alternatives, _lexeme = nodes[i]
-            if alternatives is None:
-                trees[i] = (i,)
-            elif not ready:
-                stack.append((i, True))
-                stack.extend((c, False) for alt in alternatives for c in alt if c not in trees)
-            elif len(alternatives) == 1 and all(trees[c] == (c,) for c in alternatives[0]):
-                trees[i] = (i,)
-            else:
-                out = []
-                for alt in alternatives:
-                    for children in product(*(trees[c] for c in alt)):
-                        key = (symbol_id, start, end, pid, children)
-                        got = self._interned.get(key)
-                        if got is None:
-                            got = self._interned[key] = len(nodes)
-                            nodes.append(_make(ForestNode, (got, symbol_id, start, end, pid, (children,), None)))
-                            self.counts.append(1)
-                        out.append(got)
-                trees[i] = tuple(out)
-        return trees[eid]
-
-    def _view(self, eid: int) -> NodeView:
-        """The evaluator's view of a forest node that holds one tree."""
-        views = self._views
+    def _accepts(self, evaluator, pid: int, start: int, end: int, alternative: tuple[int, ...]) -> bool:
+        """The evaluator's verdict on one alternative of production ``pid`` over [start, end)."""
+        grammar = self.grammar
         text = self.ig.input
-        stack = [(eid, False)]
-        while stack:
-            i, ready = stack.pop()
-            if i in views:
-                continue
-            _id, symbol_id, start, end, pid, alternatives, lexeme = self.nodes[i]
-            children = alternatives[0] if alternatives else ()
-            if children and not ready:
-                stack.append((i, True))
-                stack.extend((c, False) for c in children if c not in views)
-                continue
-            label = None if pid is None else self.grammar.productions[pid].label
-            views[i] = NodeView(
-                symbol=self.grammar.symbol_by_id[symbol_id].name,
-                start=start,
-                end=end,
-                production=pid,
-                label=label,
-                children=tuple(views[c] for c in children),
-                lexeme=lexeme,
-                text=text[start:end],
-            )
-        return views[eid]
+        names = grammar.symbol_by_id
+        productions = grammar.productions
+        children = []
+        for c in alternative:
+            _id, symbol_id, cstart, cend, cpid, _alternatives, lexeme = self.nodes[c]
+            label = None if cpid is None else productions[cpid].label
+            children.append(NodeView(names[symbol_id].name, cstart, cend, cpid, label, (), lexeme, text[cstart:cend]))
+        p = productions[pid]
+        view = NodeView(p.lhs.name, start, end, pid, p.label, tuple(children), None, text[start:end])
+        try:
+            return bool(evaluator(view))
+        except Exception as exc:
+            raise EvaluatorError(pid, p.label, exc) from exc
 
 
 def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = True) -> EGraph:

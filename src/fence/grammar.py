@@ -90,7 +90,14 @@ class TokenDef(NamedTuple):
 
 
 class NodeView(NamedTuple):
-    """Read-only view of a candidate parse node, passed to custom evaluators."""
+    """Read-only view of a candidate parse node, passed to custom evaluators.
+
+    An evaluator sees one node and its direct children: ``children`` views
+    the children of one packed alternative, and each child's own
+    ``children`` is ``()``. A token child has ``production`` and ``label``
+    None and carries its ``lexeme``; a nonterminal child, including a
+    zero-width placeholder, carries the production that derives it.
+    """
 
     symbol: str
     start: int

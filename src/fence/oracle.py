@@ -198,7 +198,9 @@ def _local_ok(
         return False
     evaluator = constraints.custom.get(pid)
     if evaluator is not None:
-        view = _tree_view(grammar, ("n", p.lhs.name, span[0], span[1], pid, children), input_text)
+        # one level, as the forest shows it: the children's own children are left out
+        views = tuple(_tree_view(grammar, c, input_text) for c in children)
+        view = _tree_view(grammar, ("n", p.lhs.name, span[0], span[1], pid, children), input_text, views)
         try:
             verdict = evaluator(view)
         except Exception as exc:
@@ -208,14 +210,14 @@ def _local_ok(
     return True
 
 
-def _tree_view(grammar: Grammar, tree: tuple, input_text: str) -> NodeView:
+def _tree_view(grammar: Grammar, tree: tuple, input_text: str, children: tuple = ()) -> NodeView:
+    """The evaluator's view of ``tree``'s own node, with ``children`` as its child views."""
     if tree[0] == "t":
         _tag, symbol, start, end, lexeme = tree
         return NodeView(symbol, start, end, None, None, (), lexeme, lexeme)
-    _tag, symbol, start, end, pid, children = tree
+    _tag, symbol, start, end, pid, _children = tree
     p = grammar.productions[pid]
-    views = tuple(_tree_view(grammar, c, input_text) for c in children)
-    return NodeView(symbol, start, end, pid, p.label, views, None, input_text[start:end])
+    return NodeView(symbol, start, end, pid, p.label, children, None, input_text[start:end])
 
 
 def _tree_passes_local(grammar: Grammar, tree: tuple, input_text: str) -> bool:

@@ -228,6 +228,27 @@ def test_an_evaluated_node_counts_the_candidates_it_accepts():
     assert eg.constructions > 2  # rejected candidates were assembled too
 
 
+def test_an_evaluator_keeps_the_forest_packed():
+    # the evaluator judges one alternative whose child holds every bracketing
+    source = ARITH.replace("%start E", "%start S") + "[top] S ::= E ;\n"
+    views = []
+    plain = grammar(source)
+    judged = grammar(source, evaluators={"top": lambda view: views.append(view) or True})
+    for operands in (12, 30):
+        text = "+".join(["1"] * operands)
+        t0 = time.perf_counter()
+        eg = parse_text(judged, text).egraph
+        seconds = time.perf_counter() - t0
+        assert egraph_document(eg, judged) == egraph_document(parse_text(plain, text).egraph, plain)
+        assert tree_counts(eg).total == catalan(operands - 1)
+    assert seconds < 1.0, seconds
+    assert len(views) == 2
+    (child,) = views[-1].children
+    assert child.children == ()
+    assert (child.symbol, child.start, child.end, child.text) == ("E", 0, len(text), text)
+    assert (judged.productions[child.production].label, child.label) == ("add", "add")
+
+
 def test_tree_counts():
     g = grammar(AMBIG_NUMBERS)
     _la, _ig, eg = pipeline(g, AMBIG_INPUT)
@@ -501,7 +522,7 @@ def test_deeply_nested_unambiguous_input(monkeypatch):
 
 
 def test_evaluator_sees_a_deeply_nested_candidate():
-    # the evaluator's view of the root holds the whole 520-level chain
+    # the root's one alternative sits on the whole 520-level chain
     g = grammar(
         DEEP_CHAIN.replace("%start E", "%start S") + "[top] S ::= E ;\n",
         evaluators={"top": lambda view: view.children[0].end == view.end},
