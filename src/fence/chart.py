@@ -71,6 +71,20 @@ each of these happens once. Prediction pushes nothing itself: the handles it
 seeds are stored through the same store-once path as advanced ones, so the
 same arguments cover them.
 
+Handles and agenda entries are plain ints, as Earley items are LR(0) item
+numbers in McLean and Horspool ("A faster Earley parser", 1996). The grammar
+numbers its items once: production p with its dot at d is item
+``Grammar.item_base[p] + d``, so advancing a dot adds one. A handle is
+``item * stride + origin``, where ``ELAGraph.stride`` is the input's length
+plus one, because the last core sits at the input's end and can be an
+origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
+the number of items times the stride. Each code stands for exactly one
+tuple, so the sets keep the same members. An int hashes without rehashing
+fields, and the cyclic collector never tracks it. Per item the parser reads
+the symbol after the dot (-1 once the item is complete), the blocked set
+(empty when nothing is blocked) and whether that symbol may be skipped as
+empty, so no handle is decoded into production and dot.
+
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
 change the result: popping an entry only adds handles, predictions and
 nodes, each keyed by its identity, and every entry pushed is popped before
@@ -98,10 +112,11 @@ class ChartParser:
     it), so construct a fresh extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
-    wait for its left-hand side are stored. ``agenda`` holds pending
-    (production, dot, origin, node) entries, a handle and the node that
-    matches the symbol after its dot, and is drained from the end; the
-    module docstring explains why the order does not affect the graph.
+    wait for its left-hand side are stored. ``agenda`` holds pending entries,
+    a handle and the node that matches the symbol after its dot, each coded
+    as the int ``node_id * space + handle`` with ``space`` the number of
+    handles the graph can hold; it is drained from the end, and the module
+    docstring explains why the order does not affect the graph.
 
     With ``enforce_constraints`` on, each handle waits with the blocked set of
     its position and advances only over a node that a production outside the
@@ -112,25 +127,40 @@ class ChartParser:
     def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
         self.grammar = grammar
         self.ela = ela
-        self.agenda: list[tuple] = []
+        self.agenda: list[int] = []
         self.pops = 0
-        self._rhs = grammar.rhs_ids
-        self._eps = grammar.epsilon_ids
+        self._stride = ela.stride
+        self.space = len(grammar.item_production) * ela.stride
+        self._base = grammar.item_base
+        self._production = grammar.item_production
         self._predictions = grammar.predictions
         self._lhs = [p.lhs.id for p in grammar.productions]
         # One shared ``productions`` tuple per production, for the nodes it alone derives
         self._single = [(p,) for p in range(len(grammar.productions))]
         blocks = grammar.position_blocks if enforce_constraints else ()
-        # Per production and position, the blocked set; None when nothing is blocked.
-        self._blocks = blocks if any(any(row) for row in blocks) else None
+        self._filtered = any(any(row) for row in blocks)
+        # Per item: the symbol after the dot (-1 once complete), the productions a
+        # node there may not have, and whether the symbol may be skipped as empty.
+        none: frozenset[int] = frozenset()
+        symbol: list[int] = []
+        blocked: list[frozenset[int]] = []
+        for p, rhs in enumerate(grammar.rhs_ids):
+            symbol += rhs
+            symbol.append(-1)
+            blocked += blocks[p] if self._filtered else [none] * len(rhs)
+            blocked.append(none)
+        eps = grammar.epsilon_ids
+        self._symbol = symbol
+        self._blocked = blocked
+        self._skip = [
+            s in eps and not (b and grammar.epsilon_production[s] in b) for s, b in zip(symbol, blocked)
+        ]
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
 
-    def add_handle(
-        self, production_id: int, dot: int, origin: int, core: Core, end: int | None = None
-    ) -> None:
-        """Store the handle (and its nullable-skip variants) in ``core``.
+    def add_handle(self, item: int, origin: int, core: Core, end: int | None = None) -> None:
+        """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
         the symbol after the dot, and predicts that symbol in ``core`` the
@@ -142,30 +172,29 @@ class ChartParser:
         that happens on every call, since two matched nodes that end at
         different offsets can lead to the same core.
         """
-        rhs = self._rhs[production_id]
-        blocks = self._blocks and self._blocks[production_id]
-        size = len(rhs)
+        stride = self._stride
         while True:
-            if dot == size:
+            sym = self._symbol[item]
+            if sym < 0:
                 if end is not None:
-                    self._reduce(production_id, origin, end)
+                    self._reduce(self._production[item], origin, end)
                 return
-            sym = rhs[dot]
-            blocked = blocks and blocks[dot]
-            handle = (production_id, dot, origin)
+            handle = item * stride + origin
             if handle not in core.handles:
                 core.handles.add(handle)
                 core.waiting.setdefault(sym, []).append(handle)
+                blocked = self._blocked[item]
                 if blocked:
                     self._wait_blocked(handle, sym, blocked, core)
                 else:
+                    space = self.space
                     for node_id in core.following_by_sym.get(sym, ()):
-                        self.agenda.append(handle + (node_id,))
+                        self.agenda.append(node_id * space + handle)
                     if sym not in core.predicted:
                         self._predict(sym, core)
-            if sym not in self._eps or (blocked and self.grammar.epsilon_production[sym] in blocked):
+            if not self._skip[item]:
                 return
-            dot += 1
+            item += 1
 
     def _predict(self, sym: int, core: Core) -> None:
         """Seed ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
@@ -175,10 +204,11 @@ class ChartParser:
         """
         productions, reached = self._predictions[sym]
         core.predicted |= reached
+        base = self._base
         for production_id in productions:
-            self.add_handle(production_id, 0, core.position, core)
+            self.add_handle(base[production_id], core.position, core)
 
-    def _wait_blocked(self, handle: tuple, sym: int, blocked: frozenset[int], core: Core) -> None:
+    def _wait_blocked(self, handle: int, sym: int, blocked: frozenset[int], core: Core) -> None:
         """Push and predict for a handle whose position blocks ``blocked``.
 
         Only the following nodes that a production outside ``blocked``
@@ -191,9 +221,10 @@ class ChartParser:
         preferred one holds a tree, so it needs the preferred node too.
         """
         nodes = self.ela.nodes
+        space = self.space
         for node_id in core.following_by_sym.get(sym, ()):
             if not blocked.issuperset(nodes[node_id].productions):
-                self.agenda.append(handle + (node_id,))
+                self.agenda.append(node_id * space + handle)
         if sym in core.predicted or (sym, blocked) in core.predicted:
             return
         core.predicted.add((sym, blocked))
@@ -201,8 +232,8 @@ class ChartParser:
         kept = [p for p in options if p not in blocked]
         needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
         for p in options:
-            if self._rhs[p] and p in needed:
-                self.add_handle(p, 0, core.position, core)
+            if self.grammar.rhs_ids[p] and p in needed:
+                self.add_handle(self._base[p], core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         """Create or extend the node of a completed production and re-awaken its waiting handles.
@@ -217,7 +248,6 @@ class ChartParser:
         nodes = ela.nodes
         lhs = self._lhs[production_id]
         key = (start, end, lhs)
-        blocks = self._blocks
         node_id = ela.node_ids.get(key)
         if node_id is None:
             node_id = len(nodes)
@@ -233,17 +263,24 @@ class ChartParser:
             if production_id in earlier:
                 return
             node.productions = tuple(sorted(earlier + (production_id,)))
-            if blocks is None:
+            if not self._filtered:
                 return
             pre = ela.cores[ela.core_at[start]]
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
+        entry = node_id * self.space
+        agenda = self.agenda
+        if not self._filtered:
+            for handle in pre.waiting.get(lhs, ()):
+                agenda.append(entry + handle)
+            return
+        stride = ela.stride
+        blocks = self._blocked
         for handle in pre.waiting.get(lhs, ()):
-            if blocks is not None:
-                blocked = blocks[handle[0]][handle[1]]
-                if production_id in blocked or not blocked.issuperset(earlier):
-                    continue
-            self.agenda.append(handle + (node_id,))
+            blocked = blocks[handle // stride]
+            if production_id in blocked or not blocked.issuperset(earlier):
+                continue
+            agenda.append(entry + handle)
 
     # -- driver --------------------------------------------------------------
 
@@ -258,16 +295,27 @@ class ChartParser:
             self.initialize()
         ela = self.ela
         nodes = ela.nodes
+        cores = ela.cores
+        next_core = ela.next_core
         agenda = self.agenda
+        space = self.space
+        stride = ela.stride
+        symbol = self._symbol
+        production = self._production
+        pops = 0
         while agenda:
-            production_id, dot, origin, node_id = agenda.pop()
-            self.pops += 1
-            end = nodes[node_id].end
-            nxt = dot + 1
-            if nxt == len(self._rhs[production_id]):
-                self._reduce(production_id, origin, end)
+            entry = agenda.pop()
+            handle = entry % space
+            item = handle // stride
+            origin = handle % stride
+            pops += 1
+            end = nodes[entry // space].end
+            item += 1
+            if symbol[item] < 0:
+                self._reduce(production[item], origin, end)
             else:
-                self.add_handle(production_id, nxt, origin, ela.cores[ela.next_core[end]], end)
+                self.add_handle(item, origin, cores[next_core[end]], end)
+        self.pops += pops
         start_sym = self.grammar.start.id
         s0 = ela.cores[ela.starting_core].position
         ela.starting = tuple(
@@ -279,7 +327,7 @@ class ChartParser:
         )
         ela.agenda_pops = self.pops
         ela.handle_count = sum(len(c.handles) for c in ela.cores)
-        ela.filtered = self._blocks is not None
+        ela.filtered = self._filtered
         return ela
 
 

@@ -24,7 +24,9 @@ __all__ = ["Core", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"
 class Core:
     """A handle store between tokens.
 
-    ``waiting`` indexes handles by the symbol after their dot, including
+    ``handles`` holds the handles stored here, each the int
+    ``item * stride + origin`` that the chart module describes. ``waiting``
+    indexes the same ints by the symbol after their dot, including
     handles whose dot reached that symbol by skipping nullable positions, so
     a single lookup answers which handles a freshly derived node can advance.
     ``predicted`` holds the symbols already predicted here: once a symbol is
@@ -41,8 +43,8 @@ class Core:
     def __init__(self, core_id: int, position: int):
         self.id = core_id
         self.position = position
-        self.handles: set[tuple] = set()
-        self.waiting: dict[int, list[tuple]] = {}
+        self.handles: set[int] = set()
+        self.waiting: dict[int, list[int]] = {}
         self.predicted: set = set()
         self.preceding: list[int] = []
         self.following_by_sym: dict[int, list[int]] = {}
@@ -89,7 +91,9 @@ class ELAGraph:
     a token end offset to the core after it; every node starts where a token
     starts and ends where one ends, so both serve all nodes. ``node_ids``
     maps a nonterminal node's (start, end, symbol) key to its id; tokens are
-    never looked up by key, so theirs are left out.
+    never looked up by key, so theirs are left out. ``stride`` is the
+    input's length plus one, the number of offsets a handle's origin can
+    take, so that a handle is one int (see the chart module).
 
     The chart's results stay empty or zero until a chart runs. ``starting``
     then holds the accepted roots: start-symbol nodes whose only preceding
@@ -99,12 +103,13 @@ class ELAGraph:
     derivations that the constraints forbid.
     """
 
-    __slots__ = ("input", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core", "last_core",
-                 "starting", "agenda_pops", "handle_count", "filtered")
+    __slots__ = ("input", "stride", "cores", "nodes", "node_ids", "core_at", "next_core", "starting_core",
+                 "last_core", "starting", "agenda_pops", "handle_count", "filtered")
 
     def __init__(self, input: str, cores: list[Core], nodes: list[ImplicitNode], node_ids: dict[tuple, int],
                  core_at: dict[int, int], next_core: dict[int, int], starting_core: int = 0, last_core: int = 0):
         self.input = input
+        self.stride = len(input) + 1
         self.cores = cores
         self.nodes = nodes
         self.node_ids = node_ids

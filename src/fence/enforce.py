@@ -304,6 +304,8 @@ class _Expander:
         start, end = node.start, node.end
         context = None  # built when the first child over this node's own span appears
         rhs = grammar.rhs_ids[pid]
+        stride = ig.stride
+        first = grammar.item_base[pid] * stride + start  # the handle (pid, 0, start)
         blocks = grammar.position_blocks[pid] if self.enforce else None
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         alternatives = []
@@ -323,7 +325,7 @@ class _Expander:
                 continue
             sym = rhs[pos]
             blocked = blocks[pos] if blocks else None
-            handle = (pid, pos, start)
+            handle = first + pos * stride
             cid = ig.next_core[end] if right is None else core_at[right]
             if (
                 sym in eps

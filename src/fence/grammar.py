@@ -279,6 +279,19 @@ class Grammar:
             p.label: p for p in self.productions if p.label is not None
         }
 
+        # LR(0) items, numbered once: production p with its dot at d is item_base[p] + d,
+        # so advancing a dot is adding one and a handle or agenda entry can be one int.
+        item_base: list[int] = []
+        item_production: list[int] = []
+        item_dot: list[int] = []
+        for p in self.productions:
+            item_base.append(len(item_production))
+            item_production += [p.id] * (len(p.rhs) + 1)
+            item_dot += range(len(p.rhs) + 1)
+        self.item_base = tuple(item_base)
+        self.item_production = tuple(item_production)
+        self.item_dot = tuple(item_dot)
+
         self.epsilon_symbols = compute_epsilon_symbols(self.productions)
         self.epsilon_ids = frozenset(s.id for s in self.epsilon_symbols)
 

@@ -203,3 +203,15 @@ def pipeline_trees(grammar, text, enforce=True):
 
 def grammar(text, **kw):
     return parse_grammar_text(text, **kw)
+
+
+def handle_parts(grammar, ela, handle):
+    """A chart handle, stored as the int ``item * ela.stride + origin``, as (production, dot, origin)."""
+    item, origin = divmod(handle, ela.stride)
+    return grammar.item_production[item], grammar.item_dot[item], origin
+
+
+def entry_parts(grammar, ela, entry):
+    """An agenda entry, the int ``node_id * space + handle``, as (production, dot, origin, node id)."""
+    node_id, handle = divmod(entry, len(grammar.item_production) * ela.stride)
+    return handle_parts(grammar, ela, handle) + (node_id,)

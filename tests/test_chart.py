@@ -1,5 +1,6 @@
 """Chart phase: handle management, reductions, merging, termination."""
 
+import gc
 import json
 import time
 from collections import Counter
@@ -19,7 +20,9 @@ from helpers import (
     ARITH_LEFT,
     UNAMBIGUOUS_CHAIN,
     chain,
+    entry_parts,
     grammar,
+    handle_parts,
     pipeline,
     pipeline_trees,
 )
@@ -39,8 +42,8 @@ def test_add_handle_single_production():
     ela = build(g, "a")
     parser = ChartParser(g, ela)
     core = ela.cores[0]
-    parser.add_handle(0, 0, core.position, core)
-    assert len(core.handles) == 1
+    parser.add_handle(g.item_base[0], core.position, core)
+    assert [handle_parts(g, ela, h) for h in core.handles] == [(0, 0, core.position)]
     assert len(parser.agenda) == 1
 
 
@@ -49,8 +52,8 @@ def test_add_handle_expands_nullable_skips():
     ela = build(g, "b")
     parser = ChartParser(g, ela)
     core = ela.cores[0]
-    parser.add_handle(0, 0, core.position, core)
-    dots = sorted(h[1] for h in core.handles)
+    parser.add_handle(g.item_base[0], core.position, core)
+    dots = sorted(handle_parts(g, ela, h)[1] for h in core.handles)
     assert dots == [0, 1]  # dot before A, and A skipped
     assert len(parser.agenda) == 1  # the b token matches the advanced handle
 
@@ -63,7 +66,7 @@ def test_a_handle_is_keyed_by_its_origin_not_its_first_node():
     ig = run_chart(g, ela)
     assert len(ig.starting) == 1
     core = ela.cores[ela.core_at[3]]
-    assert sorted(h for h in core.handles if h[0] == 0 and h[1] == 2) == [(0, 2, 0)]
+    assert sorted(h for h in (handle_parts(g, ela, h) for h in core.handles) if h[0] == 0 and h[1] == 2) == [(0, 2, 0)]
 
 
 def test_a_skip_run_to_the_end_reduces_for_every_end():
@@ -87,7 +90,7 @@ def test_initialization_of_running_example():
     # starting core holds the dot-0 handles of E and A and nothing for B
     by_name = {s.name: s.id for s in g.symbols.values()}
     start_core = ela.cores[ela.starting_core]
-    assert start_core.handles == {
+    assert {handle_parts(g, ela, h) for h in start_core.handles} == {
         (p.id, 0, 0) for p in g.productions if p.lhs.name in ("E", "A")
     }
     assert start_core.predicted == {by_name["E"], by_name["A"], by_name["Ampersand"]}
@@ -97,7 +100,7 @@ def test_initialization_of_running_example():
             assert not core.handles and not core.predicted
     # only one entry: the Ampersand matching A's production
     assert len(parser.agenda) == 1
-    pid, dot, origin, node_id = parser.agenda[0]
+    pid, dot, origin, node_id = entry_parts(g, ela, parser.agenda[0])
     assert g.productions[pid].lhs.name == "A" and dot == 0 and origin == 0
     assert g.symbol_by_id[ela.nodes[node_id].symbol_id].name == "Ampersand"
 
@@ -194,7 +197,7 @@ def test_no_agenda_entry_is_pushed_twice():
                 if enforce:  # no handle meets a node all of whose productions its position blocks
                     blocks = g.position_blocks
                     blocked = [
-                        e for e in pushed
+                        e for e in (entry_parts(g, ig, e) for e in pushed)
                         if ig.nodes[e[3]].productions and blocks[e[0]][e[1]].issuperset(ig.nodes[e[3]].productions)
                     ]
                     assert not blocked, (seed, text)
@@ -202,6 +205,53 @@ def test_no_agenda_entry_is_pushed_twice():
                 runs += 1
     assert runs > 300 and filtered > 50
 
+
+
+def test_handles_and_agenda_entries_are_untracked_ints():
+    # the collector never tracks an int, so the chart's per-handle and
+    # per-push work allocates nothing it has to scan
+    runs = 0
+    for seed in range(60):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for text in inst.inputs:
+            try:
+                la = tokenize(inst.grammar, text)
+            except TokenizationError:
+                continue
+            if not la.nodes:
+                continue
+            for g, enforce in ((inst.grammar, False), (inst.constrained, True)):
+                parser = ChartParser(g, build_ela_graph(la), enforce)
+                parser.agenda = _RecordingAgenda()
+                ig = parser.run()
+                stored = [h for core in ig.cores for h in core.handles]
+                stored += [h for core in ig.cores for waiting in core.waiting.values() for h in waiting]
+                for value in stored + parser.agenda.pushed:
+                    assert type(value) is int and not gc.is_tracked(value), (seed, text, value)
+                runs += 1
+    assert runs > 150
+
+
+def test_a_handle_whose_origin_is_the_end_of_the_input():
+    # after "a", the last core holds T ::= a . N from offset 0, and the
+    # nullable tail R predicts T there, seeding T ::= . a N from offset 1,
+    # the input's length: the next item at origin 0 and this one at the
+    # largest origin must not share a code
+    g = grammar("%token a /a/\n%start S\nS ::= T R ;\nR ::= T ;\nR ::= ;\nT ::= a N ;\nN ::= ;\n")
+    ela = build(g, "a")
+    ig = run_chart(g, ela)
+    assert len(ig.starting) == 1
+    t = g.production_by_ref("T").id
+    last = ela.cores[ela.last_core]
+    assert last.position == len("a") == ela.stride - 1
+    at_end = {handle_parts(g, ela, h): h for h in last.handles}
+    assert len(at_end) == len(last.handles)
+    assert at_end[t, 1, 0] != at_end[t, 0, 1]
+    at_start = {handle_parts(g, ela, h): h for h in ela.cores[ela.starting_core].handles}
+    assert at_start[t, 0, 0] != at_end[t, 0, 1]
+    assert len(_assert_matches_oracle(g, "a")) == 1
 
 def test_stats_and_document():
     g = grammar(AMBIG_NUMBERS)
@@ -487,7 +537,8 @@ def test_prediction_through_a_nullable_left_corner():
     start_core = ela.cores[ela.starting_core]
     # B is predicted where S is, past the empty A, with both its productions
     assert g.symbol("B").id in start_core.predicted
-    assert {str(g.productions[p]) for p, dot, _ in start_core.handles if dot == 0} == {
+    handles = [handle_parts(g, ela, h) for h in start_core.handles]
+    assert {str(g.productions[p]) for p, dot, _ in handles if dot == 0} == {
         "S ::= A B c", "B ::= b", "B ::= A B b"
     }
     accepted = [text for text in ("bc", "bbc", "bbbc", "c", "bcc", "b") if _assert_matches_oracle(g, text)]
