@@ -263,8 +263,9 @@ class _Expander:
         """Generator building one forest node's alternatives; memoizes and returns its id.
 
         ``key`` is (implicit node id, production id, cycle context). Under
-        enforcement the node of each production preferred over this one is
-        checked first, and if one holds a tree this node is empty. Otherwise
+        enforcement the nodes of the productions preferred over this one are
+        checked first, most preferred first, and once one holds a tree this
+        node is empty. Otherwise
         a stack of partial suffixes is extended right to left, as the module
         docstring describes. An entry is (position to fill next, start of the
         real child right of it or None when there is none, children chosen

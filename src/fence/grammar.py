@@ -303,13 +303,12 @@ class Grammar:
         # Selection only ever compares productions of one symbol, so a pair
         # across symbols is dropped, but only after closing: a chain through
         # another symbol's production still relates the two ends.
-        preferred: dict[int, list[int]] = {}
-        for q, p in sorted(self.selection_closed):
+        above: dict[int, set[int]] = {}
+        below: dict[int, list[int]] = {}
+        for q, p in self.selection_closed:
             if self.productions[q].lhs.id == self.productions[p].lhs.id:
-                preferred.setdefault(p, []).append(q)
-        self.preferred_over: dict[int, tuple[int, ...]] = {
-            p: tuple(qs) for p, qs in preferred.items()
-        }
+                above.setdefault(p, set()).add(q)
+                below.setdefault(q, []).append(p)
         blocks: dict[int, set[int]] = {}
         for p, q in self.composition_closed:
             blocks.setdefault(p, set()).add(q)
@@ -320,11 +319,22 @@ class Grammar:
         # Rank: the longest chain preferred over p. In the closed acyclic relation each q
         # preferred over p has fewer productions preferred over it, so q is ranked first.
         rank: dict[int, int] = {}
-        for p, above in sorted(self.preferred_over.items(), key=lambda item: len(item[1])):
-            rank[p] = 1 + max(rank.get(q, 0) for q in above)
+        for p, qs in sorted(above.items(), key=lambda item: len(item[1])):
+            rank[p] = 1 + max(rank.get(q, 0) for q in qs)
         self.selection_order_by_lhs: dict[int, tuple[int, ...]] = {
             lhs: tuple(sorted(ids, key=lambda i: (rank.get(i, 0), i)))
             for lhs, ids in self.production_ids_by_lhs.items()
+        }
+        # The productions preferred over p, most preferred first as in
+        # selection_order_by_lhs, so a check that stops at the first one
+        # holding a tree seldom looks further.
+        preferred: dict[int, list[int]] = {}
+        for order in self.selection_order_by_lhs.values():
+            for q in order:
+                for p in below.get(q, ()):
+                    preferred.setdefault(p, []).append(q)
+        self.preferred_over: dict[int, tuple[int, ...]] = {
+            p: tuple(qs) for p, qs in sorted(preferred.items())
         }
         self.has_selection = bool(self.constraints.selection)
 

@@ -295,6 +295,19 @@ def test_selection_across_symbols_is_closed_before_it_is_filtered():
     assert pipeline_trees(g, "a") == {("n", "S", 0, 1, 0, (("t", "a", 0, 1, "a"),))}
 
 
+
+def test_preferred_productions_are_listed_most_preferred_first():
+    # c over b over a, declared bottom-up and in the reverse of rank order
+    g = parse_grammar_text(
+        "%token x /x/\n%start S\n[a] S ::= x ;\n[b] S ::= x ;\n[c] S ::= x ;\n[d] S ::= x ;\n"
+        "%prefer select b over a ;\n%prefer select c over b ;\n%prefer select d over a ;\n"
+    )
+    ids = {p.label: p.id for p in g.productions}
+    assert g.selection_order_by_lhs[g.start.id] == (ids["c"], ids["d"], ids["b"], ids["a"])
+    assert g.preferred_over == {ids["a"]: (ids["c"], ids["d"], ids["b"]), ids["b"]: (ids["c"],)}
+    eg = parse_text(g, "x").egraph
+    assert [g.productions[eg.nodes[r].production_id].label for r in eg.roots] == ["c", "d"]
+
 def _prefer_chain(kind, levels):
     rules = "".join(f"[p{i}] S ::= a ;\n" for i in range(levels))
     prefers = "".join(f"%prefer {kind} p{i} over p{i + 1} ;\n" for i in range(levels - 1))
