@@ -2,9 +2,10 @@
 
 Instead of committing to one tokenization, the lexer records every token any
 definition can match at every reachable offset. Paths through the resulting
-graph are the candidate tokenizations of the input. ``prune_la_graph`` is the
+graph are the candidate tokenizations of the input. ``_prune_spans`` is the
 one place where branches that cannot reach the end of the input are dropped,
-for lexed and loaded lattices alike.
+for lexed and loaded lattices alike: ``tokenize`` prunes its spans before it
+builds any token, and ``prune_la_graph`` prunes a built lattice's.
 
 Links are positional, as in the lexical analysis graph of the Lamb lexer
 (Quesada, Berzal and Cortijo, "Lamb: a lexical analyzer with ambiguity
@@ -24,7 +25,7 @@ zero-width and the skip pattern is consumed only between tokens.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import FenceError
@@ -129,8 +130,8 @@ def _links(
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
     """Build the lexical analysis graph for ``text``.
 
-    Every match at every offset reachable from the start becomes a token of a
-    raw lattice, and the result is that lattice after ``prune_la_graph``.
+    Every match at every offset reachable from the start becomes a span, and
+    the tokens of the result are the spans that ``_prune_spans`` keeps.
     Offsets are visited in increasing order, so tokens are numbered by start,
     then end, then symbol id. Raises :class:`TokenizationError` when no token
     path spans the input, reporting the furthest offset reached. An input
@@ -176,10 +177,10 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
         spans += here
         pos = reached.find(1, pos + 1)
 
-    graph = prune_la_graph(_lattice(text, spans, next_position, start_pos))
-    if not graph.nodes:
+    spans, next_position = _prune_spans(spans, next_position, start_pos, n)
+    if not spans:
         raise TokenizationError(furthest)
-    return graph
+    return _lattice(text, spans, next_position, start_pos)
 
 
 def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
@@ -216,37 +217,50 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _prune_spans(
+    spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int, end: int
+) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
+    """The spans (start, end, symbol id) that lie on a full path, in their given order, and their next positions.
+
+    Since links are positional, liveness is decided per offset, in O(spans)
+    rather than O(links): an offset is live when a span starting there ends
+    the input (its next position is ``end``) or steps to a live offset
+    (found right to left), and reachable when it is ``content_start`` or a
+    kept span steps to it (found left to right). A span is kept when its
+    next position is live and its start reachable. Spans may come in any
+    order, as a loaded lattice's do; a lexed list is in start order already,
+    so sorting it is one pass. When no span is dropped, ``next_position`` is
+    returned as it is, and otherwise it is cut to the kept spans' ends.
+    """
+    by_start = sorted(spans, key=itemgetter(0))
+    live = {end}
+    for start, stop, _sym in reversed(by_start):
+        if next_position[stop] in live:
+            live.add(start)
+    reachable = {content_start}
+    for start, stop, _sym in by_start:
+        nxt = next_position[stop]
+        if nxt in live and start in reachable:
+            reachable.add(nxt)
+    kept = [span for span in spans if span[0] in reachable and next_position[span[1]] in live]
+    if len(kept) < len(spans):
+        next_position = {stop: next_position[stop] for _start, stop, _sym in kept}
+    return kept, next_position
+
+
 def prune_la_graph(graph: LAGraph) -> LAGraph:
     """Drop tokens that lie on no full start-to-end path; idempotent.
 
-    This is the lattice's only pruner: ``tokenize`` and ``load_la_graph`` both
-    build an unpruned lattice and pass it here. Since links are positional,
-    liveness is decided per offset, in O(tokens) rather than O(links): an
-    offset is live when a token starting there ends the input or steps to a
-    live offset (found right to left), and reachable when it is
-    ``content_start`` or a kept token steps to it (found left to right). A
-    token is kept when its next position is live and its start reachable. A
-    lattice that loses no token is returned as it is, since renumbering
-    would be the identity.
+    ``load_la_graph`` builds an unpruned lattice and passes it here, and
+    ``tokenize`` prunes its spans with the same ``_prune_spans`` before it
+    builds tokens. A lattice that loses no token is returned as it is, since
+    renumbering would be the identity.
     """
-    next_position = graph.next_position
-    by_start = sorted(graph.nodes, key=attrgetter("start"))
-    live = {len(graph.input)}
-    for t in reversed(by_start):
-        if next_position[t.end] in live:
-            live.add(t.start)
-    reachable = {graph.content_start}
-    kept: set[int] = set()
-    for t in by_start:
-        nxt = next_position[t.end]
-        if nxt in live and t.start in reachable:
-            reachable.add(nxt)
-            kept.add(t.id)
-    if len(kept) == len(graph.nodes):
+    spans = [(t.start, t.end, t.symbol_id) for t in graph.nodes]
+    kept, next_position = _prune_spans(spans, graph.next_position, graph.content_start, len(graph.input))
+    if len(kept) == len(spans):
         return graph
-    spans = [(t.start, t.end, t.symbol_id) for t in graph.nodes if t.id in kept]
-    next_position = {end: next_position[end] for _start, end, _sym in spans}
-    return _lattice(graph.input, spans, next_position, graph.content_start)
+    return _lattice(graph.input, kept, next_position, graph.content_start)
 
 
 def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
