@@ -269,18 +269,12 @@ class ChartParser:
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
         entry = node_id * self.space
-        agenda = self.agenda
-        if not self._filtered:
-            for handle in pre.waiting.get(lhs, ()):
-                agenda.append(entry + handle)
-            return
-        stride = ela.stride
-        blocks = self._blocked
         for handle in pre.waiting.get(lhs, ()):
-            blocked = blocks[handle // stride]
-            if production_id in blocked or not blocked.issuperset(earlier):
-                continue
-            agenda.append(entry + handle)
+            if self._filtered:
+                blocked = self._blocked[handle // self._stride]
+                if production_id in blocked or not blocked.issuperset(earlier):
+                    continue
+            self.agenda.append(entry + handle)
 
     # -- driver --------------------------------------------------------------
 
@@ -305,12 +299,11 @@ class ChartParser:
         pops = 0
         while agenda:
             entry = agenda.pop()
-            handle = entry % space
-            item = handle // stride
-            origin = handle % stride
             pops += 1
+            handle = entry % space
+            item = handle // stride + 1  # the dot moves over the node
+            origin = handle % stride
             end = nodes[entry // space].end
-            item += 1
             if symbol[item] < 0:
                 self._reduce(production[item], origin, end)
             else:
