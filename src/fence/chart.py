@@ -187,9 +187,8 @@ class ChartParser:
                 if blocked:
                     self._wait_blocked(handle, sym, blocked, core)
                 else:
-                    space = self.space
                     for node_id in core.following_by_sym.get(sym, ()):
-                        self.agenda.append(node_id * space + handle)
+                        self.agenda.append(node_id * self.space + handle)
                     if sym not in core.predicted:
                         self._predict(sym, core)
             if not self._skip[item]:
@@ -221,10 +220,9 @@ class ChartParser:
         preferred one holds a tree, so it needs the preferred node too.
         """
         nodes = self.ela.nodes
-        space = self.space
         for node_id in core.following_by_sym.get(sym, ()):
             if not blocked.issuperset(nodes[node_id].productions):
-                self.agenda.append(node_id * space + handle)
+                self.agenda.append(node_id * self.space + handle)
         if sym in core.predicted or (sym, blocked) in core.predicted:
             return
         core.predicted.add((sym, blocked))

@@ -303,11 +303,11 @@ class Grammar:
         # Selection only ever compares productions of one symbol, so a pair
         # across symbols is dropped, but only after closing: a chain through
         # another symbol's production still relates the two ends.
-        above: dict[int, set[int]] = {}
+        above: dict[int, list[int]] = {}
         below: dict[int, list[int]] = {}
         for q, p in self.selection_closed:
             if self.productions[q].lhs.id == self.productions[p].lhs.id:
-                above.setdefault(p, set()).add(q)
+                above.setdefault(p, []).append(q)
                 below.setdefault(q, []).append(p)
         blocks: dict[int, set[int]] = {}
         for p, q in self.composition_closed:
@@ -333,9 +333,7 @@ class Grammar:
             for q in order:
                 for p in below.get(q, ()):
                     preferred.setdefault(p, []).append(q)
-        self.preferred_over: dict[int, tuple[int, ...]] = {
-            p: tuple(qs) for p, qs in sorted(preferred.items())
-        }
+        self.preferred_over: dict[int, tuple[int, ...]] = {p: tuple(qs) for p, qs in preferred.items()}
         self.has_selection = bool(self.constraints.selection)
 
     def _intern(self, sym: Symbol) -> None:
