@@ -13,10 +13,22 @@ core is re-awakened. Otherwise the advanced handle is added to the core
 following the matched node. The chart fills the extended graph it is given,
 and the filled graph is the implicit graph that expansion walks.
 
+The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
+``node_end``, ``node_symbol`` and ``node_productions``), which the chart
+indexes by node id; a new node is one append to each. A handle that waits
+for a terminal meets the tokens that start at its core, the lattice ids
+``Core.tok_lo`` to ``tok_hi - 1``, and most cores start a single token, so
+that case is one comparison. A handle that waits for a nonterminal meets the
+nodes listed in ``Core.following_by_sym`` and is indexed in
+``Core.waiting``; terminal positions are never indexed there, since no node
+re-awakens them. A core's ``handles``, ``waiting``, ``predicted`` and
+``following_by_sym`` are shared empty stores until the chart first writes
+to each, so a core the chart never reaches allocates nothing.
+
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
 every tokenization alternative at once. When a handle is first stored in a
-core, the symbol after its dot is predicted there unless ``Core.predicted``
+core, the nonterminal after its dot is predicted there unless ``Core.predicted``
 already holds it: the core is seeded with the dot-0 handles of every
 production in that symbol's left-corner closure (``Grammar.predictions``)
 and the closure's symbols are marked predicted. A production is therefore
@@ -81,9 +93,11 @@ origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
 the number of items times the stride. Each code stands for exactly one
 tuple, so the sets keep the same members. An int hashes without rehashing
 fields, and the cyclic collector never tracks it. Per item the parser reads
-the symbol after the dot (-1 once the item is complete), the blocked set
-(empty when nothing is blocked) and whether that symbol may be skipped as
-empty, so no handle is decoded into production and dot.
+the symbol after the dot (-1 once the item is complete), whether it is a
+token, the blocked set (empty when nothing is blocked) and whether that
+symbol may be skipped as empty, so no handle is decoded into production and
+dot. These tables depend only on the grammar and the enforcement flag, so
+they are built on the first chart of each and kept on the grammar.
 
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
 change the result: popping an entry only adds handles, predictions and
@@ -98,17 +112,67 @@ keeps those deterministic.
 
 from __future__ import annotations
 
-from .elagraph import Core, ELAGraph, ImplicitNode
+from bisect import bisect
+
+from .elagraph import EMPTY_MAP, EMPTY_SET, Core, ELAGraph
 from .grammar import Grammar
 
 __all__ = ["ChartParser", "run_chart", "igraph_stats", "igraph_document"]
+
+
+class _Tables:
+    """The chart's tables for one grammar and enforcement flag, built once and kept on the grammar.
+
+    Per item: the symbol after the dot (-1 once complete), whether that
+    symbol is a token, the productions a node there may not have (empty when
+    nothing is blocked), and whether the symbol may be skipped as empty. Per
+    production: its left-hand side, and the one-element ``productions``
+    tuple that the nodes it alone derives share. ``filtered`` tells whether
+    any position blocks anything.
+    """
+
+    __slots__ = ("symbol", "token", "blocked", "skip", "filtered", "lhs", "single")
+
+    def __init__(self, grammar: Grammar, enforce_constraints: bool):
+        blocks = grammar.position_blocks if enforce_constraints else ()
+        self.filtered = any(any(row) for row in blocks)
+        none: frozenset[int] = frozenset()
+        symbol: list[int] = []
+        blocked: list[frozenset[int]] = []
+        for p, rhs in enumerate(grammar.rhs_ids):
+            symbol += rhs
+            symbol.append(-1)
+            blocked += blocks[p] if self.filtered else [none] * len(rhs)
+            blocked.append(none)
+        eps = grammar.epsilon_ids
+        terminals = grammar.terminal_ids
+        self.symbol = tuple(symbol)
+        self.token = tuple([s in terminals for s in symbol])
+        self.blocked = tuple(blocked)
+        self.skip = tuple(
+            [s in eps and not (b and grammar.epsilon_production[s] in b) for s, b in zip(symbol, blocked)]
+        )
+        self.lhs = tuple([p.lhs.id for p in grammar.productions])
+        self.single = tuple([(p,) for p in range(len(grammar.productions))])
+
+
+def _tables(grammar: Grammar, enforce_constraints: bool) -> _Tables:
+    """The grammar's chart tables for the flag, built on first use.
+
+    Building is idempotent, so threads that share a grammar and miss at once
+    both store equal tables.
+    """
+    tables = grammar.chart_tables.get(enforce_constraints)
+    if tables is None:
+        tables = grammar.chart_tables[enforce_constraints] = _Tables(grammar, enforce_constraints)
+    return tables
 
 
 class ChartParser:
     """One predictive chart run over one extended graph.
 
     The graph is filled in place (cores gain predictions and handles, the
-    node store grows, and :meth:`run` records the roots and work counts on
+    node lists grow, and :meth:`run` records the roots and work counts on
     it), so construct a fresh extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
@@ -134,27 +198,16 @@ class ChartParser:
         self._base = grammar.item_base
         self._production = grammar.item_production
         self._predictions = grammar.predictions
-        self._lhs = [p.lhs.id for p in grammar.productions]
-        # One shared ``productions`` tuple per production, for the nodes it alone derives
-        self._single = [(p,) for p in range(len(grammar.productions))]
-        blocks = grammar.position_blocks if enforce_constraints else ()
-        self._filtered = any(any(row) for row in blocks)
-        # Per item: the symbol after the dot (-1 once complete), the productions a
-        # node there may not have, and whether the symbol may be skipped as empty.
-        none: frozenset[int] = frozenset()
-        symbol: list[int] = []
-        blocked: list[frozenset[int]] = []
-        for p, rhs in enumerate(grammar.rhs_ids):
-            symbol += rhs
-            symbol.append(-1)
-            blocked += blocks[p] if self._filtered else [none] * len(rhs)
-            blocked.append(none)
-        eps = grammar.epsilon_ids
-        self._symbol = symbol
-        self._blocked = blocked
-        self._skip = [
-            s in eps and not (b and grammar.epsilon_production[s] in b) for s, b in zip(symbol, blocked)
-        ]
+        tables = _tables(grammar, enforce_constraints)
+        self._filtered = tables.filtered
+        self._symbol = tables.symbol
+        self._token = tables.token
+        self._blocked = tables.blocked
+        self._skip = tables.skip
+        self._lhs = tables.lhs
+        self._single = tables.single
+        self._node_symbol = ela.node_symbol
+        self._node_productions = ela.node_productions
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -163,14 +216,14 @@ class ChartParser:
         """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) in ``core``.
 
         Pushes an agenda entry for every node following the core that matches
-        the symbol after the dot, and predicts that symbol in ``core`` the
-        first time a handle waits for it there; a handle at a blocked position
-        does both through :meth:`_wait_blocked`. ``end`` is where the last
-        matched node ends, None while nothing is matched. When skipping
-        nullable symbols reaches the end of the production and something was
-        matched, the production is complete and reduces over (origin, end);
-        that happens on every call, since two matched nodes that end at
-        different offsets can lead to the same core.
+        the symbol after the dot, and predicts a nonterminal there in
+        ``core`` the first time a handle waits for it; a handle at a blocked
+        position does both through :meth:`_wait_blocked`. ``end`` is where
+        the last matched node ends, None while nothing is matched. When
+        skipping nullable symbols reaches the end of the production and
+        something was matched, the production is complete and reduces over
+        (origin, end); that happens on every call, since two matched nodes
+        that end at different offsets can lead to the same core.
         """
         stride = self._stride
         while True:
@@ -180,17 +233,35 @@ class ChartParser:
                     self._reduce(self._production[item], origin, end)
                 return
             handle = item * stride + origin
-            if handle not in core.handles:
-                core.handles.add(handle)
-                core.waiting.setdefault(sym, []).append(handle)
-                blocked = self._blocked[item]
-                if blocked:
-                    self._wait_blocked(handle, sym, blocked, core)
+            handles = core.handles
+            if handle not in handles:
+                if handles is EMPTY_SET:
+                    handles = core.handles = set()
+                handles.add(handle)
+                if self._token[item]:
+                    # The core's tokens are the ids tok_lo..tok_hi-1; most cores start one token.
+                    lo = core.tok_lo
+                    if core.tok_hi - lo == 1:
+                        if self._node_symbol[lo] == sym:
+                            self.agenda.append(lo * self.space + handle)
+                    else:
+                        node_symbol = self._node_symbol
+                        for node_id in range(lo, core.tok_hi):
+                            if node_symbol[node_id] == sym:
+                                self.agenda.append(node_id * self.space + handle)
                 else:
-                    for node_id in core.following_by_sym.get(sym, ()):
-                        self.agenda.append(node_id * self.space + handle)
-                    if sym not in core.predicted:
-                        self._predict(sym, core)
+                    waiting = core.waiting
+                    if waiting is EMPTY_MAP:
+                        waiting = core.waiting = {}
+                    waiting.setdefault(sym, []).append(handle)
+                    blocked = self._blocked[item]
+                    if blocked:
+                        self._wait_blocked(handle, sym, blocked, core)
+                    else:
+                        for node_id in core.following_by_sym.get(sym, ()):
+                            self.agenda.append(node_id * self.space + handle)
+                        if sym not in core.predicted:
+                            self._predict(sym, core)
             if not self._skip[item]:
                 return
             item += 1
@@ -202,7 +273,10 @@ class ChartParser:
         all wait for one of them, predict nothing further.
         """
         productions, reached = self._predictions[sym]
-        core.predicted |= reached
+        if core.predicted is EMPTY_SET:
+            core.predicted = set(reached)
+        else:
+            core.predicted |= reached
         base = self._base
         for production_id in productions:
             self.add_handle(base[production_id], core.position, core)
@@ -219,12 +293,14 @@ class ChartParser:
         prefers over one of them: expansion drops a production's node where a
         preferred one holds a tree, so it needs the preferred node too.
         """
-        nodes = self.ela.nodes
+        productions = self._node_productions
         for node_id in core.following_by_sym.get(sym, ()):
-            if not blocked.issuperset(nodes[node_id].productions):
+            if not blocked.issuperset(productions[node_id]):
                 self.agenda.append(node_id * self.space + handle)
         if sym in core.predicted or (sym, blocked) in core.predicted:
             return
+        if core.predicted is EMPTY_SET:
+            core.predicted = set()
         core.predicted.add((sym, blocked))
         options = self.grammar.production_ids_by_lhs.get(sym, ())
         kept = [p for p in options if p not in blocked]
@@ -237,30 +313,36 @@ class ChartParser:
         """Create or extend the node of a completed production and re-awaken its waiting handles.
 
         A re-derivation by a production the node already records changes
-        nothing. A new production joins the node's ``productions``; the
-        handles waiting for it have met the node already, except those whose
-        blocked set held every earlier production, and they are pushed now if
-        they admit the new one.
+        nothing. A new production is inserted into the node's ascending
+        ``productions``; the handles waiting for it have met the node
+        already, except those whose blocked set held every earlier
+        production, and they are pushed now if they admit the new one.
         """
         ela = self.ela
-        nodes = ela.nodes
         lhs = self._lhs[production_id]
         key = (start, end, lhs)
         node_id = ela.node_ids.get(key)
         if node_id is None:
-            node_id = len(nodes)
+            node_id = len(ela.node_start)
             ela.node_ids[key] = node_id
-            nodes.append(ImplicitNode(node_id, start, end, lhs, self._single[production_id]))
+            ela.node_start.append(start)
+            ela.node_end.append(end)
+            self._node_symbol.append(lhs)
+            self._node_productions.append(self._single[production_id])
             pre = ela.cores[ela.core_at[start]]
-            pre.following_by_sym.setdefault(lhs, []).append(node_id)
+            following = pre.following_by_sym
+            if following is EMPTY_MAP:
+                following = pre.following_by_sym = {}
+            following.setdefault(lhs, []).append(node_id)
             ela.cores[ela.next_core[end]].preceding.append(node_id)
             earlier = ()
         else:
-            node = nodes[node_id]
-            earlier = node.productions
+            productions = self._node_productions
+            earlier = productions[node_id]
             if production_id in earlier:
                 return
-            node.productions = tuple(sorted(earlier + (production_id,)))
+            at = bisect(earlier, production_id)
+            productions[node_id] = earlier[:at] + (production_id,) + earlier[at:]
             if not self._filtered:
                 return
             pre = ela.cores[ela.core_at[start]]
@@ -286,7 +368,7 @@ class ChartParser:
         if not self._seeded:
             self.initialize()
         ela = self.ela
-        nodes = ela.nodes
+        node_end = ela.node_end
         cores = ela.cores
         next_core = ela.next_core
         agenda = self.agenda
@@ -301,21 +383,17 @@ class ChartParser:
             handle = entry % space
             item = handle // stride + 1  # the dot moves over the node
             origin = handle % stride
-            end = nodes[entry // space].end
+            end = node_end[entry // space]
             if symbol[item] < 0:
                 self._reduce(production[item], origin, end)
             else:
                 self.add_handle(item, origin, cores[next_core[end]], end)
         self.pops += pops
+        # The start symbol is a nonterminal, so a root is found by its key.
+        s0 = cores[ela.starting_core].position
         start_sym = self.grammar.start.id
-        s0 = ela.cores[ela.starting_core].position
-        ela.starting = tuple(
-            n.id
-            for n in nodes
-            if n.symbol_id == start_sym
-            and n.start == s0
-            and ela.next_core[n.end] == ela.last_core
-        )
+        roots = (ela.node_ids.get((s0, e, start_sym)) for e, c in next_core.items() if c == ela.last_core)
+        ela.starting = tuple(sorted(r for r in roots if r is not None))
         ela.agenda_pops = self.pops
         ela.handle_count = sum(len(c.handles) for c in ela.cores)
         ela.filtered = self._filtered

@@ -69,6 +69,7 @@ forest is compacted only when there are any.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -237,8 +238,9 @@ class _Expander:
 
     def _roots(self):
         roots: list[int] = []
+        productions = self.ig.node_productions
         for node_id in sorted(self.ig.starting):
-            for p in self.ig.nodes[node_id].productions:
+            for p in productions[node_id]:
                 got = self.memo.get((node_id, p, None))
                 if got is None:
                     got = yield (node_id, p, None)
@@ -278,14 +280,14 @@ class _Expander:
         """
         node_id, pid, outer = key
         ig = self.ig
-        nodes = ig.nodes
+        node_productions = ig.node_productions
         memo = self.memo
-        node = nodes[node_id]
         preferred = self.grammar.preferred_over.get(pid) if self.enforce else None
         if preferred:
-            derived = set(node.productions)
+            derived = node_productions[node_id]  # ascending, so membership is a bisection
             for q in preferred:
-                if q in derived:
+                at = bisect_left(derived, q)
+                if at < len(derived) and derived[at] == q:
                     wanted = (node_id, q, outer)
                     other = memo.get(wanted)
                     if other is None:
@@ -302,7 +304,10 @@ class _Expander:
         leaves = self._leaves
         eps = grammar.epsilon_ids
         terminals = grammar.terminal_ids
-        start, end = node.start, node.end
+        node_start = ig.node_start
+        node_end = ig.node_end
+        node_symbol = ig.node_symbol
+        start, end = node_start[node_id], node_end[node_id]
         context = None  # built when the first child over this node's own span appears
         rhs = grammar.rhs_ids[pid]
         stride = ig.stride
@@ -337,22 +342,25 @@ class _Expander:
             token = sym in terminals
             open_placeholders = suffix and suffix[0] < 0
             for child_id in cores[cid].preceding:
-                child = nodes[child_id]
-                if child.symbol_id != sym or (right is None and child.end != end) or child.start < start:
+                if node_symbol[child_id] != sym:
                     continue
-                if handle not in cores[core_at[child.start]].handles:
+                child_end = node_end[child_id]
+                child_start = node_start[child_id]
+                if (right is None and child_end != end) or child_start < start:
                     continue
-                filled = self._fill(suffix, child.end) if open_placeholders else suffix
+                if handle not in cores[core_at[child_start]].handles:
+                    continue
+                filled = self._fill(suffix, child_end) if open_placeholders else suffix
                 if token:
                     leaf = leaves.get(child_id)
                     if leaf is None:
                         leaf = leaves[child_id] = len(forest)
-                        lexeme = text[child.start : child.end]
-                        forest.append(_make(ForestNode, (leaf, sym, child.start, child.end, None, None, lexeme)))
+                        lexeme = text[child_start:child_end]
+                        forest.append(_make(ForestNode, (leaf, sym, child_start, child_end, None, None, lexeme)))
                         counts.append(1)
-                    stack.append((pos - 1, child.start, (leaf,) + filled, made))
+                    stack.append((pos - 1, child_start, (leaf,) + filled, made))
                     continue
-                if child.start != start or child.end != end:
+                if child_start != start or child_end != end:
                     child_context = None
                 elif child_id == node_id or (outer and child_id in outer):
                     continue  # cyclic re-entry contributes nothing on this path
@@ -360,7 +368,7 @@ class _Expander:
                     if context is None:
                         context = (outer or frozenset()) | {node_id}
                     child_context = context
-                for p in child.productions:
+                for p in node_productions[child_id]:
                     if blocked and p in blocked:
                         continue
                     wanted = (child_id, p, child_context)
@@ -368,12 +376,12 @@ class _Expander:
                     if got is None:
                         got = yield wanted
                     if got != _EMPTY:
-                        stack.append((pos - 1, child.start, (got,) + filled, made * counts[got]))
+                        stack.append((pos - 1, child_start, (got,) + filled, made * counts[got]))
 
         self.constructions += len(alternatives)
         if alternatives:
             result = len(forest)
-            forest.append(_make(ForestNode, (result, node.symbol_id, start, end, pid, tuple(alternatives), None)))
+            forest.append(_make(ForestNode, (result, node_symbol[node_id], start, end, pid, tuple(alternatives), None)))
             counts.append(min(trees, COUNT_CAP))
         else:
             result = _EMPTY

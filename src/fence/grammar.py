@@ -291,6 +291,8 @@ class Grammar:
         self.item_base = tuple(item_base)
         self.item_production = tuple(item_production)
         self.item_dot = tuple(item_dot)
+        # The chart's per-item tables by enforcement flag, built by its first run (``chart._tables``)
+        self.chart_tables: dict = {}
 
         self.epsilon_symbols = compute_epsilon_symbols(self.productions)
         self.epsilon_ids = frozenset(s.id for s in self.epsilon_symbols)

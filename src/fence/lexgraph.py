@@ -76,7 +76,9 @@ class LAGraph(NamedTuple):
     ``next_position`` maps each token end offset to the offset where the next
     token may start (after skip consumption); ``content_start`` is that offset
     for the beginning of the input. ``starting`` lists the nodes that start
-    there: the nodes with no predecessor. ``nodes[i].id`` is ``i``.
+    there: the nodes with no predecessor. ``nodes[i].id`` is ``i``, and
+    tokens are numbered by (start, end, symbol id), so the tokens that start
+    at one offset have consecutive ids; ``build_ela_graph`` checks the order.
     """
 
     input: str
@@ -294,7 +296,8 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     a lattice it does not describe. Dead branches are then pruned. A document
     whose tokens leave no full path over an input with content is rejected,
     as ``tokenize`` rejects such an input; only a skip-only input loads as
-    the empty lattice.
+    the empty lattice. Tokens are renumbered by (start, end, symbol) as
+    ``tokenize`` numbers them, whatever ids the document gives them.
     """
     if not isinstance(doc, dict) or "input" not in doc or "nodes" not in doc:
         raise LatticeFormatError("document must be an object with 'input' and 'nodes'")
@@ -310,10 +313,8 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
         if entry["id"] in seen_ids:
             raise LatticeFormatError(f"duplicate node id {entry['id']}")
         seen_ids.add(entry["id"])
-    remap = {old: new for new, old in enumerate(sorted(seen_ids))}
 
-    spans: list[tuple[int, int, int]] = []
-    links: list[tuple[list[int], list[int]]] = []  # (preceding, following)
+    keyed: list[tuple[tuple[int, int, int], dict]] = []
     for entry in sorted(raw_nodes, key=lambda e: e["id"]):
         name = entry["symbol"]
         sym = grammar.symbols.get(name)
@@ -325,11 +326,17 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
                 f"token {entry['id']} has an invalid span [{start}, {end})"
             )
         for ref in (*entry["preceding"], *entry["following"]):
-            if ref not in remap:
+            if ref not in seen_ids:
                 raise LatticeFormatError(f"token {entry['id']} links to unknown node {ref}")
-        spans.append((start, end, sym.id))
-        preceding = sorted(remap[p] for p in entry["preceding"])
-        links.append((preceding, sorted(remap[f] for f in entry["following"])))
+        keyed.append(((start, end, sym.id), entry))
+    # Tokens are numbered by (start, end, symbol), as tokenize numbers them; ties keep id order.
+    keyed.sort(key=itemgetter(0))
+    remap = {entry["id"]: new for new, (_span, entry) in enumerate(keyed)}
+    spans = [span for span, _entry in keyed]
+    links = [  # (preceding, following)
+        (sorted(remap[p] for p in entry["preceding"]), sorted(remap[f] for f in entry["following"]))
+        for _span, entry in keyed
+    ]
 
     for i, (preceding, following) in enumerate(links):
         for f in following:

@@ -122,7 +122,10 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
         if ig is not None:
             terminals = grammar.terminal_ids
             for core in reversed(ig.cores):  # cores are in position order
-                names = sorted(grammar.symbol_by_id[s].name for s in core.waiting if s in terminals)
+                # Cores index only nonterminal waits, so the terminals come from the handles' items
+                items = {h // ig.stride for h in core.handles}
+                waited = {grammar.rhs_ids[grammar.item_production[i]][grammar.item_dot[i]] for i in items}
+                names = sorted(grammar.symbol_by_id[s].name for s in waited if s in terminals)
                 if names:
                     lines.append(f"expected one of {{{', '.join(names)}}} at offset {core.position}")
                     break

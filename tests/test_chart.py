@@ -10,7 +10,7 @@ import pytest
 import randsuite
 from fence import expand_forest, explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
 from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
-from fence.elagraph import build_ela_graph
+from fence.elagraph import EMPTY_MAP, EMPTY_SET, build_ela_graph
 from fence.grammar import Grammar
 from fence.lexgraph import TokenizationError, tokenize
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     ARITH,
     ARITH_LEFT,
     UNAMBIGUOUS_CHAIN,
+    UNIT_LIST,
     chain,
     entry_parts,
     grammar,
@@ -554,3 +555,33 @@ def test_prediction_through_a_unit_cycle():
     assert {g.symbol_by_id[s].name for s in reached} == {"S", "A", "B", "c", "d"}
     accepted = [text for text in ("c", "d", "cd", "dcd", "ccc") if _assert_matches_oracle(g, text)]
     assert accepted == ["c", "d", "cd", "dcd", "ccc"]
+
+
+def test_the_work_on_a_lattice_of_twenty_units_is_pinned():
+    # 20 units shaped like the lex-lattice benchmark input, under selection
+    # precedence: a change to how the graph layers store their data must not
+    # change the work the chart and expansion do
+    text = " ".join(f"&{i + 1}.{i + 2}& /{2 * i + 5}.{i + 10}/" for i in range(20))
+    outcome = parse_text(grammar(UNIT_LIST), text)
+    ig, eg = outcome.chart, outcome.egraph
+    assert (len(outcome.la.nodes), len(ig.cores)) == (240, 201)
+    assert (ig.agenda_pops, ig.handle_count, len(ig.nodes)) == (280, 264, 340)
+    assert (eg.constructions, len(eg.nodes)) == (100, 220)
+    assert tree_counts(eg).total == 1
+
+
+def test_a_core_without_handles_keeps_the_shared_empty_stores():
+    g = grammar(UNIT_LIST)
+    ig = run_chart(g, build(g, " ".join([AMBIG_INPUT] * 2)), True)
+    idle = [core for core in ig.cores if not core.handles]
+    # the Integer and Point tokens inside each slashed number start cores
+    # that no handle reaches, since a Real is read there first
+    assert idle
+    for core in idle:
+        assert core.handles is EMPTY_SET and core.predicted is EMPTY_SET
+        assert core.waiting is EMPTY_MAP and core.following_by_sym is EMPTY_MAP
+    for core in ig.cores:
+        if core.handles:
+            assert type(core.handles) is set
+        # only nonterminals are listed by symbol; tokens are the core's id range
+        assert all(sym not in g.terminal_ids for sym in core.following_by_sym)

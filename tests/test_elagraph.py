@@ -3,13 +3,8 @@
 import pytest
 
 from fence.elagraph import build_ela_graph, ela_document
-from fence.lexgraph import enumerate_token_paths, tokenize
+from fence.lexgraph import LAGraph, enumerate_token_paths, tokenize
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
-
-
-def following(core):
-    """The ids of the nodes that start at ``core``."""
-    return sorted(i for ids in core.following_by_sym.values() for i in ids)
 
 
 def test_running_example_core_placement():
@@ -22,7 +17,7 @@ def test_running_example_core_placement():
     assert ela.cores[ela.starting_core].position == 0
     assert ela.cores[ela.last_core].position == len(AMBIG_INPUT)
     # the starting core precedes exactly the former starting tokens
-    assert following(ela.cores[ela.starting_core]) == sorted(la.starting)
+    assert ela.following(ela.starting_core) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
     assert sorted(ela.cores[ela.last_core].preceding) == sorted(la.final_ids)
 
@@ -61,7 +56,7 @@ def test_token_paths_preserved_through_cores():
             if core.id == ela.last_core:
                 out.append(tuple(acc))
                 return
-            for nid in following(core):
+            for nid in ela.following(core.id):
                 node = ela.nodes[nid]
                 acc.append(nid)
                 walk(ela.cores[ela.next_core[node.end]], acc)
@@ -79,7 +74,7 @@ def test_same_offset_tokens_share_their_preceding_core():
     ela = build_ela_graph(la)
     by_start = {}
     for core in ela.cores:
-        for nid in following(core):
+        for nid in ela.following(core.id):
             by_start.setdefault(ela.nodes[nid].start, set()).add(core.id)
     for cores in by_start.values():
         assert len(cores) == 1
@@ -89,7 +84,7 @@ def test_adjacency_is_symmetric():
     g = grammar(AMBIG_NUMBERS)
     ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
     for n in ela.nodes:
-        assert n.id in following(ela.cores[ela.core_at[n.start]])
+        assert n.id in ela.following(ela.core_at[n.start])
         assert n.id in ela.cores[ela.next_core[n.end]].preceding
 
 
@@ -109,3 +104,41 @@ def test_empty_lattice_is_rejected():
     g = grammar(AMBIG_NUMBERS)
     with pytest.raises(ValueError):
         build_ela_graph(tokenize(g, " "))
+
+
+def test_token_nodes_are_views_of_the_lattice_tokens():
+    g = grammar(AMBIG_NUMBERS)
+    la = tokenize(g, AMBIG_INPUT)
+    ela = build_ela_graph(la)
+    assert len(ela.nodes) == len(la.nodes)
+    for token in la.nodes:
+        node = ela.nodes[token.id]
+        assert node.id == token.id
+        assert node.key == (token.start, token.end, token.symbol_id)
+        assert node.productions == ()
+    assert list(ela.nodes) == [ela.nodes[i] for i in range(len(la.nodes))]
+    assert ela.nodes[-1] == ela.nodes[len(la.nodes) - 1]
+    with pytest.raises(IndexError):
+        ela.nodes[len(la.nodes)]
+
+
+def test_each_core_holds_the_id_range_of_the_tokens_starting_there():
+    g = grammar(AMBIG_NUMBERS)
+    la = tokenize(g, AMBIG_INPUT)
+    ela = build_ela_graph(la)
+    for core in ela.cores:
+        starting_here = [t.id for t in la.nodes if t.start == core.position]
+        assert list(range(core.tok_lo, core.tok_hi)) == starting_here
+
+
+def test_a_lattice_out_of_offset_order_is_rejected():
+    # tokens must be numbered by (start, end, symbol); here the Point at 1
+    # comes before the Integer at 0, so the two cores' token ranges would mix
+    g = grammar(AMBIG_NUMBERS)
+    la = tokenize(g, "5.2")
+    assert [(t.start, t.end) for t in la.nodes] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    swapped = (la.nodes[2]._replace(id=0), la.nodes[0]._replace(id=1), la.nodes[1], la.nodes[3])
+    for nodes in (swapped, (la.nodes[1]._replace(id=0), la.nodes[0]._replace(id=1)) + la.nodes[2:]):
+        bad = LAGraph(la.input, nodes, la.starting, la.next_position, la.content_start)
+        with pytest.raises(ValueError, match="start, end, symbol"):
+            build_ela_graph(bad)

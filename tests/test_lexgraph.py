@@ -206,6 +206,11 @@ def test_load_lattice_with_unordered_ids():
         "starting": [40, 9],
     }
     la = load_la_graph(doc, g)
+    # renumbered by (start, end, symbol), as tokenize numbers them
+    assert [(t.start, t.end, g.symbol_by_id[t.symbol_id].name) for t in la.nodes] == [
+        (0, 1, "Integer"), (0, 3, "Real"), (1, 2, "Point"), (2, 3, "Integer")
+    ]
+    assert la == tokenize(g, "5.2")
     paths = enumerate_token_paths(la, 10)
     assert set(path_names(g, la, paths)) == {"Integer Point Integer", "Real"}
     assert load_la_graph(serialize_la_graph(la, g), g) == la
@@ -215,8 +220,7 @@ def test_load_lattice_with_unordered_ids():
         core, path = todo.pop()
         if core == ela.last_core:
             core_paths.append(path)
-        for ids in ela.cores[core].following_by_sym.values():
-            todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ids]
+        todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ela.following(core)]
     assert sorted(core_paths) == paths
 
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fence.elagraph import ImplicitNode
 from fence.enforce import TreeCount
 from fence.grammar import (
     NONTERMINAL,
@@ -47,6 +48,7 @@ RECORDS = {
         False,
     ),
     "TreeCount": (lambda: TreeCount(total=2, per_root={0: 2}, saturated=False), False),
+    "ImplicitNode": (lambda: ImplicitNode(id=3, start=0, end=1, symbol_id=2, productions=(0, 4)), True),
 }
 
 
