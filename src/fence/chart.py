@@ -39,21 +39,21 @@ With ``enforce_constraints`` on, associativity and composition precedence
 act here rather than after the chart, as disambiguation filters pushed into
 the parser (Visser, "A case study in optimizing parsing schemata by
 disambiguation filters", 1997). The handle (production, dot, origin) waits
-for the symbol after its dot with the blocked set that
-``Grammar.position_blocks`` gives that position: the productions a child
-there may not have. An empty blocked set predicts as above. A non-empty one
-predicts the pair (symbol, blocked set) once per core, seeding only the
-symbol's productions outside the set, plus those that selection precedence
-prefers over one of them, because expansion needs the preferred node to
-judge the other. The seeded productions' own left corners are predicted as
-their handles are stored. A node stands for one (start, end, symbol) and
-records the productions that derived it, as an SPPF symbol node holds
-one packed child per production (Scott, "SPPF-style parsing from Earley
-recognisers", 2008). A handle advances over a node only when one of those
-productions lies outside its blocked set; a handle that meets a node all of
-whose productions it blocks advances when the first production it admits
-re-derives the node. Terminal positions block nothing, since a token has no
-production to refuse.
+for the symbol after its dot with the blocked set of its item: the
+productions a child there may not have. An empty blocked set predicts as
+above. A non-empty one predicts the pair (symbol, blocked set) once per
+core, seeding the item's ``seeds``: only the symbol's productions outside
+the set, plus those that selection precedence prefers over one of them,
+because expansion needs the preferred node to judge the other. The seeded
+productions' own left corners are predicted as their handles are stored.
+A node stands for one (start, end, symbol) and records the productions
+that derived it, as an SPPF symbol node holds one packed child per
+production (Scott, "SPPF-style parsing from Earley recognisers", 2008). A
+handle advances over a node only when one of those productions lies
+outside its blocked set; a handle that meets a node all of whose
+productions it blocks advances when the first production it admits
+re-derives the node. Terminal positions block nothing, since a token has
+no production to refuse.
 
 Nullable symbols never materialize as nodes. When a handle is stored, any
 run of nullable symbols after its dot also stores the skipped variants in the
@@ -63,10 +63,9 @@ This is the nullable step of Aycock and Horspool ("Practical Earley
 Parsing", 2002): predicting a nullable symbol also moves past it, so an
 empty derivation needs neither a node nor a completion. A skipped variant
 predicts the symbol it waits for like any other stored handle, and the
-left-corner closure walks past nullable prefixes for the same reason. A
-position is not skipped when its blocked set holds the canonical production
-of the symbol's empty derivation (``Grammar.epsilon_production``), the one
-expansion would place there.
+left-corner closure walks past nullable prefixes for the same reason. An
+item's ``skip`` flag says whether its symbol may be skipped: not when its
+blocked set holds the production that expansion would place there.
 
 Termination holds for cyclic production sets and nullable chains because
 nodes merge on their key, handles merge within their core and a core
@@ -92,12 +91,14 @@ plus one, because the last core sits at the input's end and can be an
 origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
 the number of items times the stride. Each code stands for exactly one
 tuple, so the sets keep the same members. An int hashes without rehashing
-fields, and the cyclic collector never tracks it. Per item the parser reads
-the symbol after the dot (-1 once the item is complete), whether it is a
-token, the blocked set (empty when nothing is blocked) and whether that
-symbol may be skipped as empty, so no handle is decoded into production and
-dot. These tables depend only on the grammar and the enforcement flag, so
-they are built on the first chart of each and kept on the grammar.
+fields, and the cyclic collector never tracks it. Every fact the parser
+reads about an item comes from the item tables that the grammar module owns
+(``grammar.ItemTables``, ``Grammar.items`` without enforcement and
+``Grammar.enforced_items`` with it), built once per grammar and flag: the
+symbol after the dot (-1 once the item is complete), whether it is a token,
+the blocked set (empty when nothing is blocked), whether the symbol may be
+skipped as empty, and a blocked item's seeds. No handle is decoded into
+production and dot.
 
 The agenda is a plain list popped from the end (LIFO). Pop order cannot
 change the result: popping an entry only adds handles, predictions and
@@ -118,54 +119,6 @@ from .elagraph import EMPTY_MAP, EMPTY_SET, Core, ELAGraph
 from .grammar import Grammar
 
 __all__ = ["ChartParser", "run_chart", "igraph_stats", "igraph_document"]
-
-
-class _Tables:
-    """The chart's tables for one grammar and enforcement flag, built once and kept on the grammar.
-
-    Per item: the symbol after the dot (-1 once complete), whether that
-    symbol is a token, the productions a node there may not have (empty when
-    nothing is blocked), and whether the symbol may be skipped as empty. Per
-    production: its left-hand side, and the one-element ``productions``
-    tuple that the nodes it alone derives share. ``filtered`` tells whether
-    any position blocks anything.
-    """
-
-    __slots__ = ("symbol", "token", "blocked", "skip", "filtered", "lhs", "single")
-
-    def __init__(self, grammar: Grammar, enforce_constraints: bool):
-        blocks = grammar.position_blocks if enforce_constraints else ()
-        self.filtered = any(any(row) for row in blocks)
-        none: frozenset[int] = frozenset()
-        symbol: list[int] = []
-        blocked: list[frozenset[int]] = []
-        for p, rhs in enumerate(grammar.rhs_ids):
-            symbol += rhs
-            symbol.append(-1)
-            blocked += blocks[p] if self.filtered else [none] * len(rhs)
-            blocked.append(none)
-        eps = grammar.epsilon_ids
-        terminals = grammar.terminal_ids
-        self.symbol = tuple(symbol)
-        self.token = tuple([s in terminals for s in symbol])
-        self.blocked = tuple(blocked)
-        self.skip = tuple(
-            [s in eps and not (b and grammar.epsilon_production[s] in b) for s, b in zip(symbol, blocked)]
-        )
-        self.lhs = tuple([p.lhs.id for p in grammar.productions])
-        self.single = tuple([(p,) for p in range(len(grammar.productions))])
-
-
-def _tables(grammar: Grammar, enforce_constraints: bool) -> _Tables:
-    """The grammar's chart tables for the flag, built on first use.
-
-    Building is idempotent, so threads that share a grammar and miss at once
-    both store equal tables.
-    """
-    tables = grammar.chart_tables.get(enforce_constraints)
-    if tables is None:
-        tables = grammar.chart_tables[enforce_constraints] = _Tables(grammar, enforce_constraints)
-    return tables
 
 
 class ChartParser:
@@ -198,12 +151,13 @@ class ChartParser:
         self._base = grammar.item_base
         self._production = grammar.item_production
         self._predictions = grammar.predictions
-        tables = _tables(grammar, enforce_constraints)
+        tables = grammar.enforced_items if enforce_constraints else grammar.items
         self._filtered = tables.filtered
         self._symbol = tables.symbol
         self._token = tables.token
         self._blocked = tables.blocked
         self._skip = tables.skip
+        self._seeds = tables.seeds
         self._lhs = tables.lhs
         self._single = tables.single
         self._node_symbol = ela.node_symbol
@@ -256,7 +210,7 @@ class ChartParser:
                     waiting.setdefault(sym, []).append(handle)
                     blocked = self._blocked[item]
                     if blocked:
-                        self._wait_blocked(handle, sym, blocked, core)
+                        self._wait_blocked(handle, item, core)
                     else:
                         for node_id in core.following_by_sym.get(sym, ()):
                             self.agenda.append(node_id * self.space + handle)
@@ -281,18 +235,16 @@ class ChartParser:
         for production_id in productions:
             self.add_handle(base[production_id], core.position, core)
 
-    def _wait_blocked(self, handle: int, sym: int, blocked: frozenset[int], core: Core) -> None:
-        """Push and predict for a handle whose position blocks ``blocked``.
+    def _wait_blocked(self, handle: int, item: int, core: Core) -> None:
+        """Push and predict for a handle of ``item``, whose position blocks some productions.
 
-        Only the following nodes that a production outside ``blocked``
+        Only the following nodes that a production outside the blocked set
         derived are pushed; :meth:`_reduce` pushes the others if such a
-        production derives them later.
-        Unless ``sym`` is already predicted here, with or without this
-        blocked set, the handles of ``sym``'s productions outside ``blocked``
-        are seeded, with those of the blocked ones that selection precedence
-        prefers over one of them: expansion drops a production's node where a
-        preferred one holds a tree, so it needs the preferred node too.
+        production derives them later. Unless the symbol after the dot is
+        already predicted here, with or without this blocked set, the item's
+        seeds are seeded.
         """
+        sym, blocked = self._symbol[item], self._blocked[item]
         productions = self._node_productions
         for node_id in core.following_by_sym.get(sym, ()):
             if not blocked.issuperset(productions[node_id]):
@@ -302,12 +254,8 @@ class ChartParser:
         if core.predicted is EMPTY_SET:
             core.predicted = set()
         core.predicted.add((sym, blocked))
-        options = self.grammar.production_ids_by_lhs.get(sym, ())
-        kept = [p for p in options if p not in blocked]
-        needed = set(kept).union(*(self.grammar.preferred_over.get(p, ()) for p in kept))
-        for p in options:
-            if self.grammar.rhs_ids[p] and p in needed:
-                self.add_handle(self._base[p], core.position, core)
+        for seed in self._seeds[item]:
+            self.add_handle(seed, core.position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         """Create or extend the node of a completed production and re-awaken its waiting handles.

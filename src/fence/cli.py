@@ -32,30 +32,7 @@ from .grammar import GrammarError, parse_grammar_text
 from .lexgraph import serialize_la_graph
 from .pipeline import explain_rejection, parse_text
 
-__all__ = ["SessionConfig", "run_pipeline", "main"]
-
-
-class SessionConfig:
-    __slots__ = ("grammar_path", "input_path", "text", "count_only", "enumerate_limit", "fmt", "dumps")
-
-    def __init__(self, grammar_path: str, input_path: str | None = None, text: str | None = None,
-                 count_only: bool = False, enumerate_limit: int | None = None, fmt: str = "json",
-                 dumps: tuple[str, ...] = ()):
-        self.grammar_path = grammar_path
-        self.input_path = input_path
-        self.text = text
-        self.count_only = count_only
-        self.enumerate_limit = enumerate_limit
-        self.fmt = fmt
-        self.dumps = dumps
-
-    def validate(self) -> None:
-        if (self.input_path is None) == (self.text is None):
-            raise ValueError("exactly one of --input and --text is required")
-        if self.enumerate_limit is not None and self.enumerate_limit < 1:
-            raise ValueError("--enumerate requires a limit >= 1")
-        if self.fmt not in ("json", "dot"):
-            raise ValueError("--format must be json or dot")
+__all__ = ["run_pipeline", "main"]
 
 
 def _dumps(doc) -> str:
@@ -101,15 +78,17 @@ def _emit(doc) -> None:
     print(_dumps(doc))
 
 
-def run_pipeline(config: SessionConfig) -> int:
-    """Execute the pipeline described by ``config``; returns the exit status."""
+def run_pipeline(args: argparse.Namespace) -> int:
+    """Run the ``parse`` command from its parsed arguments; returns the exit status.
+
+    The parser has already required exactly one of ``--input`` and
+    ``--text`` and a known ``--format``.
+    """
     try:
-        config.validate()
-        grammar = parse_grammar_text(Path(config.grammar_path).read_text(encoding="utf-8"))
-        if config.input_path is not None:
-            text = Path(config.input_path).read_text(encoding="utf-8")
-        else:
-            text = config.text or ""
+        if args.enumerate is not None and args.enumerate < 1:
+            raise ValueError("--enumerate requires a limit >= 1")
+        grammar = parse_grammar_text(Path(args.grammar).read_text(encoding="utf-8"))
+        text = args.text if args.input is None else Path(args.input).read_text(encoding="utf-8")
     except (OSError, ValueError, GrammarError) as exc:
         print(f"fence: error: {exc}", file=sys.stderr)
         return 2
@@ -120,30 +99,30 @@ def run_pipeline(config: SessionConfig) -> int:
         print(f"fence: error: {exc}", file=sys.stderr)
         return 2
 
-    if "la" in config.dumps and outcome.la is not None:
+    if args.dump_la and outcome.la is not None:
         _emit(serialize_la_graph(outcome.la, grammar))
-    if "ela" in config.dumps and outcome.ela is not None:
+    if args.dump_ela and outcome.ela is not None:
         _emit(ela_document(outcome.ela, grammar))
-    if "ig" in config.dumps and outcome.igraph is not None:
+    if args.dump_ig and outcome.igraph is not None:
         _emit(igraph_document(outcome.igraph, grammar))
 
     if not outcome.accepted:
-        if config.count_only:
+        if args.count:
             print(0)
         print(explain_rejection(outcome), file=sys.stderr)
         return 1
 
     egraph = outcome.egraph
-    if config.count_only:
+    if args.count:
         counts = tree_counts(egraph)
         print(counts.total)
         if counts.saturated:
             print(f"fence: note: the count is saturated at {COUNT_CAP}; there are at least that many trees",
                   file=sys.stderr)
-    elif config.enumerate_limit is not None:
-        trees = enumerate_trees(egraph, grammar, config.enumerate_limit)
+    elif args.enumerate is not None:
+        trees = enumerate_trees(egraph, grammar, args.enumerate)
         _emit([tree_to_jsonable(t) for t in trees])
-    elif config.fmt == "dot":
+    elif args.format == "dot":
         print(egraph_to_dot(egraph, grammar), end="")
     else:
         _emit(egraph_document(egraph, grammar))
@@ -176,19 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    dumps = tuple(
-        name for name, on in (("la", args.dump_la), ("ela", args.dump_ela), ("ig", args.dump_ig)) if on
-    )
-    config = SessionConfig(
-        grammar_path=args.grammar,
-        input_path=args.input,
-        text=args.text,
-        count_only=args.count,
-        enumerate_limit=args.enumerate,
-        fmt=args.format,
-        dumps=dumps,
-    )
-    return run_pipeline(config)
+    return run_pipeline(args)
 
 
 if __name__ == "__main__":

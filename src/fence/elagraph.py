@@ -115,9 +115,11 @@ class NodeViews:
     def __len__(self) -> int:
         return len(self._ela.node_start)
 
-    def __getitem__(self, node_id: int) -> ImplicitNode:
+    def __getitem__(self, node_id: int | slice) -> ImplicitNode | list[ImplicitNode]:
         ela = self._ela
         node_id = range(len(ela.node_start))[node_id]  # a negative id counts from the end
+        if isinstance(node_id, range):  # a slice gives a list of views
+            return [self[i] for i in node_id]
         return ImplicitNode(
             node_id, ela.node_start[node_id], ela.node_end[node_id], ela.node_symbol[node_id],
             ela.node_productions[node_id],

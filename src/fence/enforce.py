@@ -30,7 +30,10 @@ an ordinary child for the checks on its parent.
 An implicit node is expanded once per production that derived it, each
 production giving a forest node of its own. Associativity and composition
 precedence look only at a child's production, so the blocked productions at
-a position are skipped before they are expanded. A chart that enforced them
+a position are skipped before they are expanded. What a position blocks, and
+whether it may be skipped, are read from the item tables that the grammar
+module owns (``Grammar.enforced_items``, or ``Grammar.items`` without
+enforcement), the same tables the chart reads. A chart that enforced them
 already left out the children that no admitted production derives; the
 checks stay here all the same, as the definition. Selection precedence
 compares the forest nodes of one implicit node in one context: a
@@ -207,6 +210,7 @@ class _Expander:
         self.grammar = grammar
         self.ig = ig
         self.enforce = enforce
+        self.items = grammar.enforced_items if enforce else grammar.items
         self.nodes: list[ForestNode] = []
         self.counts: list[int] = []  # each node's trees, capped at COUNT_CAP
         # (implicit node id, production id, cycle context) -> forest node id, or _EMPTY
@@ -269,9 +273,11 @@ class _Expander:
         checked first, most preferred first, and once one holds a tree this
         node is empty. Otherwise
         a stack of partial suffixes is extended right to left, as the module
-        docstring describes. An entry is (position to fill next, start of the
-        real child right of it or None when there is none, children chosen
-        right of it, the product of their tree counts). A nonterminal child
+        docstring describes. An entry is (the item whose dot stands before the
+        position to fill next, start of the real child right of it or None
+        when there is none, children chosen right of it, the product of their
+        tree counts); every position is filled once the item precedes the
+        production's dot-0 item. A nonterminal child
         offers the forest nodes of its productions that the position does not
         block and that hold a tree; a suffix that starts with open
         placeholders has them put at the end of the child placed before it.
@@ -302,24 +308,21 @@ class _Expander:
         counts = self.counts
         text = ig.input
         leaves = self._leaves
-        eps = grammar.epsilon_ids
-        terminals = grammar.terminal_ids
+        items = self.items
         node_start = ig.node_start
         node_end = ig.node_end
         node_symbol = ig.node_symbol
         start, end = node_start[node_id], node_end[node_id]
         context = None  # built when the first child over this node's own span appears
-        rhs = grammar.rhs_ids[pid]
         stride = ig.stride
-        first = grammar.item_base[pid] * stride + start  # the handle (pid, 0, start)
-        blocks = grammar.position_blocks[pid] if self.enforce else None
+        first = grammar.item_base[pid]  # the item of pid with its dot at 0
         evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
         alternatives = []
         trees = 0
-        stack = [(len(rhs) - 1, None, (), 1)]
+        stack = [(first + len(grammar.rhs_ids[pid]) - 1, None, (), 1)]
         while stack:
-            pos, right, suffix, made = stack.pop()
-            if pos < 0:
+            item, right, suffix, made = stack.pop()
+            if item < first:
                 if right == start:  # a node is never zero-width, so something was matched
                     if suffix and suffix[0] < 0:
                         suffix = self._fill(suffix, start)
@@ -329,17 +332,13 @@ class _Expander:
                     else:
                         self.constructions += 1
                 continue
-            sym = rhs[pos]
-            blocked = blocks[pos] if blocks else None
-            handle = first + pos * stride
+            sym = items.symbol[item]
+            blocked = items.blocked[item]
+            handle = item * stride + start
             cid = ig.next_core[end] if right is None else core_at[right]
-            if (
-                sym in eps
-                and not (blocked and grammar.epsilon_production[sym] in blocked)
-                and handle in cores[cid].handles
-            ):
-                stack.append((pos - 1, right, (~sym,) + suffix, made))
-            token = sym in terminals
+            if items.skip[item] and handle in cores[cid].handles:
+                stack.append((item - 1, right, (~sym,) + suffix, made))
+            token = items.token[item]
             open_placeholders = suffix and suffix[0] < 0
             for child_id in cores[cid].preceding:
                 if node_symbol[child_id] != sym:
@@ -358,7 +357,7 @@ class _Expander:
                         lexeme = text[child_start:child_end]
                         forest.append(_make(ForestNode, (leaf, sym, child_start, child_end, None, None, lexeme)))
                         counts.append(1)
-                    stack.append((pos - 1, child_start, (leaf,) + filled, made))
+                    stack.append((item - 1, child_start, (leaf,) + filled, made))
                     continue
                 if child_start != start or child_end != end:
                     child_context = None
@@ -376,7 +375,7 @@ class _Expander:
                     if got is None:
                         got = yield wanted
                     if got != _EMPTY:
-                        stack.append((pos - 1, child_start, (got,) + filled, made * counts[got]))
+                        stack.append((item - 1, child_start, (got,) + filled, made * counts[got]))
 
         self.constructions += len(alternatives)
         if alternatives:

@@ -4,9 +4,16 @@ A grammar couples a token layer (named regex definitions plus an inter-token
 skip pattern) with context-free productions over those tokens, a start symbol,
 and optional disambiguation constraints: associativity, selection precedence,
 composition precedence, and custom predicate evaluators. Empty right-hand
-sides are allowed; the set of nonterminals that can derive the empty string is
-computed as a least fixed point so that chained-nullable symbols are skippable
-exactly like directly-empty ones.
+sides are allowed; one cheapest-first pass finds every nonterminal that can
+derive the empty string together with its canonical empty derivation, so
+chained-nullable symbols are skippable exactly like directly-empty ones.
+
+The grammar numbers its LR(0) items once and owns every table about them
+(:class:`ItemTables`, one per enforcement flag): the symbol after the dot,
+whether it is a token, the productions a child there may not have, whether
+it may be skipped as empty, and what a prediction under a blocked position
+seeds. The chart, expansion and the rejection diagnostic all read these
+tables; none of them derives an item fact of its own.
 
 Grammars are immutable once constructed and safe to share across concurrent
 parse sessions.
@@ -147,28 +154,62 @@ def compute_epsilon_symbols(productions: Iterable[Production]) -> frozenset[Symb
     """Nonterminals that can derive the empty string (least fixed point).
 
     A symbol qualifies if some production for it has every right-hand-side
-    symbol already in the result; an empty right-hand side qualifies vacuously.
-    A worklist keyed by right-hand-side symbol counts each production's
-    symbols not yet known nullable, so every occurrence is visited once.
+    symbol already in the result; an empty right-hand side qualifies
+    vacuously. These are the symbols that :func:`_empty_derivations` prices.
     """
     prods = tuple(productions)
-    pending = [len(p.rhs) for p in prods]
+    nullable = _empty_derivations(prods)
+    return frozenset(p.lhs for p in prods if p.lhs.id in nullable)
+
+
+def _empty_derivations(productions: Sequence[Production]) -> dict[int, int]:
+    """The production of each nullable symbol's canonical minimal empty derivation.
+
+    Maps symbol id to production id, choosing the derivation with the
+    fewest nodes and breaking ties by the lowest production id. Every
+    child of the chosen production has a cheaper derivation of its own,
+    so following the table always ends. Its keys are exactly the nullable
+    symbols.
+
+    Computed cheapest first, as in Knuth's generalisation of Dijkstra's
+    algorithm ("A generalization of Dijkstra's algorithm", 1977): a
+    symbol's cost is final when it leaves the heap, and a production is
+    priced once every right-hand-side symbol is final. A production's
+    children all cost less than it does, so every production that ties
+    for a symbol's cost is priced before the symbol leaves the heap.
+    """
+    empty = [p for p in productions if not p.rhs]
+    if not empty:
+        return {}
+    import heapq  # only grammars with nullable symbols need it; the import costs about 1 ms
+
+    pending = [len(p.rhs) for p in productions]
     uses: dict[int, list[int]] = {}
-    for i, p in enumerate(prods):
+    for i, p in enumerate(productions):
         for s in p.rhs:
             uses.setdefault(s.id, []).append(i)
-    nullable: dict[int, Symbol] = {}
-    work = [p.lhs for p in prods if not p.rhs]
-    while work:
-        sym = work.pop()
-        if sym.id in nullable:
+    best: dict[int, tuple[int, int]] = {}  # symbol -> (cost, production) so far
+    cost: dict[int, int] = {}  # final costs
+    heap: list[tuple[int, int]] = []
+
+    def price(p: Production) -> None:
+        offer = (1 + sum(cost[s.id] for s in p.rhs), p.id)
+        if p.lhs.id not in best or offer < best[p.lhs.id]:
+            best[p.lhs.id] = offer
+            heapq.heappush(heap, (offer[0], p.lhs.id))
+
+    for p in empty:
+        price(p)
+    while heap:
+        c, sym = heapq.heappop(heap)
+        if sym in cost:
             continue
-        nullable[sym.id] = sym
-        for i in uses.get(sym.id, ()):
+        cost[sym] = c
+        for i in uses.get(sym, ()):
             pending[i] -= 1
             if not pending[i]:
-                work.append(prods[i].lhs)
-    return frozenset(nullable.values())
+                price(productions[i])
+    return {sym: best[sym][1] for sym in cost}
 
 
 def _closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -187,6 +228,82 @@ def _closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
                     stack.append(b)
         closed.update((a, b) for b in reached)
     return frozenset(closed)
+
+
+def _resolver(productions: Iterable[Production]) -> Callable[..., int]:
+    """``resolve(ref, line=None)``: the id of the production a reference names, a label or a unique lhs name.
+
+    The maps are built once; every reference a grammar takes (``%prefer``,
+    ``evaluators=``, ``make_grammar``'s ``assoc=`` and
+    :meth:`Grammar.production_by_ref`) is resolved here.
+    """
+    labels: dict[str, int] = {}
+    by_lhs: dict[str, list[int]] = {}
+    for p in productions:
+        if p.label is not None:
+            labels[p.label] = p.id
+        by_lhs.setdefault(p.lhs.name, []).append(p.id)
+
+    def resolve(ref: str, line: int | None = None) -> int:
+        if ref in labels:
+            return labels[ref]
+        candidates = by_lhs.get(ref, ())
+        if len(candidates) == 1:
+            return candidates[0]
+        if candidates:
+            raise GrammarError(f"production reference {ref!r} is ambiguous; add a [label]", line)
+        raise GrammarError(f"unknown production reference {ref!r}", line)
+
+    return resolve
+
+
+class ItemTables:
+    """Every fact the parser reads about an LR(0) item, for one enforcement flag.
+
+    Production p with its dot at d is item ``Grammar.item_base[p] + d``. By
+    item: ``symbol`` after the dot (-1 once complete); ``token``, whether it
+    is a terminal; ``blocked``, the productions a child there may not have
+    (``Grammar.position_blocks`` under enforcement, else empty); ``skip``,
+    whether the symbol may be skipped as empty, which it may not when the
+    blocked set holds the production of its canonical empty derivation, the
+    one expansion would place there. ``seeds`` maps each blocked item to the
+    dot-0 items a prediction there seeds: the symbol's productions outside
+    the set, plus those that selection prefers over one of them (expansion
+    needs the preferred node to judge the other), each with a non-empty
+    right-hand side, in ``Grammar.production_ids_by_lhs`` order. By
+    production: ``lhs``, and ``single``, the one-element ``productions``
+    tuple that the chart nodes it alone derives share. ``filtered`` tells
+    whether any item blocks anything.
+    """
+
+    __slots__ = ("symbol", "token", "blocked", "skip", "seeds", "filtered", "lhs", "single")
+
+    def __init__(self, grammar: Grammar, blocks: tuple[tuple[frozenset[int], ...], ...] | None):
+        none: frozenset[int] = frozenset()
+        symbol: list[int] = []
+        blocked: list[frozenset[int]] = []
+        for p, rhs in enumerate(grammar.rhs_ids):
+            symbol += rhs
+            symbol.append(-1)
+            blocked += blocks[p] if blocks else [none] * len(rhs)
+            blocked.append(none)
+        eps = grammar.epsilon_production
+        terminals = grammar.terminal_ids
+        self.symbol = tuple(symbol)
+        self.token = tuple([s in terminals for s in symbol])
+        self.blocked = tuple(blocked)
+        self.skip = tuple([s in eps and not (b and eps[s] in b) for s, b in zip(symbol, blocked)])
+        self.filtered = bool(blocks)
+
+        def seeds(sym: int, b: frozenset[int]) -> tuple[int, ...]:
+            options = grammar.production_ids_by_lhs.get(sym, ())
+            kept = [p for p in options if p not in b]
+            needed = set(kept).union(*(grammar.preferred_over.get(p, ()) for p in kept))
+            return tuple([grammar.item_base[p] for p in options if p in needed and grammar.rhs_ids[p]])
+
+        self.seeds = {item: seeds(s, b) for item, (s, b) in enumerate(zip(symbol, blocked)) if b}
+        self.lhs = tuple([p.lhs.id for p in grammar.productions])
+        self.single = tuple([(p,) for p in range(len(grammar.productions))])
 
 
 class _Predictions(dict):
@@ -281,25 +398,22 @@ class Grammar:
 
         # LR(0) items, numbered once: production p with its dot at d is item_base[p] + d,
         # so advancing a dot is adding one and a handle or agenda entry can be one int.
+        # The facts about each item are in ``items`` and ``enforced_items``.
         item_base: list[int] = []
         item_production: list[int] = []
-        item_dot: list[int] = []
         for p in self.productions:
             item_base.append(len(item_production))
             item_production += [p.id] * (len(p.rhs) + 1)
-            item_dot += range(len(p.rhs) + 1)
         self.item_base = tuple(item_base)
         self.item_production = tuple(item_production)
-        self.item_dot = tuple(item_dot)
-        # The chart's per-item tables by enforcement flag, built by its first run (``chart._tables``)
-        self.chart_tables: dict = {}
 
-        self.epsilon_symbols = compute_epsilon_symbols(self.productions)
-        self.epsilon_ids = frozenset(s.id for s in self.epsilon_symbols)
+        self.epsilon_ids = frozenset(self.epsilon_production)
+        self.epsilon_symbols = frozenset(self.symbol_by_id[s] for s in self.epsilon_ids)
 
         report, self.selection_closed, self.composition_closed = _check_constraints(self)
         if not report.ok:
             raise GrammarError("; ".join(i.message for i in report.errors))
+        self.constraint_report = report
         self.constraint_warnings = report.warnings
 
         # Selection only ever compares productions of one symbol, so a pair
@@ -355,16 +469,11 @@ class Grammar:
 
     def production_by_ref(self, ref: str) -> Production:
         """Resolve a production by label, falling back to a unique lhs name."""
-        if ref in self.by_label:
-            return self.by_label[ref]
-        sym = self.symbols.get(ref)
-        if sym is not None and not sym.is_terminal:
-            candidates = self.productions_by_lhs.get(sym.id, ())
-            if len(candidates) == 1:
-                return candidates[0]
-            if len(candidates) > 1:
-                raise GrammarError(f"production reference {ref!r} is ambiguous; add a [label]")
-        raise GrammarError(f"unknown production reference {ref!r}")
+        return self.productions[self._resolve(ref)]
+
+    @cached_property
+    def _resolve(self) -> Callable[..., int]:
+        return _resolver(self.productions)
 
     @cached_property
     def rhs_ids(self) -> tuple[tuple[int, ...], ...]:
@@ -400,51 +509,11 @@ class Grammar:
     def epsilon_production(self) -> dict[int, int]:
         """The production of each nullable symbol's canonical minimal empty derivation.
 
-        Maps symbol id to production id, choosing the derivation with the
-        fewest nodes and breaking ties by the lowest production id. Every
-        child of the chosen production has a cheaper derivation of its own,
-        so following the table always ends. Used to materialize zero-width
+        Its keys are the nullable symbols (``epsilon_ids``); see
+        :func:`_empty_derivations`. Used to materialize zero-width
         placeholder children for skipped nullable positions.
-
-        Computed cheapest first, as in Knuth's generalisation of Dijkstra's
-        algorithm ("A generalization of Dijkstra's algorithm", 1977): a
-        symbol's cost is final when it leaves the heap, and a production is
-        priced once every right-hand-side symbol is final. A production's
-        children all cost less than it does, so every production that ties
-        for a symbol's cost is priced before the symbol leaves the heap.
         """
-        import heapq  # only grammars with nullable symbols need it; the import costs about 1 ms
-
-        pending = [len(p.rhs) for p in self.productions]
-        uses: dict[int, list[int]] = {}
-        for p in self.productions:
-            for s in p.rhs:
-                uses.setdefault(s.id, []).append(p.id)
-        best: dict[int, tuple[int, int]] = {}  # symbol -> (cost, production) so far
-        cost: dict[int, int] = {}
-        choice: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []
-
-        def price(p: Production) -> None:
-            offer = (1 + sum(cost[s.id] for s in p.rhs), p.id)
-            if p.lhs.id not in best or offer < best[p.lhs.id]:
-                best[p.lhs.id] = offer
-                heapq.heappush(heap, (offer[0], p.lhs.id))
-
-        for p in self.productions:
-            if not p.rhs:
-                price(p)
-        while heap:
-            c, sym = heapq.heappop(heap)
-            if sym in cost:
-                continue
-            cost[sym] = c
-            choice[sym] = best[sym][1]
-            for pid in uses.get(sym, ()):
-                pending[pid] -= 1
-                if not pending[pid]:
-                    price(self.productions[pid])
-        return choice
+        return _empty_derivations(self.productions)
 
     @cached_property
     def position_blocks(self) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -474,6 +543,17 @@ class Grammar:
             )
         return tuple(table)
 
+    @cached_property
+    def items(self) -> ItemTables:
+        """The item tables with no constraint enforced: no item blocks anything."""
+        return ItemTables(self, None)
+
+    @cached_property
+    def enforced_items(self) -> ItemTables:
+        """The item tables under enforcement; ``items`` itself when no position blocks anything."""
+        blocks = self.position_blocks
+        return ItemTables(self, blocks) if any(any(row) for row in blocks) else self.items
+
     # -- comparison and serialization --------------------------------------
 
     def signature(self) -> tuple:
@@ -493,13 +573,14 @@ class Grammar:
 
 
 def validate_constraints(grammar: Grammar) -> ConstraintReport:
-    """Check every constraint declaration; report all violations, not just the first.
+    """The report of the grammar's constraint check, made once by its constructor.
 
     Errors: references to nonexistent productions, self-precedence, cyclic
-    precedence declarations, bad associativity directions. Warnings flag
-    declarations that can never influence a parse.
+    precedence declarations, bad associativity directions. The constructor
+    raises on any of them, so a grammar's report holds warnings alone: they
+    flag declarations that can never influence a parse.
     """
-    return _check_constraints(grammar)[0]
+    return grammar.constraint_report
 
 
 def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, frozenset]:
@@ -620,7 +701,7 @@ def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, f
 class _RuleDecl:
     __slots__ = ("line", "label", "lhs", "rhs", "assoc")
 
-    def __init__(self, line: int, label: str | None, lhs: str, rhs: tuple[str, ...], assoc: str | None = None):
+    def __init__(self, line: int | None, label: str | None, lhs: str, rhs: tuple[str, ...], assoc: str | None = None):
         self.line = line
         self.label = label
         self.lhs = lhs
@@ -629,14 +710,17 @@ class _RuleDecl:
 
 
 class _Decls:
-    __slots__ = ("tokens", "skip", "start", "rules", "prefers")
+    """Declarations with their source lines; a line is None for a declaration made from code."""
+
+    __slots__ = ("tokens", "skip", "start", "rules", "assocs", "prefers")
 
     def __init__(self):
-        self.tokens: list[tuple[int, str, str]] = []
-        self.skip: tuple[int, str] | None = None
-        self.start: tuple[int, str] | None = None
+        self.tokens: list[tuple[int | None, str, str]] = []
+        self.skip: tuple[int | None, str] | None = None
+        self.start: tuple[int | None, str] | None = None
         self.rules: list[_RuleDecl] = []
-        self.prefers: list[tuple[int, str, str, str]] = []
+        self.assocs: list[tuple[int | None, str, str]] = []  # (line, reference, direction)
+        self.prefers: list[tuple[int | None, str, str, str]] = []
 
 
 def _scan(source: str) -> _Decls:
@@ -725,7 +809,7 @@ def _parse_statement(text: str, line: int, decls: _Decls) -> None:
     decls.rules.append(_RuleDecl(line, label, head, rhs, assoc))
 
 
-def _check_writable(pattern: str, owner: str, line: int) -> None:
+def _check_writable(pattern: str, owner: str, line: int | None) -> None:
     """Reject a pattern that ``grammar_to_text`` could not write between slashes."""
     if not re.fullmatch(_REGEX_BODY, pattern) or "".join(pattern.splitlines()) != pattern:
         raise GrammarError(f"pattern of {owner} has an unescaped '/' or a line break", line)
@@ -769,7 +853,7 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
         _check_writable(pattern, f"token {name!r}", line)
         token_defs.append(TokenDef(symbols[name], pattern, regex))
 
-    labels: dict[str, int] = {}
+    labels: set[str] = set()
     productions: list[Production] = []
     assoc: dict[int, str] = {}
     for pid, rule in enumerate(decls.rules):
@@ -782,7 +866,7 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
         if rule.label is not None:
             if rule.label in labels:
                 raise GrammarError(f"duplicate production label {rule.label!r}", rule.line)
-            labels[rule.label] = pid
+            labels.add(rule.label)
         productions.append(Production(pid, symbols[rule.lhs], tuple(rhs_syms), rule.label))
         if rule.assoc is not None:
             assoc[pid] = rule.assoc
@@ -794,16 +878,9 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
     if start is None or start.is_terminal or start.id not in {p.lhs.id for p in productions}:
         raise GrammarError(f"start symbol {start_name!r} has no productions", start_line)
 
-    def resolve(ref: str, line: int) -> int:
-        if ref in labels:
-            return labels[ref]
-        candidates = [p.id for p in productions if p.lhs.name == ref]
-        if len(candidates) == 1:
-            return candidates[0]
-        if len(candidates) > 1:
-            raise GrammarError(f"production reference {ref!r} is ambiguous; add a [label]", line)
-        raise GrammarError(f"unknown production reference {ref!r}", line)
-
+    resolve = _resolver(productions)
+    for line, ref, direction in decls.assocs:
+        assoc[resolve(ref, line)] = direction
     selection: list[tuple[int, int]] = []
     composition: list[tuple[int, int]] = []
     for line, kind, first, second in decls.prefers:
@@ -812,7 +889,7 @@ def _assemble(decls: _Decls, evaluators: Mapping[str, Callable] | None) -> Gramm
 
     custom: dict[int, Callable] = {}
     for ref, fn in (evaluators or {}).items():
-        custom[resolve(ref, 0)] = fn
+        custom[resolve(ref)] = fn
 
     skip = decls.skip[1] if decls.skip is not None else DEFAULT_SKIP
     if decls.skip is not None:
@@ -861,33 +938,19 @@ def make_grammar(
     decls = _Decls()
     for name, pattern in tokens:
         _check_name(name, "token name")
-        decls.tokens.append((0, name, pattern))
+        decls.tokens.append((None, name, pattern))
     _check_name(start, "start symbol")
-    decls.skip = (0, skip)
-    decls.start = (0, start)
-    rule_decls: dict[str, _RuleDecl] = {}
+    decls.skip = (None, skip)
+    decls.start = (None, start)
     for entry in rules:
         lhs, rhs = entry[0], tuple(entry[1])
         label = entry[2] if len(entry) > 2 else None
         _check_name(lhs, "nonterminal name")
         if label is not None:
             _check_name(label, "production label")
-        decl = _RuleDecl(0, label, lhs, rhs)
-        decls.rules.append(decl)
-        if label:
-            rule_decls[label] = decl
-    for ref, direction in assoc:
-        if ref in rule_decls:
-            rule_decls[ref].assoc = direction
-        else:
-            matching = [r for r in decls.rules if r.lhs == ref]
-            if len(matching) != 1:
-                raise GrammarError(f"associativity reference {ref!r} is not unique")
-            matching[0].assoc = direction
-    for a, b in select:
-        decls.prefers.append((0, "select", a, b))
-    for a, b in compose:
-        decls.prefers.append((0, "compose", a, b))
+        decls.rules.append(_RuleDecl(None, label, lhs, rhs))
+    decls.assocs = [(None, ref, direction) for ref, direction in assoc]
+    decls.prefers = [(None, "select", a, b) for a, b in select] + [(None, "compose", a, b) for a, b in compose]
     return _assemble(decls, evaluators)
 
 

@@ -305,14 +305,24 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     if not isinstance(text, str):
         raise LatticeFormatError("'input' must be a string")
     raw_nodes = doc["nodes"]
+    if not isinstance(raw_nodes, (list, tuple)) or not all(isinstance(entry, dict) for entry in raw_nodes):
+        raise LatticeFormatError("'nodes' must be a list of objects")
     seen_ids: set[int] = set()
     for entry in raw_nodes:
         for key in ("id", "symbol", "start", "end", "preceding", "following"):
             if key not in entry:
                 raise LatticeFormatError(f"node entry missing {key!r}")
+        if not (all(type(entry[key]) is int for key in ("id", "start", "end")) and type(entry["symbol"]) is str):
+            raise LatticeFormatError("a node entry needs integer 'id', 'start' and 'end' and a string 'symbol'")
+        links = (entry["preceding"], entry["following"])
+        if not all(isinstance(ids, (list, tuple)) and all(type(i) is int for i in ids) for ids in links):
+            raise LatticeFormatError(f"node {entry['id']}'s 'preceding' and 'following' must be lists of node ids")
         if entry["id"] in seen_ids:
             raise LatticeFormatError(f"duplicate node id {entry['id']}")
         seen_ids.add(entry["id"])
+    starting = doc.get("starting", ())
+    if not isinstance(starting, (list, tuple)) or not all(type(i) is int and i in seen_ids for i in starting):
+        raise LatticeFormatError("'starting' must be a list of the ids of listed nodes")
 
     keyed: list[tuple[tuple[int, int, int], dict]] = []
     for entry in sorted(raw_nodes, key=lambda e: e["id"]):
@@ -368,7 +378,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
                 f"position is offset {t.start}, {expected[0]}, not {preceding}"
             )
 
-    declared = tuple(sorted(remap[i] for i in doc.get("starting", ())))
+    declared = tuple(sorted(remap[i] for i in starting))
     derived = tuple(i for i, (preceding, _following) in enumerate(positional) if not preceding)
     if declared != derived:
         raise LatticeFormatError(

@@ -121,11 +121,11 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
         shown = []
         if ig is not None:
             terminals = grammar.terminal_ids
+            symbol, token = grammar.items.symbol, grammar.items.token
             for core in reversed(ig.cores):  # cores are in position order
                 # Cores index only nonterminal waits, so the terminals come from the handles' items
                 items = {h // ig.stride for h in core.handles}
-                waited = {grammar.rhs_ids[grammar.item_production[i]][grammar.item_dot[i]] for i in items}
-                names = sorted(grammar.symbol_by_id[s].name for s in waited if s in terminals)
+                names = sorted({grammar.symbol_by_id[symbol[i]].name for i in items if token[i]})
                 if names:
                     lines.append(f"expected one of {{{', '.join(names)}}} at offset {core.position}")
                     break

@@ -208,7 +208,8 @@ def grammar(text, **kw):
 def handle_parts(grammar, ela, handle):
     """A chart handle, stored as the int ``item * ela.stride + origin``, as (production, dot, origin)."""
     item, origin = divmod(handle, ela.stride)
-    return grammar.item_production[item], grammar.item_dot[item], origin
+    production = grammar.item_production[item]
+    return production, item - grammar.item_base[production], origin
 
 
 def entry_parts(grammar, ela, entry):

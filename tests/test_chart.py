@@ -585,3 +585,47 @@ def test_a_core_without_handles_keeps_the_shared_empty_stores():
             assert type(core.handles) is set
         # only nonterminals are listed by symbol; tokens are the core's id range
         assert all(sym not in g.terminal_ids for sym in core.following_by_sym)
+
+
+def _workload_grammars():
+    """The four benchmark workloads' grammars, read from the benchmark's own module."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [grammar(w.grammar) for w in module.WORKLOADS.values()]
+
+
+def test_each_blocked_items_seeds_are_its_admitted_and_preferred_productions():
+    # a prediction under a blocked position seeds the symbol's productions
+    # outside the blocked set, plus those preferred over one of them, each
+    # with a non-empty right-hand side, in production_ids_by_lhs order
+    grammars = _workload_grammars()
+    for seed in range(200):
+        inst = randsuite.make_instance(seed)
+        if inst is not None:
+            grammars += [inst.grammar, inst.constrained]
+    checked = 0
+    for g in grammars:
+        assert g.items.seeds == {}
+        tables = g.enforced_items
+        blocked_items = [item for item, blocked in enumerate(tables.blocked) if blocked]
+        assert sorted(tables.seeds) == blocked_items
+        assert tables.filtered == bool(blocked_items)
+        assert (tables is g.items) == (not blocked_items)
+        for item in blocked_items:
+            sym, blocked = tables.symbol[item], tables.blocked[item]
+            options = g.production_ids_by_lhs.get(sym, ())
+            kept = [p for p in options if p not in blocked]
+            needed = set(kept).union(*(g.preferred_over.get(p, ()) for p in kept))
+            expected = tuple(g.item_base[p] for p in options if g.rhs_ids[p] and p in needed)
+            assert tables.seeds[item] == expected, (g.productions, item)
+            checked += 1
+    assert checked > 200

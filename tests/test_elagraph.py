@@ -142,3 +142,18 @@ def test_a_lattice_out_of_offset_order_is_rejected():
         bad = LAGraph(la.input, nodes, la.starting, la.next_position, la.content_start)
         with pytest.raises(ValueError, match="start, end, symbol"):
             build_ela_graph(bad)
+
+
+def test_node_views_take_a_slice():
+    g = grammar(AMBIG_NUMBERS)
+    ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
+    every = list(ela.nodes)
+    assert len(every) > 3
+    assert ela.nodes[1:3] == every[1:3] == [ela.nodes[1], ela.nodes[2]]
+    assert ela.nodes[:] == every
+    assert ela.nodes[::-2] == every[::-2]
+    assert ela.nodes[-2:] == every[-2:]
+    assert ela.nodes[5:5] == []
+    assert ela.nodes[-1] == every[-1]
+    with pytest.raises(IndexError):
+        ela.nodes[len(every)]

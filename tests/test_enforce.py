@@ -672,3 +672,14 @@ def test_enumeration_stops_at_the_limit():
     first = enumerate_trees(big, g, 3)
     assert len(first) == 3 and first == sorted(first)
     assert time.perf_counter() - started < 10.0
+
+
+def test_a_saturated_forest_document_says_so():
+    # Catalan(39) is about 6.8e20 trees, past COUNT_CAP
+    g = grammar(ARITH)
+    eg = parse_text(g, chain(40), enforce_constraints=False).egraph
+    doc = egraph_document(eg, g)
+    (root,) = eg.roots
+    assert doc["treeCounts"] == {str(root): COUNT_CAP}
+    assert doc["treeCountsSaturated"] is True
+    assert "treeCountsSaturated" not in egraph_document(parse_text(g, chain(30)).egraph, g)

@@ -144,8 +144,9 @@ def test_nullable_tables_equal_the_fixpoint_on_the_random_suite():
             continue
         for g in (inst.grammar, inst.constrained):
             symbols, choice = _fixpoint_tables(g.productions)
-            assert compute_epsilon_symbols(g.productions) == symbols, seed
+            assert compute_epsilon_symbols(g.productions) == symbols == g.epsilon_symbols, seed
             assert g.epsilon_production == choice, seed
+            assert g.epsilon_ids == set(choice), seed
             checked += 1
             nullable += bool(choice)
     assert checked > 300 and nullable > 100
@@ -545,3 +546,62 @@ def test_valid_names_round_trip_through_the_text_format():
     text = grammar_to_text(g)
     assert parse_grammar_text(text).signature() == g.signature()
     assert grammar_to_text(parse_grammar_text(text)) == text
+
+
+def test_code_built_declarations_have_no_line():
+    with pytest.raises(GrammarError) as err:
+        make_grammar([("a", "a")], [("S", ["x"])], "S")
+    assert str(err.value) == "unknown symbol 'x'" and err.value.line is None
+    with pytest.raises(GrammarError) as err:
+        make_grammar([("a", "a")], [("S", ["a"])], "S", evaluators={"nope": bool})
+    assert str(err.value) == "unknown production reference 'nope'" and err.value.line is None
+    with pytest.raises(GrammarError) as err:
+        parse_grammar_text("%token a /a/\n%start S\nS ::= a ;\n", evaluators={"nope": bool})
+    assert err.value.line is None
+    with pytest.raises(GrammarError) as err:
+        parse_grammar_text("%token a /a/\n%start S\nS ::= a ;\n%prefer select S over T ;\n")
+    assert str(err.value) == "unknown production reference 'T' (line 4)"
+
+
+ARITH_PREC = """
+%token plus /\\+/
+%token times /\\*/
+%token int /[0-9]+/
+%start S
+S ::= E ;
+%assoc left [add] E ::= E plus E ;
+%assoc right [mul] E ::= E times E ;
+[lit] E ::= int ;
+%prefer compose mul over add ;
+"""
+
+
+def test_make_grammar_resolves_assoc_and_compose_references():
+    tokens = [("plus", r"\+"), ("times", r"\*"), ("int", "[0-9]+")]
+    rules = [("S", ["E"]), ("E", ["E", "plus", "E"], "add"), ("E", ["E", "times", "E"], "mul"), ("E", ["int"], "lit")]
+    g = make_grammar(tokens, rules, "S", assoc=[("add", "left"), ("mul", "right")], compose=[("mul", "add")])
+    assert g.signature() == parse_grammar_text(ARITH_PREC).signature()
+    assert g.constraints.associativity == {1: "left", 2: "right"}
+    assert g.constraints.composition == ((2, 1),)
+    trees = pipeline_trees(g, "1+2*3*4+5")
+    assert len(trees) == 1
+    # a unique left-hand side names its production too
+    unit = make_grammar(tokens, rules, "S", assoc=[("S", "none")])
+    assert unit.constraints.associativity == {0: "none"}
+    for assoc, compose, message in (
+        ([("E", "left")], (), "production reference 'E' is ambiguous; add a [label]"),
+        ((), [("mul", "E")], "production reference 'E' is ambiguous; add a [label]"),
+        ([("sum", "left")], (), "unknown production reference 'sum'"),
+        ((), [("mul", "sum")], "unknown production reference 'sum'"),
+    ):
+        with pytest.raises(GrammarError) as err:
+            make_grammar(tokens, rules, "S", assoc=assoc, compose=compose)
+        assert str(err.value) == message and err.value.line is None
+
+
+def test_validate_constraints_returns_the_report_the_grammar_kept():
+    g = parse_grammar_text("%token a /a/\n%start S\n%assoc left S ::= a ;\n")
+    report = validate_constraints(g)
+    assert report is g.constraint_report
+    assert report.ok and [i.kind for i in report.warnings] == ["ineffective-associativity"]
+    assert report.warnings == g.constraint_warnings

@@ -397,3 +397,79 @@ def test_pruning_keeps_exactly_the_tokens_on_full_paths():
             checked += 1
             pruned_some += len(pruned.nodes) < len(raw.nodes)
     assert checked > 600 and pruned_some > 20, (checked, pruned_some)
+
+
+def _two_token_doc():
+    """The document of the lattice ``a`` ``b`` over "ab": token 0 is followed by token 1."""
+    return {
+        "input": "ab",
+        "nodes": [
+            {"id": 0, "symbol": "a", "start": 0, "end": 1, "preceding": [], "following": [1]},
+            {"id": 1, "symbol": "b", "start": 1, "end": 2, "preceding": [0], "following": []},
+        ],
+        "starting": [0],
+    }
+
+
+def _edit(**fields):
+    """A change to one node of the two-token document: ``node`` picks it, the rest are set."""
+    node = fields.pop("node", 0)
+
+    def change(doc):
+        doc["nodes"][node].update(fields)
+        return doc
+
+    return change
+
+
+def _alone(entry, start):
+    return lambda doc: {"input": "ab", "nodes": [entry], "starting": start}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: [doc], "must be an object with 'input' and 'nodes'"),
+        (lambda doc: dict(doc, input=5), "'input' must be a string"),
+        (lambda doc: dict(doc, nodes=5), "'nodes' must be a list"),
+        (lambda doc: dict(doc, nodes=[doc["nodes"][0], 7]), "'nodes' must be a list of objects"),
+        (lambda doc: doc["nodes"][0].pop("end") and doc, "node entry missing 'end'"),
+        (_edit(start="0"), "needs integer 'id', 'start' and 'end'"),
+        (_edit(id=[0]), "needs integer 'id', 'start' and 'end'"),
+        (_edit(symbol=["a"]), "and a string 'symbol'"),
+        (_edit(node=1, preceding=0), "node 1's 'preceding' and 'following' must be lists of node ids"),
+        (_edit(node=1, preceding=[[0]]), "must be lists of node ids"),
+        (_edit(node=1, id=0), "duplicate node id 0"),
+        (lambda doc: dict(doc, starting=[9]), "'starting' must be a list of the ids of listed nodes"),
+        (lambda doc: dict(doc, starting="0"), "'starting' must be a list of the ids of listed nodes"),
+        (_edit(symbol="S"), "symbol 'S' is not a token of this grammar"),
+        (_edit(end=0), "invalid span [0, 0)"),
+        (_edit(following=[9]), "links to unknown node 9"),
+        (_edit(node=1, preceding=[]), "node 0 lists 1 as following"),
+        (_edit(following=[]), "node 1 lists 0 as preceding"),
+        (lambda doc: _edit(node=1, preceding=[])(_edit(following=[])(doc)), "must be followed by exactly"),
+        (lambda doc: _edit(node=1, following=[0])(_edit(preceding=[1])(doc)), "must be preceded by exactly"),
+        (lambda doc: dict(doc, starting=[]), "declared starting nodes do not match"),
+        (
+            _alone({"id": 0, "symbol": "b", "start": 1, "end": 2, "preceding": [], "following": []}, [0]),
+            "starting node 0 does not start at the beginning",
+        ),
+        (
+            _alone({"id": 0, "symbol": "a", "start": 0, "end": 1, "preceding": [], "following": []}, [0]),
+            "no token path spans the input",
+        ),
+    ],
+    ids=[
+        "not-an-object", "input-not-a-string", "nodes-not-a-list", "entry-not-an-object", "missing-key",
+        "string-start", "list-id", "list-symbol", "preceding-not-a-list", "unhashable-link", "duplicate-id",
+        "starting-names-no-token", "starting-not-a-list", "unknown-symbol", "empty-span", "unknown-link",
+        "asymmetric-following", "asymmetric-preceding", "following-not-positional", "preceding-not-positional",
+        "starting-mismatch", "starting-after-the-beginning", "no-full-path",
+    ],
+)
+def test_load_rejects_a_malformed_document_with_a_format_error(change, message):
+    g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= a b ;\nS ::= b ;\n")
+    assert load_la_graph(_two_token_doc(), g) == tokenize(g, "ab")
+    with pytest.raises(LatticeFormatError) as err:
+        load_la_graph(change(_two_token_doc()), g)
+    assert message in str(err.value)

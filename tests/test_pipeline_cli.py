@@ -155,6 +155,32 @@ def test_rejection_exit_code(numbers_grammar_file, capsys):
     assert "offset 2" in err
 
 
+def test_count_on_a_rejected_input_prints_zero(numbers_grammar_file, capsys):
+    code = main(["parse", "--grammar", numbers_grammar_file, "--text", "&&", "--count"])
+    assert code == 1
+    printed = capsys.readouterr()
+    assert printed.out == "0\n"
+    assert "offset 2" in printed.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--text", "&", "--enumerate", "0"], "fence: error: --enumerate requires a limit >= 1"),
+        ([], "one of the arguments --input --text is required"),
+        (["--text", "&", "--input", "x"], "not allowed with argument"),
+        (["--text", "&", "--format", "xml"], "invalid choice: 'xml'"),
+        (["--input", "no-such-file"], "fence: error: "),
+    ],
+    ids=["enumerate-zero", "no-input", "two-inputs", "bad-format", "missing-input-file"],
+)
+def test_usage_errors_exit_with_status_2(numbers_grammar_file, capsys, args, message):
+    assert main(["parse", "--grammar", numbers_grammar_file, *args]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert message in printed.err
+
+
 def test_ambiguous_count(arith_grammar_file, capsys):
     code = main(["parse", "--grammar", arith_grammar_file, "--text", "1+1+1", "--count"])
     assert code == 0
