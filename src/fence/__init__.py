@@ -10,7 +10,7 @@ precedence, and custom predicate constraints prune interpretations as early
 as possible.
 """
 
-from .chart import ChartParser, igraph_document, igraph_stats, run_chart
+from .chart import ChartParser, igraph_document, run_chart
 from .elagraph import ELAGraph, build_ela_graph, ela_document
 from .enforce import (
     EGraph,
@@ -31,7 +31,6 @@ from .grammar import (
     grammar_to_text,
     make_grammar,
     parse_grammar_text,
-    validate_constraints,
 )
 from .lexgraph import (
     LAGraph,
@@ -76,7 +75,6 @@ __all__ = [
     "explain_rejection",
     "grammar_to_text",
     "igraph_document",
-    "igraph_stats",
     "load_la_graph",
     "make_grammar",
     "oracle_filter",
@@ -88,5 +86,4 @@ __all__ = [
     "serialize_la_graph",
     "tokenize",
     "tree_counts",
-    "validate_constraints",
 ]

@@ -11,7 +11,9 @@ matched node end, lhs) is created or merged, wired to the cores at its
 boundaries, and every handle already waiting for that symbol in its start
 core is re-awakened. Otherwise the advanced handle is added to the core
 following the matched node. The chart fills the extended graph it is given,
-and the filled graph is the implicit graph that expansion walks.
+and the filled graph is the implicit graph that expansion walks. The run
+counts its work on that graph, once: ``ELAGraph.agenda_pops`` and
+``handle_count``, which ``igraph_document`` reports as its ``stats``.
 
 The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
 ``node_end``, ``node_symbol`` and ``node_productions``), which the chart
@@ -118,7 +120,7 @@ from bisect import bisect
 from .elagraph import EMPTY_MAP, EMPTY_SET, Core, ELAGraph
 from .grammar import Grammar
 
-__all__ = ["ChartParser", "run_chart", "igraph_stats", "igraph_document"]
+__all__ = ["ChartParser", "run_chart", "igraph_document"]
 
 
 class ChartParser:
@@ -126,7 +128,8 @@ class ChartParser:
 
     The graph is filled in place (cores gain predictions and handles, the
     node lists grow, and :meth:`run` records the roots and work counts on
-    it), so construct a fresh extended graph per run.
+    it: the pops it counts go straight to ``ELAGraph.agenda_pops``), so
+    construct a fresh extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
     wait for its left-hand side are stored. ``agenda`` holds pending entries,
@@ -145,7 +148,6 @@ class ChartParser:
         self.grammar = grammar
         self.ela = ela
         self.agenda: list[int] = []
-        self.pops = 0
         self._stride = ela.stride
         self.space = len(grammar.item_production) * ela.stride
         self._base = grammar.item_base
@@ -336,13 +338,12 @@ class ChartParser:
                 self._reduce(production[item], origin, end)
             else:
                 self.add_handle(item, origin, cores[next_core[end]], end)
-        self.pops += pops
+        ela.agenda_pops += pops
         # The start symbol is a nonterminal, so a root is found by its key.
         s0 = cores[ela.starting_core].position
         start_sym = self.grammar.start.id
         roots = (ela.node_ids.get((s0, e, start_sym)) for e, c in next_core.items() if c == ela.last_core)
         ela.starting = tuple(sorted(r for r in roots if r is not None))
-        ela.agenda_pops = self.pops
         ela.handle_count = sum(len(c.handles) for c in ela.cores)
         ela.filtered = self._filtered
         return ela
@@ -359,16 +360,6 @@ def run_chart(grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False
     with its own enforcement off.
     """
     return ChartParser(grammar, ela, enforce_constraints).run()
-
-
-def igraph_stats(ig: ELAGraph) -> dict:
-    """Deterministic chart statistics (node and work counts)."""
-    return {
-        "nodes": len(ig.nodes),
-        "starting": len(ig.starting),
-        "agendaPops": ig.agenda_pops,
-        "handles": ig.handle_count,
-    }
 
 
 def igraph_document(ig: ELAGraph, grammar: Grammar) -> dict:

@@ -136,18 +136,11 @@ class ConstraintSet(NamedTuple):
 
 
 class ConstraintIssue(NamedTuple):
+    """A constraint warning: a declaration that can never influence a parse."""
+
     kind: str
     message: str
     productions: tuple[int, ...] = ()
-
-
-class ConstraintReport(NamedTuple):
-    errors: tuple[ConstraintIssue, ...]
-    warnings: tuple[ConstraintIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def compute_epsilon_symbols(productions: Iterable[Production]) -> frozenset[Symbol]:
@@ -337,7 +330,10 @@ class Grammar:
     """An immutable language definition.
 
     Use :func:`parse_grammar_text` (or :func:`make_grammar` from code) to build
-    one; the constructor expects fully resolved symbols and productions.
+    one; the constructor expects fully resolved symbols and productions, each
+    production's id its position in the list. It raises
+    :class:`GrammarError` on any inconsistency, constraint errors included,
+    and keeps the constraint warnings in ``constraint_warnings``.
     """
 
     def __init__(
@@ -353,7 +349,10 @@ class Grammar:
         self.start = start
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.skip_pattern = skip_pattern
-        self.skip_re = re.compile(skip_pattern) if skip_pattern else None
+        try:
+            self.skip_re = re.compile(skip_pattern) if skip_pattern else None
+        except re.error as exc:
+            raise GrammarError(f"bad skip pattern: {exc}") from None
 
         self.symbols: dict[str, Symbol] = {}
         for td in self.token_defs:
@@ -368,17 +367,13 @@ class Grammar:
         if len(set(ids)) != len(ids):
             raise GrammarError("symbol ids are not unique")
         self.symbol_by_id: dict[int, Symbol] = {s.id: s for s in self.symbols.values()}
+        # A name is interned once, so a token and a nonterminal never share one.
         self.terminal_ids = frozenset(s.id for s in self.symbols.values() if s.is_terminal)
-        terminal_names = {s.name for s in self.symbols.values() if s.is_terminal}
-        nonterminal_names = {s.name for s in self.symbols.values() if not s.is_terminal}
-        if terminal_names & nonterminal_names:
-            raise GrammarError(
-                "terminal and nonterminal namespaces overlap: "
-                + ", ".join(sorted(terminal_names & nonterminal_names))
-            )
         if start.is_terminal:
             raise GrammarError(f"start symbol {start.name!r} is a token, not a nonterminal")
-        for p in self.productions:
+        for i, p in enumerate(self.productions):
+            if p.id != i:
+                raise GrammarError(f"production {p.ref()} has id {p.id} at position {i}; ids must be positions")
             if p.lhs.is_terminal:
                 raise GrammarError(f"production {p.ref()} has a token on its left-hand side")
 
@@ -392,9 +387,12 @@ class Grammar:
         self.production_ids_by_lhs: dict[int, tuple[int, ...]] = {
             k: tuple(p.id for p in v) for k, v in by_lhs.items()
         }
-        self.by_label: dict[str, Production] = {
-            p.label: p for p in self.productions if p.label is not None
-        }
+        self.by_label: dict[str, Production] = {}
+        for p in self.productions:
+            if p.label in self.by_label:
+                raise GrammarError(f"duplicate production label {p.label!r}")
+            if p.label is not None:
+                self.by_label[p.label] = p
 
         # LR(0) items, numbered once: production p with its dot at d is item_base[p] + d,
         # so advancing a dot is adding one and a handle or agenda entry can be one int.
@@ -410,11 +408,7 @@ class Grammar:
         self.epsilon_ids = frozenset(self.epsilon_production)
         self.epsilon_symbols = frozenset(self.symbol_by_id[s] for s in self.epsilon_ids)
 
-        report, self.selection_closed, self.composition_closed = _check_constraints(self)
-        if not report.ok:
-            raise GrammarError("; ".join(i.message for i in report.errors))
-        self.constraint_report = report
-        self.constraint_warnings = report.warnings
+        self.constraint_warnings, self.selection_closed, self.composition_closed = _check_constraints(self)
 
         # Selection only ever compares productions of one symbol, so a pair
         # across symbols is dropped, but only after closing: a chain through
@@ -572,25 +566,18 @@ class Grammar:
         )
 
 
-def validate_constraints(grammar: Grammar) -> ConstraintReport:
-    """The report of the grammar's constraint check, made once by its constructor.
+def _check_constraints(grammar: Grammar) -> tuple[tuple[ConstraintIssue, ...], frozenset, frozenset]:
+    """The constraint warnings, with the closed selection and composition relations.
 
-    Errors: references to nonexistent productions, self-precedence, cyclic
-    precedence declarations, bad associativity directions. The constructor
-    raises on any of them, so a grammar's report holds warnings alone: they
-    flag declarations that can never influence a parse.
-    """
-    return grammar.constraint_report
-
-
-def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, frozenset]:
-    """``validate_constraints``'s report, with the closed selection and composition relations.
-
-    Each relation is closed once, for the cycle check; when the report has no
-    errors, every declared pair was closed, so the grammar keeps the result.
+    Raises one :class:`GrammarError` that joins every error: references to
+    nonexistent productions, self-precedence, cyclic precedence
+    declarations, bad associativity directions. The warnings flag
+    declarations that can never influence a parse. Each relation is closed
+    once, for the cycle check; without errors every declared pair was
+    closed, so the grammar keeps the result.
     """
     closures = []
-    errors: list[ConstraintIssue] = []
+    errors: list[str] = []
     warnings: list[ConstraintIssue] = []
     cs = grammar.constraints
     valid = {p.id for p in grammar.productions}
@@ -600,18 +587,10 @@ def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, f
 
     for pid, direction in sorted(cs.associativity.items()):
         if pid not in valid:
-            errors.append(
-                ConstraintIssue("unknown-production", f"associativity on unknown production #{pid}", (pid,))
-            )
+            errors.append(f"associativity on unknown production #{pid}")
             continue
         if direction not in _ASSOC_DIRECTIONS:
-            errors.append(
-                ConstraintIssue(
-                    "bad-direction",
-                    f"associativity on {ref(pid)} has direction {direction!r}",
-                    (pid,),
-                )
-            )
+            errors.append(f"associativity on {ref(pid)} has direction {direction!r}")
             continue
         p = grammar.productions[pid]
         ends = []
@@ -634,33 +613,18 @@ def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, f
             missing = [x for x in (a, b) if x not in valid]
             if missing:
                 errors.append(
-                    ConstraintIssue(
-                        "unknown-production",
-                        f"{kind} precedence refers to unknown production(s) "
-                        + ", ".join(f"#{m}" for m in missing),
-                        tuple(missing),
-                    )
+                    f"{kind} precedence refers to unknown production(s) " + ", ".join(f"#{m}" for m in missing)
                 )
                 continue
             if a == b:
-                errors.append(
-                    ConstraintIssue(
-                        "self-reference", f"{kind} precedence declares {ref(a)} over itself", (a,)
-                    )
-                )
+                errors.append(f"{kind} precedence declares {ref(a)} over itself")
                 continue
             edges.setdefault(a, set()).add(b)
         closed = _closure((a, b) for a, bs in edges.items() for b in bs)
         closures.append(closed)
         cyclic = sorted({a for a, b in closed if a == b})
         if cyclic:
-            errors.append(
-                ConstraintIssue(
-                    "cycle",
-                    f"cyclic {kind} precedence involving " + ", ".join(ref(p) for p in cyclic),
-                    tuple(cyclic),
-                )
-            )
+            errors.append(f"cyclic {kind} precedence involving " + ", ".join(ref(p) for p in cyclic))
         if kind == "selection":
             for a, b in sorted(set(pairs)):
                 if a in valid and b in valid and a != b:
@@ -677,11 +641,11 @@ def _check_constraints(grammar: Grammar) -> tuple[ConstraintReport, frozenset, f
 
     for pid in sorted(cs.custom):
         if pid not in valid:
-            errors.append(
-                ConstraintIssue("unknown-production", f"evaluator on unknown production #{pid}", (pid,))
-            )
+            errors.append(f"evaluator on unknown production #{pid}")
 
-    return ConstraintReport(tuple(errors), tuple(warnings)), closures[0], closures[1]
+    if errors:
+        raise GrammarError("; ".join(errors))
+    return tuple(warnings), closures[0], closures[1]
 
 
 # ---------------------------------------------------------------------------

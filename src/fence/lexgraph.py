@@ -139,8 +139,6 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     path spans the input, reporting the furthest offset reached. An input
     consisting solely of skip characters (or nothing) yields an empty graph.
     """
-    if not grammar.token_defs:
-        raise TokenizationError(0)
     n = len(text)
     start_pos = _skip_from(grammar, text, 0)
     if start_pos == n:

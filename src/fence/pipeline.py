@@ -20,13 +20,12 @@ __all__ = ["ParseOutcome", "parse_text", "explain_rejection"]
 class ParseOutcome:
     """The intermediate results and the verdict of one parse session.
 
-    ``chart`` is the extended graph the chart filled, and ``ela`` and
-    ``igraph`` both name it. When the chart left out derivations that
-    associativity or composition precedence forbid (``ELAGraph.filtered``)
-    and the input was rejected, the first read of either property replaces
-    it with a graph that the unfiltered chart filled, so that it shows
-    whether the input derives the start symbol at all. That run costs what the unfiltered chart costs, up to cubic in the
-    input; only a caller that reads them pays it.
+    ``chart`` is the extended graph that the chart filled, and ``ela`` and
+    ``igraph`` are read-only names for it: all three are one graph, the one
+    that ran. Under enforcement that chart leaves out the derivations that
+    associativity or composition precedence forbid (``ELAGraph.filtered``);
+    :func:`explain_rejection` runs the unfiltered chart itself when it needs
+    to know whether a rejected input derives the start symbol at all.
     """
 
     __slots__ = ("grammar", "text", "la", "egraph", "failure", "furthest", "chart")
@@ -45,12 +44,11 @@ class ParseOutcome:
     def accepted(self) -> bool:
         return self.failure is None
 
-    def _unfiltered(self) -> ELAGraph | None:
-        if self.chart is not None and self.failure is not None and self.chart.filtered:
-            self.chart = run_chart(self.grammar, build_ela_graph(self.la))
+    @property
+    def ela(self) -> ELAGraph | None:
         return self.chart
 
-    ela = igraph = property(_unfiltered)
+    igraph = ela
 
 
 def parse_text(
@@ -91,7 +89,10 @@ def parse_text(
     return outcome
 
 
-def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
+_SHOWN = 5  # spans a diagnostic lists
+
+
+def explain_rejection(outcome: ParseOutcome) -> str:
     """Human-readable diagnostic for a rejected input.
 
     Tells the three kinds of rejection apart: the input does not tokenize,
@@ -99,23 +100,28 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
     removed every derivation. A no-derivation diagnostic also names the
     terminals expected at the furthest core where a handle waits for one;
     under prediction every handle continues a derivation from the start
-    symbol, so these are the terminals the grammar allows there. It reads
-    the outcome's ``igraph``, so it pays for the unfiltered chart that
-    ``ParseOutcome`` describes.
+    symbol, so these are the terminals the grammar allows there.
+
+    When the chart that ran was ``filtered``, it may have pruned the only
+    derivations, so the diagnostic is read from a fresh unfiltered chart
+    over the outcome's lattice. That run costs what the unfiltered chart
+    costs, up to cubic in the input, and the outcome keeps its own chart.
     """
     if outcome.accepted:
         return "input accepted"
     if outcome.failure == "lexical":
         return f"lexical error: cannot tokenize the input beyond offset {outcome.furthest}"
     grammar = outcome.grammar
-    ig = outcome.igraph
+    ig = outcome.chart
+    if ig is not None and ig.filtered:
+        ig = run_chart(grammar, build_ela_graph(outcome.la))
     if ig is not None and ig.starting:
         lines = [
             "derived but pruned: the input derives the start symbol, "
             "but the constraints removed every derivation",
             "derived roots:",
         ]
-        shown = [ig.nodes[i] for i in ig.starting[:limit]]
+        shown = [ig.nodes[i] for i in ig.starting[:_SHOWN]]
     else:
         lines = [f"no parse: input tokenizes up to offset {outcome.furthest}"]
         shown = []
@@ -133,7 +139,7 @@ def explain_rejection(outcome: ParseOutcome, limit: int = 5) -> str:
                 ig.nodes, key=lambda n: (n.end - n.start, n.symbol_id not in terminals), reverse=True
             )
             nonterminals = [n for n in nodes if n.symbol_id not in terminals]
-            shown = (nonterminals or nodes)[:limit]
+            shown = (nonterminals or nodes)[:_SHOWN]
             what = "longest nonterminal spans" if nonterminals else "longest token spans"
             lines.append(f"{what}:")
     for n in shown:

@@ -9,7 +9,7 @@ import pytest
 
 import randsuite
 from fence import expand_forest, explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
-from fence.chart import ChartParser, igraph_document, igraph_stats, run_chart
+from fence.chart import ChartParser, igraph_document, run_chart
 from fence.elagraph import EMPTY_MAP, EMPTY_SET, build_ela_graph
 from fence.grammar import Grammar
 from fence.lexgraph import TokenizationError, tokenize
@@ -257,12 +257,10 @@ def test_a_handle_whose_origin_is_the_end_of_the_input():
 def test_stats_and_document():
     g = grammar(AMBIG_NUMBERS)
     ig = run_chart(g, build(g, AMBIG_INPUT))
-    stats = igraph_stats(ig)
-    assert set(stats) == {"nodes", "starting", "agendaPops", "handles"}
-    assert stats["nodes"] == len(ig.nodes)
-    assert stats["starting"] == 1
-    assert stats["agendaPops"] > 0 and stats["handles"] > 0
     doc = igraph_document(ig, g)
+    assert set(doc["stats"]) == {"agendaPops", "handles"}
+    assert len(doc["nodes"]) == len(ig.nodes) and len(ig.starting) == 1
+    assert ig.agenda_pops > 0 and ig.handle_count > 0
     top = g.productions_by_lhs[g.symbol("E").id][0].id
     assert doc["starting"] == [{"start": 0, "end": 13, "symbol": "E", "productions": [top]}]
     assert doc["stats"]["agendaPops"] == ig.agenda_pops
@@ -271,7 +269,7 @@ def test_stats_and_document():
     for entry in doc["nodes"]:
         assert ("productions" in entry) == (not g.symbol(entry["symbol"]).is_terminal), entry
     rejection = run_chart(g, build(g, "&&"))
-    assert igraph_stats(rejection)["starting"] == 0
+    assert igraph_document(rejection, g)["starting"] == []
 
 
 def test_rejected_input_is_an_empty_starting_set_not_an_error():
@@ -334,8 +332,7 @@ def test_left_associative_pops_grow_linearly():
 
 def test_a_rejected_left_associative_sum_is_charted_once():
     # the trailing operator leaves no derivation; parse_text runs only the
-    # enforcing chart, and the unfiltered one waits until the outcome's
-    # igraph is read
+    # enforcing chart, and only explain_rejection runs the unfiltered one
     g = grammar(ARITH_LEFT)
     t0 = time.perf_counter()
     outcome = parse_text(g, chain(400) + "+")

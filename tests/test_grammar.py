@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import time
 
 import pytest
@@ -11,18 +12,19 @@ from hypothesis import strategies as st
 
 from fence.grammar import (
     ASSOC_LEFT,
+    ConstraintSet,
     Grammar,
     GrammarError,
     NONTERMINAL,
     Production,
     Symbol,
     TERMINAL,
+    TokenDef,
     _closure,
     compute_epsilon_symbols,
     grammar_to_text,
     make_grammar,
     parse_grammar_text,
-    validate_constraints,
 )
 from fence.pipeline import parse_text
 from helpers import AMBIG_NUMBERS, ARITH, pipeline_trees
@@ -258,8 +260,7 @@ def test_each_precedence_relation_is_closed_once(monkeypatch):
 
 def test_empty_constraint_set_is_ok():
     g = parse_grammar_text("%token a /a/\n%start S\nS ::= a ;\n")
-    report = validate_constraints(g)
-    assert report.ok and not report.warnings
+    assert g.constraint_warnings == ()
 
 
 def test_ineffective_associativity_warns_and_never_changes_output():
@@ -599,9 +600,71 @@ def test_make_grammar_resolves_assoc_and_compose_references():
         assert str(err.value) == message and err.value.line is None
 
 
-def test_validate_constraints_returns_the_report_the_grammar_kept():
-    g = parse_grammar_text("%token a /a/\n%start S\n%assoc left S ::= a ;\n")
-    report = validate_constraints(g)
-    assert report is g.constraint_report
-    assert report.ok and [i.kind for i in report.warnings] == ["ineffective-associativity"]
-    assert report.warnings == g.constraint_warnings
+_A = Symbol(0, "a", TERMINAL)
+_S = Symbol(1, "S", NONTERMINAL)
+_TOKENS = [TokenDef(_A, "a", re.compile("a"))]
+_RULES = [Production(0, _S, (_A,))]
+
+
+def _text(*lines):
+    return lambda: parse_grammar_text("\n".join(lines) + "\n")
+
+
+def _direct(tokens=_TOKENS, rules=_RULES, start=_S, **constraints):
+    return lambda: Grammar(tokens, rules, start, ConstraintSet(**constraints))
+
+
+_ERROR_SITES = [
+    (_text("%token a /a/", "%skip [ ]", "%start S", "S ::= a ;"), "malformed %skip line", 2),
+    (_text("%token a /a/", "%skip / /", "%skip /x/", "%start S", "S ::= a ;"), "duplicate %skip declaration", 3),
+    (_text("%token a /a/", "%start S T", "S ::= a ;"), "malformed %start line", 2),
+    (_text("%token a /a/", "%start S", "S ::= a ;", "%start S"), "duplicate %start declaration", 4),
+    (_text("%token a /a/", "%start S", "S ::= a ;", "%prefer select S S ;"), "malformed %prefer declaration", 4),
+    (_text("%token a /a/", "%start S", "%keep S ;"), "unknown directive '%keep'", 3),
+    (_text("%token a /a/", "%start S", "[p S ::= a ;"), "unterminated production label", 3),
+    (_text("%token a /a/", "%start S", "[1p] S ::= a ;"), "bad production label '1p'", 3),
+    (_text("%token a /a/", "%start S", "S T ::= a ;"), "bad production left-hand side 'S T'", 3),
+    (_text("%token a /a/", "%start S", "S ::= a a-b ;"), "bad symbol name 'a-b'", 3),
+    (_text("%token a /a/", "%start S", "[p] S ::= a ;", "[p] S ::= a a ;"), "duplicate production label 'p'", 4),
+    (_text("%token a /a/", "%skip /(/", "%start S", "S ::= a ;"), "bad %skip regex", 2),
+    (_direct(tokens=_TOKENS + [TokenDef(Symbol(1, "b", TERMINAL), "b", re.compile("b"))]),
+     "symbol ids are not unique", None),
+    (_direct(start=_A), "start symbol 'a' is a token", None),
+    (_direct(rules=[Production(0, _A, (_A,))]), "has a token on its left-hand side", None),
+    # a token and a nonterminal of one name
+    (_direct(rules=[Production(0, _S, (Symbol(0, "a", NONTERMINAL),))]), "conflicting definitions for symbol 'a'",
+     None),
+    (lambda: make_grammar([("a", "a")], [("S", ["a"])], "S").symbol("T"), "unknown symbol 'T'", None),
+    (_direct(associativity={7: "left"}), "associativity on unknown production #7", None),
+    (_direct(selection=((0, 7),)), "selection precedence refers to unknown production(s) #7", None),
+    (_direct(composition=((7, 0),)), "composition precedence refers to unknown production(s) #7", None),
+    (_direct(custom={7: bool}), "evaluator on unknown production #7", None),
+    (lambda: make_grammar([("a", "a")], [("S", ["a"])], "S", assoc=[("S", "sideways")]),
+     "associativity on #0:S has direction 'sideways'", None),
+    # the constructor checks constraints, so a text-built one has no line either
+    (_text("%token a /a/", "%start S", "[p] S ::= a ;", "%prefer select p over p ;"),
+     "selection precedence declares p over itself", None),
+]
+
+
+@pytest.mark.parametrize("build, fragment, line", _ERROR_SITES, ids=[fragment for _b, fragment, _l in _ERROR_SITES])
+def test_each_grammar_check_raises_its_error(build, fragment, line):
+    with pytest.raises(GrammarError) as err:
+        build()
+    assert fragment in err.value.message and err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (_direct(rules=[Production(5, _S, (_A,))]), "production #5:S has id 5 at position 0"),
+        (_direct(rules=[Production(0, _S, (_A,), "x"), Production(1, _S, (_A, _A), "x")]),
+         "duplicate production label 'x'"),
+        (lambda: Grammar(_TOKENS, _RULES, _S, skip_pattern="("), "bad skip pattern"),
+    ],
+    ids=["id-not-position", "duplicate-label", "bad-skip"],
+)
+def test_the_constructor_rejects_what_the_text_format_rejects(build, fragment):
+    with pytest.raises(GrammarError) as err:
+        build()
+    assert fragment in err.value.message and err.value.line is None

@@ -20,6 +20,7 @@ from fence.lexgraph import (
     tokenize,
 )
 from fence.elagraph import build_ela_graph
+from fence.pipeline import parse_text
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
 
 
@@ -96,6 +97,15 @@ def test_whitespace_only_input_yields_empty_graph():
     la = tokenize(g, "   ")
     assert la.nodes == () and la.starting == ()
     assert la.content_start == 3
+
+
+def test_a_zero_width_match_is_never_a_token():
+    g = grammar("%token a /a*/\n%start S\nS ::= a ;\n")
+    outcome = parse_text(g, "b")  # a* matches the empty string before b
+    assert (outcome.failure, outcome.furthest) == ("lexical", 0)
+    outcome = parse_text(g, "aa")
+    assert outcome.accepted
+    assert [(t.start, t.end) for t in outcome.la.nodes] == [(0, 2)]
 
 
 def test_dead_end_branches_are_pruned():

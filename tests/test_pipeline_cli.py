@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from fence import TokenizationError, enumerate_trees, oracle_parse_all, pipeline, tokenize
+from fence.chart import run_chart
 from fence.cli import _dumps, main
 from fence.pipeline import explain_rejection, parse_text
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, ARITH, ARITH_LEFT, catalan, chain, grammar
@@ -80,7 +82,7 @@ def test_derived_but_pruned_is_not_reported_as_no_parse(tmp_path, capsys):
     g = grammar(source)
     outcome = parse_text(g, "1+1+1")
     assert outcome.failure == "parse"
-    assert outcome.igraph.starting and not outcome.egraph.roots
+    assert not outcome.igraph.starting and not outcome.egraph.roots
     text = explain_rejection(outcome)
     assert "no parse" not in text
     assert "constraints removed every derivation" in text and "E [0,5)" in text
@@ -111,13 +113,32 @@ def test_a_derivation_the_chart_pruned_is_reported_as_pruned(source, text):
     assert parse_text(g, text, enforce_constraints=False).accepted
     outcome = parse_text(g, text)
     assert outcome.failure == "parse" and not outcome.egraph.roots
-    # the chart that ran blocked the derivation; reading the outcome's chart
-    # runs it again without the constraints
+    # the chart that ran blocked the derivation, and the outcome keeps it
     assert outcome.chart.filtered and not outcome.chart.starting
-    assert outcome.igraph.starting and not outcome.igraph.filtered
     assert outcome.ela is outcome.igraph is outcome.chart
     message = explain_rejection(outcome)
     assert message.startswith("derived but pruned") and "no parse" not in message
+
+
+def test_the_outcome_keeps_the_chart_that_ran(tmp_path, capsys, monkeypatch):
+    source = ARITH_LEFT.replace("%assoc left", "%assoc none")
+    path = tmp_path / "none.fence"
+    path.write_text(source)
+    assert main(["parse", "--grammar", str(path), "--dump-ig", "--text", "1+1+1"]) == 1
+    out, err = capsys.readouterr()
+    # the dump counts the pops of the enforcing chart, not of the diagnostic's re-run
+    assert json.loads(out)["stats"]["agendaPops"] == 5
+    assert err.splitlines() == [
+        "derived but pruned: the input derives the start symbol, but the constraints removed every derivation",
+        "derived roots:",
+        "  E [0,5)",
+    ]
+    outcome = parse_text(grammar(source), "1+1+1")
+    runs = []
+    monkeypatch.setattr(pipeline, "run_chart", lambda *args: runs.append(args) or run_chart(*args))
+    assert outcome.ela is outcome.igraph is outcome.chart and not runs
+    assert explain_rejection(outcome) == err.rstrip("\n")
+    assert len(runs) == 1 and outcome.chart.agenda_pops == 5 and not outcome.chart.starting
 
 
 def test_a_no_parse_diagnostic_does_not_depend_on_the_chart_that_ran():
@@ -137,6 +158,19 @@ def test_empty_input_acceptance_depends_on_nullable_start():
     assert len(outcome.egraph.roots) == 1
     strict = grammar("%token a /a/\n%start S\nS ::= a ;\n")
     assert not parse_text(strict, "").accepted
+
+
+@pytest.mark.parametrize("text, furthest", [("", None), ("  ", None), ("x", 0), ("  x", 2)])
+def test_a_grammar_without_tokens_agrees_with_the_oracle(text, furthest):
+    g = grammar("%start S\nS ::= ;\n")
+    outcome = parse_text(g, text)
+    try:
+        truth = oracle_parse_all(g, tokenize(g, text))
+    except TokenizationError as exc:
+        assert (outcome.failure, outcome.furthest) == ("lexical", exc.furthest) == ("lexical", furthest)
+        return
+    assert outcome.accepted and furthest is None
+    assert frozenset(enumerate_trees(outcome.egraph, g, 10)) == truth == {("n", "S", len(text), len(text), 0, ())}
 
 
 # -- CLI -------------------------------------------------------------------

@@ -10,7 +10,6 @@ from fence.grammar import (
     NONTERMINAL,
     TERMINAL,
     ConstraintIssue,
-    ConstraintReport,
     ConstraintSet,
     Grammar,
     NodeView,
@@ -37,10 +36,6 @@ RECORDS = {
         True,
     ),
     "ConstraintIssue": (lambda: ConstraintIssue(kind="cycle", message="m"), True),
-    "ConstraintReport": (
-        lambda: ConstraintReport(errors=(ConstraintIssue("cycle", "m", (0,)),), warnings=()),
-        True,
-    ),
     "OracleBounds": (lambda: OracleBounds(max_work=10), True),
     "ConstraintSet": (lambda: ConstraintSet(selection=((1, 0),)), False),
     "LAGraph": (
