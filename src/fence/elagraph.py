@@ -31,6 +31,7 @@ session.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from itertools import compress, islice
 from operator import le, ne
 from types import MappingProxyType
@@ -105,30 +106,30 @@ class ImplicitNode(namedtuple("ImplicitNode", "id start end symbol_id production
 
 
 class NodeViews:
-    """``ELAGraph.nodes``: the graph's nodes as read-only :class:`ImplicitNode` views, by id."""
+    """A graph's nodes as a read-only sequence of view records, by id; ``ELAGraph.nodes`` and ``EGraph.nodes``.
 
-    __slots__ = ("_ela",)
+    ``column`` is one of the graph's parallel node lists, so its length is the
+    number of nodes, and ``view(i)`` makes node ``i``'s record from the lists.
+    A view is made on each access; a slice gives a list of views.
+    """
 
-    def __init__(self, ela: ELAGraph):
-        self._ela = ela
+    __slots__ = ("_column", "_view")
+
+    def __init__(self, column: list, view: Callable[[int], tuple]):
+        self._column = column
+        self._view = view
 
     def __len__(self) -> int:
-        return len(self._ela.node_start)
+        return len(self._column)
 
-    def __getitem__(self, node_id: int | slice) -> ImplicitNode | list[ImplicitNode]:
-        ela = self._ela
-        node_id = range(len(ela.node_start))[node_id]  # a negative id counts from the end
-        if isinstance(node_id, range):  # a slice gives a list of views
-            return [self[i] for i in node_id]
-        return ImplicitNode(
-            node_id, ela.node_start[node_id], ela.node_end[node_id], ela.node_symbol[node_id],
-            ela.node_productions[node_id],
-        )
+    def __getitem__(self, node_id: int | slice):
+        node_id = range(len(self._column))[node_id]  # a negative id counts from the end
+        if isinstance(node_id, range):
+            return list(map(self._view, node_id))
+        return self._view(node_id)
 
     def __iter__(self):
-        ela = self._ela
-        fields = zip(range(len(ela.node_start)), ela.node_start, ela.node_end, ela.node_symbol, ela.node_productions)
-        return map(ImplicitNode._make, fields)
+        return map(self._view, range(len(self._column)))
 
 
 class ELAGraph:
@@ -177,7 +178,11 @@ class ELAGraph:
 
     @property
     def nodes(self) -> NodeViews:
-        return NodeViews(self)
+        return NodeViews(self.node_start, self._view)
+
+    def _view(self, node_id: int) -> ImplicitNode:
+        return ImplicitNode(node_id, self.node_start[node_id], self.node_end[node_id], self.node_symbol[node_id],
+                            self.node_productions[node_id])
 
     def following(self, core_id: int) -> list[int]:
         """The ids of the nodes that start at core ``core_id``, ascending."""

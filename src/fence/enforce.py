@@ -68,15 +68,26 @@ node built for a derivation that does not complete (a cut cycle, a suffix
 whose prefix fails, an alternative an evaluator rejects) is left unreachable
 from the roots; one sweep from the last node down finds such nodes, and the
 forest is compacted only when there are any.
+
+The forest is stored as ``ELAGraph`` stores its nodes: in parallel lists
+indexed by forest node id (symbol, start, end, and production, None for a
+token leaf). The packed alternatives of every node go into one flat int
+list, ``EGraph.kids``, in node order, with offsets per node and per
+alternative, so a node allocates no container of its own and the collector
+has nothing in the forest to scan. A leaf keeps no lexeme: it is the input
+over the leaf's span. ``EGraph.nodes`` makes :class:`ForestNode` views of
+the lists on access, for callers and tests; the queries and writers below
+index the lists. The memo that maps (implicit node, production) to its
+forest node keys a node without a cycle context by one int.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import islice, product
-from typing import NamedTuple
 
-from .elagraph import ELAGraph
+from .elagraph import ELAGraph, NodeViews
 from .errors import EvaluatorError
 from .grammar import Grammar, NodeView
 
@@ -102,49 +113,86 @@ FOREST_FORMAT_VERSION = 2
 _EMPTY = -1  # memo value of a forest node left without alternatives
 
 
-class ForestNode(NamedTuple):
-    """A symbol over a span, derived by one production in packed form.
+class ForestNode(namedtuple("ForestNode", "id symbol_id start end production_id children lexeme")):
+    """A view of one forest node: a symbol over a span, derived by one production in packed form.
 
     ``children`` holds the packed alternatives, one ordered tuple of child
-    node ids each. A token leaf has ``children`` None and carries its lexeme
-    instead of a production. Zero-width nodes (start == end) are placeholders
-    for skipped nullable symbols and hold one alternative.
+    node ids each. A token leaf has ``children`` None and carries its lexeme,
+    the input over its span, instead of a production. Zero-width nodes
+    (start == end) are placeholders for skipped nullable symbols and hold one
+    alternative. A view is a copy made from the forest's lists on access.
     """
 
-    id: int
-    symbol_id: int
-    start: int
-    end: int
-    production_id: int | None
-    children: tuple[tuple[int, ...], ...] | None
-    lexeme: str | None
+    __slots__ = ()
 
 
 class EGraph:
     """The packed parse forest: the nodes reachable from the roots, each numbered after its children.
 
-    ``counts`` is indexed like ``nodes``: the trees each node holds, capped
-    at ``COUNT_CAP``, kept as expansion built the node.
+    Nodes live in parallel lists indexed by node id: ``node_symbol``,
+    ``node_start``, ``node_end`` and ``node_production``, which is None for a
+    token leaf. The packed alternatives of all nodes are one flat int list,
+    ``kids``: node ``i``'s alternatives are the ids ``node_alts[i]`` to
+    ``node_alts[i + 1] - 1``, and alternative ``a`` holds the child ids
+    ``kids[alt_kids[a]:alt_kids[a + 1]]``. Both offset lists therefore hold
+    one more entry than they have nodes or alternatives, and a leaf has no
+    alternatives. ``counts`` is indexed like the nodes: the trees each node
+    holds, capped at ``COUNT_CAP``, kept as expansion built the node.
+    ``nodes`` gives read-only :class:`ForestNode` views of the lists.
     """
 
-    __slots__ = ("input", "nodes", "counts", "roots", "constructions")
+    __slots__ = ("input", "node_symbol", "node_start", "node_end", "node_production", "node_alts", "alt_kids",
+                 "kids", "counts", "roots", "constructions")
 
-    def __init__(self, input: str, nodes: list[ForestNode], counts: list[int], roots: tuple[int, ...],
-                 constructions: int):
+    def __init__(self, input: str):
         self.input = input
-        self.nodes = nodes
-        self.counts = counts
-        self.roots = roots
-        self.constructions = constructions
+        self.node_symbol: list[int] = []
+        self.node_start: list[int] = []
+        self.node_end: list[int] = []
+        self.node_production: list[int | None] = []
+        self.node_alts = [0]
+        self.alt_kids = [0]
+        self.kids: list[int] = []
+        self.counts: list[int] = []
+        self.roots: tuple[int, ...] = ()
+        self.constructions = 0
+
+    @property
+    def nodes(self) -> NodeViews:
+        return NodeViews(self.node_start, self._view)
+
+    def _view(self, eid: int) -> ForestNode:
+        start, end, pid = self.node_start[eid], self.node_end[eid], self.node_production[eid]
+        if pid is None:
+            return ForestNode(eid, self.node_symbol[eid], start, end, None, None, self.input[start:end])
+        return ForestNode(eid, self.node_symbol[eid], start, end, pid, tuple(map(tuple, self.alternatives(eid))), None)
+
+    def alternatives(self, eid: int) -> list[list[int]]:
+        """The packed alternatives of node ``eid``, each a new list of child ids; none for a leaf."""
+        kids, alt_kids = self.kids, self.alt_kids
+        return [kids[alt_kids[a]:alt_kids[a + 1]] for a in range(self.node_alts[eid], self.node_alts[eid + 1])]
+
+    def _add(self, symbol_id: int, start: int, end: int, production_id: int | None, alternatives, count: int) -> int:
+        """Append a node with its alternatives (sequences of child ids; empty for a leaf); returns its id."""
+        eid = len(self.node_start)
+        self.node_symbol.append(symbol_id)
+        self.node_start.append(start)
+        self.node_end.append(end)
+        self.node_production.append(production_id)
+        self.counts.append(count)
+        node_alts = self.node_alts
+        if alternatives:
+            kids, alt_kids = self.kids, self.alt_kids
+            for alt in alternatives:
+                kids += alt
+                alt_kids.append(len(kids))
+            node_alts.append(len(alt_kids) - 1)
+        else:
+            node_alts.append(node_alts[-1])
+        return eid
 
 
-# ForestNode's own constructor adds a Python call per node.
-_make = tuple.__new__
-
-
-def _placeholder(
-    grammar: Grammar, nodes: list[ForestNode], counts: list[int], cache: dict, symbol_id: int, offset: int
-) -> int:
+def _placeholder(grammar: Grammar, forest: EGraph, cache: dict, symbol_id: int, offset: int) -> int:
     """The node of ``symbol_id``'s canonical empty derivation at ``offset``.
 
     Built children first from an explicit stack, so a long nullable chain
@@ -163,46 +211,41 @@ def _placeholder(
             stack.extend(missing)
             continue
         stack.pop()
-        eid = cache[sym, offset] = len(nodes)
-        nodes.append(_make(ForestNode, (eid, sym, offset, offset, pid, (tuple(cache[s, offset] for s in rhs),), None)))
-        counts.append(1)
+        cache[sym, offset] = forest._add(sym, offset, offset, pid, ([cache[s, offset] for s in rhs],), 1)
     return cache[symbol_id, offset]
 
 
-def _reachable(
-    nodes: list[ForestNode], counts: list[int], roots: tuple[int, ...]
-) -> tuple[list[ForestNode], list[int], tuple[int, ...]]:
-    """The nodes reachable from ``roots`` and their counts, renumbered densely in the same order.
+def _reachable(forest: EGraph) -> EGraph:
+    """The forest's nodes reachable from its roots, renumbered densely in the same order.
 
     Children precede their parents, so one sweep from the last node down
-    marks every reachable node. When all of them are, the lists are returned
-    as they are.
+    marks every reachable node; a node's alternatives are one run of
+    ``kids``. When all of them are reachable, the forest is returned as it is.
     """
-    keep = [False] * len(nodes)
-    for r in roots:
+    node_alts, alt_kids, kids = forest.node_alts, forest.alt_kids, forest.kids
+    keep = [False] * len(forest.node_start)
+    for r in forest.roots:
         keep[r] = True
-    for eid in range(len(nodes) - 1, -1, -1):
+    for eid in range(len(keep) - 1, -1, -1):
         if keep[eid]:
-            alternatives = nodes[eid].children
-            if alternatives:
-                for alt in alternatives:
-                    for c in alt:
-                        keep[c] = True
+            for c in kids[alt_kids[node_alts[eid]]:alt_kids[node_alts[eid + 1]]]:
+                keep[c] = True
     if all(keep):
-        return nodes, counts, roots
+        return forest
     order = [eid for eid, kept in enumerate(keep) if kept]
-    number = [-1] * len(nodes)
+    number = [-1] * len(keep)
     for new, old in enumerate(order):
         number[old] = new
     renumber = number.__getitem__
-    compacted = []
-    for new, old in enumerate(order):
-        node = nodes[old]
-        alternatives = node.children
-        if alternatives is not None:
-            alternatives = tuple([tuple(map(renumber, alt)) for alt in alternatives])
-        compacted.append(node._replace(id=new, children=alternatives))
-    return compacted, [counts[eid] for eid in order], tuple([number[r] for r in roots])
+    compacted = EGraph(forest.input)
+    for old in order:
+        compacted._add(
+            forest.node_symbol[old], forest.node_start[old], forest.node_end[old], forest.node_production[old],
+            [list(map(renumber, alt)) for alt in forest.alternatives(old)], forest.counts[old],
+        )
+    compacted.roots = tuple([number[r] for r in forest.roots])
+    compacted.constructions = forest.constructions
+    return compacted
 
 
 class _Expander:
@@ -211,11 +254,11 @@ class _Expander:
         self.ig = ig
         self.enforce = enforce
         self.items = grammar.enforced_items if enforce else grammar.items
-        self.nodes: list[ForestNode] = []
-        self.counts: list[int] = []  # each node's trees, capped at COUNT_CAP
-        # (implicit node id, production id, cycle context) -> forest node id, or _EMPTY
-        self.memo: dict[tuple, int] = {}
-        self.constructions = 0
+        self.forest = EGraph(ig.input)
+        # implicit node id * n_productions + production id -> forest node id, or _EMPTY; a node
+        # with a cycle context is keyed by the tuple (implicit node id, production id, context)
+        self.memo: dict[int | tuple, int] = {}
+        self.n_productions = len(grammar.productions)
         self._leaves: dict[int, int] = {}
         self._placeholders: dict[tuple[int, int], int] = {}
 
@@ -243,11 +286,13 @@ class _Expander:
     def _roots(self):
         roots: list[int] = []
         productions = self.ig.node_productions
+        n_productions = self.n_productions
         for node_id in sorted(self.ig.starting):
             for p in productions[node_id]:
-                got = self.memo.get((node_id, p, None))
+                key = node_id * n_productions + p
+                got = self.memo.get(key)
                 if got is None:
-                    got = yield (node_id, p, None)
+                    got = yield key
                 if got != _EMPTY:
                     roots.append(got)
         return tuple(roots)
@@ -258,17 +303,18 @@ class _Expander:
         while n < len(suffix) and suffix[n] < 0:
             n += 1
         placed = tuple(
-            _placeholder(self.grammar, self.nodes, self.counts, self._placeholders, ~s, offset)
+            _placeholder(self.grammar, self.forest, self._placeholders, ~s, offset)
             for s in suffix[:n]
         )
         return placed + suffix[n:]
 
     # -- expansion ----------------------------------------------------------------
 
-    def _derive(self, key: tuple):
+    def _derive(self, key: int | tuple):
         """Generator building one forest node's alternatives; memoizes and returns its id.
 
-        ``key`` is (implicit node id, production id, cycle context). Under
+        ``key`` is the memo key of (implicit node id, production id, cycle
+        context): one int when there is no context, else that triple. Under
         enforcement the nodes of the productions preferred over this one are
         checked first, most preferred first, and once one holds a tree this
         node is empty. Otherwise
@@ -284,29 +330,24 @@ class _Expander:
         A suffix that reaches the node's start is an alternative, kept only
         if the production's custom evaluator, when it has one, accepts it.
         """
-        node_id, pid, outer = key
+        # A generator's frame holds every local of this function, and a left
+        # chain keeps one generator open per level, so locals are kept few.
+        n_productions = self.n_productions
+        if type(key) is int:
+            node_id, pid = divmod(key, n_productions)
+            outer = None
+        else:
+            node_id, pid, outer = key
+        memo = self.memo
+        if self.enforce and pid in self.grammar.preferred_over and (yield from self._loses(node_id, pid, outer)):
+            memo[key] = _EMPTY
+            return _EMPTY
         ig = self.ig
         node_productions = ig.node_productions
-        memo = self.memo
-        preferred = self.grammar.preferred_over.get(pid) if self.enforce else None
-        if preferred:
-            derived = node_productions[node_id]  # ascending, so membership is a bisection
-            for q in preferred:
-                at = bisect_left(derived, q)
-                if at < len(derived) and derived[at] == q:
-                    wanted = (node_id, q, outer)
-                    other = memo.get(wanted)
-                    if other is None:
-                        other = yield wanted
-                    if other != _EMPTY:
-                        memo[key] = _EMPTY  # pid loses to q
-                        return _EMPTY
         cores = ig.cores
         core_at = ig.core_at
-        grammar = self.grammar
-        forest = self.nodes
-        counts = self.counts
-        text = ig.input
+        forest = self.forest
+        counts = forest.counts
         leaves = self._leaves
         items = self.items
         node_start = ig.node_start
@@ -315,11 +356,11 @@ class _Expander:
         start, end = node_start[node_id], node_end[node_id]
         context = None  # built when the first child over this node's own span appears
         stride = ig.stride
-        first = grammar.item_base[pid]  # the item of pid with its dot at 0
-        evaluator = grammar.constraints.custom.get(pid) if self.enforce else None
+        first = self.grammar.item_base[pid]  # the item of pid with its dot at 0
+        evaluator = self.grammar.constraints.custom.get(pid) if self.enforce else None
         alternatives = []
         trees = 0
-        stack = [(first + len(grammar.rhs_ids[pid]) - 1, None, (), 1)]
+        stack = [(first + len(self.grammar.rhs_ids[pid]) - 1, None, (), 1)]
         while stack:
             item, right, suffix, made = stack.pop()
             if item < first:
@@ -330,7 +371,7 @@ class _Expander:
                         alternatives.append(suffix)
                         trees += made
                     else:
-                        self.constructions += 1
+                        forest.constructions += 1
                 continue
             sym = items.symbol[item]
             blocked = items.blocked[item]
@@ -353,10 +394,7 @@ class _Expander:
                 if token:
                     leaf = leaves.get(child_id)
                     if leaf is None:
-                        leaf = leaves[child_id] = len(forest)
-                        lexeme = text[child_start:child_end]
-                        forest.append(_make(ForestNode, (leaf, sym, child_start, child_end, None, None, lexeme)))
-                        counts.append(1)
+                        leaf = leaves[child_id] = forest._add(sym, child_start, child_end, None, (), 1)
                     stack.append((item - 1, child_start, (leaf,) + filled, made))
                     continue
                 if child_start != start or child_end != end:
@@ -370,34 +408,50 @@ class _Expander:
                 for p in node_productions[child_id]:
                     if blocked and p in blocked:
                         continue
-                    wanted = (child_id, p, child_context)
+                    wanted = child_id * n_productions + p if child_context is None else (child_id, p, child_context)
                     got = memo.get(wanted)
                     if got is None:
                         got = yield wanted
                     if got != _EMPTY:
                         stack.append((item - 1, child_start, (got,) + filled, made * counts[got]))
 
-        self.constructions += len(alternatives)
+        forest.constructions += len(alternatives)
         if alternatives:
-            result = len(forest)
-            forest.append(_make(ForestNode, (result, node_symbol[node_id], start, end, pid, tuple(alternatives), None)))
-            counts.append(min(trees, COUNT_CAP))
+            memo[key] = forest._add(node_symbol[node_id], start, end, pid, alternatives, min(trees, COUNT_CAP))
         else:
-            result = _EMPTY
-        memo[key] = result
-        return result
+            memo[key] = _EMPTY
+        return memo[key]
+
+    def _loses(self, node_id: int, pid: int, outer: frozenset | None):
+        """Generator: whether a production preferred over ``pid`` at ``node_id`` holds a tree, most preferred first."""
+        derived = self.ig.node_productions[node_id]  # ascending, so membership is a bisection
+        for q in self.grammar.preferred_over[pid]:
+            at = bisect_left(derived, q)
+            if at < len(derived) and derived[at] == q:
+                wanted = node_id * self.n_productions + q if outer is None else (node_id, q, outer)
+                other = self.memo.get(wanted)
+                if other is None:
+                    other = yield wanted
+                if other != _EMPTY:
+                    return True
+        return False
 
     def _accepts(self, evaluator, pid: int, start: int, end: int, alternative: tuple[int, ...]) -> bool:
         """The evaluator's verdict on one alternative of production ``pid`` over [start, end)."""
         grammar = self.grammar
-        text = self.ig.input
+        forest = self.forest
+        text = forest.input
         names = grammar.symbol_by_id
         productions = grammar.productions
         children = []
         for c in alternative:
-            _id, symbol_id, cstart, cend, cpid, _alternatives, lexeme = self.nodes[c]
-            label = None if cpid is None else productions[cpid].label
-            children.append(NodeView(names[symbol_id].name, cstart, cend, cpid, label, (), lexeme, text[cstart:cend]))
+            cstart, cend, cpid = forest.node_start[c], forest.node_end[c], forest.node_production[c]
+            name = names[forest.node_symbol[c]].name
+            span = text[cstart:cend]
+            if cpid is None:  # a token leaf, whose lexeme is its span
+                children.append(NodeView(name, cstart, cend, None, None, (), span, span))
+            else:
+                children.append(NodeView(name, cstart, cend, cpid, productions[cpid].label, (), None, span))
         p = productions[pid]
         view = NodeView(p.lhs.name, start, end, pid, p.label, tuple(children), None, text[start:end])
         try:
@@ -420,10 +474,10 @@ def expand_forest(grammar: Grammar, ig: ELAGraph, enforce_constraints: bool = Tr
         raise ValueError("this chart enforced the constraints; expand it with enforce_constraints on")
     expander = _Expander(grammar, ig, enforce_constraints)
     roots = expander.run()
-    nodes, counts, constructions = expander.nodes, expander.counts, expander.constructions
+    forest = expander.forest
     del expander  # its memo and caches go before the sweep
-    nodes, counts, roots = _reachable(nodes, counts, roots)
-    return EGraph(ig.input, nodes, counts, roots, constructions)
+    forest.roots = roots
+    return _reachable(forest)
 
 
 def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGraph:
@@ -433,19 +487,16 @@ def epsilon_forest(grammar: Grammar, offset: int, input_text: str = "") -> EGrap
     parse machinery proper cannot represent zero-width roots, so this case is
     produced directly.
     """
-    nodes: list[ForestNode] = []
-    counts: list[int] = []
-    root = _placeholder(grammar, nodes, counts, {}, grammar.start.id, offset)
-    return EGraph(input_text, nodes, counts, (root,), len(nodes))
+    forest = EGraph(input_text)
+    forest.roots = (_placeholder(grammar, forest, {}, grammar.start.id, offset),)
+    forest.constructions = len(forest.node_start)
+    return forest
 
 
 # -- forest queries -----------------------------------------------------------
 
 
-class TreeCount(NamedTuple):
-    total: int
-    per_root: dict[int, int]
-    saturated: bool
+TreeCount = namedtuple("TreeCount", "total per_root saturated")
 
 
 def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
@@ -482,22 +533,25 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
     count = eg.counts[eid]
     if count != 1:
         raise ValueError(f"node {eid} holds {count} trees, not one; use enumerate_trees")
+    names = grammar.symbol_by_id
+    kids, alt_kids, node_alts = eg.kids, eg.alt_kids, eg.node_alts
     built: dict[int, tuple] = {}
     stack = [(eid, False)]
     while stack:
         nid, ready = stack.pop()
         if nid in built:
             continue
-        rec = eg.nodes[nid]
-        name = grammar.symbol_by_id[rec.symbol_id].name
-        if rec.children is None:
-            built[nid] = ("t", name, rec.start, rec.end, rec.lexeme)
+        name = names[eg.node_symbol[nid]].name
+        start, end, pid = eg.node_start[nid], eg.node_end[nid], eg.node_production[nid]
+        a = node_alts[nid]  # the one tree's node has one alternative
+        if pid is None:
+            built[nid] = ("t", name, start, end, eg.input[start:end])
         elif ready:
-            children = tuple(built[c] for c in rec.children[0])
-            built[nid] = ("n", name, rec.start, rec.end, rec.production_id, children)
+            children = tuple(built[c] for c in kids[alt_kids[a]:alt_kids[a + 1]])
+            built[nid] = ("n", name, start, end, pid, children)
         else:
             stack.append((nid, True))
-            stack.extend((c, False) for c in rec.children[0] if c not in built)
+            stack.extend((c, False) for c in kids[alt_kids[a]:alt_kids[a + 1]] if c not in built)
     return built[eid]
 
 
@@ -527,15 +581,18 @@ def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     names = grammar.symbol_by_id
+    text = eg.input
     trees: list[list[tuple]] = []  # children come before their parents
-    for rec in eg.nodes:
-        name = names[rec.symbol_id].name
-        if rec.children is None:
-            trees.append([("t", name, rec.start, rec.end, rec.lexeme)])
+    for eid, (symbol_id, start, end, pid) in enumerate(zip(eg.node_symbol, eg.node_start, eg.node_end,
+                                                           eg.node_production)):
+        name = names[symbol_id].name
+        if pid is None:
+            trees.append([("t", name, start, end, text[start:end])])
         else:
-            head = ("n", name, rec.start, rec.end, rec.production_id)
+            head = ("n", name, start, end, pid)
+            alternatives = eg.alternatives(eid)
             trees.append(
-                _first([(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in rec.children], limit)
+                _first([(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in alternatives], limit)
             )
     return _first([trees[r] for r in eg.roots], limit)
 
@@ -573,19 +630,16 @@ def egraph_document(eg: EGraph, grammar: Grammar) -> dict:
     lists its ``alternatives``, each a list of child node ids.
     """
     counts = tree_counts(eg)
+    names = grammar.symbol_by_id
     nodes = []
-    for rec in eg.nodes:
-        entry: dict = {
-            "id": rec.id,
-            "symbol": grammar.symbol_by_id[rec.symbol_id].name,
-            "start": rec.start,
-            "end": rec.end,
-        }
-        if rec.children is None:
-            entry["lexeme"] = rec.lexeme
+    for eid, (symbol_id, start, end, pid) in enumerate(zip(eg.node_symbol, eg.node_start, eg.node_end,
+                                                           eg.node_production)):
+        entry: dict = {"id": eid, "symbol": names[symbol_id].name, "start": start, "end": end}
+        if pid is None:
+            entry["lexeme"] = eg.input[start:end]
         else:
-            entry["production"] = rec.production_id
-            entry["alternatives"] = [list(alt) for alt in rec.children]
+            entry["production"] = pid
+            entry["alternatives"] = eg.alternatives(eid)
         nodes.append(entry)
     doc = {
         "formatVersion": FOREST_FORMAT_VERSION,
@@ -607,27 +661,27 @@ def egraph_to_dot(eg: EGraph, grammar: Grammar) -> str:
     escapes = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
     lines = ["digraph forest {"]
     roots = set(eg.roots)
-    for rec in eg.nodes:
-        name = grammar.symbol_by_id[rec.symbol_id].name
-        if rec.children is None:
-            label = f"{name}\\n{rec.lexeme.translate(escapes)}"
+    for eid, (symbol_id, start, end, pid) in enumerate(zip(eg.node_symbol, eg.node_start, eg.node_end,
+                                                           eg.node_production)):
+        name = grammar.symbol_by_id[symbol_id].name
+        if pid is None:
+            label = f"{name}\\n{eg.input[start:end].translate(escapes)}"
             shape = "ellipse"
             style = ""
         else:
-            span = f"[{rec.start},{rec.end})"
-            label = f"{name} {span}"
+            label = f"{name} [{start},{end})"
             shape = "box"
-            style = ", style=dashed" if rec.start == rec.end else ""
-        peripheries = ", peripheries=2" if rec.id in roots else ""
-        lines.append(f'  n{rec.id} [label="{label}", shape={shape}{style}{peripheries}];')
-    for rec in eg.nodes:
-        alternatives = rec.children or ()
+            style = ", style=dashed" if start == end else ""
+        peripheries = ", peripheries=2" if eid in roots else ""
+        lines.append(f'  n{eid} [label="{label}", shape={shape}{style}{peripheries}];')
+    for eid in range(len(eg.node_start)):
+        alternatives = eg.alternatives(eid)
         for a, alt in enumerate(alternatives):
-            parent = f"n{rec.id}"
+            parent = f"n{eid}"
             if len(alternatives) > 1:
-                parent = f"n{rec.id}a{a}"
+                parent = f"n{eid}a{a}"
                 lines.append(f'  {parent} [label="", shape=point];')
-                lines.append(f"  n{rec.id} -> {parent};")
+                lines.append(f"  n{eid} -> {parent};")
             for i, child in enumerate(alt):
                 lines.append(f'  {parent} -> n{child} [label="{i}"];')
     lines.append("}")

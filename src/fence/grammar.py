@@ -371,6 +371,9 @@ class Grammar:
         self.terminal_ids = frozenset(s.id for s in self.symbols.values() if s.is_terminal)
         if start.is_terminal:
             raise GrammarError(f"start symbol {start.name!r} is a token, not a nonterminal")
+        for td in self.token_defs:
+            if not td.symbol.is_terminal:
+                raise GrammarError(f"token definition of {td.symbol.name!r} has a nonterminal symbol")
         for i, p in enumerate(self.productions):
             if p.id != i:
                 raise GrammarError(f"production {p.ref()} has id {p.id} at position {i}; ids must be positions")

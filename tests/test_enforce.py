@@ -1,5 +1,6 @@
 """Forest expansion, constraint rules, counting, enumeration, documents."""
 
+import gc
 import re
 import sys
 import threading
@@ -13,6 +14,7 @@ import randsuite
 from fence.cli import main
 from fence.enforce import (
     COUNT_CAP,
+    ForestNode,
     _Expander,
     canonical_tree,
     egraph_document,
@@ -307,12 +309,74 @@ def test_nodes_left_unreachable_are_compacted_away():
     _la, ig, eg = pipeline(g, "w", enforce=False)
     expander = _Expander(g, ig, False)
     expander.run()
-    assert len(expander.nodes) == 4
+    assert len(expander.forest.nodes) == 4
     assert len(eg.nodes) == 3
     assert_forest_shape(eg)
     assert eg.counts == reference_counts(eg) == [1, 1, 1]
     _la, expected = randsuite.oracle_trees(g, "w")
     assert frozenset(assert_counts(g, eg)) == expected
+
+
+def _forest_lists(eg):
+    return (eg.node_symbol, eg.node_start, eg.node_end, eg.node_production, eg.node_alts, eg.alt_kids, eg.kids,
+            eg.counts)
+
+
+def _document_records(eg, g):
+    """The forest's nodes as ``ForestNode`` records rebuilt from its document, which is pinned byte for byte."""
+    return [
+        ForestNode(entry["id"], g.symbol(entry["symbol"]).id, entry["start"], entry["end"], entry.get("production"),
+                   tuple(map(tuple, entry["alternatives"])) if "alternatives" in entry else None, entry.get("lexeme"))
+        for entry in egraph_document(eg, g)["nodes"]
+    ]
+
+
+def test_the_forest_keeps_untracked_ints_and_its_views_match_its_document():
+    # the collector tracks no int, so a forest node allocates nothing it has to scan
+    def check(eg, g):
+        for values in _forest_lists(eg):
+            for value in values:
+                assert (type(value) is int or value is None) and not gc.is_tracked(value), value
+        views = list(eg.nodes)
+        assert views == _document_records(eg, g)
+        assert eg.nodes[-1:] == views[-1:] and eg.nodes[1:3] == views[1:3]
+
+    compacted = 0
+    # a unit cycle cut on "w", and an evaluator that rejects alternatives, leave nodes unreachable
+    unit_cycle = randsuite.make_instance(4).grammar
+    vetoed = grammar("%token a /a/\n%start S\n[dup] S ::= S S ;\n[one] S ::= a ;\n",
+                     evaluators={"dup": lambda v: v.children[0].end - v.start <= v.end - v.children[1].start})
+    for g, text, enforce in ((unit_cycle, "w", False), (vetoed, "aaaa", True)):
+        _la, ig, eg = pipeline(g, text, enforce)
+        expander = _Expander(g, ig, enforce)
+        expander.run()
+        assert len(expander.forest.nodes) > len(eg.nodes) > 0
+        check(eg, g)
+        compacted += 1
+    forests = 0
+    for seed in range(40):
+        inst = randsuite.make_instance(seed)
+        if inst is None:
+            continue
+        for g in (inst.grammar, inst.constrained):
+            for text in inst.inputs:
+                for enforce in (True, False):
+                    eg = parse_text(g, text, enforce_constraints=enforce).egraph
+                    if eg is not None:
+                        check(eg, g)
+                        forests += 1
+    assert compacted == 2 and forests > 200
+
+
+def test_a_forest_stores_each_alternative_once_in_its_kids():
+    g = grammar(ARITH)
+    eg = parse_text(g, chain(4)).egraph
+    alternatives = [alt for node in eg.nodes for alt in node.children or ()]
+    assert eg.kids == [c for alt in alternatives for c in alt]
+    assert len(eg.alt_kids) == len(alternatives) + 1 and len(eg.node_alts) == len(eg.nodes) + 1
+    leaves = [node for node in eg.nodes if node.children is None]
+    assert [leaf.lexeme for leaf in leaves] == ["1", "+", "1", "+", "1", "+", "1"]
+    assert all(eg.node_production[leaf.id] is None for leaf in leaves)
 
 
 def test_every_random_suite_forest_is_numbered_children_first():

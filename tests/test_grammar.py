@@ -631,6 +631,10 @@ _ERROR_SITES = [
      "symbol ids are not unique", None),
     (_direct(start=_A), "start symbol 'a' is a token", None),
     (_direct(rules=[Production(0, _A, (_A,))]), "has a token on its left-hand side", None),
+    # a token definition whose symbol is a nonterminal, used as one by the productions
+    (_direct(tokens=[TokenDef(Symbol(0, "a", NONTERMINAL), "a", re.compile("a"))],
+             rules=[Production(0, _S, (Symbol(0, "a", NONTERMINAL),))]),
+     "token definition of 'a' has a nonterminal symbol", None),
     # a token and a nonterminal of one name
     (_direct(rules=[Production(0, _S, (Symbol(0, "a", NONTERMINAL),))]), "conflicting definitions for symbol 'a'",
      None),

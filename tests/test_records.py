@@ -5,7 +5,7 @@ import re
 import pytest
 
 from fence.elagraph import ImplicitNode
-from fence.enforce import TreeCount
+from fence.enforce import ForestNode, TreeCount
 from fence.grammar import (
     NONTERMINAL,
     TERMINAL,
@@ -44,6 +44,10 @@ RECORDS = {
     ),
     "TreeCount": (lambda: TreeCount(total=2, per_root={0: 2}, saturated=False), False),
     "ImplicitNode": (lambda: ImplicitNode(id=3, start=0, end=1, symbol_id=2, productions=(0, 4)), True),
+    "ForestNode": (
+        lambda: ForestNode(id=2, symbol_id=1, start=0, end=1, production_id=0, children=((0,),), lexeme=None),
+        True,
+    ),
 }
 
 
