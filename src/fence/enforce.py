@@ -534,7 +534,6 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
     if count != 1:
         raise ValueError(f"node {eid} holds {count} trees, not one; use enumerate_trees")
     names = grammar.symbol_by_id
-    kids, alt_kids, node_alts = eg.kids, eg.alt_kids, eg.node_alts
     built: dict[int, tuple] = {}
     stack = [(eid, False)]
     while stack:
@@ -543,15 +542,15 @@ def canonical_tree(eg: EGraph, grammar: Grammar, eid: int) -> tuple:
             continue
         name = names[eg.node_symbol[nid]].name
         start, end, pid = eg.node_start[nid], eg.node_end[nid], eg.node_production[nid]
-        a = node_alts[nid]  # the one tree's node has one alternative
         if pid is None:
             built[nid] = ("t", name, start, end, eg.input[start:end])
-        elif ready:
-            children = tuple(built[c] for c in kids[alt_kids[a]:alt_kids[a + 1]])
-            built[nid] = ("n", name, start, end, pid, children)
+            continue
+        (kids,) = eg.alternatives(nid)  # a node holding one tree has one alternative
+        if ready:
+            built[nid] = ("n", name, start, end, pid, tuple(built[c] for c in kids))
         else:
             stack.append((nid, True))
-            stack.extend((c, False) for c in kids[alt_kids[a]:alt_kids[a + 1]] if c not in built)
+            stack.extend((c, False) for c in kids if c not in built)
     return built[eid]
 
 
@@ -590,9 +589,9 @@ def enumerate_trees(eg: EGraph, grammar: Grammar, limit: int) -> list[tuple]:
             trees.append([("t", name, start, end, text[start:end])])
         else:
             head = ("n", name, start, end, pid)
-            alternatives = eg.alternatives(eid)
             trees.append(
-                _first([(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in alternatives], limit)
+                _first([(head + (kids,) for kids in product(*[trees[c] for c in alt])) for alt in eg.alternatives(eid)],
+                       limit)
             )
     return _first([trees[r] for r in eg.roots], limit)
 
