@@ -17,23 +17,25 @@ counts its work on that graph, once: ``ELAGraph.agenda_pops`` and
 
 The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
 ``node_end``, ``node_symbol`` and ``node_productions``), which the chart
-indexes by node id; a new node is one append to each. A handle that waits
-for a terminal meets the tokens that start at its core, the lattice ids
-``Core.tok_lo`` to ``tok_hi - 1``, and most cores start a single token, so
-that case is one comparison. A handle that waits for a nonterminal meets the
-nodes listed in ``Core.following_by_sym`` and is indexed in
-``Core.waiting``; terminal positions are never indexed there, since no node
-re-awakens them. A core's ``handles``, ``waiting``, ``predicted`` and
-``following_by_sym`` are shared empty stores until the chart first writes
-to each, so a core the chart never reaches allocates nothing.
+indexes by node id; a new node is one append to each. A core is an id into
+the graph's core lists, and what the chart stores at cores lives in four
+graph-wide containers keyed by ints that hold the core id (see
+:class:`~fence.elagraph.ELAGraph`), so no core allocates a set or dict of
+its own. A handle that waits for a terminal meets the tokens that start at
+its core, the lattice ids ``core_tokens[core]`` to ``core_tokens[core + 1]
+- 1``, and most cores start a single token, so that case is one comparison.
+A handle that waits for a nonterminal meets the nodes listed under its
+symbol and core in ``ELAGraph.following_by_sym`` and is listed under the
+same key in ``ELAGraph.waiting``; terminal positions are never listed
+there, since no node re-awakens them.
 
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
 every tokenization alternative at once. When a handle is first stored in a
-core, the nonterminal after its dot is predicted there unless ``Core.predicted``
-already holds it: the core is seeded with the dot-0 handles of every
-production in that symbol's left-corner closure (``Grammar.predictions``)
-and the closure's symbols are marked predicted. A production is therefore
+core, the nonterminal after its dot is predicted there unless the core's
+entry in ``ELAGraph.predicted`` already holds it: the core is seeded with
+the dot-0 handles of every production in that symbol's left-corner closure
+(``Grammar.predictions``) and the closure's symbols are marked predicted. A production is therefore
 seeded only where its left-hand side is predicted, and every node the chart
 builds derives a symbol predicted at its start core.
 
@@ -70,10 +72,11 @@ item's ``skip`` flag says whether its symbol may be skipped: not when its
 blocked set holds the production that expansion would place there.
 
 Termination holds for cyclic production sets and nullable chains because
-nodes merge on their key, handles merge within their core and a core
-predicts each symbol, or each (symbol, blocked set) pair, at most once. There
-are finitely many symbols, productions and blocked sets, so all three stores
-are finite and only grow. No (handle, node) pair is pushed twice: a handle is
+nodes merge on their key, handles merge within their core (a handle and its
+core are one member of the graph's handle set) and a core predicts each
+symbol, or each (symbol, blocked set) pair, at most once. There are
+finitely many cores, symbols, productions and blocked sets, so the node
+keys, the handle set and the predicted sets are finite and only grow. No (handle, node) pair is pushed twice: a handle is
 stored once and then meets the nodes already following its core, and a node
 is created once and then meets the handles already waiting in its start
 core, so each pair is pushed by whichever of the two came second. Under a
@@ -91,12 +94,15 @@ numbers its items once: production p with its dot at d is item
 ``item * stride + origin``, where ``ELAGraph.stride`` is the input's length
 plus one, because the last core sits at the input's end and can be an
 origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
-the number of items times the stride. Each code stands for exactly one
-tuple, so the sets keep the same members. An int hashes without rehashing
-fields, and the cyclic collector never tracks it. Every fact the parser
-reads about an item comes from the item tables that the grammar module owns
-(``grammar.ItemTables``, ``Grammar.items`` without enforcement and
-``Grammar.enforced_items`` with it), built once per grammar and flag: the
+the number of items times the stride. The graph's stores add the core the
+same way: a stored handle is ``handle * n_cores + core``, a wait or a
+following node is listed under ``symbol * n_cores + core``, and a node's key
+is ``(start * stride + end) * n_symbols + symbol``. Each code stands for
+exactly one tuple, so the sets keep the same members. An int hashes without
+rehashing fields, and the cyclic collector never tracks it. Every fact the
+parser reads about an item comes from the item tables that the grammar
+module owns (``grammar.ItemTables``, ``Grammar.items`` without enforcement
+and ``Grammar.enforced_items`` with it), built once per grammar and flag: the
 symbol after the dot (-1 once the item is complete), whether it is a token,
 the blocked set (empty when nothing is blocked), whether the symbol may be
 skipped as empty, and a blocked item's seeds. No handle is decoded into
@@ -117,7 +123,7 @@ from __future__ import annotations
 
 from bisect import bisect
 
-from .elagraph import EMPTY_MAP, EMPTY_SET, Core, ELAGraph
+from .elagraph import ELAGraph
 from .grammar import Grammar
 
 __all__ = ["ChartParser", "run_chart", "igraph_document"]
@@ -144,11 +150,17 @@ class ChartParser:
     grammar whose positions block nothing, the chart holds every derivation.
     """
 
+    __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_cores", "_n_symbols", "space", "_base", "_production",
+                 "_predictions", "_filtered", "_symbol", "_token", "_blocked", "_skip", "_seeds", "_lhs", "_single",
+                 "_node_symbol", "_node_productions", "_handles", "_waiting", "_predicted", "_following", "_seeded")
+
     def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
         self.grammar = grammar
         self.ela = ela
         self.agenda: list[int] = []
         self._stride = ela.stride
+        self._n_cores = ela.n_cores
+        self._n_symbols = max(grammar.symbol_by_id) + 1
         self.space = len(grammar.item_production) * ela.stride
         self._base = grammar.item_base
         self._production = grammar.item_production
@@ -164,80 +176,92 @@ class ChartParser:
         self._single = tables.single
         self._node_symbol = ela.node_symbol
         self._node_productions = ela.node_productions
+        self._handles = ela.handles
+        self._waiting = ela.waiting
+        self._predicted = ela.predicted
+        self._following = ela.following_by_sym
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
 
-    def add_handle(self, item: int, origin: int, core: Core, end: int | None = None) -> None:
-        """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) in ``core``.
+    def add_handle(self, item: int, origin: int, core: int, end: int | None = None) -> None:
+        """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) at core id ``core``.
 
         Pushes an agenda entry for every node following the core that matches
-        the symbol after the dot, and predicts a nonterminal there in
-        ``core`` the first time a handle waits for it; a handle at a blocked
-        position does both through :meth:`_wait_blocked`. ``end`` is where
-        the last matched node ends, None while nothing is matched. When
-        skipping nullable symbols reaches the end of the production and
-        something was matched, the production is complete and reduces over
-        (origin, end); that happens on every call, since two matched nodes
-        that end at different offsets can lead to the same core.
+        the symbol after the dot, and predicts a nonterminal at ``core`` the
+        first time a handle waits for it; a handle at a blocked position does
+        both through :meth:`_wait_blocked`. ``end`` is where the last matched
+        node ends, None while nothing is matched. When skipping nullable
+        symbols reaches the end of the production and something was matched,
+        the production is complete and reduces over (origin, end); that
+        happens on every call, since two matched nodes that end at different
+        offsets can lead to the same core.
         """
         stride = self._stride
+        n_cores = self._n_cores
+        handles = self._handles
+        symbol = self._symbol
+        agenda = self.agenda
         while True:
-            sym = self._symbol[item]
+            sym = symbol[item]
             if sym < 0:
                 if end is not None:
                     self._reduce(self._production[item], origin, end)
                 return
             handle = item * stride + origin
-            handles = core.handles
-            if handle not in handles:
-                if handles is EMPTY_SET:
-                    handles = core.handles = set()
-                handles.add(handle)
+            code = handle * n_cores + core
+            if code not in handles:
+                handles.add(code)
                 if self._token[item]:
-                    # The core's tokens are the ids tok_lo..tok_hi-1; most cores start one token.
-                    lo = core.tok_lo
-                    if core.tok_hi - lo == 1:
-                        if self._node_symbol[lo] == sym:
-                            self.agenda.append(lo * self.space + handle)
+                    # The core's tokens are the ids core_tokens[core] and up; most cores start one token.
+                    tokens = self.ela.core_tokens
+                    lo, hi = tokens[core], tokens[core + 1]
+                    node_symbol = self._node_symbol
+                    if hi - lo == 1:
+                        if node_symbol[lo] == sym:
+                            agenda.append(lo * self.space + handle)
                     else:
-                        node_symbol = self._node_symbol
-                        for node_id in range(lo, core.tok_hi):
+                        for node_id in range(lo, hi):
                             if node_symbol[node_id] == sym:
-                                self.agenda.append(node_id * self.space + handle)
+                                agenda.append(node_id * self.space + handle)
                 else:
-                    waiting = core.waiting
-                    if waiting is EMPTY_MAP:
-                        waiting = core.waiting = {}
-                    waiting.setdefault(sym, []).append(handle)
-                    blocked = self._blocked[item]
-                    if blocked:
+                    key = sym * n_cores + core
+                    waiting = self._waiting.get(key)
+                    if waiting is None:
+                        self._waiting[key] = [handle]
+                    else:
+                        waiting.append(handle)
+                    if self._blocked[item]:
                         self._wait_blocked(handle, item, core)
                     else:
-                        for node_id in core.following_by_sym.get(sym, ()):
-                            self.agenda.append(node_id * self.space + handle)
-                        if sym not in core.predicted:
+                        following = self._following.get(key)
+                        if following is not None:
+                            space = self.space
+                            for node_id in following:
+                                agenda.append(node_id * space + handle)
+                        predicted = self._predicted.get(core)
+                        if predicted is None or sym not in predicted:
                             self._predict(sym, core)
             if not self._skip[item]:
                 return
             item += 1
 
-    def _predict(self, sym: int, core: Core) -> None:
-        """Seed ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
+    def _predict(self, sym: int, core: int) -> None:
+        """Seed core ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
 
         The closure's symbols are marked first, so the seeded handles, which
-        all wait for one of them, predict nothing further.
+        all wait for one of them, predict nothing further. A core's first
+        prediction stores the grammar's closure set itself.
         """
         productions, reached = self._predictions[sym]
-        if core.predicted is EMPTY_SET:
-            core.predicted = set(reached)
-        else:
-            core.predicted |= reached
+        predicted = self._predicted.get(core)
+        self._predicted[core] = reached if predicted is None else predicted | reached
         base = self._base
+        position = self.ela.core_position[core]
         for production_id in productions:
-            self.add_handle(base[production_id], core.position, core)
+            self.add_handle(base[production_id], position, core)
 
-    def _wait_blocked(self, handle: int, item: int, core: Core) -> None:
+    def _wait_blocked(self, handle: int, item: int, core: int) -> None:
         """Push and predict for a handle of ``item``, whose position blocks some productions.
 
         Only the following nodes that a production outside the blocked set
@@ -248,16 +272,20 @@ class ChartParser:
         """
         sym, blocked = self._symbol[item], self._blocked[item]
         productions = self._node_productions
-        for node_id in core.following_by_sym.get(sym, ()):
+        for node_id in self._following.get(sym * self._n_cores + core, ()):
             if not blocked.issuperset(productions[node_id]):
                 self.agenda.append(node_id * self.space + handle)
-        if sym in core.predicted or (sym, blocked) in core.predicted:
+        pair = (sym, blocked)
+        predicted = self._predicted.get(core)
+        if predicted is None:
+            self._predicted[core] = frozenset((pair,))
+        elif sym in predicted or pair in predicted:
             return
-        if core.predicted is EMPTY_SET:
-            core.predicted = set()
-        core.predicted.add((sym, blocked))
+        else:
+            self._predicted[core] = predicted | {pair}
+        position = self.ela.core_position[core]
         for seed in self._seeds[item]:
-            self.add_handle(seed, core.position, core)
+            self.add_handle(seed, position, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         """Create or extend the node of a completed production and re-awaken its waiting handles.
@@ -270,7 +298,7 @@ class ChartParser:
         """
         ela = self.ela
         lhs = self._lhs[production_id]
-        key = (start, end, lhs)
+        key = (start * self._stride + end) * self._n_symbols + lhs
         node_id = ela.node_ids.get(key)
         if node_id is None:
             node_id = len(ela.node_start)
@@ -279,38 +307,48 @@ class ChartParser:
             ela.node_end.append(end)
             self._node_symbol.append(lhs)
             self._node_productions.append(self._single[production_id])
-            pre = ela.cores[ela.core_at[start]]
-            following = pre.following_by_sym
-            if following is EMPTY_MAP:
-                following = pre.following_by_sym = {}
-            following.setdefault(lhs, []).append(node_id)
-            ela.cores[ela.next_core[end]].preceding.append(node_id)
+            at = lhs * self._n_cores + ela.core_at[start]  # the key of lhs at the node's start core
+            following = self._following.get(at)
+            if following is None:
+                self._following[at] = [node_id]
+            else:
+                following.append(node_id)
+            ela.core_preceding[ela.next_core[end]].append(node_id)
             earlier = ()
         else:
             productions = self._node_productions
             earlier = productions[node_id]
             if production_id in earlier:
                 return
-            at = bisect(earlier, production_id)
-            productions[node_id] = earlier[:at] + (production_id,) + earlier[at:]
+            i = bisect(earlier, production_id)
+            productions[node_id] = earlier[:i] + (production_id,) + earlier[i:]
             if not self._filtered:
                 return
-            pre = ela.cores[ela.core_at[start]]
+            at = lhs * self._n_cores + ela.core_at[start]
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
+        waiting = self._waiting.get(at)
+        if waiting is None:
+            return
         entry = node_id * self.space
-        for handle in pre.waiting.get(lhs, ()):
-            if self._filtered:
-                blocked = self._blocked[handle // self._stride]
+        agenda = self.agenda
+        if self._filtered:
+            blocked_of = self._blocked
+            stride = self._stride
+            for handle in waiting:
+                blocked = blocked_of[handle // stride]
                 if production_id in blocked or not blocked.issuperset(earlier):
                     continue
-            self.agenda.append(entry + handle)
+                agenda.append(entry + handle)
+        else:
+            for handle in waiting:
+                agenda.append(entry + handle)
 
     # -- driver --------------------------------------------------------------
 
     def initialize(self) -> None:
         """Predict the start symbol at the starting core."""
-        self._predict(self.grammar.start.id, self.ela.cores[self.ela.starting_core])
+        self._predict(self.grammar.start.id, self.ela.starting_core)
         self._seeded = True
 
     def run(self) -> ELAGraph:
@@ -319,7 +357,6 @@ class ChartParser:
             self.initialize()
         ela = self.ela
         node_end = ela.node_end
-        cores = ela.cores
         next_core = ela.next_core
         agenda = self.agenda
         space = self.space
@@ -337,14 +374,16 @@ class ChartParser:
             if symbol[item] < 0:
                 self._reduce(production[item], origin, end)
             else:
-                self.add_handle(item, origin, cores[next_core[end]], end)
+                self.add_handle(item, origin, next_core[end], end)
         ela.agenda_pops += pops
         # The start symbol is a nonterminal, so a root is found by its key.
-        s0 = cores[ela.starting_core].position
+        s0 = ela.core_position[ela.starting_core] * stride
         start_sym = self.grammar.start.id
-        roots = (ela.node_ids.get((s0, e, start_sym)) for e, c in next_core.items() if c == ela.last_core)
+        n_symbols = self._n_symbols
+        roots = (ela.node_ids.get((s0 + e) * n_symbols + start_sym) for e, c in next_core.items()
+                 if c == ela.last_core)
         ela.starting = tuple(sorted(r for r in roots if r is not None))
-        ela.handle_count = sum(len(c.handles) for c in ela.cores)
+        ela.handle_count = len(ela.handles)
         ela.filtered = self._filtered
         return ela
 

@@ -12,20 +12,25 @@ Parse nodes are kept in four parallel lists indexed by node id:
 first ids are the lattice's tokens, copied from it in one pass with ``()``
 as productions, so a token's node id is its lattice id. The lattice numbers
 its tokens by (start, end, symbol), so the tokens that start at a core are
-the id range ``[tok_lo, tok_hi)``, and a core lists only the nonterminal
-nodes that start at it. ``ELAGraph.nodes`` gives read-only
-:class:`ImplicitNode` views of the lists, for documents, diagnostics and
-tests; the chart and expansion index the lists.
+the id range ``core_tokens[c]`` to ``core_tokens[c + 1] - 1``, and the chart
+lists only the nonterminal nodes that start at a core. ``ELAGraph.nodes``
+gives read-only :class:`ImplicitNode` views of the lists, for documents,
+diagnostics and tests; the chart and expansion index the lists.
+
+Cores are kept the same way, in lists indexed by core id: ``core_position``,
+the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
+before each core. What the chart stores at a core lives in four containers
+for the whole graph, each keyed by an int that holds the core id:
+``handles``, ``waiting``, ``predicted`` and ``following_by_sym`` (see
+:class:`ELAGraph`). A core the chart never reaches thus costs its list
+entries and its ``preceding`` list, and a core it reaches allocates no set
+or dict of its own. ``ELAGraph.cores`` gives read-only :class:`CoreView`
+views, made in one pass over the stores on each access.
 
 The chart phase fills an extended graph in place: cores gain predicted
 symbols and handles, the node lists grow nonterminal nodes and the graph
-records its accepted roots and work counts. A core's handle, waiting and
-prediction stores, and its lists of nonterminals, start as the shared empty
-stores ``EMPTY_SET`` and ``EMPTY_MAP``, which nothing writes; the chart gives
-a core a store of its own when it first writes to it. A core the chart never
-reaches thus costs one object and its ``preceding`` list. The filled graph
-is the implicit graph that expansion walks, so build a fresh graph per parse
-session.
+records its accepted roots and work counts. The filled graph is the implicit
+graph that expansion walks, so build a fresh graph per parse session.
 """
 
 from __future__ import annotations
@@ -34,55 +39,29 @@ from collections import namedtuple
 from collections.abc import Callable
 from itertools import compress, islice
 from operator import le, ne
-from types import MappingProxyType
 
 from .grammar import Grammar
 from .lexgraph import LAGraph
 
-__all__ = ["Core", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
+__all__ = ["CoreView", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
 
-# The stores of a core that holds nothing yet, shared by all such cores and never written.
-EMPTY_SET: frozenset = frozenset()
-EMPTY_MAP = MappingProxyType({})
+_NOTHING: frozenset = frozenset()
 
 
-class Core:
-    """A handle store between tokens.
+class CoreView(namedtuple("CoreView", "id position tok_lo tok_hi handles predicted preceding following")):
+    """A view of one core: its position, its tokens and what the chart stored there.
 
-    ``handles`` holds the handles stored here, each the int
-    ``item * stride + origin`` that the chart module describes. ``waiting``
-    indexes the handles that wait for a nonterminal by that symbol,
-    including handles whose dot reached it by skipping nullable positions,
-    so a single lookup answers which handles a freshly derived node can
-    advance. ``predicted`` holds the nonterminals already predicted here:
-    once a symbol is in it, the dot-0 handles of its left-corner closure are
-    in ``handles``, so a later handle waiting for it seeds nothing new. A
-    chart that enforces blocked positions also keeps (symbol, blocked
-    productions) pairs in it, one for each restricted prediction made here.
-    ``preceding`` lists the nodes that end just before the core. The tokens
-    that start at it are the node ids ``tok_lo`` to ``tok_hi - 1``, and
-    ``following_by_sym`` lists the nonterminal nodes that start at it, by
-    symbol. Until the chart first writes to them, ``handles`` and
-    ``predicted`` are ``EMPTY_SET`` and ``waiting`` and ``following_by_sym``
-    are ``EMPTY_MAP``.
+    The tokens that start at the core are the node ids ``tok_lo`` to
+    ``tok_hi - 1``. ``handles`` holds the handles stored here, each the int
+    ``item * stride + origin`` that the chart module describes, and
+    ``predicted`` the nonterminals predicted here, with a (symbol, blocked
+    productions) pair for each restricted prediction. ``preceding`` lists
+    the nodes that end just before the core in the order they were added,
+    and ``following`` the nodes that start at it, ascending. A view is a
+    copy: it does not follow later changes to the graph.
     """
 
-    __slots__ = ("id", "position", "tok_lo", "tok_hi", "handles", "waiting", "predicted", "preceding",
-                 "following_by_sym")
-
-    def __init__(self, core_id: int, position: int, tok_lo: int, tok_hi: int):
-        self.id = core_id
-        self.position = position
-        self.tok_lo = tok_lo
-        self.tok_hi = tok_hi
-        self.handles: set[int] | frozenset[int] = EMPTY_SET
-        self.waiting = EMPTY_MAP
-        self.predicted: set | frozenset = EMPTY_SET
-        self.preceding: list[int] = []
-        self.following_by_sym = EMPTY_MAP
-
-    def __repr__(self):
-        return f"Core({self.id}@{self.position}, handles={len(self.handles)})"
+    __slots__ = ()
 
 
 class ImplicitNode(namedtuple("ImplicitNode", "id start end symbol_id productions")):
@@ -94,8 +73,7 @@ class ImplicitNode(namedtuple("ImplicitNode", "id start end symbol_id production
     Every other node is created by a reduction, and ``productions`` holds the
     ascending ids of the productions that derived it, as an SPPF symbol node
     holds one packed child per production. A view is a copy: it does not
-    follow later changes to the node. (Built with ``collections.namedtuple``:
-    a ``typing.NamedTuple`` class costs twice as long to create at import.)
+    follow later changes to the node.
     """
 
     __slots__ = ()
@@ -137,12 +115,30 @@ class ELAGraph:
 
     ``core_at`` maps a token start offset to its core and ``next_core`` maps
     a token end offset to the core after it; every node starts where a token
-    starts and ends where one ends, so both serve all nodes. The node lists
-    are described in the module docstring. ``node_ids`` maps a nonterminal
-    node's (start, end, symbol) key to its id; tokens are never looked up by
-    key, so theirs are left out. ``stride`` is the input's length plus one,
-    the number of offsets a handle's origin can take, so that a handle is
-    one int (see the chart module).
+    starts and ends where one ends, so both serve all nodes. The node and
+    core lists are described in the module docstring. ``stride`` is the
+    input's length plus one, the number of offsets a handle's origin can
+    take, so that a handle is one int (see the chart module), and
+    ``n_cores`` is the number of cores.
+
+    The chart's stores hold ints and are keyed by ints, one container each
+    for the whole graph. ``handles`` holds ``handle * n_cores + core`` for
+    every handle stored at a core. ``waiting`` maps ``symbol * n_cores +
+    core`` to the handles stored there that wait for that nonterminal,
+    including handles whose dot reached it by skipping nullable positions,
+    so a single lookup answers which handles a freshly derived node can
+    advance. ``following_by_sym`` maps the same key to the nonterminal
+    nodes of that symbol that start at the core. ``predicted`` maps a core
+    to the symbols predicted there: once a symbol is in it, the dot-0
+    handles of its left-corner closure are in ``handles``, so a later handle
+    waiting for it seeds nothing new. Its value is the grammar's own closure
+    frozenset when the core predicted once, and a union only when it
+    predicted again; a chart that enforces blocked positions also adds
+    (symbol, blocked productions) pairs, one for each restricted prediction
+    made there. ``node_ids`` maps a nonterminal node's key, the int
+    ``(start * stride + end) * n_symbols + symbol`` with ``n_symbols`` one
+    more than the grammar's largest symbol id, to its id; tokens are never
+    looked up by key, so theirs are left out.
 
     The chart's results stay empty or zero until a chart runs. ``starting``
     then holds the accepted roots: start-symbol nodes whose only preceding
@@ -152,21 +148,30 @@ class ELAGraph:
     derivations that the constraints forbid.
     """
 
-    __slots__ = ("input", "stride", "cores", "node_start", "node_end", "node_symbol", "node_productions",
-                 "node_ids", "core_at", "next_core", "starting_core", "last_core", "starting", "agenda_pops",
-                 "handle_count", "filtered")
+    __slots__ = ("input", "stride", "n_cores", "core_position", "core_tokens", "core_preceding", "node_start",
+                 "node_end", "node_symbol", "node_productions", "node_ids", "handles", "waiting", "predicted",
+                 "following_by_sym", "core_at", "next_core", "starting_core", "last_core", "starting",
+                 "agenda_pops", "handle_count", "filtered")
 
-    def __init__(self, input: str, cores: list[Core], node_start: list[int], node_end: list[int],
-                 node_symbol: list[int], node_productions: list[tuple[int, ...]], core_at: dict[int, int],
-                 next_core: dict[int, int], starting_core: int = 0, last_core: int = 0):
+    def __init__(self, input: str, core_position: list[int], core_tokens: list[int], core_preceding: list[list[int]],
+                 node_start: list[int], node_end: list[int], node_symbol: list[int],
+                 node_productions: list[tuple[int, ...]], core_at: dict[int, int], next_core: dict[int, int],
+                 starting_core: int = 0, last_core: int = 0):
         self.input = input
         self.stride = len(input) + 1
-        self.cores = cores
+        self.n_cores = len(core_position)
+        self.core_position = core_position
+        self.core_tokens = core_tokens
+        self.core_preceding = core_preceding
         self.node_start = node_start
         self.node_end = node_end
         self.node_symbol = node_symbol
         self.node_productions = node_productions
-        self.node_ids: dict[tuple[int, int, int], int] = {}
+        self.node_ids: dict[int, int] = {}
+        self.handles: set[int] = set()
+        self.waiting: dict[int, list[int]] = {}
+        self.predicted: dict[int, frozenset] = {}
+        self.following_by_sym: dict[int, list[int]] = {}
         self.core_at = core_at
         self.next_core = next_core
         self.starting_core = starting_core
@@ -184,12 +189,30 @@ class ELAGraph:
         return ImplicitNode(node_id, self.node_start[node_id], self.node_end[node_id], self.node_symbol[node_id],
                             self.node_productions[node_id])
 
+    @property
+    def cores(self) -> tuple[CoreView, ...]:
+        """Every core's view, by id, made in one pass over the handle and node stores."""
+        n = self.n_cores
+        handles: list[list[int]] = [[] for _ in range(n)]
+        for code in self.handles:
+            handle, core_id = divmod(code, n)
+            handles[core_id].append(handle)
+        tokens = self.core_tokens
+        following = [list(range(lo, hi)) for lo, hi in zip(tokens, islice(tokens, 1, None))]
+        for key, ids in self.following_by_sym.items():
+            following[key % n] += ids
+        predicted = self.predicted
+        return tuple(map(CoreView, range(n), self.core_position, tokens, islice(tokens, 1, None),
+                         map(frozenset, handles), [predicted.get(c, _NOTHING) for c in range(n)],
+                         map(tuple, self.core_preceding), [tuple(sorted(ids)) for ids in following]))
+
     def following(self, core_id: int) -> list[int]:
         """The ids of the nodes that start at core ``core_id``, ascending."""
-        core = self.cores[core_id]
-        ids = list(range(core.tok_lo, core.tok_hi))
-        for nonterminals in core.following_by_sym.values():
-            ids += nonterminals
+        n = self.n_cores
+        ids = list(range(self.core_tokens[core_id], self.core_tokens[core_id + 1]))
+        for key, nonterminals in self.following_by_sym.items():
+            if key % n == core_id:
+                ids += nonterminals
         return sorted(ids)
 
 
@@ -210,22 +233,24 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
 
     n = len(tokens)
     end = len(la.input)
-    # The ids where a new start offset begins, then the end of the last run
-    bounds = [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, None)))]
-    positions = [starts[i] for i in bounds]
-    bounds.append(n)
-    cores = list(map(Core, range(len(positions)), positions, bounds, islice(bounds, 1, None)))
-    last = len(cores)
-    cores.append(Core(last, end, n, n))
+    # The ids where a new start offset begins; the last core, at the input's end, starts no token
+    core_tokens = [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, None)))]
+    positions = [starts[i] for i in core_tokens]
+    last = len(positions)
     core_at = dict(zip(positions, range(last)))
+    positions.append(end)
+    core_tokens += (n, n)
 
     next_core = {e: last if nxt == end else core_at[nxt] for e, nxt in la.next_position.items()}
+    preceding: list[list[int]] = [[] for _ in positions]
     for i, e in enumerate(ends):
-        cores[next_core[e]].preceding.append(i)
+        preceding[next_core[e]].append(i)
 
     return ELAGraph(
         input=la.input,
-        cores=cores,
+        core_position=positions,
+        core_tokens=core_tokens,
+        core_preceding=preceding,
         node_start=list(starts),
         node_end=list(ends),
         node_symbol=list(symbols),
@@ -246,7 +271,7 @@ def ela_document(ela: ELAGraph, grammar: Grammar) -> dict:
                 "position": c.position,
                 "handleCount": len(c.handles),
                 "preceding": sorted(c.preceding),
-                "following": ela.following(c.id),
+                "following": list(c.following),
             }
             for c in ela.cores
         ],

@@ -12,7 +12,8 @@ computed when the node is built, from its children's, which are built
 before it; ``EGraph.counts`` keeps them and ``tree_counts`` reads them.
 
 Alternatives come from a right-to-left walk through the handles the chart
-left in its cores; nothing is searched. The child at the last position ends
+left at its cores, each looked up in the graph's one handle set; nothing is
+searched. The child at the last position ends
 where the node ends, so it is one of the nodes preceding the core after that
 end. A child at position j that starts at offset o is taken only if the core
 at o holds the handle (production, j, start), whose origin is the forest
@@ -344,7 +345,8 @@ class _Expander:
             return _EMPTY
         ig = self.ig
         node_productions = ig.node_productions
-        cores = ig.cores
+        handles = ig.handles
+        preceding = ig.core_preceding
         core_at = ig.core_at
         forest = self.forest
         counts = forest.counts
@@ -355,7 +357,9 @@ class _Expander:
         node_symbol = ig.node_symbol
         start, end = node_start[node_id], node_end[node_id]
         context = None  # built when the first child over this node's own span appears
-        stride = ig.stride
+        # A handle at core c is stored as handle * n_cores + c, and every handle here has this node's start as origin
+        step = ig.stride * ig.n_cores
+        origin = start * ig.n_cores
         first = self.grammar.item_base[pid]  # the item of pid with its dot at 0
         evaluator = self.grammar.constraints.custom.get(pid) if self.enforce else None
         alternatives = []
@@ -375,20 +379,20 @@ class _Expander:
                 continue
             sym = items.symbol[item]
             blocked = items.blocked[item]
-            handle = item * stride + start
+            code = item * step + origin  # the handle (item, start), less its core
             cid = ig.next_core[end] if right is None else core_at[right]
-            if items.skip[item] and handle in cores[cid].handles:
+            if items.skip[item] and code + cid in handles:
                 stack.append((item - 1, right, (~sym,) + suffix, made))
             token = items.token[item]
             open_placeholders = suffix and suffix[0] < 0
-            for child_id in cores[cid].preceding:
+            for child_id in preceding[cid]:
                 if node_symbol[child_id] != sym:
                     continue
                 child_end = node_end[child_id]
                 child_start = node_start[child_id]
                 if (right is None and child_end != end) or child_start < start:
                     continue
-                if handle not in cores[core_at[child_start]].handles:
+                if code + core_at[child_start] not in handles:
                     continue
                 filled = self._fill(suffix, child_end) if open_placeholders else suffix
                 if token:

@@ -10,7 +10,7 @@ import pytest
 import randsuite
 from fence import expand_forest, explain_rejection, oracle_filter, oracle_parse_all, parse_text, tree_counts
 from fence.chart import ChartParser, igraph_document, run_chart
-from fence.elagraph import EMPTY_MAP, EMPTY_SET, build_ela_graph
+from fence.elagraph import build_ela_graph
 from fence.grammar import Grammar
 from fence.lexgraph import TokenizationError, tokenize
 from helpers import (
@@ -42,9 +42,9 @@ def test_add_handle_single_production():
     g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
     ela = build(g, "a")
     parser = ChartParser(g, ela)
-    core = ela.cores[0]
-    parser.add_handle(g.item_base[0], core.position, core)
-    assert [handle_parts(g, ela, h) for h in core.handles] == [(0, 0, core.position)]
+    position = ela.core_position[0]
+    parser.add_handle(g.item_base[0], position, 0)
+    assert [handle_parts(g, ela, h) for h in ela.cores[0].handles] == [(0, 0, position)]
     assert len(parser.agenda) == 1
 
 
@@ -52,9 +52,8 @@ def test_add_handle_expands_nullable_skips():
     g = grammar("%token b /b/\n%start S\nS ::= A b ;\nA ::= ;\n")
     ela = build(g, "b")
     parser = ChartParser(g, ela)
-    core = ela.cores[0]
-    parser.add_handle(g.item_base[0], core.position, core)
-    dots = sorted(handle_parts(g, ela, h)[1] for h in core.handles)
+    parser.add_handle(g.item_base[0], ela.core_position[0], 0)
+    dots = sorted(handle_parts(g, ela, h)[1] for h in ela.cores[0].handles)
     assert dots == [0, 1]  # dot before A, and A skipped
     assert len(parser.agenda) == 1  # the b token matches the advanced handle
 
@@ -97,7 +96,7 @@ def test_initialization_of_running_example():
     assert start_core.predicted == {by_name["E"], by_name["A"], by_name["Ampersand"]}
     # every other core stays empty until the run reaches it
     for core in ela.cores:
-        if core is not start_core:
+        if core.id != start_core.id:
             assert not core.handles and not core.predicted
     # only one entry: the Ampersand matching A's production
     assert len(parser.agenda) == 1
@@ -227,8 +226,8 @@ def test_handles_and_agenda_entries_are_untracked_ints():
                 parser = ChartParser(g, build_ela_graph(la), enforce)
                 parser.agenda = _RecordingAgenda()
                 ig = parser.run()
-                stored = [h for core in ig.cores for h in core.handles]
-                stored += [h for core in ig.cores for waiting in core.waiting.values() for h in waiting]
+                stored = [*ig.handles, *ig.waiting, *ig.following_by_sym, *ig.node_ids]
+                stored += [h for waiting in ig.waiting.values() for h in waiting]
                 for value in stored + parser.agenda.pushed:
                     assert type(value) is int and not gc.is_tracked(value), (seed, text, value)
                 runs += 1
@@ -423,7 +422,8 @@ def test_the_document_lists_the_productions_of_each_node():
     for n in ig.nodes:
         assert n.productions == tuple(sorted(n.productions))
         assert bool(n.productions) == (n.symbol_id not in g.terminal_ids), n
-        assert n.symbol_id in g.terminal_ids or ig.node_ids[n.key] == n.id
+        key = (n.start * ig.stride + n.end) * (max(g.symbol_by_id) + 1) + n.symbol_id
+        assert n.symbol_id in g.terminal_ids or ig.node_ids[key] == n.id
     a_nodes = [e for e in doc["nodes"] if e["symbol"] == "A"]
     assert a_nodes == [
         {"start": 0, "end": 1, "symbol": "A",
@@ -567,21 +567,44 @@ def test_the_work_on_a_lattice_of_twenty_units_is_pinned():
     assert tree_counts(eg).total == 1
 
 
-def test_a_core_without_handles_keeps_the_shared_empty_stores():
+def _sets_and_dicts(root) -> Counter:
+    """The ``set`` and ``dict`` objects reachable from ``root``, by type; classes are not followed."""
+    found = Counter()
+    seen = set()
+    todo = [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if type(obj) in (set, dict):
+            found[type(obj).__name__] += 1
+        todo += gc.get_referents(obj)
+    return found
+
+
+def test_the_graph_keeps_one_set_and_dict_per_store_whatever_its_cores():
     g = grammar(UNIT_LIST)
-    ig = run_chart(g, build(g, " ".join([AMBIG_INPUT] * 2)), True)
-    idle = [core for core in ig.cores if not core.handles]
-    # the Integer and Point tokens inside each slashed number start cores
-    # that no handle reaches, since a Real is read there first
-    assert idle
-    for core in idle:
-        assert core.handles is EMPTY_SET and core.predicted is EMPTY_SET
-        assert core.waiting is EMPTY_MAP and core.following_by_sym is EMPTY_MAP
-    for core in ig.cores:
-        if core.handles:
-            assert type(core.handles) is set
-        # only nonterminals are listed by symbol; tokens are the core's id range
-        assert all(sym not in g.terminal_ids for sym in core.following_by_sym)
+    graphs = []
+    for units in (10, 40):
+        text = " ".join(f"&{i + 1}.{i + 2}& /{2 * i + 5}.{i + 10}/" for i in range(units))
+        ig = run_chart(g, build(g, text), True)
+        assert ig.starting
+        graphs.append(ig)
+    small, large = graphs
+    assert len(large.cores) > 3 * len(small.cores)
+    # the node keys, the handles, the waits, the predictions, the nonterminal
+    # nodes by symbol, core_at and next_core: none of them grows a set or
+    # dict per core
+    assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1, "dict": 6}
+    # a core holds nothing until the chart reaches it: the Integer and Point
+    # tokens inside each slashed number start cores that no handle reaches,
+    # since a Real is read there first
+    idle = [core for core in large.cores if not core.handles]
+    assert idle and all(not core.predicted for core in idle)
+    assert all(core.id not in large.predicted for core in idle)
+    # only nonterminals are listed by symbol; tokens are the core's id range
+    assert all(key // large.n_cores not in g.terminal_ids for key in large.following_by_sym)
 
 
 def _workload_grammars():
