@@ -22,9 +22,10 @@ parse sessions.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import FenceError
 
@@ -58,10 +59,8 @@ class GrammarError(FenceError):
         super().__init__(message + where)
 
 
-class Symbol(NamedTuple):
-    id: int
-    name: str
-    kind: str
+class Symbol(namedtuple("Symbol", "id name kind")):
+    __slots__ = ()
 
     @property
     def is_terminal(self) -> bool:
@@ -71,11 +70,8 @@ class Symbol(NamedTuple):
         return f"Symbol({self.id}, {self.name!r}, {self.kind})"
 
 
-class Production(NamedTuple):
-    id: int
-    lhs: Symbol
-    rhs: tuple[Symbol, ...]
-    label: str | None = None
+class Production(namedtuple("Production", "id lhs rhs label", defaults=(None,))):
+    __slots__ = ()
 
     @property
     def is_epsilon(self) -> bool:
@@ -90,13 +86,11 @@ class Production(NamedTuple):
         return f"{self.lhs.name} ::= {rhs}".rstrip()
 
 
-class TokenDef(NamedTuple):
-    symbol: Symbol
-    pattern: str
-    regex: re.Pattern
+class TokenDef(namedtuple("TokenDef", "symbol pattern regex")):
+    __slots__ = ()
 
 
-class NodeView(NamedTuple):
+class NodeView(namedtuple("NodeView", "symbol start end production label children lexeme text")):
     """Read-only view of a candidate parse node, passed to custom evaluators.
 
     An evaluator sees one node and its direct children: ``children`` views
@@ -104,43 +98,39 @@ class NodeView(NamedTuple):
     ``children`` is ``()``. A token child has ``production`` and ``label``
     None and carries its ``lexeme``; a nonterminal child, including a
     zero-width placeholder, carries the production that derives it.
+    ``symbol`` is the node's symbol name, ``text`` the whole input, and
+    ``production`` a production id.
     """
 
-    symbol: str
-    start: int
-    end: int
-    production: int | None
-    label: str | None
-    children: tuple["NodeView", ...]
-    lexeme: str | None
-    text: str
+    __slots__ = ()
 
 
-class ConstraintSet(NamedTuple):
+class ConstraintSet(
+    namedtuple("ConstraintSet", "associativity selection composition custom",
+               defaults=(MappingProxyType({}), (), (), MappingProxyType({})))
+):
     """Constraint declarations attached to productions.
 
-    ``selection`` and ``composition`` hold the declared pairs; their transitive
-    closures live on the owning grammar. A ``selection`` pair (q, p) means q is
+    ``associativity`` maps a production id to its direction and ``custom``
+    maps one to its evaluator, a callable that takes a :class:`NodeView` and
+    returns a bool; both default to read-only empty mappings. ``selection``
+    and ``composition`` hold the declared pairs; their transitive closures
+    live on the owning grammar. A ``selection`` pair (q, p) means q is
     preferred over p when both derive the same parse node. A ``composition``
     pair (p, q) means p may not take a direct child derived by q.
     """
 
-    associativity: Mapping[int, str] = MappingProxyType({})
-    selection: tuple[tuple[int, int], ...] = ()
-    composition: tuple[tuple[int, int], ...] = ()
-    custom: Mapping[int, Callable[[NodeView], bool]] = MappingProxyType({})
+    __slots__ = ()
 
     @property
     def empty(self) -> bool:
         return not (self.associativity or self.selection or self.composition or self.custom)
 
 
-class ConstraintIssue(NamedTuple):
+class ConstraintIssue(namedtuple("ConstraintIssue", "kind message productions", defaults=((),))):
     """A constraint warning: a declaration that can never influence a parse."""
 
-    kind: str
-    message: str
-    productions: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def compute_epsilon_symbols(productions: Iterable[Production]) -> frozenset[Symbol]:

@@ -25,8 +25,8 @@ zero-width and the skip pattern is consumed only between tokens.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -56,21 +56,17 @@ class LatticeFormatError(FenceError):
     """A lexical analysis graph document violates its schema or invariants."""
 
 
-class TokenNode(NamedTuple):
+class TokenNode(namedtuple("TokenNode", "id symbol_id start end lexeme")):
     """One match of one token definition over ``[start, end)``.
 
     A token stores its positions and no links: it precedes exactly the
     tokens that start at its next position (see ``_links``).
     """
 
-    id: int
-    symbol_id: int
-    start: int
-    end: int
-    lexeme: str
+    __slots__ = ()
 
 
-class LAGraph(NamedTuple):
+class LAGraph(namedtuple("LAGraph", "input nodes starting next_position content_start", defaults=(0,))):
     """A token lattice over one input string, pruned by ``prune_la_graph``.
 
     ``next_position`` maps each token end offset to the offset where the next
@@ -81,11 +77,7 @@ class LAGraph(NamedTuple):
     at one offset have consecutive ids; ``build_ela_graph`` checks the order.
     """
 
-    input: str
-    nodes: tuple[TokenNode, ...]
-    starting: tuple[int, ...]
-    next_position: dict[int, int]
-    content_start: int = 0
+    __slots__ = ()
 
     def is_final(self, node: TokenNode) -> bool:
         return self.next_position[node.end] == len(self.input)

@@ -20,7 +20,7 @@ is acceptable, so explicit bounds keep runs finite.
 from __future__ import annotations
 
 import weakref
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import EvaluatorError, FenceError
 from .grammar import ASSOC_LEFT, ASSOC_NONE, ASSOC_RIGHT, Grammar, NodeView
@@ -33,10 +33,10 @@ class OracleLimitError(FenceError):
     """The instance exceeds the oracle's bounds (distinct from a rejection)."""
 
 
-class OracleBounds(NamedTuple):
-    max_paths: int = 500
-    max_depth: int = 80
-    max_work: int = 2_000_000  # nodes assembled across the whole run
+class OracleBounds(namedtuple("OracleBounds", "max_paths max_depth max_work", defaults=(500, 80, 2_000_000))):
+    """The oracle's limits; ``max_work`` counts the nodes assembled across the whole run."""
+
+    __slots__ = ()
 
 
 _marker_caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
