@@ -150,6 +150,8 @@ class ChartParser:
     grammar whose positions block nothing, the chart holds every derivation.
     """
 
+    # Slots: the chart reads several of these per handle, and with an instance
+    # dict of this size it ran about 10% slower on the prec-arith workload.
     __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_cores", "_n_symbols", "space", "_base", "_production",
                  "_predictions", "_filtered", "_symbol", "_token", "_blocked", "_skip", "_seeds", "_lhs", "_single",
                  "_node_symbol", "_node_productions", "_handles", "_waiting", "_predicted", "_following", "_seeded")

@@ -20,7 +20,7 @@ diagnostics and tests; the chart and expansion index the lists.
 Cores are kept the same way, in lists indexed by core id: ``core_position``,
 the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
 before each core. What the chart stores at a core lives in four containers
-for the whole graph, each keyed by an int that holds the core id:
+for the whole graph, whose members or keys are ints that hold the core id:
 ``handles``, ``waiting``, ``predicted`` and ``following_by_sym`` (see
 :class:`ELAGraph`). A core the chart never reaches thus costs its list
 entries and its ``preceding`` list, and a core it reaches allocates no set
@@ -44,8 +44,6 @@ from .grammar import Grammar
 from .lexgraph import LAGraph
 
 __all__ = ["CoreView", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
-
-_NOTHING: frozenset = frozenset()
 
 
 class CoreView(namedtuple("CoreView", "id position tok_lo tok_hi handles predicted preceding following")):
@@ -203,17 +201,8 @@ class ELAGraph:
             following[key % n] += ids
         predicted = self.predicted
         return tuple(map(CoreView, range(n), self.core_position, tokens, islice(tokens, 1, None),
-                         map(frozenset, handles), [predicted.get(c, _NOTHING) for c in range(n)],
+                         map(frozenset, handles), [predicted.get(c, frozenset()) for c in range(n)],
                          map(tuple, self.core_preceding), [tuple(sorted(ids)) for ids in following]))
-
-    def following(self, core_id: int) -> list[int]:
-        """The ids of the nodes that start at core ``core_id``, ascending."""
-        n = self.n_cores
-        ids = list(range(self.core_tokens[core_id], self.core_tokens[core_id + 1]))
-        for key, nonterminals in self.following_by_sym.items():
-            if key % n == core_id:
-                ids += nonterminals
-        return sorted(ids)
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:

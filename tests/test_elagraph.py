@@ -17,7 +17,7 @@ def test_running_example_core_placement():
     assert ela.cores[ela.starting_core].position == 0
     assert ela.cores[ela.last_core].position == len(AMBIG_INPUT)
     # the starting core precedes exactly the former starting tokens
-    assert ela.following(ela.starting_core) == sorted(la.starting)
+    assert list(ela.cores[ela.starting_core].following) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
     assert sorted(ela.cores[ela.last_core].preceding) == sorted(la.final_ids)
 
@@ -56,7 +56,7 @@ def test_token_paths_preserved_through_cores():
             if core.id == ela.last_core:
                 out.append(tuple(acc))
                 return
-            for nid in ela.following(core.id):
+            for nid in core.following:
                 node = ela.nodes[nid]
                 acc.append(nid)
                 walk(ela.cores[ela.next_core[node.end]], acc)
@@ -74,7 +74,7 @@ def test_same_offset_tokens_share_their_preceding_core():
     ela = build_ela_graph(la)
     by_start = {}
     for core in ela.cores:
-        for nid in ela.following(core.id):
+        for nid in core.following:
             by_start.setdefault(ela.nodes[nid].start, set()).add(core.id)
     for cores in by_start.values():
         assert len(cores) == 1
@@ -84,7 +84,7 @@ def test_adjacency_is_symmetric():
     g = grammar(AMBIG_NUMBERS)
     ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
     for n in ela.nodes:
-        assert n.id in ela.following(ela.core_at[n.start])
+        assert n.id in ela.cores[ela.core_at[n.start]].following
         assert n.id in ela.cores[ela.next_core[n.end]].preceding
 
 

@@ -230,7 +230,7 @@ def test_load_lattice_with_unordered_ids():
         core, path = todo.pop()
         if core == ela.last_core:
             core_paths.append(path)
-        todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ela.following(core)]
+        todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ela.cores[core].following]
     assert sorted(core_paths) == paths
 
 
