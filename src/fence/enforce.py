@@ -13,14 +13,14 @@ before it; ``EGraph.counts`` keeps them and ``tree_counts`` reads them.
 
 Alternatives come from a right-to-left walk through the handles the chart
 left at its cores, each looked up in the graph's one handle set; nothing is
-searched. The child at the last position ends
-where the node ends, so it is one of the nodes preceding the core after that
-end. A child at position j that starts at offset o is taken only if the core
-at o holds the handle (production, j, start), whose origin is the forest
-node's start: the chart stored that handle only after deriving positions
-0..j-1 from there, so the walk never extends a suffix whose prefix cannot be
-derived. Position j-1 is then filled from the nodes preceding that core. A
-nullable position may instead be skipped when the same core holds the handle
+searched. The child at the last position ends where the node ends, so it is
+one of the nodes preceding the core after that end. A child at position j
+that starts at offset o is taken only if the core at o holds the handle
+(production, j, start), whose origin is the forest node's start: the chart
+stored that handle only after deriving positions 0..j-1 from there, so the
+walk never extends a suffix whose prefix cannot be derived. Position j-1 is
+then filled from the nodes preceding that core. A nullable position may
+instead be skipped when the same core holds the handle
 for that position (the chart stores skip variants beside the handle they
 skip from). A skipped position gets a zero-width placeholder carrying
 the symbol's canonical minimal empty derivation, at the end of the real
@@ -357,7 +357,7 @@ class _Expander:
         node_symbol = ig.node_symbol
         start, end = node_start[node_id], node_end[node_id]
         context = None  # built when the first child over this node's own span appears
-        # A handle at core c is stored as handle * n_cores + c, and every handle here has this node's start as origin
+        # The chart stores a handle at core c as handle * n_cores + c; every handle read here starts at start
         step = ig.stride * ig.n_cores
         origin = start * ig.n_cores
         first = self.grammar.item_base[pid]  # the item of pid with its dot at 0
