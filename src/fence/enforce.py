@@ -59,10 +59,12 @@ of the node's key; a node with no equal-span ancestor, the common case, has
 none, and ordinary nested ambiguity still shares one node.
 
 Expansion starts at the accepted roots and builds only the nodes it reaches.
-It runs on the caller's thread without recursion: each forest node under
-expansion is a generator on an explicit stack, which hands the driver the
-child nodes it needs. Input nesting depth therefore costs memory, not
-interpreter frames, and parsing changes no process-wide setting. A forest
+It runs on the caller's thread without recursion, in one loop. A forest
+node whose walk needs a child node not built yet saves a small frame, the
+state of its walk, on an explicit stack, and the loop opens the child; once
+the child is finished, the loop resumes the frame where it stopped. Input
+nesting depth therefore costs one saved frame per level, not an interpreter
+frame, and parsing changes no process-wide setting. A forest
 node is appended to the forest as soon as it is finished, so its id is its
 creation index and its children, finished before it, have smaller ids. A
 node built for a derivation that does not complete (a cut cycle, a suffix
@@ -264,36 +266,17 @@ class _Expander:
         self._placeholders: dict[tuple[int, int], int] = {}
 
     def run(self) -> tuple[int, ...]:
-        """Forest nodes of the accepted roots, expanding every node they reach.
-
-        The innermost generator on the stack is resumed with the node id it
-        asked for; a generator that needs a node the memo lacks yields that
-        node's key and a ``_derive`` generator for it is pushed.
-        """
-        open_nodes = [self._roots()]
-        value = None
-        while True:
-            try:
-                key = open_nodes[-1].send(value)
-            except StopIteration as done:
-                open_nodes.pop()
-                if not open_nodes:
-                    return done.value
-                value = done.value
-            else:
-                open_nodes.append(self._derive(key))
-                value = None
-
-    def _roots(self):
+        """Forest nodes of the accepted roots, expanding every node they reach."""
         roots: list[int] = []
         productions = self.ig.node_productions
         n_productions = self.n_productions
+        memo = self.memo
         for node_id in sorted(self.ig.starting):
             for p in productions[node_id]:
                 key = node_id * n_productions + p
-                got = self.memo.get(key)
+                got = memo.get(key)
                 if got is None:
-                    got = yield key
+                    got = self._build(key)
                 if got != _EMPTY:
                     roots.append(got)
         return tuple(roots)
@@ -303,142 +286,207 @@ class _Expander:
         n = 1
         while n < len(suffix) and suffix[n] < 0:
             n += 1
-        placed = tuple(
-            _placeholder(self.grammar, self.forest, self._placeholders, ~s, offset)
-            for s in suffix[:n]
-        )
+        placed = tuple([_placeholder(self.grammar, self.forest, self._placeholders, ~s, offset) for s in suffix[:n]])
         return placed + suffix[n:]
 
     # -- expansion ----------------------------------------------------------------
 
-    def _derive(self, key: int | tuple):
-        """Generator building one forest node's alternatives; memoizes and returns its id.
+    def _build(self, key: int | tuple) -> int:
+        """Build the forest node of memo key ``key`` and every node it needs; returns its id or ``_EMPTY``.
 
-        ``key`` is the memo key of (implicit node id, production id, cycle
-        context): one int when there is no context, else that triple. Under
-        enforcement the nodes of the productions preferred over this one are
-        checked first, most preferred first, and once one holds a tree this
-        node is empty. Otherwise
-        a stack of partial suffixes is extended right to left, as the module
-        docstring describes. An entry is (the item whose dot stands before the
-        position to fill next, start of the real child right of it or None
-        when there is none, children chosen right of it, the product of their
-        tree counts); every position is filled once the item precedes the
-        production's dot-0 item. A nonterminal child
-        offers the forest nodes of its productions that the position does not
-        block and that hold a tree; a suffix that starts with open
-        placeholders has them put at the end of the child placed before it.
-        A suffix that reaches the node's start is an alternative, kept only
-        if the production's custom evaluator, when it has one, accepts it.
+        A key is (implicit node id, production id, cycle context): one int
+        when there is no context, else that triple. One loop works on the
+        innermost open node. Under enforcement a node first checks the nodes
+        of the productions preferred over its own, most preferred first, and
+        once one holds a tree it is empty. Otherwise a stack of partial
+        suffixes is extended right to left, as the module docstring
+        describes. An entry is (the item whose dot stands before the position
+        to fill next, start of the real child right of it or None when there
+        is none, children chosen right of it, the product of their tree
+        counts); every position is filled once the item precedes the
+        production's dot-0 item. A nonterminal child offers the forest nodes
+        of its productions that the position does not block and that hold a
+        tree; a suffix that starts with open placeholders has them put at the
+        end of the child placed before it. A suffix that reaches the node's
+        start is an alternative, kept only if the production's custom
+        evaluator, when it has one, accepts it.
+
+        A node that needs a node the memo lacks is suspended: its frame goes
+        on ``frames`` and the wanted node is opened in the same loop. A frame
+        holds the node's key, its stack, alternatives, tree total and cycle
+        context, and where its walk stands: the entry being extended, the
+        iterator over the candidates preceding that entry's core, the
+        candidate child, the suffix the child extends and the index of the
+        child production whose node is wanted. A node still in its selection
+        check saves only its key and the index into ``preferred_over``. Once
+        the wanted node is finished, the frame resumes at the same index,
+        whose lookup now finds it; what an entry's item and a child's id
+        determine is read again from the tables.
         """
-        # A generator's frame holds every local of this function, and a left
-        # chain keeps one generator open per level, so locals are kept few.
-        n_productions = self.n_productions
-        if type(key) is int:
-            node_id, pid = divmod(key, n_productions)
-            outer = None
-        else:
-            node_id, pid, outer = key
-        memo = self.memo
-        if self.enforce and pid in self.grammar.preferred_over and (yield from self._loses(node_id, pid, outer)):
-            memo[key] = _EMPTY
-            return _EMPTY
+        grammar = self.grammar
         ig = self.ig
-        node_productions = ig.node_productions
-        handles = ig.handles
-        preceding = ig.core_preceding
-        core_at = ig.core_at
         forest = self.forest
         counts = forest.counts
+        memo = self.memo
         leaves = self._leaves
+        fill = self._fill
+        n_productions = self.n_productions
         items = self.items
-        node_start = ig.node_start
-        node_end = ig.node_end
-        node_symbol = ig.node_symbol
-        start, end = node_start[node_id], node_end[node_id]
-        context = None  # built when the first child over this node's own span appears
-        # The chart stores a handle at core c as handle * n_cores + c; every handle read here starts at start
-        step = ig.stride * ig.n_cores
-        origin = start * ig.n_cores
-        first = self.grammar.item_base[pid]  # the item of pid with its dot at 0
-        evaluator = self.grammar.constraints.custom.get(pid) if self.enforce else None
-        alternatives = []
-        trees = 0
-        stack = [(first + len(self.grammar.rhs_ids[pid]) - 1, None, (), 1)]
-        while stack:
-            item, right, suffix, made = stack.pop()
-            if item < first:
-                if right == start:  # a node is never zero-width, so something was matched
-                    if suffix and suffix[0] < 0:
-                        suffix = self._fill(suffix, start)
-                    if evaluator is None or self._accepts(evaluator, pid, start, end, suffix):
-                        alternatives.append(suffix)
-                        trees += made
-                    else:
-                        forest.constructions += 1
-                continue
-            sym = items.symbol[item]
-            blocked = items.blocked[item]
-            code = item * step + origin  # the handle (item, start), less its core
-            cid = ig.next_core[end] if right is None else core_at[right]
-            if items.skip[item] and code + cid in handles:
-                stack.append((item - 1, right, (~sym,) + suffix, made))
-            token = items.token[item]
-            open_placeholders = suffix and suffix[0] < 0
-            for child_id in preceding[cid]:
-                if node_symbol[child_id] != sym:
-                    continue
-                child_end = node_end[child_id]
-                child_start = node_start[child_id]
-                if (right is None and child_end != end) or child_start < start:
-                    continue
-                if code + core_at[child_start] not in handles:
-                    continue
-                filled = self._fill(suffix, child_end) if open_placeholders else suffix
-                if token:
-                    leaf = leaves.get(child_id)
-                    if leaf is None:
-                        leaf = leaves[child_id] = forest._add(sym, child_start, child_end, None, (), 1)
-                    stack.append((item - 1, child_start, (leaf,) + filled, made))
-                    continue
-                if child_start != start or child_end != end:
-                    child_context = None
-                elif child_id == node_id or (outer and child_id in outer):
-                    continue  # cyclic re-entry contributes nothing on this path
-                else:
-                    if context is None:
-                        context = (outer or frozenset()) | {node_id}
-                    child_context = context
-                for p in node_productions[child_id]:
-                    if blocked and p in blocked:
-                        continue
-                    wanted = child_id * n_productions + p if child_context is None else (child_id, p, child_context)
-                    got = memo.get(wanted)
+        item_symbol, item_blocked, item_skip, item_token = items.symbol, items.blocked, items.skip, items.token
+        item_base, rhs_ids = grammar.item_base, grammar.rhs_ids
+        preferred_over = grammar.preferred_over if self.enforce else {}
+        custom = grammar.constraints.custom if self.enforce else {}
+        node_productions, node_symbol = ig.node_productions, ig.node_symbol
+        node_start, node_end = ig.node_start, ig.node_end
+        handles, preceding, core_at, next_core = ig.handles, ig.core_preceding, ig.core_at, ig.next_core
+        n_cores = ig.n_cores
+        # The chart stores a handle at core c as handle * n_cores + c
+        step = ig.stride * n_cores
+        frames: list[tuple] = []  # the suspended nodes' frames, innermost last
+        frame = None  # the frame of ``key`` when it is resumed, None when it is opened
+        while True:
+            if type(key) is int:
+                node_id, pid = divmod(key, n_productions)
+                outer = None
+            else:
+                node_id, pid, outer = key
+            start, end = node_start[node_id], node_end[node_id]
+            origin = start * n_cores  # every handle read here starts at start
+            first = item_base[pid]  # the item of pid with its dot at 0
+            evaluator = custom.get(pid)
+            if frame is None or len(frame) == 2:  # opened, or resumed in its selection check
+                got = _EMPTY
+                if pid in preferred_over:
+                    derived = node_productions[node_id]  # ascending, so membership is a bisection
+                    preferred = preferred_over[pid]
+                    j = 0 if frame is None else frame[1]
+                    while j < len(preferred):
+                        q = preferred[j]
+                        at = bisect_left(derived, q)
+                        if at < len(derived) and derived[at] == q:
+                            wanted = node_id * n_productions + q if outer is None else (node_id, q, outer)
+                            got = memo.get(wanted)
+                            if got != _EMPTY:  # wanted, or a tree that makes this node empty
+                                break
+                        j += 1
                     if got is None:
-                        got = yield wanted
-                    if got != _EMPTY:
-                        stack.append((item - 1, child_start, (got,) + filled, made * counts[got]))
-
-        forest.constructions += len(alternatives)
-        if alternatives:
-            memo[key] = forest._add(node_symbol[node_id], start, end, pid, alternatives, min(trees, COUNT_CAP))
-        else:
-            memo[key] = _EMPTY
-        return memo[key]
-
-    def _loses(self, node_id: int, pid: int, outer: frozenset | None):
-        """Generator: whether a production preferred over ``pid`` at ``node_id`` holds a tree, most preferred first."""
-        derived = self.ig.node_productions[node_id]  # ascending, so membership is a bisection
-        for q in self.grammar.preferred_over[pid]:
-            at = bisect_left(derived, q)
-            if at < len(derived) and derived[at] == q:
-                wanted = node_id * self.n_productions + q if outer is None else (node_id, q, outer)
-                other = self.memo.get(wanted)
-                if other is None:
-                    other = yield wanted
-                if other != _EMPTY:
-                    return True
-        return False
+                        frames.append((key, j))
+                        key = wanted
+                        frame = None
+                        continue
+                # a node whose preferred production holds a tree has nothing to extend
+                stack = [(first + len(rhs_ids[pid]) - 1, None, (), 1)] if got == _EMPTY else []
+                alternatives = []
+                trees = 0
+                context = None  # built when the first child over this node's own span appears
+                children = ()
+                pending = None
+            else:  # resumed in its walk
+                (_, stack, alternatives, trees, context, item, right, suffix, made, children, child_id, filled,
+                 j) = frame
+                sym = item_symbol[item]
+                blocked = item_blocked[item]
+                token = item_token[item]
+                code = item * step + origin
+                open_placeholders = suffix and suffix[0] < 0
+                child_start = node_start[child_id]
+                child_context = context if child_start == start and node_end[child_id] == end else None
+                pending = node_productions[child_id]
+            while True:  # the walk, until the stack is empty or a candidate waits for a node
+                if pending is not None:  # a resumed candidate's productions, from the one it waited for
+                    for j in range(j, len(pending)):
+                        p = pending[j]
+                        if blocked and p in blocked:
+                            continue
+                        wanted = child_id * n_productions + p if child_context is None else (child_id, p, child_context)
+                        got = memo.get(wanted)
+                        if got is None:
+                            break
+                        if got != _EMPTY:
+                            stack.append((item - 1, child_start, (got,) + filled, made * counts[got]))
+                    else:
+                        pending = None
+                    if got is None:
+                        break
+                for child_id in children:
+                    if node_symbol[child_id] != sym:
+                        continue
+                    child_end = node_end[child_id]
+                    child_start = node_start[child_id]
+                    if (right is None and child_end != end) or child_start < start:
+                        continue
+                    if code + core_at[child_start] not in handles:
+                        continue
+                    filled = fill(suffix, child_end) if open_placeholders else suffix
+                    if token:
+                        leaf = leaves.get(child_id)
+                        if leaf is None:
+                            leaf = leaves[child_id] = forest._add(sym, child_start, child_end, None, (), 1)
+                        stack.append((item - 1, child_start, (leaf,) + filled, made))
+                        continue
+                    if child_start != start or child_end != end:
+                        child_context = None
+                    elif child_id == node_id or (outer and child_id in outer):
+                        continue  # cyclic re-entry contributes nothing on this path
+                    else:
+                        if context is None:
+                            context = (outer or frozenset()) | {node_id}
+                        child_context = context
+                    prods = node_productions[child_id]
+                    for p in prods:
+                        if blocked and p in blocked:
+                            continue
+                        wanted = child_id * n_productions + p if child_context is None else (child_id, p, child_context)
+                        got = memo.get(wanted)
+                        if got is None:
+                            break
+                        if got != _EMPTY:
+                            stack.append((item - 1, child_start, (got,) + filled, made * counts[got]))
+                    else:
+                        continue
+                    j = prods.index(p)  # p's node is wanted
+                    break
+                else:
+                    if not stack:
+                        break
+                    item, right, suffix, made = stack.pop()
+                    if item < first:
+                        if right == start:  # a node is never zero-width, so something was matched
+                            if suffix and suffix[0] < 0:
+                                suffix = fill(suffix, start)
+                            if evaluator is None or self._accepts(evaluator, pid, start, end, suffix):
+                                alternatives.append(suffix)
+                                trees += made
+                            else:
+                                forest.constructions += 1
+                        continue
+                    sym = item_symbol[item]
+                    blocked = item_blocked[item]
+                    code = item * step + origin  # the handle (item, start), less its core
+                    cid = next_core[end] if right is None else core_at[right]
+                    if item_skip[item] and code + cid in handles:
+                        stack.append((item - 1, right, (~sym,) + suffix, made))
+                    token = item_token[item]
+                    open_placeholders = suffix and suffix[0] < 0
+                    children = iter(preceding[cid])
+                    continue
+                break
+            if got is None:  # suspend this node and open the wanted one
+                frames.append((key, stack, alternatives, trees, context, item, right, suffix, made, children,
+                               child_id, filled, j))
+                key = wanted
+                frame = None
+                continue
+            forest.constructions += len(alternatives)
+            if alternatives:
+                got = forest._add(node_symbol[node_id], start, end, pid, alternatives, min(trees, COUNT_CAP))
+            else:
+                got = _EMPTY
+            memo[key] = got
+            if not frames:
+                return got
+            frame = frames.pop()
+            key = frame[0]
 
     def _accepts(self, evaluator, pid: int, start: int, end: int, alternative: tuple[int, ...]) -> bool:
         """The evaluator's verdict on one alternative of production ``pid`` over [start, end)."""
@@ -508,12 +556,12 @@ def tree_counts(eg: EGraph, cap: int = COUNT_CAP) -> TreeCount:
 
     Nothing is enumerated or walked: expansion kept each node's count, capped
     at ``COUNT_CAP``, in ``eg.counts``. Counts are capped at ``cap``, at most
-    ``COUNT_CAP``; hitting the cap sets the saturated flag instead of
-    silently overflowing. A sum of products of children capped at ``cap``
-    is the true count capped at ``cap``, so the smaller cap is exact.
+    ``COUNT_CAP`` and at least 1; hitting the cap sets the saturated flag
+    instead of silently overflowing. A sum of products of children capped at
+    ``cap`` is the true count capped at ``cap``, so the smaller cap is exact.
     """
-    if cap > COUNT_CAP:
-        raise ValueError(f"cap must be at most COUNT_CAP ({COUNT_CAP})")
+    if not 1 <= cap <= COUNT_CAP:
+        raise ValueError(f"cap must be between 1 and COUNT_CAP ({COUNT_CAP})")
     counts = eg.counts
     per_root: dict[int, int] = {}
     total = 0
