@@ -5,12 +5,14 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
 
 import randsuite
 
+from fence import build_ela_graph, expand_forest, run_chart
 from fence.cli import main
 from fence.enforce import (
     COUNT_CAP,
@@ -25,6 +27,8 @@ from fence.enforce import (
     tree_to_jsonable,
 )
 from fence.errors import EvaluatorError
+from fence.lexgraph import tokenize
+from fence.oracle import oracle_filter, oracle_parse_all
 from fence.pipeline import parse_text
 from helpers import (
     AMBIG_INPUT,
@@ -189,6 +193,87 @@ def test_a_dominated_production_is_never_expanded():
     assert len(assert_counts(judged, judged_eg)) == 1
 
 
+# the least preferred production is declared first, so its node is checked
+# before the preferred ones exist, and checking it builds them
+SELECT_CHAIN = """
+%token a /a/
+%token b /b/
+%start R
+R ::= S ;
+[low] S ::= a b ;
+[mid] S ::= a Y ;
+[high] S ::= X b ;
+X ::= a ;
+Y ::= b ;
+%prefer select high over mid ;
+%prefer select mid over low ;
+"""
+
+
+@pytest.mark.parametrize("vetoed, called, winner", [
+    ((), ["high"], "high"),
+    (("mid",), ["high"], "high"),
+    (("high",), ["high", "mid"], "mid"),
+    (("high", "mid"), ["high", "mid", "low"], "low"),
+])
+def test_a_selection_check_builds_the_preferred_nodes_first(vetoed, called, winner):
+    calls = []
+
+    def judge(label):
+        return lambda view: calls.append(label) or label not in vetoed
+
+    g = grammar(SELECT_CHAIN, evaluators={label: judge(label) for label in ("low", "mid", "high")})
+    la = tokenize(g, "ab")
+    expected = oracle_filter(oracle_parse_all(g, la), g, la)
+    calls.clear()
+    eg = parse_text(g, "ab").egraph
+    assert calls == called
+    assert frozenset(enumerate_trees(eg, g, 10)) == expected
+    ((_, _, _, _, _, (s_node,)),) = expected
+    assert g.productions[s_node[4]].label == winner
+
+
+def _add_calls(accept):
+    """An evaluator for ``add`` that records (start, end, child spans) of every call, and its records."""
+    records = []
+
+    def evaluator(view):
+        records.append((view.start, view.end, tuple((c.start, c.end) for c in view.children)))
+        return accept(view)
+
+    return evaluator, records
+
+
+def test_an_evaluator_is_called_once_per_alternative_across_suspensions():
+    # each add node waits for the add nodes inside it while it is half walked,
+    # and none of its alternatives is judged again when it resumes
+    text = chain(8)
+    plain = grammar(ARITH)
+    evaluator, records = _add_calls(lambda view: True)
+    judged = grammar(ARITH, evaluators={"add": evaluator})
+    eg = parse_text(judged, text).egraph
+    add = judged.by_label["add"].id
+    alternatives = sum(len(n.children) for n in eg.nodes if n.production_id == add)
+    assert len(set(records)) == len(records) == alternatives == 84
+    assert egraph_document(eg, judged) == egraph_document(parse_text(plain, text).egraph, plain)
+
+    # rejecting a wider left operand: every call is one construction, kept or not
+    evaluator, records = _add_calls(lambda v: v.children[0].end - v.start <= v.end - v.children[2].start)
+    judged = grammar(ARITH, evaluators={"add": evaluator})
+    _la, ig, eg = pipeline(judged, text)
+    records.clear()
+    expander = _Expander(judged, ig, True)
+    expander.run()
+    forest = expander.forest  # before compaction, so it keeps every node built
+    kept = sum(len(n.children) for n in forest.nodes if n.children is not None and n.start != n.end)
+    rejected = sum(1 for _start, _end, (left, _op, right) in records if left[1] - left[0] > right[1] - right[0])
+    assert len(set(records)) == len(records)
+    assert 0 < rejected < len(records)
+    assert forest.constructions == kept + rejected
+    assert tree_counts(eg).total == len(oracle_filter(oracle_parse_all(judged, tokenize(judged, text)), judged,
+                                                      tokenize(judged, text)))
+
+
 def test_forest_nodes_refuse_attribute_assignment():
     _la, _ig, eg = pipeline(grammar(AMBIG_NUMBERS), AMBIG_INPUT)
     with pytest.raises(AttributeError):
@@ -284,6 +369,15 @@ def test_a_count_past_the_cap_is_saturated():
     # counts were capped as the forest was built, so a larger cap cannot be honoured
     with pytest.raises(ValueError, match="COUNT_CAP"):
         tree_counts(eg, COUNT_CAP + 1)
+
+
+def test_tree_counts_rejects_a_cap_below_one():
+    _la, _ig, eg = pipeline(grammar(ARITH), chain(3))
+    (root,) = eg.roots
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap"):
+            tree_counts(eg, cap)
+    assert tree_counts(eg, 1) == (1, {root: 1}, True)
 
 
 def test_stored_counts_equal_the_reference_walk():
@@ -594,6 +688,32 @@ def test_evaluator_sees_a_deeply_nested_candidate():
     _la, _ig, eg = pipeline(g, chain(520))
     assert tree_counts(eg).total == 1
     assert len(assert_counts(g, eg)) == 1
+
+
+def _expansion_peak(g, text):
+    """``tracemalloc`` peak of expanding the chart of ``text``, in bytes above its start."""
+    ig = run_chart(g, build_ela_graph(tokenize(g, text)))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        expand_forest(g, ig)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_left_chain_costs_little_expansion_memory_per_level():
+    # a left chain keeps one node open per level while its innermost level is
+    # built; a saved frame costs about 950 bytes an operand with the forest,
+    # where a suspended generator per level cost about 1,480
+    g = grammar(DEEP_CHAIN)
+    per_operand = (_expansion_peak(g, chain(2000)) - _expansion_peak(g, chain(1000))) / 1000
+    assert per_operand < 1215, per_operand
 
 
 def test_long_nullable_chain_parses_without_recursion(tmp_path, capsys):
