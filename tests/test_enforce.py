@@ -709,8 +709,9 @@ def _expansion_peak(g, text):
 
 def test_a_left_chain_costs_little_expansion_memory_per_level():
     # a left chain keeps one node open per level while its innermost level is
-    # built; a saved frame costs about 950 bytes an operand with the forest,
-    # where a suspended generator per level cost about 1,480
+    # built; with saved frames that costs about 950 bytes an operand, forest
+    # included, and the bound lies halfway to the 1,480 bytes that a
+    # suspended generator per open level costs
     g = grammar(DEEP_CHAIN)
     per_operand = (_expansion_peak(g, chain(2000)) - _expansion_peak(g, chain(1000))) / 1000
     assert per_operand < 1215, per_operand
