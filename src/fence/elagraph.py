@@ -9,13 +9,13 @@ tokens that reach the end of the input.
 
 Parse nodes are kept in four parallel lists indexed by node id:
 ``node_start``, ``node_end``, ``node_symbol`` and ``node_productions``. The
-first ids are the lattice's tokens, copied from it in one pass with ``()``
-as productions, so a token's node id is its lattice id. The lattice numbers
-its tokens by (start, end, symbol), so the tokens that start at a core are
+first ids are the lattice's tokens, its columns copied into new lists with
+``()`` as productions, so a token's node id is its lattice id. Tokens are
+numbered by (start, end, symbol), so the tokens that start at a core are
 the id range ``core_tokens[c]`` to ``core_tokens[c + 1] - 1``, and the chart
 lists only the nonterminal nodes that start at a core. ``ELAGraph.nodes``
-gives read-only :class:`ImplicitNode` views of the lists, for documents,
-diagnostics and tests; the chart and expansion index the lists.
+gives read-only :class:`ImplicitNode` views of the lists, as the lattice's
+``nodes`` do of its columns; the chart and expansion index the lists.
 
 Cores are kept the same way, in lists indexed by core id: ``core_position``,
 the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
@@ -36,12 +36,11 @@ graph that expansion walks, so build a fresh graph per parse session.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from itertools import compress, islice
 from operator import le, ne
 
 from .grammar import Grammar
-from .lexgraph import LAGraph
+from .lexgraph import LAGraph, NodeViews
 
 __all__ = ["CoreView", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
 
@@ -79,33 +78,6 @@ class ImplicitNode(namedtuple("ImplicitNode", "id start end symbol_id production
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.start, self.end, self.symbol_id)
-
-
-class NodeViews:
-    """A graph's nodes as a read-only sequence of view records, by id; ``ELAGraph.nodes`` and ``EGraph.nodes``.
-
-    ``column`` is one of the graph's parallel node lists, so its length is the
-    number of nodes, and ``view(i)`` makes node ``i``'s record from the lists.
-    A view is made on each access; a slice gives a list of views.
-    """
-
-    __slots__ = ("_column", "_view")
-
-    def __init__(self, column: list, view: Callable[[int], tuple]):
-        self._column = column
-        self._view = view
-
-    def __len__(self) -> int:
-        return len(self._column)
-
-    def __getitem__(self, node_id: int | slice):
-        node_id = range(len(self._column))[node_id]  # a negative id counts from the end
-        if isinstance(node_id, range):
-            return list(map(self._view, node_id))
-        return self._view(node_id)
-
-    def __iter__(self):
-        return map(self._view, range(len(self._column)))
 
 
 class ELAGraph:
@@ -206,21 +178,20 @@ class ELAGraph:
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
-    """Complete a pruned lattice with cores and copy its tokens into the node lists.
+    """Complete a pruned lattice with cores and copy its token columns into the node lists.
 
     Raises ``ValueError`` on an empty lattice, and on one whose tokens are not
     numbered by (start, end, symbol) as ``tokenize`` and ``load_la_graph``
-    number them.
+    number them; a lattice built by hand may be in any order.
     """
-    tokens = la.nodes
-    if not tokens:
+    starts, ends, symbols = la.node_start, la.node_end, la.node_symbol
+    if not starts:
         raise ValueError("cannot extend an empty lexical analysis graph")
-    _ids, symbols, starts, ends, _lexemes = zip(*tokens)
     # Each (start, end, symbol) against the next; zip reuses its tuples, so no token allocates one
     if not all(map(le, zip(starts, ends, symbols), islice(zip(starts, ends, symbols), 1, None))):
         raise ValueError("lattice tokens must be numbered by (start, end, symbol)")
 
-    n = len(tokens)
+    n = len(starts)
     end = len(la.input)
     # The ids where a new start offset begins; the last core, at the input's end, starts no token
     core_tokens = [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, None)))]

@@ -90,9 +90,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import islice, product
 
-from .elagraph import ELAGraph, NodeViews
+from .elagraph import ELAGraph
 from .errors import EvaluatorError
 from .grammar import Grammar, NodeView
+from .lexgraph import NodeViews
 
 __all__ = [
     "ForestNode",

@@ -912,10 +912,19 @@ def make_grammar(
 
 
 def grammar_to_text(grammar: Grammar) -> str:
-    """Serialize a grammar back to the text format (lossless round-trip)."""
+    """Serialize a grammar back to the text format (lossless round-trip).
+
+    Raises :class:`GrammarError` when the text could not be read back: a
+    token or ``%skip`` pattern holds an unescaped ``/`` or a line break, or a
+    ``%prefer`` declaration names an unlabelled production whose left-hand
+    side names others too. A grammar built by ``parse_grammar_text`` or
+    ``make_grammar`` is always writable.
+    """
     lines = []
     for td in grammar.token_defs:
+        _check_writable(td.pattern, f"token {td.symbol.name!r}", None)
         lines.append(f"%token {td.symbol.name} /{td.pattern}/")
+    _check_writable(grammar.skip_pattern, "%skip", None)
     lines.append(f"%skip /{grammar.skip_pattern}/")
     lines.append(f"%start {grammar.start.name}")
     for p in grammar.productions:
@@ -924,13 +933,20 @@ def grammar_to_text(grammar: Grammar) -> str:
         if direction is not None:
             prefix = f"%assoc {direction} "
         label = f"[{p.label}] " if p.label is not None else ""
-        rhs = " ".join(s.name for s in p.rhs)
-        body = f"{p.lhs.name} ::= {rhs}".rstrip()
-        lines.append(f"{prefix}{label}{body} ;")
+        lines.append(f"{prefix}{label}{p} ;")
+
+    resolve = _resolver(grammar.productions)
 
     def ref(pid: int) -> str:
         p = grammar.productions[pid]
-        return p.label if p.label is not None else p.lhs.name
+        if p.label is not None:
+            return p.label
+        try:
+            if resolve(p.lhs.name) == pid:
+                return p.lhs.name
+        except GrammarError:
+            pass
+        raise GrammarError(f"production {pid} ({p}) needs a [label] for a %prefer declaration to name it")
 
     for a, b in grammar.constraints.selection:
         lines.append(f"%prefer select {ref(a)} over {ref(b)} ;")

@@ -11,7 +11,8 @@ Links are positional, as in the lexical analysis graph of the Lamb lexer
 (Quesada, Berzal and Cortijo, "Lamb: a lexical analyzer with ambiguity
 support", ICSOFT 2011): every token whose next position (its end, after the
 inter-token skip pattern) is offset p precedes every token that starts at p,
-and no other link exists. Tokens therefore store positions only; ``_links``
+and no other link exists. A lattice therefore keeps positions only, in token
+columns as the other graphs keep their nodes (see :class:`LAGraph`); ``_links``
 derives the document's ``preceding`` and ``following`` lists, and
 ``load_la_graph`` still validates them. The lexer visits offsets in
 increasing order and the pruner decides liveness per offset, not per link.
@@ -26,6 +27,7 @@ zero-width and the skip pattern is consumed only between tokens.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from operator import itemgetter
 
 from .errors import FenceError
@@ -33,6 +35,7 @@ from .grammar import Grammar
 
 __all__ = [
     "TokenNode",
+    "NodeViews",
     "LAGraph",
     "TokenizationError",
     "LatticeFormatError",
@@ -57,34 +60,67 @@ class LatticeFormatError(FenceError):
 
 
 class TokenNode(namedtuple("TokenNode", "id symbol_id start end lexeme")):
-    """One match of one token definition over ``[start, end)``.
+    """A view of one token: one match of one token definition over ``[start, end)``.
 
-    A token stores its positions and no links: it precedes exactly the
-    tokens that start at its next position (see ``_links``).
+    Its ``lexeme`` is ``input[start:end]``. A token has no links: it precedes
+    exactly the tokens that start at its next position (see ``_links``).
     """
 
     __slots__ = ()
 
 
-class LAGraph(namedtuple("LAGraph", "input nodes starting next_position content_start", defaults=(0,))):
+class NodeViews:
+    """A graph's nodes as a read-only sequence of view records, by id; the ``nodes`` of all three graphs.
+
+    ``column`` is one of the graph's parallel node columns, so its length is
+    the number of nodes, and ``view(i)`` makes node ``i``'s record from the
+    columns. A view is made on each access; a slice gives a list of views.
+    """
+
+    __slots__ = ("_column", "_view")
+
+    def __init__(self, column: list | tuple, view: Callable[[int], tuple]):
+        self._column = column
+        self._view = view
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __getitem__(self, node_id: int | slice):
+        node_id = range(len(self._column))[node_id]  # a negative id counts from the end
+        if isinstance(node_id, range):
+            return list(map(self._view, node_id))
+        return self._view(node_id)
+
+    def __iter__(self):
+        return map(self._view, range(len(self._column)))
+
+
+class LAGraph(namedtuple("LAGraph", "input node_start node_end node_symbol next_position content_start", defaults=(0,))):
     """A token lattice over one input string, pruned by ``prune_la_graph``.
 
-    ``next_position`` maps each token end offset to the offset where the next
-    token may start (after skip consumption); ``content_start`` is that offset
-    for the beginning of the input. ``starting`` lists the nodes that start
-    there: the nodes with no predecessor. ``nodes[i].id`` is ``i``, and
-    tokens are numbered by (start, end, symbol id), so the tokens that start
-    at one offset have consecutive ids; ``build_ela_graph`` checks the order.
+    Token ``i`` is ``node_symbol[i]`` over ``[node_start[i], node_end[i])``,
+    in tuple columns that ``nodes`` views as :class:`TokenNode` records.
+    Tokens are numbered by (start, end, symbol id); ``build_ela_graph``
+    checks the order. ``next_position`` maps each token end offset to the
+    offset where the next token may start (after skip consumption), and
+    ``starting`` lists the tokens that start at ``content_start``, that
+    offset for the beginning of the input: the tokens with no predecessor.
     """
 
     __slots__ = ()
 
-    def is_final(self, node: TokenNode) -> bool:
-        return self.next_position[node.end] == len(self.input)
+    @property
+    def nodes(self) -> NodeViews:
+        return NodeViews(self.node_start, self._view)
+
+    def _view(self, token_id: int) -> TokenNode:
+        start, end = self.node_start[token_id], self.node_end[token_id]
+        return TokenNode(token_id, self.node_symbol[token_id], start, end, self.input[start:end])
 
     @property
-    def final_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes if self.is_final(n))
+    def starting(self) -> tuple[int, ...]:
+        return tuple([i for i, start in enumerate(self.node_start) if start == self.content_start])
 
 
 def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
@@ -95,30 +131,23 @@ def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
     return pos
 
 
-def _lattice(
-    text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int
-) -> LAGraph:
+def _lattice(text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int) -> LAGraph:
     """The lattice of tokens over ``spans`` (start, end, symbol id), numbered in list order."""
-    make = tuple.__new__  # TokenNode's own constructor adds a Python call per token
-    nodes = tuple(
-        [make(TokenNode, (i, sym, s, e, text[s:e])) for i, (s, e, sym) in enumerate(spans)]
-    )
-    starting = tuple([i for i, (s, _e, _sym) in enumerate(spans) if s == content_start])
-    return LAGraph(text, nodes, starting, next_position, content_start)
+    starts, ends, symbols = tuple(zip(*spans)) or ((), (), ())
+    return LAGraph(text, starts, ends, symbols, next_position, content_start)
 
 
-def _links(
-    nodes: tuple[TokenNode, ...], next_position: dict[int, int]
-) -> list[tuple[list[int], list[int]]]:
+def _links(graph: LAGraph) -> list[tuple[list[int], list[int]]]:
     """Each token's (preceding, following) ids, derived per offset from the
     tokens starting there and the tokens whose next position it is. Tokens
     share these lists, so callers copy them rather than change them."""
     starting_at: dict[int, list[int]] = {}
     ending_at: dict[int, list[int]] = {}
-    for t in nodes:
-        starting_at.setdefault(t.start, []).append(t.id)
-        ending_at.setdefault(next_position[t.end], []).append(t.id)
-    return [(ending_at.get(t.start, []), starting_at.get(next_position[t.end], [])) for t in nodes]
+    steps = list(zip(graph.node_start, map(graph.next_position.__getitem__, graph.node_end)))
+    for i, (start, nxt) in enumerate(steps):
+        starting_at.setdefault(start, []).append(i)
+        ending_at.setdefault(nxt, []).append(i)
+    return [(ending_at.get(start, []), starting_at.get(nxt, [])) for start, nxt in steps]
 
 
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
@@ -134,7 +163,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     n = len(text)
     start_pos = _skip_from(grammar, text, 0)
     if start_pos == n:
-        return LAGraph(text, (), (), {}, start_pos)
+        return LAGraph(text, (), (), (), {}, start_pos)
 
     skip = grammar.skip_re.match if grammar.skip_re is not None else None
     matchers = [(td.regex.match, td.symbol.id) for td in grammar.token_defs]
@@ -185,7 +214,7 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    links = _links(graph.nodes, graph.next_position)
+    links = _links(graph)
     out: list[tuple[int, ...]] = []
     path: list[int] = []
     # stack[k] yields the candidates for path position k
@@ -245,10 +274,10 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
 
     ``load_la_graph`` builds an unpruned lattice and passes it here, and
     ``tokenize`` prunes its spans with the same ``_prune_spans`` before it
-    builds tokens. A lattice that loses no token is returned as it is, since
-    renumbering would be the identity.
+    builds the lattice. A lattice that loses no token is returned as it is,
+    since renumbering would be the identity.
     """
-    spans = [(t.start, t.end, t.symbol_id) for t in graph.nodes]
+    spans = list(zip(graph.node_start, graph.node_end, graph.node_symbol))
     kept, next_position = _prune_spans(spans, graph.next_position, graph.content_start, len(graph.input))
     if len(kept) == len(spans):
         return graph
@@ -257,7 +286,6 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
 
 def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
     """Loss-free structured document for a lattice (see ``load_la_graph``)."""
-    links = _links(graph.nodes, graph.next_position)
     return {
         "input": graph.input,
         "nodes": [
@@ -269,7 +297,7 @@ def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
                 "preceding": list(preceding),
                 "following": list(following),
             }
-            for t, (preceding, following) in zip(graph.nodes, links)
+            for t, (preceding, following) in zip(graph.nodes, _links(graph))
         ],
         "starting": sorted(graph.starting),
     }
@@ -322,9 +350,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
             raise LatticeFormatError(f"symbol {name!r} is not a token of this grammar")
         start, end = entry["start"], entry["end"]
         if not (0 <= start < end <= len(text)):
-            raise LatticeFormatError(
-                f"token {entry['id']} has an invalid span [{start}, {end})"
-            )
+            raise LatticeFormatError(f"token {entry['id']} has an invalid span [{start}, {end})")
         for ref in (*entry["preceding"], *entry["following"]):
             if ref not in seen_ids:
                 raise LatticeFormatError(f"token {entry['id']} links to unknown node {ref}")
@@ -355,31 +381,27 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     next_position = {end: _skip_from(grammar, text, end) for _start, end, _sym in spans}
     content_start = _skip_from(grammar, text, 0)
     graph = _lattice(text, spans, next_position, content_start)
-    positional = _links(graph.nodes, next_position)
-    for t, (preceding, following), expected in zip(graph.nodes, links, positional):
+    positional = _links(graph)
+    for i, ((start, end, _sym), (preceding, following), expected) in enumerate(zip(spans, links, positional)):
         if following != expected[1]:
             raise LatticeFormatError(
-                f"node {t.id} must be followed by exactly the tokens starting at "
-                f"offset {next_position[t.end]}, {expected[1]}, not {following}"
+                f"node {i} must be followed by exactly the tokens starting at "
+                f"offset {next_position[end]}, {expected[1]}, not {following}"
             )
         if preceding != expected[0]:
             raise LatticeFormatError(
-                f"node {t.id} must be preceded by exactly the tokens whose next "
-                f"position is offset {t.start}, {expected[0]}, not {preceding}"
+                f"node {i} must be preceded by exactly the tokens whose next "
+                f"position is offset {start}, {expected[0]}, not {preceding}"
             )
 
     declared = tuple(sorted(remap[i] for i in starting))
     derived = tuple(i for i, (preceding, _following) in enumerate(positional) if not preceding)
     if declared != derived:
-        raise LatticeFormatError(
-            "declared starting nodes do not match the nodes with no predecessor"
-        )
+        raise LatticeFormatError("declared starting nodes do not match the nodes with no predecessor")
     for i in derived:
-        if graph.nodes[i].start != content_start:
-            raise LatticeFormatError(
-                f"starting node {i} does not start at the beginning of the input"
-            )
+        if graph.node_start[i] != content_start:
+            raise LatticeFormatError(f"starting node {i} does not start at the beginning of the input")
     graph = prune_la_graph(graph)  # its ``starting`` is ``derived``, as checked
-    if not graph.nodes and content_start < len(text):
+    if not graph.node_start and content_start < len(text):
         raise LatticeFormatError(f"no token path spans the input from offset {content_start}")
     return graph

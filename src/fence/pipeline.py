@@ -74,7 +74,7 @@ def parse_text(
         outcome.failure = "lexical"
         outcome.furthest = exc.furthest
         return outcome
-    if not outcome.la.nodes:
+    if not outcome.la.node_start:
         if grammar.start.id in grammar.epsilon_ids:
             outcome.egraph = epsilon_forest(grammar, outcome.la.content_start, text)
         else:
@@ -85,7 +85,7 @@ def parse_text(
     outcome.egraph = expand_forest(grammar, outcome.chart, enforce_constraints)
     if not outcome.egraph.roots:
         outcome.failure = "parse"
-        outcome.furthest = max(t.end for t in outcome.la.nodes)
+        outcome.furthest = max(outcome.la.node_end)
     return outcome
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from fence.chart import run_chart
 from fence.elagraph import build_ela_graph, ela_document
+from fence.enforce import expand_forest
 from fence.lexgraph import LAGraph, enumerate_token_paths, tokenize
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
 
@@ -19,7 +21,8 @@ def test_running_example_core_placement():
     # the starting core precedes exactly the former starting tokens
     assert list(ela.cores[ela.starting_core].following) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
-    assert sorted(ela.cores[ela.last_core].preceding) == sorted(la.final_ids)
+    final_ids = [t.id for t in la.nodes if la.next_position[t.end] == len(la.input)]
+    assert sorted(ela.cores[ela.last_core].preceding) == final_ids
 
 
 def test_single_token_graph_has_two_cores():
@@ -120,6 +123,11 @@ def test_token_nodes_are_views_of_the_lattice_tokens():
     assert ela.nodes[-1] == ela.nodes[len(la.nodes) - 1]
     with pytest.raises(IndexError):
         ela.nodes[len(la.nodes)]
+    # the chart appends to the extended graph's lists, never to the lattice's columns
+    expand_forest(g, run_chart(g, ela))
+    assert len(ela.nodes) > len(la.nodes) == 12
+    for column in (la.node_start, la.node_end, la.node_symbol):
+        assert type(column) is tuple and len(column) == 12
 
 
 def test_each_core_holds_the_id_range_of_the_tokens_starting_there():
@@ -137,9 +145,9 @@ def test_a_lattice_out_of_offset_order_is_rejected():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, "5.2")
     assert [(t.start, t.end) for t in la.nodes] == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    swapped = (la.nodes[2]._replace(id=0), la.nodes[0]._replace(id=1), la.nodes[1], la.nodes[3])
-    for nodes in (swapped, (la.nodes[1]._replace(id=0), la.nodes[0]._replace(id=1)) + la.nodes[2:]):
-        bad = LAGraph(la.input, nodes, la.starting, la.next_position, la.content_start)
+    for order in ((2, 0, 1, 3), (1, 0, 2, 3)):
+        columns = [tuple(column[i] for i in order) for column in (la.node_start, la.node_end, la.node_symbol)]
+        bad = LAGraph(la.input, *columns, la.next_position, la.content_start)
         with pytest.raises(ValueError, match="start, end, symbol"):
             build_ela_graph(bad)
 

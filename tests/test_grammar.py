@@ -416,6 +416,28 @@ def test_patterns_the_text_format_cannot_write_are_rejected():
     assert parse_grammar_text(grammar_to_text(g)).signature() == g.signature()
 
 
+def test_a_prefer_reference_without_a_label_that_the_text_format_cannot_write_is_rejected():
+    a, s = Symbol(0, "a", TERMINAL), Symbol(1, "S", NONTERMINAL)
+    tokens = [TokenDef(a, "a", re.compile("a"))]
+    productions = [Production(0, s, (a,)), Production(1, s, (a, a))]
+    g = Grammar(tokens, productions, s, constraints=ConstraintSet(selection=((0, 1),)))
+    with pytest.raises(GrammarError, match=re.escape("production 0 (S ::= a) needs a [label]")):
+        grammar_to_text(g)
+    labelled = [productions[0]._replace(label="one"), productions[1]._replace(label="two")]
+    g = Grammar(tokens, labelled, s, constraints=ConstraintSet(selection=((0, 1),)))
+    assert parse_grammar_text(grammar_to_text(g)).signature() == g.signature()
+
+
+def test_a_constructed_pattern_that_the_text_format_cannot_write_is_rejected():
+    a, s = Symbol(0, "a", TERMINAL), Symbol(1, "S", NONTERMINAL)
+    g = Grammar([TokenDef(a, "a/b", re.compile("a/b"))], [Production(0, s, (a,))], s)
+    with pytest.raises(GrammarError, match="pattern of token 'a'"):
+        grammar_to_text(g)
+    g = Grammar([TokenDef(a, "a", re.compile("a"))], [Production(0, s, (a,))], s, skip_pattern="/")
+    with pytest.raises(GrammarError, match="pattern of %skip"):
+        grammar_to_text(g)
+
+
 def test_production_ids_stable_under_reparse():
     g1 = parse_grammar_text(AMBIG_NUMBERS)
     g2 = parse_grammar_text(AMBIG_NUMBERS)

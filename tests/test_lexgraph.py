@@ -1,7 +1,9 @@
 """All-matches lexer, lattice pruning, path enumeration, serialization."""
 
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 import randsuite
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 from fence.lexgraph import (
     LAGraph,
     LatticeFormatError,
-    TokenNode,
     TokenizationError,
     enumerate_token_paths,
     load_la_graph,
@@ -21,7 +22,7 @@ from fence.lexgraph import (
 )
 from fence.elagraph import build_ela_graph
 from fence.pipeline import parse_text
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, UNIT_LIST, grammar
 
 
 def path_names(g, la, paths):
@@ -95,7 +96,7 @@ def test_tokenization_failure_reports_furthest_offset():
 def test_whitespace_only_input_yields_empty_graph():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, "   ")
-    assert la.nodes == () and la.starting == ()
+    assert len(la.nodes) == 0 and la.starting == ()
     assert la.content_start == 3
 
 
@@ -249,7 +250,7 @@ def test_load_rejects_a_document_with_no_full_path():
             load_la_graph(doc, g)
         assert "no token path" in str(err.value)
     blank = load_la_graph({"input": "  ", "nodes": []}, g)
-    assert blank.nodes == () and blank.content_start == 2
+    assert len(blank.nodes) == 0 and blank.content_start == 2
 
 
 def _after_skip(g, text, pos):
@@ -368,9 +369,8 @@ def _unpruned_lattice(g, text):
                 todo.append(_after_skip(g, text, m.end()))
     spans = sorted(spans)
     nxt = {e: _after_skip(g, text, e) for _s, e, _sym in spans}
-    nodes = tuple(TokenNode(i, sym, s, e, text[s:e]) for i, (s, e, sym) in enumerate(spans))
-    starting = tuple(i for i, (s, _e, _sym) in enumerate(spans) if s == start)
-    return LAGraph(text, nodes, starting, nxt, start)
+    starts, ends, symbols = tuple(zip(*spans)) or ((), (), ())
+    return LAGraph(text, starts, ends, symbols, nxt, start)
 
 
 def _assert_positional(g, la):
@@ -393,7 +393,7 @@ def test_pruning_keeps_exactly_the_tokens_on_full_paths():
             raw = _unpruned_lattice(g, text)
             paths = enumerate_token_paths(raw, 10**5) if raw.nodes else []
             assert len(paths) < 10**5
-            full = [p for p in paths if raw.is_final(raw.nodes[p[-1]])]
+            full = [p for p in paths if raw.next_position[raw.node_end[p[-1]]] == len(text)]
             on_a_path = {(t.start, t.end, t.symbol_id) for p in full for t in map(raw.nodes.__getitem__, p)}
             pruned = prune_la_graph(raw)
             assert {(t.start, t.end, t.symbol_id) for t in pruned.nodes} == on_a_path, (seed, text)
@@ -483,3 +483,30 @@ def test_load_rejects_a_malformed_document_with_a_format_error(change, message):
     with pytest.raises(LatticeFormatError) as err:
         load_la_graph(change(_two_token_doc()), g)
     assert message in str(err.value)
+
+
+def _lattice_bytes(g, text):
+    """``tracemalloc`` bytes that the lattice of ``text`` keeps, and its token count."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        la = tokenize(g, text)
+        return tracemalloc.get_traced_memory()[0] - base, len(la.nodes)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_lattice_keeps_few_bytes_per_token():
+    # each unit forks the lattice (a Real or Integer Point Integer); three
+    # token columns cost about 121 bytes a token, the next-position map
+    # included, and the bound lies halfway to the 243 bytes that one stored
+    # TokenNode record and lexeme per token cost
+    g = grammar(UNIT_LIST)
+    unit = "&12.5& /-3.25/ "
+    (small, small_tokens), (large, large_tokens) = _lattice_bytes(g, unit * 160), _lattice_bytes(g, unit * 320)
+    per_token = (large - small) / (large_tokens - small_tokens)
+    assert per_token < 182, per_token

@@ -39,9 +39,10 @@ RECORDS = {
     "OracleBounds": (lambda: OracleBounds(max_work=10), True),
     "ConstraintSet": (lambda: ConstraintSet(selection=((1, 0),)), False),
     "LAGraph": (
-        lambda: LAGraph(input="a", nodes=(TokenNode(0, 0, 0, 1, "a"),), starting=(0,), next_position={1: 1}),
+        lambda: LAGraph(input="a", node_start=(0,), node_end=(1,), node_symbol=(0,), next_position={1: 1}),
         False,
     ),
+    "TokenNode": (lambda: TokenNode(id=0, symbol_id=0, start=0, end=1, lexeme="a"), True),
     "TreeCount": (lambda: TreeCount(total=2, per_root={0: 2}, saturated=False), False),
     "ImplicitNode": (lambda: ImplicitNode(id=3, start=0, end=1, symbol_id=2, productions=(0, 4)), True),
     "ForestNode": (
@@ -72,7 +73,7 @@ def test_records_take_their_defaults_when_built_by_keyword():
     s = Symbol(0, "S", NONTERMINAL)
     assert Production(id=0, lhs=s, rhs=()).label is None
     assert ConstraintIssue(kind="cycle", message="m").productions == ()
-    la = LAGraph(input="", nodes=(), starting=(), next_position={})
+    la = LAGraph(input="", node_start=(), node_end=(), node_symbol=(), next_position={})
     assert la.content_start == 0
     cs = ConstraintSet(selection=((1, 0),))
     assert (dict(cs.associativity), cs.selection, cs.composition, dict(cs.custom)) == ({}, ((1, 0),), (), {})
