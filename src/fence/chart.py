@@ -378,13 +378,10 @@ class ChartParser:
             else:
                 self.add_handle(item, origin, next_core[end], end)
         ela.agenda_pops += pops
-        # The start symbol is a nonterminal, so a root is found by its key.
-        s0 = ela.core_position[ela.starting_core] * stride
-        start_sym = self.grammar.start.id
-        n_symbols = self._n_symbols
-        roots = (ela.node_ids.get((s0 + e) * n_symbols + start_sym) for e, c in next_core.items()
-                 if c == ela.last_core)
-        ela.starting = tuple(sorted(r for r in roots if r is not None))
+        # The start symbol is a nonterminal, so its nodes at the starting core are listed by symbol.
+        last = ela.last_core
+        roots = self._following.get(self.grammar.start.id * self._n_cores + ela.starting_core, ())
+        ela.starting = tuple(sorted([r for r in roots if next_core[node_end[r]] == last]))
         ela.handle_count = len(ela.handles)
         ela.filtered = self._filtered
         return ela

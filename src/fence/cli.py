@@ -101,10 +101,10 @@ def run_pipeline(args: argparse.Namespace) -> int:
 
     if args.dump_la and outcome.la is not None:
         _emit(serialize_la_graph(outcome.la, grammar))
-    if args.dump_ela and outcome.ela is not None:
-        _emit(ela_document(outcome.ela, grammar))
-    if args.dump_ig and outcome.igraph is not None:
-        _emit(igraph_document(outcome.igraph, grammar))
+    if args.dump_ela and outcome.chart is not None:
+        _emit(ela_document(outcome.chart, grammar))
+    if args.dump_ig and outcome.chart is not None:
+        _emit(igraph_document(outcome.chart, grammar))
 
     if not outcome.accepted:
         if args.count:

@@ -19,9 +19,13 @@ gives read-only :class:`ImplicitNode` views of the lists, as the lattice's
 
 Cores are kept the same way, in lists indexed by core id: ``core_position``,
 the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
-before each core. What the chart stores at a core lives in four containers
-for the whole graph, whose members or keys are ints that hold the core id:
-``handles``, ``waiting``, ``predicted`` and ``following_by_sym`` (see
+before each core. Offsets find cores through two lists indexed by input
+offset, ``core_at`` and ``next_core``, with None at an offset that has no
+core or ends no token; they take 16 bytes per input offset, so an input of
+a few long tokens pays for its length rather than for its tokens. What
+the chart stores at a core lives in four containers for the whole graph,
+whose members or keys are ints that hold the core id: ``handles``,
+``waiting``, ``predicted`` and ``following_by_sym`` (see
 :class:`ELAGraph`). A core the chart never reaches thus costs its list
 entries and its ``preceding`` list, and a core it reaches allocates no set
 or dict of its own. ``ELAGraph.cores`` gives read-only :class:`CoreView`
@@ -83,10 +87,14 @@ class ImplicitNode(namedtuple("ImplicitNode", "id start end symbol_id production
 class ELAGraph:
     """Cores and parse nodes over one lattice; the chart fills it in place.
 
-    ``core_at`` maps a token start offset to its core and ``next_core`` maps
-    a token end offset to the core after it; every node starts where a token
-    starts and ends where one ends, so both serve all nodes. The node and
-    core lists are described in the module docstring. ``stride`` is the
+    ``core_at`` and ``next_core`` are lists indexed by input offset, each
+    ``len(input) + 1`` long: ``core_at[p]`` is the core at offset ``p``, a
+    token start or the input's end, and ``next_core[p]`` is the core after a
+    token that ends at ``p``. Every node starts where a token starts and
+    ends where one ends, so both serve all nodes. Every other offset holds
+    None, so a lookup there fails instead of reading a core. The two lists
+    cost 16 bytes per input offset, whatever the number of tokens. The node
+    and core lists are described in the module docstring. ``stride`` is the
     input's length plus one, the number of offsets a handle's origin can
     take, so that a handle is one int (see the chart module), and
     ``n_cores`` is the number of cores.
@@ -125,7 +133,7 @@ class ELAGraph:
 
     def __init__(self, input: str, core_position: list[int], core_tokens: list[int], core_preceding: list[list[int]],
                  node_start: list[int], node_end: list[int], node_symbol: list[int],
-                 node_productions: list[tuple[int, ...]], core_at: dict[int, int], next_core: dict[int, int],
+                 node_productions: list[tuple[int, ...]], core_at: list[int | None], next_core: list[int | None],
                  starting_core: int = 0, last_core: int = 0):
         self.input = input
         self.stride = len(input) + 1
@@ -196,12 +204,16 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
     # The ids where a new start offset begins; the last core, at the input's end, starts no token
     core_tokens = [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, None)))]
     positions = [starts[i] for i in core_tokens]
-    last = len(positions)
-    core_at = dict(zip(positions, range(last)))
     positions.append(end)
     core_tokens += (n, n)
+    last = len(positions) - 1
 
-    next_core = {e: last if nxt == end else core_at[nxt] for e, nxt in la.next_position.items()}
+    core_at: list[int | None] = [None] * (end + 1)
+    for core, position in enumerate(positions):
+        core_at[position] = core
+    next_core: list[int | None] = [None] * (end + 1)
+    for e, nxt in la.next_position.items():
+        next_core[e] = core_at[nxt]
     preceding: list[list[int]] = [[] for _ in positions]
     for i, e in enumerate(ends):
         preceding[next_core[e]].append(i)

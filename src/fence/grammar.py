@@ -915,11 +915,17 @@ def grammar_to_text(grammar: Grammar) -> str:
     """Serialize a grammar back to the text format (lossless round-trip).
 
     Raises :class:`GrammarError` when the text could not be read back: a
-    token or ``%skip`` pattern holds an unescaped ``/`` or a line break, or a
-    ``%prefer`` declaration names an unlabelled production whose left-hand
-    side names others too. A grammar built by ``parse_grammar_text`` or
-    ``make_grammar`` is always writable.
+    token name, nonterminal name or production label is not a name of the
+    text format, a token or ``%skip`` pattern holds an unescaped ``/`` or a
+    line break, or a ``%prefer`` declaration names an unlabelled production
+    whose left-hand side names others too. A grammar built by
+    ``parse_grammar_text`` or ``make_grammar`` is always writable.
     """
+    for sym in grammar.symbols.values():
+        _check_name(sym.name, "token name" if sym.is_terminal else "nonterminal name")
+    for p in grammar.productions:
+        if p.label is not None:
+            _check_name(p.label, "production label")
     lines = []
     for td in grammar.token_defs:
         _check_writable(td.pattern, f"token {td.symbol.name!r}", None)

@@ -2,10 +2,12 @@
 
 Instead of committing to one tokenization, the lexer records every token any
 definition can match at every reachable offset. Paths through the resulting
-graph are the candidate tokenizations of the input. ``_prune_spans`` is the
-one place where branches that cannot reach the end of the input are dropped,
-for lexed and loaded lattices alike: ``tokenize`` prunes its spans before it
-builds any token, and ``prune_la_graph`` prunes a built lattice's.
+graph are the candidate tokenizations of the input. ``_prune_columns`` is
+the one place where branches that cannot reach the end of the input are
+dropped, for lexed and loaded lattices alike: ``tokenize`` appends every
+match straight into three column lists (start, end and symbol id), with no
+record per match, and prunes them before it builds the lattice, and
+``prune_la_graph`` prunes a built lattice's columns.
 
 Links are positional, as in the lexical analysis graph of the Lamb lexer
 (Quesada, Berzal and Cortijo, "Lamb: a lexical analyzer with ambiguity
@@ -27,8 +29,9 @@ zero-width and the skip pattern is consumed only between tokens.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
-from operator import itemgetter
+from collections.abc import Callable, Sequence
+from itertools import compress, islice
+from operator import itemgetter, le
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -131,12 +134,6 @@ def _skip_from(grammar: Grammar, text: str, pos: int) -> int:
     return pos
 
 
-def _lattice(text: str, spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int) -> LAGraph:
-    """The lattice of tokens over ``spans`` (start, end, symbol id), numbered in list order."""
-    starts, ends, symbols = tuple(zip(*spans)) or ((), (), ())
-    return LAGraph(text, starts, ends, symbols, next_position, content_start)
-
-
 def _links(graph: LAGraph) -> list[tuple[list[int], list[int]]]:
     """Each token's (preceding, following) ids, derived per offset from the
     tokens starting there and the tokens whose next position it is. Tokens
@@ -153,10 +150,12 @@ def _links(graph: LAGraph) -> list[tuple[list[int], list[int]]]:
 def tokenize(grammar: Grammar, text: str) -> LAGraph:
     """Build the lexical analysis graph for ``text``.
 
-    Every match at every offset reachable from the start becomes a span, and
-    the tokens of the result are the spans that ``_prune_spans`` keeps.
-    Offsets are visited in increasing order, so tokens are numbered by start,
-    then end, then symbol id. Raises :class:`TokenizationError` when no token
+    Every match at every offset reachable from the start is appended to
+    three column lists, and the tokens of the result are the matches that
+    ``_prune_columns`` keeps; no match allocates a record of its own.
+    Offsets are visited in increasing order and the matches at one offset
+    are put in (end, symbol id) order, so tokens are numbered by start, then
+    end, then symbol id. Raises :class:`TokenizationError` when no token
     path spans the input, reporting the furthest offset reached. An input
     consisting solely of skip characters (or nothing) yields an empty graph.
     """
@@ -166,15 +165,19 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
         return LAGraph(text, (), (), (), {}, start_pos)
 
     skip = grammar.skip_re.match if grammar.skip_re is not None else None
-    matchers = [(td.regex.match, td.symbol.id) for td in grammar.token_defs]
-    spans: list[tuple[int, int, int]] = []
+    # By symbol id, so a match is out of (end, symbol) order only when it is shorter than an earlier one
+    matchers = sorted([(td.regex.match, td.symbol.id) for td in grammar.token_defs], key=itemgetter(1))
+    starts: list[int] = []
+    ends: list[int] = []
+    symbols: list[int] = []
+    add_start, add_end, add_symbol = starts.append, ends.append, symbols.append
     next_position: dict[int, int] = {}
     reached = bytearray(n + 1)  # reached[p]: some token's next position is p
     pos = furthest = start_pos
     while 0 <= pos < n:
         if pos > furthest:
             furthest = pos
-        here = []
+        last = pos  # the longest match at pos so far; matches are never zero-width
         for match, sym in matchers:
             m = match(text, pos)
             if m is None:
@@ -182,7 +185,17 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
             end = m.end()
             if end == pos:
                 continue
-            here.append((pos, end, sym))
+            add_start(pos)
+            if end < last:  # it goes before the longer matches at pos
+                i = len(ends)
+                while i and starts[i - 1] == pos and ends[i - 1] > end:
+                    i -= 1
+                ends.insert(i, end)
+                symbols.insert(i, sym)
+            else:
+                last = end
+                add_end(end)
+                add_symbol(sym)
             if end not in next_position:
                 if end > furthest:
                     furthest = end
@@ -193,15 +206,12 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
                         nxt = m.end()
                 next_position[end] = nxt
                 reached[nxt] = 1
-        if len(here) > 1:
-            here.sort()
-        spans += here
         pos = reached.find(1, pos + 1)
 
-    spans, next_position = _prune_spans(spans, next_position, start_pos, n)
-    if not spans:
+    graph = LAGraph(text, *_prune_columns(starts, ends, symbols, next_position, start_pos, n), start_pos)
+    if not graph.node_start:
         raise TokenizationError(furthest)
-    return _lattice(text, spans, next_position, start_pos)
+    return graph
 
 
 def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
@@ -238,50 +248,62 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _prune_spans(
-    spans: list[tuple[int, int, int]], next_position: dict[int, int], content_start: int, end: int
-) -> tuple[list[tuple[int, int, int]], dict[int, int]]:
-    """The spans (start, end, symbol id) that lie on a full path, in their given order, and their next positions.
+def _prune_columns(
+    starts: Sequence[int], ends: Sequence[int], symbols: Sequence[int], next_position: dict[int, int],
+    content_start: int, end: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """The columns of the tokens that lie on a full path, in their given order, and their next positions.
 
-    Since links are positional, liveness is decided per offset, in O(spans)
-    rather than O(links): an offset is live when a span starting there ends
-    the input (its next position is ``end``) or steps to a live offset
-    (found right to left), and reachable when it is ``content_start`` or a
-    kept span steps to it (found left to right). A span is kept when its
-    next position is live and its start reachable. Spans may come in any
-    order, as a loaded lattice's do; a lexed list is in start order already,
-    so sorting it is one pass. When no span is dropped, ``next_position`` is
-    returned as it is, and otherwise it is cut to the kept spans' ends.
+    Token ``i`` is ``symbols[i]`` over ``[starts[i], ends[i])``, and every
+    offset lies in ``[0, end]``. Since links are positional, liveness is
+    decided per offset, in O(tokens) rather than O(links), with one flag
+    byte per offset: an offset is live when a token starting there ends the
+    input (its next position is ``end``) or steps to a live offset (found
+    right to left), and reachable when it is ``content_start`` or a kept
+    token steps to it (found left to right). A token is kept when its next
+    position is live and its start reachable. Tokens may come in any order,
+    as a hand-built lattice's do; they are visited by start, which costs no
+    sort when they are in start order already, as lexed and loaded ones are.
+    When no token is dropped, ``next_position`` is returned as it is, and
+    otherwise it is cut to the kept tokens' ends.
     """
-    by_start = sorted(spans, key=itemgetter(0))
-    live = {end}
-    for start, stop, _sym in reversed(by_start):
-        if next_position[stop] in live:
-            live.add(start)
-    reachable = {content_start}
-    for start, stop, _sym in by_start:
-        nxt = next_position[stop]
-        if nxt in live and start in reachable:
-            reachable.add(nxt)
-    kept = [span for span in spans if span[0] in reachable and next_position[span[1]] in live]
-    if len(kept) < len(spans):
-        next_position = {stop: next_position[stop] for _start, stop, _sym in kept}
-    return kept, next_position
+    steps = list(map(next_position.__getitem__, ends))
+    if all(map(le, starts, islice(starts, 1, None))):
+        by_start, steps_by_start = starts, steps
+    else:
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        by_start, steps_by_start = [starts[i] for i in order], [steps[i] for i in order]
+    live = bytearray(end + 1)
+    live[end] = 1
+    for start, nxt in zip(reversed(by_start), reversed(steps_by_start)):
+        if live[nxt]:
+            live[start] = 1
+    reachable = bytearray(end + 1)
+    reachable[content_start] = 1
+    for start, nxt in zip(by_start, steps_by_start):
+        if live[nxt] and reachable[start]:
+            reachable[nxt] = 1
+    keep = [reachable[start] and live[nxt] for start, nxt in zip(starts, steps)]
+    if all(keep):
+        return tuple(starts), tuple(ends), tuple(symbols), next_position
+    ends = tuple(compress(ends, keep))
+    return (tuple(compress(starts, keep)), ends, tuple(compress(symbols, keep)),
+            {stop: next_position[stop] for stop in ends})
 
 
 def prune_la_graph(graph: LAGraph) -> LAGraph:
     """Drop tokens that lie on no full start-to-end path; idempotent.
 
     ``load_la_graph`` builds an unpruned lattice and passes it here, and
-    ``tokenize`` prunes its spans with the same ``_prune_spans`` before it
-    builds the lattice. A lattice that loses no token is returned as it is,
-    since renumbering would be the identity.
+    ``tokenize`` prunes its columns with the same ``_prune_columns`` before
+    it builds the lattice. A lattice that loses no token is returned as it
+    is, since renumbering would be the identity.
     """
-    spans = list(zip(graph.node_start, graph.node_end, graph.node_symbol))
-    kept, next_position = _prune_spans(spans, graph.next_position, graph.content_start, len(graph.input))
-    if len(kept) == len(spans):
+    columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.next_position,
+                             graph.content_start, len(graph.input))
+    if len(columns[0]) == len(graph.node_start):
         return graph
-    return _lattice(graph.input, kept, next_position, graph.content_start)
+    return LAGraph(graph.input, *columns, graph.content_start)
 
 
 def serialize_la_graph(graph: LAGraph, grammar: Grammar) -> dict:
@@ -380,7 +402,7 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
 
     next_position = {end: _skip_from(grammar, text, end) for _start, end, _sym in spans}
     content_start = _skip_from(grammar, text, 0)
-    graph = _lattice(text, spans, next_position, content_start)
+    graph = LAGraph(text, *(tuple(zip(*spans)) or ((), (), ())), next_position, content_start)
     positional = _links(graph)
     for i, ((start, end, _sym), (preceding, following), expected) in enumerate(zip(spans, links, positional)):
         if following != expected[1]:

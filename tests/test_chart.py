@@ -593,10 +593,10 @@ def test_the_graph_keeps_one_set_and_dict_per_store_whatever_its_cores():
         graphs.append(ig)
     small, large = graphs
     assert len(large.cores) > 3 * len(small.cores)
-    # the node keys, the handles, the waits, the predictions, the nonterminal
-    # nodes by symbol, core_at and next_core: none of them grows a set or
-    # dict per core
-    assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1, "dict": 6}
+    # the node keys, the handles, the waits, the predictions and the
+    # nonterminal nodes by symbol: none of them grows a set or dict per
+    # core, and core_at and next_core are lists indexed by offset
+    assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1, "dict": 4}
     # a core holds nothing until the chart reaches it: the Integer and Point
     # tokens inside each slashed number start cores that no handle reaches,
     # since a Real is read there first

@@ -1,11 +1,15 @@
 """Core placement and lattice extension."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from fence.chart import run_chart
 from fence.elagraph import build_ela_graph, ela_document
 from fence.enforce import expand_forest
 from fence.lexgraph import LAGraph, enumerate_token_paths, tokenize
+from fence.pipeline import parse_text
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
 
 
@@ -165,3 +169,50 @@ def test_node_views_take_a_slice():
     assert ela.nodes[-1] == every[-1]
     with pytest.raises(IndexError):
         ela.nodes[len(every)]
+
+
+def test_offsets_find_cores_through_lists_with_none_elsewhere():
+    g = grammar(AMBIG_NUMBERS)
+    la = tokenize(g, AMBIG_INPUT)
+    ela = build_ela_graph(la)
+    n = len(AMBIG_INPUT)
+    assert type(ela.core_at) is list and type(ela.next_core) is list
+    assert len(ela.core_at) == len(ela.next_core) == n + 1
+    positions = [c.position for c in ela.cores]
+    assert [ela.core_at[p] for p in positions] == list(range(len(positions)))
+    assert ela.core_at[n] == ela.last_core
+    assert all(ela.core_at[p] is None for p in range(n + 1) if p not in positions)
+    for p in range(n + 1):
+        if p in la.next_position:
+            assert ela.next_core[p] == ela.core_at[la.next_position[p]]
+        else:
+            # a lookup off a token end fails rather than reading the last core
+            assert ela.next_core[p] is None
+            with pytest.raises(TypeError):
+                ela.core_preceding[ela.next_core[p]]
+
+
+def _parse_peak(g, text):
+    """``tracemalloc`` peak of ``parse_text`` over ``text``, in bytes above its start."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert parse_text(g, text).accepted
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", ["a" * 200_000, "a" + " " * 200_000 + "a"], ids=["long-token", "long-skip-run"])
+def test_a_long_token_or_skip_run_costs_a_few_bytes_per_input_character(text):
+    # core_at and next_core hold one 8-byte slot per input offset each, and
+    # the lexer and pruner one flag byte per offset each; a handful of tokens
+    # cost nothing that grows with their length
+    g = grammar("%token w /[a-z]+/\n%start S\nS ::= w ;\nS ::= w w ;\n")
+    per_char = _parse_peak(g, text) / len(text)
+    assert per_char < 20, per_char

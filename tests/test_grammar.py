@@ -438,6 +438,29 @@ def test_a_constructed_pattern_that_the_text_format_cannot_write_is_rejected():
         grammar_to_text(g)
 
 
+def test_a_constructed_token_name_that_the_text_format_cannot_write_is_rejected():
+    a, s = Symbol(0, "a b", TERMINAL), Symbol(1, "S", NONTERMINAL)
+    g = Grammar([TokenDef(a, "a", re.compile("a"))], [Production(0, s, (a,))], s)
+    with pytest.raises(GrammarError, match=re.escape("bad token name 'a b'")):
+        grammar_to_text(g)
+
+
+def test_a_constructed_nonterminal_name_that_the_text_format_cannot_write_is_rejected():
+    a, s, t = Symbol(0, "a", TERMINAL), Symbol(1, "S", NONTERMINAL), Symbol(2, "T-1", NONTERMINAL)
+    g = Grammar([TokenDef(a, "a", re.compile("a"))], [Production(0, s, (t,)), Production(1, t, (a,))], s)
+    with pytest.raises(GrammarError, match=re.escape("bad nonterminal name 'T-1'")):
+        grammar_to_text(g)
+
+
+def test_a_constructed_production_label_that_the_text_format_cannot_write_is_rejected():
+    a, s = Symbol(0, "a", TERMINAL), Symbol(1, "S", NONTERMINAL)
+    g = Grammar([TokenDef(a, "a", re.compile("a"))], [Production(0, s, (a,), "x y")], s)
+    with pytest.raises(GrammarError, match=re.escape("bad production label 'x y'")):
+        grammar_to_text(g)
+    g = Grammar([TokenDef(a, "a", re.compile("a"))], [Production(0, s, (a,), "x_y")], s)
+    assert parse_grammar_text(grammar_to_text(g)).signature() == g.signature()
+
+
 def test_production_ids_stable_under_reparse():
     g1 = parse_grammar_text(AMBIG_NUMBERS)
     g2 = parse_grammar_text(AMBIG_NUMBERS)

@@ -109,6 +109,19 @@ def test_a_zero_width_match_is_never_a_token():
     assert [(t.start, t.end) for t in outcome.la.nodes] == [(0, 2)]
 
 
+def test_matches_at_one_offset_are_numbered_by_end_then_symbol_whatever_the_definition_order():
+    # each shorter match is put before the longer ones found at its offset
+    # by earlier definitions, and never before a token of an earlier offset
+    g = grammar(
+        "%token ab /ab/\n%token abc /abc/\n%token a /a/\n%token bc /bc/\n%token b /b/\n%token c /c/\n"
+        "%start S\nS ::= a b c ;\n"
+    )
+    la = tokenize(g, "abc")
+    names = [(t.start, t.end, g.symbol_by_id[t.symbol_id].name) for t in la.nodes]
+    assert names == [(0, 1, "a"), (0, 2, "ab"), (0, 3, "abc"), (1, 2, "b"), (1, 3, "bc"), (2, 3, "c")]
+    assert la == prune_la_graph(_unpruned_lattice(g, "abc"))
+
+
 def test_dead_end_branches_are_pruned():
     # "xy" can lex as [xy] or [x, y]; "xz" forces [x] then fails on z unless
     # z exists. With tokens x, xy, y over "xyx": [x y x], [xy x]; the final x
@@ -382,6 +395,19 @@ def _assert_positional(g, la):
         assert entry["preceding"] == [u.id for u in la.nodes if la.next_position[u.end] == t.start]
 
 
+def test_pruning_keeps_the_same_tokens_whatever_their_order():
+    # a lattice built by hand may list its tokens in any order; the pruner
+    # visits them by start and keeps the survivors in the order given
+    g = grammar(DEAD_ENDS)
+    raw = _unpruned_lattice(g, "xyz xy")
+    kept = prune_la_graph(raw)
+    assert 0 < len(kept.nodes) < len(raw.nodes)
+    backwards = prune_la_graph(raw._replace(node_start=raw.node_start[::-1], node_end=raw.node_end[::-1],
+                                            node_symbol=raw.node_symbol[::-1]))
+    assert [tuple(t)[1:] for t in backwards.nodes] == [tuple(t)[1:] for t in kept.nodes][::-1]
+    assert backwards.next_position == kept.next_position
+
+
 def test_pruning_keeps_exactly_the_tokens_on_full_paths():
     checked = pruned_some = 0
     for seed in range(200):
@@ -510,3 +536,12 @@ def test_a_lattice_keeps_few_bytes_per_token():
     (small, small_tokens), (large, large_tokens) = _lattice_bytes(g, unit * 160), _lattice_bytes(g, unit * 320)
     per_token = (large - small) / (large_tokens - small_tokens)
     assert per_token < 182, per_token
+
+
+def test_the_lexer_keeps_no_record_per_match():
+    # at 160 units (1,920 tokens) the lattice keeps about 113 bytes a token;
+    # a (start, end, symbol) tuple per match, which CPython keeps on its free
+    # list once the lexer drops it, added 64 more, and the bound lies halfway
+    g = grammar(UNIT_LIST)
+    kept, tokens = _lattice_bytes(g, "&12.5& /-3.25/ " * 160)
+    assert kept / tokens < 145, kept / tokens
