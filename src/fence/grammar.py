@@ -463,6 +463,11 @@ class Grammar:
         return _resolver(self.productions)
 
     @cached_property
+    def token_matchers(self) -> tuple[tuple[Callable, int], ...]:
+        """Each token definition's ``(regex.match, symbol id)``, by symbol id, for the lexer."""
+        return tuple(sorted([(td.regex.match, td.symbol.id) for td in self.token_defs], key=lambda m: m[1]))
+
+    @cached_property
     def rhs_ids(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(s.id for s in p.rhs) for p in self.productions)
 

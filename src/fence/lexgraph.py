@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from itertools import compress, islice
-from operator import itemgetter, le
+from itertools import compress
+from operator import itemgetter
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -166,7 +166,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
 
     skip = grammar.skip_re.match if grammar.skip_re is not None else None
     # By symbol id, so a match is out of (end, symbol) order only when it is shorter than an earlier one
-    matchers = sorted([(td.regex.match, td.symbol.id) for td in grammar.token_defs], key=itemgetter(1))
+    matchers = grammar.token_matchers
     starts: list[int] = []
     ends: list[int] = []
     symbols: list[int] = []
@@ -262,26 +262,23 @@ def _prune_columns(
     right to left), and reachable when it is ``content_start`` or a kept
     token steps to it (found left to right). A token is kept when its next
     position is live and its start reachable. Tokens may come in any order,
-    as a hand-built lattice's do; they are visited by start, which costs no
-    sort when they are in start order already, as lexed and loaded ones are.
-    When no token is dropped, ``next_position`` is returned as it is, and
-    otherwise it is cut to the kept tokens' ends.
+    as a hand-built lattice's do; they are visited by start, a sort that
+    takes one pass when they are in start order already, as lexed and loaded
+    ones are. When no token is dropped, ``next_position`` is returned as it
+    is, and otherwise it is cut to the kept tokens' ends.
     """
     steps = list(map(next_position.__getitem__, ends))
-    if all(map(le, starts, islice(starts, 1, None))):
-        by_start, steps_by_start = starts, steps
-    else:
-        order = sorted(range(len(starts)), key=starts.__getitem__)
-        by_start, steps_by_start = [starts[i] for i in order], [steps[i] for i in order]
+    order = sorted(range(len(starts)), key=starts.__getitem__)
     live = bytearray(end + 1)
     live[end] = 1
-    for start, nxt in zip(reversed(by_start), reversed(steps_by_start)):
-        if live[nxt]:
-            live[start] = 1
+    for i in reversed(order):
+        if live[steps[i]]:
+            live[starts[i]] = 1
     reachable = bytearray(end + 1)
     reachable[content_start] = 1
-    for start, nxt in zip(by_start, steps_by_start):
-        if live[nxt] and reachable[start]:
+    for i in order:
+        nxt = steps[i]
+        if live[nxt] and reachable[starts[i]]:
             reachable[nxt] = 1
     keep = [reachable[start] and live[nxt] for start, nxt in zip(starts, steps)]
     if all(keep):
@@ -297,10 +294,16 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
     ``load_la_graph`` builds an unpruned lattice and passes it here, and
     ``tokenize`` prunes its columns with the same ``_prune_columns`` before
     it builds the lattice. A lattice that loses no token is returned as it
-    is, since renumbering would be the identity.
+    is, since renumbering would be the identity. Raises ``ValueError`` when
+    a token's start or end, a next position or ``content_start`` lies
+    outside ``[0, len(graph.input)]``, as only a hand-built lattice's can.
     """
+    n = len(graph.input)
+    for offsets in (graph.node_start, graph.node_end, graph.next_position.values(), (graph.content_start,)):
+        if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
+            raise ValueError(f"a lattice offset lies outside [0, {n}]")
     columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.next_position,
-                             graph.content_start, len(graph.input))
+                             graph.content_start, n)
     if len(columns[0]) == len(graph.node_start):
         return graph
     return LAGraph(graph.input, *columns, graph.content_start)

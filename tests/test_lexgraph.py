@@ -21,6 +21,7 @@ from fence.lexgraph import (
     tokenize,
 )
 from fence.elagraph import build_ela_graph
+from fence.grammar import Grammar
 from fence.pipeline import parse_text
 from helpers import AMBIG_INPUT, AMBIG_NUMBERS, UNIT_LIST, grammar
 
@@ -120,6 +121,18 @@ def test_matches_at_one_offset_are_numbered_by_end_then_symbol_whatever_the_defi
     names = [(t.start, t.end, g.symbol_by_id[t.symbol_id].name) for t in la.nodes]
     assert names == [(0, 1, "a"), (0, 2, "ab"), (0, 3, "abc"), (1, 2, "b"), (1, 3, "bc"), (2, 3, "c")]
     assert la == prune_la_graph(_unpruned_lattice(g, "abc"))
+
+
+def test_matches_are_ordered_whatever_the_order_of_a_built_grammars_definitions():
+    # a grammar built by the constructor may list its definitions in any
+    # order; the lexer tries them by symbol id all the same
+    g = grammar(
+        "%token ab /ab/\n%token abc /abc/\n%token a /a/\n%token bc /bc/\n%token b /b/\n%token c /c/\n"
+        "%token d /abc/\n%start S\nS ::= a b c ;\n"
+    )
+    backwards = Grammar(g.token_defs[::-1], g.productions, g.start, None, g.skip_pattern)
+    assert [m[1] for m in backwards.token_matchers] == sorted(td.symbol.id for td in g.token_defs)
+    assert tokenize(backwards, "abc") == tokenize(g, "abc")
 
 
 def test_dead_end_branches_are_pruned():
@@ -406,6 +419,20 @@ def test_pruning_keeps_the_same_tokens_whatever_their_order():
                                             node_symbol=raw.node_symbol[::-1]))
     assert [tuple(t)[1:] for t in backwards.nodes] == [tuple(t)[1:] for t in kept.nodes][::-1]
     assert backwards.next_position == kept.next_position
+
+
+@pytest.mark.parametrize("change", [
+    {"node_start": (-1,)}, {"node_end": (7,)}, {"next_position": {1: 7}}, {"content_start": 7},
+], ids=["negative-start", "end-past-input", "next-past-input", "content-start-past-input"])
+def test_pruning_rejects_an_offset_outside_the_input(change):
+    # the pruner keeps one flag byte per offset, where a negative offset
+    # would read the flag of the input's end
+    g = grammar("%token w /[a-z]+/\n%start S\nS ::= w ;\n")
+    la = tokenize(g, "abcdef")
+    one = LAGraph("a", (0,), (1,), la.node_symbol, {1: 1})
+    assert prune_la_graph(one) == one
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        prune_la_graph(one._replace(**change))
 
 
 def test_pruning_keeps_exactly_the_tokens_on_full_paths():
