@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, islice
-from operator import le, ne
+from operator import lt, ne
 
 from .grammar import Grammar
 from .lexgraph import LAGraph, NodeViews
@@ -188,16 +188,17 @@ class ELAGraph:
 def build_ela_graph(la: LAGraph) -> ELAGraph:
     """Complete a pruned lattice with cores and copy its token columns into the node lists.
 
-    Raises ``ValueError`` on an empty lattice, and on one whose tokens are not
-    numbered by (start, end, symbol) as ``tokenize`` and ``load_la_graph``
-    number them; a lattice built by hand may be in any order.
+    Raises ``ValueError`` on an empty lattice, on one whose tokens are not
+    numbered by (start, end, symbol), each once, as ``tokenize`` and
+    ``load_la_graph`` number them, and on one where a token end has no next
+    position at a token start or the input's end, or one before it.
     """
     starts, ends, symbols = la.node_start, la.node_end, la.node_symbol
     if not starts:
         raise ValueError("cannot extend an empty lexical analysis graph")
     # Each (start, end, symbol) against the next; zip reuses its tuples, so no token allocates one
-    if not all(map(le, zip(starts, ends, symbols), islice(zip(starts, ends, symbols), 1, None))):
-        raise ValueError("lattice tokens must be numbered by (start, end, symbol)")
+    if not all(map(lt, zip(starts, ends, symbols), islice(zip(starts, ends, symbols), 1, None))):
+        raise ValueError("lattice tokens must be numbered by (start, end, symbol), each triple once")
 
     n = len(starts)
     end = len(la.input)
@@ -213,10 +214,15 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         core_at[position] = core
     next_core: list[int | None] = [None] * (end + 1)
     for e, nxt in la.next_position.items():
+        if not 0 <= e <= nxt <= end:
+            raise ValueError(f"a next position lies before its token end or outside [0, {end}]")
         next_core[e] = core_at[nxt]
     preceding: list[list[int]] = [[] for _ in positions]
-    for i, e in enumerate(ends):
-        preceding[next_core[e]].append(i)
+    try:  # checked here, not in a pass of its own, since every parse builds this graph
+        for i, e in enumerate(ends):
+            preceding[next_core[e]].append(i)
+    except (IndexError, TypeError):  # e lies past the input, or next_core[e] is None
+        raise ValueError("a token end has no next position at a token start or the input's end") from None
 
     return ELAGraph(
         input=la.input,

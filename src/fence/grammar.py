@@ -114,10 +114,12 @@ class ConstraintSet(
     ``associativity`` maps a production id to its direction and ``custom``
     maps one to its evaluator, a callable that takes a :class:`NodeView` and
     returns a bool; both default to read-only empty mappings. ``selection``
-    and ``composition`` hold the declared pairs; their transitive closures
-    live on the owning grammar. A ``selection`` pair (q, p) means q is
-    preferred over p when both derive the same parse node. A ``composition``
-    pair (p, q) means p may not take a direct child derived by q.
+    and ``composition`` hold the declared pairs, which the owning grammar
+    compiles into ``composition_blocks``, ``preferred_over`` (most preferred
+    first) and ``selection_order_by_lhs``. A ``selection`` pair (q, p) means
+    q is preferred over p when both derive the same parse node. A
+    ``composition`` pair (p, q) means p may not take a direct child derived
+    by q.
     """
 
     __slots__ = ()
@@ -195,22 +197,21 @@ def _empty_derivations(productions: Sequence[Production]) -> dict[int, int]:
     return {sym: best[sym][1] for sym in cost}
 
 
-def _closure(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Transitive closure of a relation, by depth-first reachability from each source."""
-    succ: dict[int, set[int]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    closed: set[tuple[int, int]] = set()
-    for a in succ:
-        reached: set[int] = set()
-        stack = [a]
-        while stack:
-            for b in succ.get(stack.pop(), ()):
-                if b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-        closed.update((a, b) for b in reached)
-    return frozenset(closed)
+def _reached(edges: Mapping[int, Iterable[int]], a: int) -> set[int]:
+    """What ``a`` reaches along ``edges``, by depth-first search; ``a`` itself only through a cycle."""
+    reached: set[int] = set()
+    stack = [a]
+    while stack:
+        for b in edges.get(stack.pop(), ()):
+            if b not in reached:
+                reached.add(b)
+                stack.append(b)
+    return reached
+
+
+def _reach(edges: Mapping[int, Iterable[int]]) -> dict[int, frozenset[int]]:
+    """Each source of a relation mapped to every production it reaches."""
+    return {a: frozenset(_reached(edges, a)) for a in edges}
 
 
 def _resolver(productions: Iterable[Production]) -> Callable[..., int]:
@@ -302,13 +303,8 @@ class _Predictions(dict):
         self._productions_by_lhs = productions_by_lhs
 
     def __missing__(self, sym_id: int) -> tuple[tuple[int, ...], frozenset[int]]:
-        reached = {sym_id}
-        stack = [sym_id]
-        while stack:
-            for nxt in self._corners.get(stack.pop(), ()):
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
+        reached = _reached(self._corners, sym_id)
+        reached.add(sym_id)
         productions = sorted(
             p.id for s in reached for p in self._productions_by_lhs.get(s, ()) if p.rhs
         )
@@ -321,9 +317,9 @@ class Grammar:
 
     Use :func:`parse_grammar_text` (or :func:`make_grammar` from code) to build
     one; the constructor expects fully resolved symbols and productions, each
-    production's id its position in the list. It raises
-    :class:`GrammarError` on any inconsistency, constraint errors included,
-    and keeps the constraint warnings in ``constraint_warnings``.
+    production's id its position in the list, and one definition per token.
+    It raises :class:`GrammarError` on any inconsistency, constraint errors
+    included, and keeps the constraint warnings in ``constraint_warnings``.
     """
 
     def __init__(
@@ -346,6 +342,8 @@ class Grammar:
 
         self.symbols: dict[str, Symbol] = {}
         for td in self.token_defs:
+            if td.symbol.name in self.symbols:
+                raise GrammarError(f"duplicate token name {td.symbol.name!r}")
             self._intern(td.symbol)
         for p in self.productions:
             self._intern(p.lhs)
@@ -401,43 +399,32 @@ class Grammar:
         self.epsilon_ids = frozenset(self.epsilon_production)
         self.epsilon_symbols = frozenset(self.symbol_by_id[s] for s in self.epsilon_ids)
 
-        self.constraint_warnings, self.selection_closed, self.composition_closed = _check_constraints(self)
+        self.constraint_warnings, selection, self.composition_blocks = _check_constraints(self)
 
         # Selection only ever compares productions of one symbol, so a pair
-        # across symbols is dropped, but only after closing: a chain through
+        # across symbols is dropped, but only once reached: a chain through
         # another symbol's production still relates the two ends.
-        above: dict[int, list[int]] = {}
-        below: dict[int, list[int]] = {}
-        for q, p in self.selection_closed:
-            if self.productions[q].lhs.id == self.productions[p].lhs.id:
-                above.setdefault(p, []).append(q)
-                below.setdefault(q, []).append(p)
-        blocks: dict[int, set[int]] = {}
-        for p, q in self.composition_closed:
-            blocks.setdefault(p, set()).add(q)
-        self.composition_blocks: dict[int, frozenset[int]] = {
-            p: frozenset(qs) for p, qs in blocks.items()
-        }
-
-        # Rank: the longest chain preferred over p. In the closed acyclic relation each q
-        # preferred over p has fewer productions preferred over it, so q is ranked first.
+        lhs_of = [p.lhs.id for p in self.productions]
+        # Rank: the longest chain preferred over p. A production reaches more than any it
+        # is preferred over, so visiting by falling reach ranks each q before what it reaches.
         rank: dict[int, int] = {}
-        for p, qs in sorted(above.items(), key=lambda item: len(item[1])):
-            rank[p] = 1 + max(rank.get(q, 0) for q in qs)
+        for q in sorted(selection, key=lambda q: -len(selection[q])):
+            r = rank.get(q, 0) + 1
+            for p in selection[q]:
+                if lhs_of[p] == lhs_of[q] and rank.get(p, 0) < r:
+                    rank[p] = r
         self.selection_order_by_lhs: dict[int, tuple[int, ...]] = {
             lhs: tuple(sorted(ids, key=lambda i: (rank.get(i, 0), i)))
             for lhs, ids in self.production_ids_by_lhs.items()
         }
-        # The productions preferred over p, most preferred first as in
-        # selection_order_by_lhs, so a check that stops at the first one
-        # holding a tree seldom looks further.
+        # The productions preferred over p, most preferred first, so a check
+        # that stops at the first one holding a tree seldom looks further.
         preferred: dict[int, list[int]] = {}
-        for order in self.selection_order_by_lhs.values():
-            for q in order:
-                for p in below.get(q, ()):
+        for q in sorted(selection, key=lambda i: (rank.get(i, 0), i)):
+            for p in selection[q]:
+                if lhs_of[p] == lhs_of[q]:
                     preferred.setdefault(p, []).append(q)
         self.preferred_over: dict[int, tuple[int, ...]] = {p: tuple(qs) for p, qs in preferred.items()}
-        self.has_selection = bool(self.constraints.selection)
 
     def _intern(self, sym: Symbol) -> None:
         seen = self.symbols.get(sym.name)
@@ -564,17 +551,17 @@ class Grammar:
         )
 
 
-def _check_constraints(grammar: Grammar) -> tuple[tuple[ConstraintIssue, ...], frozenset, frozenset]:
-    """The constraint warnings, with the closed selection and composition relations.
+def _check_constraints(grammar: Grammar) -> tuple[tuple[ConstraintIssue, ...], dict, dict]:
+    """The constraint warnings, with the selection and composition reach maps.
 
     Raises one :class:`GrammarError` that joins every error: references to
     nonexistent productions, self-precedence, cyclic precedence
     declarations, bad associativity directions. The warnings flag
-    declarations that can never influence a parse. Each relation is closed
-    once, for the cycle check; without errors every declared pair was
-    closed, so the grammar keeps the result.
+    declarations that can never influence a parse. Each relation's
+    :func:`_reach` is computed once, for the cycle check; without errors
+    every declared pair was followed, so the grammar keeps the result.
     """
-    closures = []
+    reaches = []
     errors: list[str] = []
     warnings: list[ConstraintIssue] = []
     cs = grammar.constraints
@@ -618,24 +605,21 @@ def _check_constraints(grammar: Grammar) -> tuple[tuple[ConstraintIssue, ...], f
                 errors.append(f"{kind} precedence declares {ref(a)} over itself")
                 continue
             edges.setdefault(a, set()).add(b)
-        closed = _closure((a, b) for a, bs in edges.items() for b in bs)
-        closures.append(closed)
-        cyclic = sorted({a for a, b in closed if a == b})
+        reaches.append(_reach(edges))
+        cyclic = sorted(a for a, reached in reaches[-1].items() if a in reached)
         if cyclic:
             errors.append(f"cyclic {kind} precedence involving " + ", ".join(ref(p) for p in cyclic))
         if kind == "selection":
-            for a, b in sorted(set(pairs)):
-                if a in valid and b in valid and a != b:
-                    pa, pb = grammar.productions[a], grammar.productions[b]
-                    if pa.lhs.id != pb.lhs.id:
-                        warnings.append(
-                            ConstraintIssue(
-                                "cross-symbol-selection",
-                                f"selection precedence {ref(a)} over {ref(b)} never applies: "
-                                f"the productions derive different symbols",
-                                (a, b),
-                            )
+            for a, b in sorted((a, b) for a, bs in edges.items() for b in bs):
+                if grammar.productions[a].lhs.id != grammar.productions[b].lhs.id:
+                    warnings.append(
+                        ConstraintIssue(
+                            "cross-symbol-selection",
+                            f"selection precedence {ref(a)} over {ref(b)} never applies: "
+                            f"the productions derive different symbols",
+                            (a, b),
                         )
+                    )
 
     for pid in sorted(cs.custom):
         if pid not in valid:
@@ -643,7 +627,7 @@ def _check_constraints(grammar: Grammar) -> tuple[tuple[ConstraintIssue, ...], f
 
     if errors:
         raise GrammarError("; ".join(errors))
-    return tuple(warnings), closures[0], closures[1]
+    return tuple(warnings), reaches[0], reaches[1]
 
 
 # ---------------------------------------------------------------------------

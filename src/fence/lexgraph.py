@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -295,13 +295,17 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
     ``tokenize`` prunes its columns with the same ``_prune_columns`` before
     it builds the lattice. A lattice that loses no token is returned as it
     is, since renumbering would be the identity. Raises ``ValueError`` when
-    a token's start or end, a next position or ``content_start`` lies
-    outside ``[0, len(graph.input)]``, as only a hand-built lattice's can.
+    an offset lies outside ``[0, len(graph.input)]`` or a next position is
+    missing or before its end, as only a hand-built lattice's can.
     """
-    n = len(graph.input)
-    for offsets in (graph.node_start, graph.node_end, graph.next_position.values(), (graph.content_start,)):
+    n, steps = len(graph.input), graph.next_position
+    for offsets in (graph.node_start, graph.node_end, steps.keys(), steps.values(), (graph.content_start,)):
         if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
             raise ValueError(f"a lattice offset lies outside [0, {n}]")
+    if not all(map(steps.__contains__, graph.node_end)):
+        raise ValueError("a token end has no next position")
+    if not all(map(le, steps, steps.values())):
+        raise ValueError("a next position lies before its token end")
     columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.next_position,
                              graph.content_start, n)
     if len(columns[0]) == len(graph.node_start):
@@ -340,7 +344,8 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     whose tokens leave no full path over an input with content is rejected,
     as ``tokenize`` rejects such an input; only a skip-only input loads as
     the empty lattice. Tokens are renumbered by (start, end, symbol) as
-    ``tokenize`` numbers them, whatever ids the document gives them.
+    ``tokenize`` numbers them, whatever ids the document gives them, and two
+    tokens with one (start, end, symbol) are rejected.
     """
     if not isinstance(doc, dict) or "input" not in doc or "nodes" not in doc:
         raise LatticeFormatError("document must be an object with 'input' and 'nodes'")
@@ -384,6 +389,9 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
     keyed.sort(key=itemgetter(0))
     remap = {entry["id"]: new for new, (_span, entry) in enumerate(keyed)}
     spans = [span for span, _entry in keyed]
+    twice = next((span for span, after in zip(spans, spans[1:]) if span == after), None)
+    if twice:
+        raise LatticeFormatError(f"two tokens share start, end and symbol id {twice}")
     links = [  # (preceding, following)
         (sorted(remap[p] for p in entry["preceding"]), sorted(remap[f] for f in entry["following"]))
         for _span, entry in keyed

@@ -344,7 +344,7 @@ def oracle_filter(
     trees = frozenset(trees)
     if grammar.constraints.empty:
         return trees
-    if not grammar.has_selection:
+    if not grammar.constraints.selection:
         text = la.input if la is not None else ""
         return frozenset(t for t in trees if _tree_passes_local(grammar, t, text))
     if la is None:

@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 import randsuite
@@ -20,7 +21,7 @@ from fence.grammar import (
     Symbol,
     TERMINAL,
     TokenDef,
-    _closure,
+    _reach,
     compute_epsilon_symbols,
     grammar_to_text,
     make_grammar,
@@ -241,21 +242,21 @@ def test_each_precedence_relation_is_closed_once(monkeypatch):
     import fence.grammar
 
     calls = []
-    closure = fence.grammar._closure
+    reach = fence.grammar._reach
 
-    def counted(pairs):
+    def counted(edges):
         calls.append(1)
-        return closure(pairs)
+        return reach(edges)
 
-    monkeypatch.setattr(fence.grammar, "_closure", counted)
+    monkeypatch.setattr(fence.grammar, "_reach", counted)
     g = parse_grammar_text(
         "%token a /a/\n%start S\n[p] S ::= a ;\n[q] S ::= a a ;\n[r] S ::= a a a ;\n"
         "%prefer select p over q ;\n%prefer select q over r ;\n%prefer compose p over r ;\n"
     )
     assert len(calls) == 2
     p, q, r = (g.by_label[x].id for x in "pqr")
-    assert g.selection_closed == {(p, q), (q, r), (p, r)}
-    assert g.composition_closed == {(p, r)}
+    assert g.preferred_over == {q: (p,), r: (p, q)}
+    assert g.composition_blocks == {p: {r}}
 
 
 def test_empty_constraint_set_is_ok():
@@ -322,8 +323,8 @@ def test_long_precedence_chain_closes_fast(kind):
     t0 = time.perf_counter()
     g = parse_grammar_text(_prefer_chain(kind, 300))
     seconds = time.perf_counter() - t0
-    closed = g.selection_closed if kind == "select" else g.composition_closed
-    assert len(closed) == 300 * 299 // 2 == 44_850
+    closed = g.preferred_over if kind == "select" else g.composition_blocks
+    assert sum(map(len, closed.values())) == 300 * 299 // 2 == 44_850
     assert seconds < 1.0, seconds
 
 
@@ -336,12 +337,75 @@ def _brute_force_closure(pairs):
         closed |= more
 
 
+def _closed_pair_tables(g):
+    """``composition_blocks``, ``preferred_over`` and ``selection_order_by_lhs``, built from closed pair sets."""
+    lhs = [p.lhs.id for p in g.productions]
+    above = {}
+    for q, p in _brute_force_closure(g.constraints.selection):
+        if lhs[q] == lhs[p]:
+            above.setdefault(p, set()).add(q)
+    rank = {}
+
+    def rank_of(p):  # the longest chain of productions preferred over p
+        if p not in rank:
+            rank[p] = max((1 + rank_of(q) for q in above.get(p, ())), default=0)
+        return rank[p]
+
+    by_rank = lambda p: (rank_of(p), p)  # noqa: E731
+    blocks = {}
+    for p, q in _brute_force_closure(g.constraints.composition):
+        blocks.setdefault(p, set()).add(q)
+    return (
+        {p: frozenset(qs) for p, qs in blocks.items()},
+        {p: tuple(sorted(qs, key=by_rank)) for p, qs in above.items()},
+        {s: tuple(sorted(ids, key=by_rank)) for s, ids in g.production_ids_by_lhs.items()},
+    )
+
+
 def test_closure_equals_brute_force_on_random_relations():
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 7)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
-        assert _closure(pairs) == _brute_force_closure(pairs), pairs
+        edges = {}
+        for a, b in pairs:
+            edges.setdefault(a, set()).add(b)
+        reached = {(a, b) for a, bs in _reach(edges).items() for b in bs}
+        assert reached == _brute_force_closure(pairs), pairs
+    # Random grammars: the pairs run across symbols, and three draws in ten
+    # may close into cycles; the rest follow one order of the productions.
+    built = cyclic = 0
+    for _ in range(1000):
+        names = ["S", "A", "B"][: rng.randint(1, 3)]
+        rules = []
+        for lhs in names:
+            for _ in range(rng.randint(1, 5)):
+                rhs = [rng.choice(["a", *names]) for _ in range(rng.randint(0, 2))]
+                rules.append((lhs, rhs, f"p{len(rules)}"))
+        n = len(rules)
+        order = rng.sample(range(n), n)
+        acyclic = rng.random() < 0.7
+
+        def draw():
+            a, b = rng.sample(range(n), 2)
+            return (b, a) if acyclic and order.index(a) > order.index(b) else (a, b)
+
+        pairs = {kind: [draw() for _ in range(rng.randint(0, 12) if n > 1 else 0)] for kind in ("select", "compose")}
+        refs = {kind: [(f"p{a}", f"p{b}") for a, b in ps] for kind, ps in pairs.items()}
+        loops = {kind: sorted({a for a, b in _brute_force_closure(ps) if a == b}) for kind, ps in pairs.items()}
+        if loops["select"] or loops["compose"]:
+            cyclic += 1
+            with pytest.raises(GrammarError) as err:
+                make_grammar([("a", "a")], rules, "S", **refs)
+            for kind, kind_name in (("select", "selection"), ("compose", "composition")):
+                if loops[kind]:
+                    involved = ", ".join(f"p{a}" for a in loops[kind])
+                    assert f"cyclic {kind_name} precedence involving {involved}" in str(err.value)
+            continue
+        built += 1
+        g = make_grammar([("a", "a")], rules, "S", **refs)
+        assert (g.composition_blocks, g.preferred_over, g.selection_order_by_lhs) == _closed_pair_tables(g), refs
+    assert built > 600 and cyclic > 100, (built, cyclic)
 
 
 def test_position_blocks_join_associativity_and_composition():
@@ -528,6 +592,25 @@ def test_production_lookup_by_reference():
     assert single.production_by_ref("S").id == 0
 
 
+def test_the_constructor_rejects_a_second_definition_of_a_token():
+    # with both, "a" counted two trees under S ::= a, and grammar_to_text
+    # wrote two %token lines that the text parser rejects
+    a, s = Symbol(0, "a", TERMINAL), Symbol(1, "S", NONTERMINAL)
+    defs = [TokenDef(a, pattern, re.compile(pattern)) for pattern in ("a", "a+")]
+    with pytest.raises(GrammarError, match="duplicate token name 'a'"):
+        Grammar(defs, [Production(0, s, (a,))], s)
+
+
+def test_a_prefer_declaration_names_an_unlabelled_production_by_its_left_hand_side():
+    g = parse_grammar_text(
+        "%token a /a/\n%token o /o/\n%start S\n[s] S ::= A o A ;\n[x] S ::= A ;\nA ::= a ;\n"
+        "%prefer compose s over A ;\n"
+    )
+    text = grammar_to_text(g)
+    assert "%prefer compose s over A ;" in text.splitlines()
+    assert parse_grammar_text(text).signature() == g.signature()
+
+
 def test_a_long_selection_chain_declared_bottom_up_is_ranked_without_recursion():
     # a recursive ranking needed one interpreter frame per level and raised RecursionError
     levels = 1100
@@ -545,6 +628,29 @@ def test_a_long_selection_chain_declared_bottom_up_is_ranked_without_recursion()
     seconds = time.perf_counter() - t0
     assert [g.productions[eg.nodes[r].production_id].label for r in eg.roots] == [f"p{levels - 1}"]
     assert seconds < 2.0, seconds
+
+
+def test_a_long_selection_chain_holds_its_preferences_not_its_closed_pairs():
+    # the 604,450 closed pairs of this chain and their re-sorted copies held 73 MB;
+    # preferred_over's tuples alone take about 5 MB
+    levels = 1100
+    rules = "".join(f"[p{i}] S ::= a ;\n" for i in range(levels))
+    prefers = "".join(f"%prefer select p{i + 1} over p{i} ;\n" for i in range(levels - 1))
+    text = "%token a /a/\n%start S\n" + rules + prefers
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = parse_grammar_text(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(g.preferred_over[0]) == levels - 1
+    assert held < 15_000_000, held
 
 
 def test_the_one_token_parse_of_a_2200_level_selection_chain_is_quick():

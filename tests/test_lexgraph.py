@@ -261,6 +261,57 @@ def test_load_lattice_with_unordered_ids():
     assert sorted(core_paths) == paths
 
 
+def test_load_rejects_a_token_listed_twice():
+    # each listing became a token of its own, and "a" then counted two trees
+    g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
+    entry = {"symbol": "a", "start": 0, "end": 1, "preceding": [], "following": []}
+    doc = {"input": "a", "nodes": [{"id": 0, **entry}, {"id": 1, **entry}], "starting": [0, 1]}
+    with pytest.raises(LatticeFormatError, match=r"share start, end and symbol id \(0, 1, 0\)"):
+        load_la_graph(doc, g)
+
+
+def test_core_placement_rejects_a_token_listed_twice():
+    g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
+    once = tokenize(g, "a")
+    twice = once._replace(node_start=once.node_start * 2, node_end=once.node_end * 2,
+                          node_symbol=once.node_symbol * 2)
+    with pytest.raises(ValueError, match="each triple once"):
+        build_ela_graph(twice)
+
+
+def _stepped_lattice(next_position):
+    """A hand-built lattice over "abc": a [0,1), b [1,2), x [1,3) and c [2,3), with the given next positions."""
+    g = grammar("%token a /a/\n%token b /b/\n%token c /c/\n%token x /bc/\n%start S\nS ::= a x ;\nS ::= a b c ;\n")
+    a, b, c, x = (g.symbols[name].id for name in "abcx")
+    return LAGraph("abc", (0, 1, 1, 2), (1, 2, 3, 3), (a, b, x, c), next_position, 0)
+
+
+@pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
+def test_a_token_end_without_a_next_position_is_rejected(check):
+    check(_stepped_lattice({1: 1, 2: 2, 3: 3}))
+    # extending raised TypeError and pruning KeyError
+    with pytest.raises(ValueError, match="no next position"):
+        check(_stepped_lattice({1: 1, 3: 3}))
+
+
+@pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
+@pytest.mark.parametrize("next_position", [
+    {1: 1, 2: 4, 3: 3}, {1: 1, 2: 2, 3: 3, 4: 3}, {-1: 0, 1: 1, 2: 2, 3: 3},
+], ids=["next-past-input", "end-past-input", "negative-end"])
+def test_a_next_position_or_its_end_outside_the_input_is_rejected(check, next_position):
+    # extending raised IndexError or built a graph; pruning let the ends through
+    with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+        check(_stepped_lattice(next_position))
+
+
+@pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
+def test_a_next_position_before_its_end_is_rejected(check):
+    # b stepping back from 2 to 0 closes a loop a b a b ..., which
+    # enumerate_token_paths walked without end; both checks let it through
+    with pytest.raises(ValueError, match="before its token end"):
+        check(_stepped_lattice({1: 1, 2: 0, 3: 3}))
+
+
 def test_load_rejects_a_document_with_no_full_path():
     # the empty lattice stands for a skip-only input; a document over real
     # content whose tokens all prune away is as malformed as a lexical error

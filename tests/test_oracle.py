@@ -3,6 +3,7 @@
 import pytest
 
 from fence.enforce import enumerate_trees
+from fence.errors import EvaluatorError
 from fence.lexgraph import tokenize
 from fence.oracle import OracleBounds, OracleLimitError, oracle_filter, oracle_parse_all
 from fence.pipeline import parse_text
@@ -29,6 +30,17 @@ def test_single_production_single_tree():
     g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
     trees = oracle_parse_all(g, tokenize(g, "a"))
     assert trees == {("n", "S", 0, 1, 0, (("t", "a", 0, 1, "a"),))}
+
+
+def test_an_evaluator_that_raises_inside_the_oracle_filter_gives_an_evaluator_error():
+    def broken(view):
+        raise RuntimeError("boom")
+
+    g = grammar("%token a /a/\n%start S\n[dup] S ::= S S ;\n[one] S ::= a ;\n", evaluators={"dup": broken})
+    la = tokenize(g, "aa")
+    with pytest.raises(EvaluatorError, match="production dup failed: RuntimeError") as err:
+        oracle_filter(oracle_parse_all(g, la), g, la)
+    assert isinstance(err.value.cause, RuntimeError)
 
 
 def test_operand_chains_match_the_catalan_recurrence():

@@ -39,6 +39,12 @@ def test_accept_outcome_keeps_intermediates():
     assert outcome.ela is outcome.igraph is outcome.chart
 
 
+def test_an_accepted_outcome_is_explained_as_accepted():
+    outcome = parse_text(grammar(AMBIG_NUMBERS), AMBIG_INPUT)
+    assert outcome.accepted
+    assert explain_rejection(outcome) == "input accepted"
+
+
 def test_lexical_rejection():
     g = grammar(AMBIG_NUMBERS)
     outcome = parse_text(g, "&5.2@")
