@@ -18,26 +18,29 @@ counts its work on that graph, once: ``ELAGraph.agenda_pops`` and
 The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
 ``node_end``, ``node_symbol`` and ``node_productions``), which the chart
 indexes by node id; a new node is one append to each. A core is an id into
-the graph's core lists, and what the chart stores at cores lives in four
-graph-wide containers keyed by ints that hold the core id (see
-:class:`~fence.elagraph.ELAGraph`), so no core allocates a set or dict of
-its own. A handle that waits for a terminal meets the tokens that start at
-its core, the lattice ids ``core_tokens[core]`` to ``core_tokens[core + 1]
-- 1``, and most cores start a single token, so that case is one comparison.
-A handle that waits for a nonterminal meets the nodes listed under its
-symbol and core in ``ELAGraph.following_by_sym`` and is listed under the
-same key in ``ELAGraph.waiting``; terminal positions are never listed
-there, since no node re-awakens them.
+the graph's core lists, and what the chart stores at cores lives in
+containers for the whole graph keyed by ints that hold the core id: the
+graph's ``handles`` set, which expansion reads, and the parser's own
+``waiting``, ``following_by_sym`` and ``predicted`` (see
+:class:`ChartParser`), which are freed when the run returns. No core
+allocates a set or dict of its own. A handle that waits for a terminal
+meets the tokens that start at its core, the lattice ids
+``core_tokens[core]`` to ``core_tokens[core + 1] - 1``, and most cores
+start a single token, so that case is one comparison. A handle that waits
+for a nonterminal meets the nodes listed under its symbol and core in
+``following_by_sym`` and is listed under the same key in ``waiting``;
+terminal positions are never listed there, since no node re-awakens them.
 
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
 every tokenization alternative at once. When a handle is first stored in a
 core, the nonterminal after its dot is predicted there unless the core's
-entry in ``ELAGraph.predicted`` already holds it: the core is seeded with
-the dot-0 handles of every production in that symbol's left-corner closure
-(``Grammar.predictions``) and the closure's symbols are marked predicted. A production is therefore
-seeded only where its left-hand side is predicted, and every node the chart
-builds derives a symbol predicted at its start core.
+entry in ``predicted`` already holds it: the core is seeded with the dot-0
+handles of every production in that symbol's left-corner closure
+(``Grammar.predictions``) and the closure's symbols are marked predicted. A
+production is therefore seeded only where its left-hand side is predicted,
+and every node the chart builds derives a symbol predicted at its start
+core.
 
 With ``enforce_constraints`` on, associativity and composition precedence
 act here rather than after the chart, as disambiguation filters pushed into
@@ -94,8 +97,8 @@ numbers its items once: production p with its dot at d is item
 ``item * stride + origin``, where ``ELAGraph.stride`` is the input's length
 plus one, because the last core sits at the input's end and can be an
 origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
-the number of items times the stride. The graph's stores add the core the
-same way: a stored handle is ``handle * n_cores + core``, a wait or a
+the number of items times the stride. The stores add the core the same
+way: a stored handle is ``handle * n_cores + core``, a wait or a
 following node is listed under ``symbol * n_cores + core``, and a node's key
 is ``(start * stride + end) * n_symbols + symbol``. Each code stands for
 exactly one tuple, so the sets keep the same members. An int hashes without
@@ -132,10 +135,10 @@ __all__ = ["ChartParser", "run_chart", "igraph_document"]
 class ChartParser:
     """One predictive chart run over one extended graph.
 
-    The graph is filled in place (cores gain predictions and handles, the
-    node lists grow, and :meth:`run` records the roots and work counts on
-    it: the pops it counts go straight to ``ELAGraph.agenda_pops``), so
-    construct a fresh extended graph per run.
+    The graph is filled in place (cores gain handles, the node lists grow,
+    and :meth:`run` records the roots and work counts on it: the pops it
+    counts go straight to ``ELAGraph.agenda_pops``), so construct a fresh
+    extended graph per run.
     :meth:`initialize` predicts the start symbol at the starting core; every
     other production is seeded by :meth:`add_handle` as the handles that
     wait for its left-hand side are stored. ``agenda`` holds pending entries,
@@ -143,6 +146,24 @@ class ChartParser:
     as the int ``node_id * space + handle`` with ``space`` the number of
     handles the graph can hold; it is drained from the end, and the module
     docstring explains why the order does not affect the graph.
+
+    The parser keeps the run's working stores, one int-keyed dict each for
+    the whole graph, which nothing after the chart reads. ``waiting`` maps
+    ``symbol * n_cores + core`` to the handles stored there that wait for
+    that nonterminal, including handles whose dot reached it by skipping
+    nullable positions, so a single lookup answers which handles a freshly
+    derived node can advance. ``following_by_sym`` maps the same key to the
+    nonterminal nodes of that symbol that start at the core. ``predicted``
+    maps a core to the symbols predicted there: once a symbol is in it, the
+    dot-0 handles of its left-corner closure are in the graph's ``handles``,
+    so a later handle waiting for it seeds nothing new. Its value is the
+    grammar's own closure frozenset when the core predicted once, and a
+    union only when it predicted again; a chart that enforces blocked
+    positions also adds (symbol, blocked productions) pairs, one for each
+    restricted prediction made there. ``node_ids`` maps a nonterminal node's
+    key, the int ``(start * stride + end) * n_symbols + symbol`` with
+    ``n_symbols`` one more than the grammar's largest symbol id, to its id;
+    tokens are never looked up by key, so theirs are left out.
 
     With ``enforce_constraints`` on, each handle waits with the blocked set of
     its position and advances only over a node that a production outside the
@@ -154,7 +175,8 @@ class ChartParser:
     # dict of this size it ran about 10% slower on the prec-arith workload.
     __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_cores", "_n_symbols", "space", "_base", "_production",
                  "_predictions", "_filtered", "_symbol", "_token", "_blocked", "_skip", "_seeds", "_lhs", "_single",
-                 "_node_symbol", "_node_productions", "_handles", "_waiting", "_predicted", "_following", "_seeded")
+                 "_node_symbol", "_node_productions", "_handles", "waiting", "predicted", "following_by_sym", "node_ids",
+                 "_seeded")
 
     def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
         self.grammar = grammar
@@ -179,9 +201,10 @@ class ChartParser:
         self._node_symbol = ela.node_symbol
         self._node_productions = ela.node_productions
         self._handles = ela.handles
-        self._waiting = ela.waiting
-        self._predicted = ela.predicted
-        self._following = ela.following_by_sym
+        self.waiting: dict[int, list[int]] = {}
+        self.predicted: dict[int, frozenset] = {}
+        self.following_by_sym: dict[int, list[int]] = {}
+        self.node_ids: dict[int, int] = {}
         self._seeded = False
 
     # -- core operations ----------------------------------------------------
@@ -228,20 +251,20 @@ class ChartParser:
                                 agenda.append(node_id * self.space + handle)
                 else:
                     key = sym * n_cores + core
-                    waiting = self._waiting.get(key)
+                    waiting = self.waiting.get(key)
                     if waiting is None:
-                        self._waiting[key] = [handle]
+                        self.waiting[key] = [handle]
                     else:
                         waiting.append(handle)
                     if self._blocked[item]:
                         self._wait_blocked(handle, item, core)
                     else:
-                        following = self._following.get(key)
+                        following = self.following_by_sym.get(key)
                         if following is not None:
                             space = self.space
                             for node_id in following:
                                 agenda.append(node_id * space + handle)
-                        predicted = self._predicted.get(core)
+                        predicted = self.predicted.get(core)
                         if predicted is None or sym not in predicted:
                             self._predict(sym, core)
             if not self._skip[item]:
@@ -256,8 +279,8 @@ class ChartParser:
         prediction stores the grammar's closure set itself.
         """
         productions, reached = self._predictions[sym]
-        predicted = self._predicted.get(core)
-        self._predicted[core] = reached if predicted is None else predicted | reached
+        predicted = self.predicted.get(core)
+        self.predicted[core] = reached if predicted is None else predicted | reached
         base = self._base
         position = self.ela.core_position[core]
         for production_id in productions:
@@ -274,17 +297,17 @@ class ChartParser:
         """
         sym, blocked = self._symbol[item], self._blocked[item]
         productions = self._node_productions
-        for node_id in self._following.get(sym * self._n_cores + core, ()):
+        for node_id in self.following_by_sym.get(sym * self._n_cores + core, ()):
             if not blocked.issuperset(productions[node_id]):
                 self.agenda.append(node_id * self.space + handle)
         pair = (sym, blocked)
-        predicted = self._predicted.get(core)
+        predicted = self.predicted.get(core)
         if predicted is None:
-            self._predicted[core] = frozenset((pair,))
+            self.predicted[core] = frozenset((pair,))
         elif sym in predicted or pair in predicted:
             return
         else:
-            self._predicted[core] = predicted | {pair}
+            self.predicted[core] = predicted | {pair}
         position = self.ela.core_position[core]
         for seed in self._seeds[item]:
             self.add_handle(seed, position, core)
@@ -301,18 +324,18 @@ class ChartParser:
         ela = self.ela
         lhs = self._lhs[production_id]
         key = (start * self._stride + end) * self._n_symbols + lhs
-        node_id = ela.node_ids.get(key)
+        node_id = self.node_ids.get(key)
         if node_id is None:
             node_id = len(ela.node_start)
-            ela.node_ids[key] = node_id
+            self.node_ids[key] = node_id
             ela.node_start.append(start)
             ela.node_end.append(end)
             self._node_symbol.append(lhs)
             self._node_productions.append(self._single[production_id])
             at = lhs * self._n_cores + ela.core_at[start]  # the key of lhs at the node's start core
-            following = self._following.get(at)
+            following = self.following_by_sym.get(at)
             if following is None:
-                self._following[at] = [node_id]
+                self.following_by_sym[at] = [node_id]
             else:
                 following.append(node_id)
             ela.core_preceding[ela.next_core[end]].append(node_id)
@@ -329,7 +352,7 @@ class ChartParser:
             at = lhs * self._n_cores + ela.core_at[start]
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
-        waiting = self._waiting.get(at)
+        waiting = self.waiting.get(at)
         if waiting is None:
             return
         entry = node_id * self.space
@@ -380,7 +403,7 @@ class ChartParser:
         ela.agenda_pops += pops
         # The start symbol is a nonterminal, so its nodes at the starting core are listed by symbol.
         last = ela.last_core
-        roots = self._following.get(self.grammar.start.id * self._n_cores + ela.starting_core, ())
+        roots = self.following_by_sym.get(self.grammar.start.id * self._n_cores + ela.starting_core, ())
         ela.starting = tuple(sorted([r for r in roots if next_core[node_end[r]] == last]))
         ela.handle_count = len(ela.handles)
         ela.filtered = self._filtered

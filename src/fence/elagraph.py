@@ -22,19 +22,20 @@ the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
 before each core. Offsets find cores through two lists indexed by input
 offset, ``core_at`` and ``next_core``, with None at an offset that has no
 core or ends no token; they take 16 bytes per input offset, so an input of
-a few long tokens pays for its length rather than for its tokens. What
-the chart stores at a core lives in four containers for the whole graph,
-whose members or keys are ints that hold the core id: ``handles``,
-``waiting``, ``predicted`` and ``following_by_sym`` (see
+a few long tokens pays for its length rather than for its tokens. The
+handles the chart stores at cores live in one set for the whole graph,
+``handles``, whose members are ints that hold the core id (see
 :class:`ELAGraph`). A core the chart never reaches thus costs its list
 entries and its ``preceding`` list, and a core it reaches allocates no set
-or dict of its own. ``ELAGraph.cores`` gives read-only :class:`CoreView`
-views, made in one pass over the stores on each access.
+or dict of its own. The chart's other working stores belong to the chart
+(see :class:`~fence.chart.ChartParser`) and are freed when it returns.
+``ELAGraph.cores`` gives read-only :class:`CoreView` views, made in one
+pass over the handles and nodes on each access.
 
-The chart phase fills an extended graph in place: cores gain predicted
-symbols and handles, the node lists grow nonterminal nodes and the graph
-records its accepted roots and work counts. The filled graph is the implicit
-graph that expansion walks, so build a fresh graph per parse session.
+The chart phase fills an extended graph in place: cores gain handles, the
+node lists grow nonterminal nodes and the graph records its accepted roots
+and work counts. The filled graph is the implicit graph that expansion
+walks, so build a fresh graph per parse session.
 """
 
 from __future__ import annotations
@@ -44,22 +45,21 @@ from itertools import compress, islice
 from operator import lt, ne
 
 from .grammar import Grammar
-from .lexgraph import LAGraph, NodeViews
+from .lexgraph import LAGraph, NodeViews, _check_offsets
 
 __all__ = ["CoreView", "ImplicitNode", "ELAGraph", "build_ela_graph", "ela_document"]
 
 
-class CoreView(namedtuple("CoreView", "id position tok_lo tok_hi handles predicted preceding following")):
-    """A view of one core: its position, its tokens and what the chart stored there.
+class CoreView(namedtuple("CoreView", "id position tok_lo tok_hi handles preceding following")):
+    """A view of one core: its position, its tokens and the handles the chart stored there.
 
     The tokens that start at the core are the node ids ``tok_lo`` to
     ``tok_hi - 1``. ``handles`` holds the handles stored here, each the int
-    ``item * stride + origin`` that the chart module describes, and
-    ``predicted`` the nonterminals predicted here, with a (symbol, blocked
-    productions) pair for each restricted prediction. ``preceding`` lists
-    the nodes that end just before the core in the order they were added,
-    and ``following`` the nodes that start at it, ascending. A view is a
-    copy: it does not follow later changes to the graph.
+    ``item * stride + origin`` that the chart module describes.
+    ``preceding`` lists the nodes that end just before the core in the order
+    they were added, and ``following`` the nodes that start at it,
+    ascending. A view is a copy: it does not follow later changes to the
+    graph.
     """
 
     __slots__ = ()
@@ -97,26 +97,8 @@ class ELAGraph:
     and core lists are described in the module docstring. ``stride`` is the
     input's length plus one, the number of offsets a handle's origin can
     take, so that a handle is one int (see the chart module), and
-    ``n_cores`` is the number of cores.
-
-    The chart's stores hold ints and are keyed by ints, one container each
-    for the whole graph. ``handles`` holds ``handle * n_cores + core`` for
-    every handle stored at a core. ``waiting`` maps ``symbol * n_cores +
-    core`` to the handles stored there that wait for that nonterminal,
-    including handles whose dot reached it by skipping nullable positions,
-    so a single lookup answers which handles a freshly derived node can
-    advance. ``following_by_sym`` maps the same key to the nonterminal
-    nodes of that symbol that start at the core. ``predicted`` maps a core
-    to the symbols predicted there: once a symbol is in it, the dot-0
-    handles of its left-corner closure are in ``handles``, so a later handle
-    waiting for it seeds nothing new. Its value is the grammar's own closure
-    frozenset when the core predicted once, and a union only when it
-    predicted again; a chart that enforces blocked positions also adds
-    (symbol, blocked productions) pairs, one for each restricted prediction
-    made there. ``node_ids`` maps a nonterminal node's key, the int
-    ``(start * stride + end) * n_symbols + symbol`` with ``n_symbols`` one
-    more than the grammar's largest symbol id, to its id; tokens are never
-    looked up by key, so theirs are left out.
+    ``n_cores`` is the number of cores. ``handles`` is one int set for the
+    whole graph: ``handle * n_cores + core`` for every handle stored at a core.
 
     The chart's results stay empty or zero until a chart runs. ``starting``
     then holds the accepted roots: start-symbol nodes whose only preceding
@@ -127,9 +109,8 @@ class ELAGraph:
     """
 
     __slots__ = ("input", "stride", "n_cores", "core_position", "core_tokens", "core_preceding", "node_start",
-                 "node_end", "node_symbol", "node_productions", "node_ids", "handles", "waiting", "predicted",
-                 "following_by_sym", "core_at", "next_core", "starting_core", "last_core", "starting",
-                 "agenda_pops", "handle_count", "filtered")
+                 "node_end", "node_symbol", "node_productions", "handles", "core_at", "next_core", "starting_core",
+                 "last_core", "starting", "agenda_pops", "handle_count", "filtered")
 
     def __init__(self, input: str, core_position: list[int], core_tokens: list[int], core_preceding: list[list[int]],
                  node_start: list[int], node_end: list[int], node_symbol: list[int],
@@ -145,11 +126,7 @@ class ELAGraph:
         self.node_end = node_end
         self.node_symbol = node_symbol
         self.node_productions = node_productions
-        self.node_ids: dict[int, int] = {}
         self.handles: set[int] = set()
-        self.waiting: dict[int, list[int]] = {}
-        self.predicted: dict[int, frozenset] = {}
-        self.following_by_sym: dict[int, list[int]] = {}
         self.core_at = core_at
         self.next_core = next_core
         self.starting_core = starting_core
@@ -169,33 +146,33 @@ class ELAGraph:
 
     @property
     def cores(self) -> tuple[CoreView, ...]:
-        """Every core's view, by id, made in one pass over the handle and node stores."""
+        """Every core's view, by id, made in one pass over the handles and one over the nodes."""
         n = self.n_cores
         handles: list[list[int]] = [[] for _ in range(n)]
         for code in self.handles:
             handle, core_id = divmod(code, n)
             handles[core_id].append(handle)
+        following: list[list[int]] = [[] for _ in range(n)]
+        for node_id, core_id in enumerate(map(self.core_at.__getitem__, self.node_start)):
+            following[core_id].append(node_id)
         tokens = self.core_tokens
-        following = [list(range(lo, hi)) for lo, hi in zip(tokens, islice(tokens, 1, None))]
-        for key, ids in self.following_by_sym.items():
-            following[key % n] += ids
-        predicted = self.predicted
         return tuple(map(CoreView, range(n), self.core_position, tokens, islice(tokens, 1, None),
-                         map(frozenset, handles), [predicted.get(c, frozenset()) for c in range(n)],
-                         map(tuple, self.core_preceding), [tuple(sorted(ids)) for ids in following]))
+                         map(frozenset, handles), map(tuple, self.core_preceding), map(tuple, following)))
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
     """Complete a pruned lattice with cores and copy its token columns into the node lists.
 
-    Raises ``ValueError`` on an empty lattice, on one whose tokens are not
-    numbered by (start, end, symbol), each once, as ``tokenize`` and
-    ``load_la_graph`` number them, and on one where a token end has no next
-    position at a token start or the input's end, or one before it.
+    Raises ``ValueError`` on an empty lattice, on one that the lattice
+    module's offset check rejects, on one whose tokens are not numbered by
+    (start, end, symbol), each once, as ``tokenize`` and ``load_la_graph``
+    number them, and on one where a next position or ``content_start`` is
+    not a token start or the input's end.
     """
     starts, ends, symbols = la.node_start, la.node_end, la.node_symbol
     if not starts:
         raise ValueError("cannot extend an empty lexical analysis graph")
+    _check_offsets(la)
     # Each (start, end, symbol) against the next; zip reuses its tuples, so no token allocates one
     if not all(map(lt, zip(starts, ends, symbols), islice(zip(starts, ends, symbols), 1, None))):
         raise ValueError("lattice tokens must be numbered by (start, end, symbol), each triple once")
@@ -212,17 +189,17 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
     core_at: list[int | None] = [None] * (end + 1)
     for core, position in enumerate(positions):
         core_at[position] = core
+    if core_at[la.content_start] is None:
+        raise ValueError("content_start is not a token start or the input's end")
     next_core: list[int | None] = [None] * (end + 1)
     for e, nxt in la.next_position.items():
-        if not 0 <= e <= nxt <= end:
-            raise ValueError(f"a next position lies before its token end or outside [0, {end}]")
         next_core[e] = core_at[nxt]
     preceding: list[list[int]] = [[] for _ in positions]
     try:  # checked here, not in a pass of its own, since every parse builds this graph
         for i, e in enumerate(ends):
             preceding[next_core[e]].append(i)
-    except (IndexError, TypeError):  # e lies past the input, or next_core[e] is None
-        raise ValueError("a token end has no next position at a token start or the input's end") from None
+    except TypeError:  # next_core[e] is None
+        raise ValueError("a token end's next position is not a token start or the input's end") from None
 
     return ELAGraph(
         input=la.input,

@@ -115,11 +115,10 @@ class ConstraintSet(
     maps one to its evaluator, a callable that takes a :class:`NodeView` and
     returns a bool; both default to read-only empty mappings. ``selection``
     and ``composition`` hold the declared pairs, which the owning grammar
-    compiles into ``composition_blocks``, ``preferred_over`` (most preferred
-    first) and ``selection_order_by_lhs``. A ``selection`` pair (q, p) means
-    q is preferred over p when both derive the same parse node. A
-    ``composition`` pair (p, q) means p may not take a direct child derived
-    by q.
+    compiles into ``composition_blocks`` and ``preferred_over`` (most
+    preferred first). A ``selection`` pair (q, p) means q is preferred over
+    p when both derive the same parse node. A ``composition`` pair (p, q)
+    means p may not take a direct child derived by q.
     """
 
     __slots__ = ()
@@ -413,10 +412,6 @@ class Grammar:
             for p in selection[q]:
                 if lhs_of[p] == lhs_of[q] and rank.get(p, 0) < r:
                     rank[p] = r
-        self.selection_order_by_lhs: dict[int, tuple[int, ...]] = {
-            lhs: tuple(sorted(ids, key=lambda i: (rank.get(i, 0), i)))
-            for lhs, ids in self.production_ids_by_lhs.items()
-        }
         # The productions preferred over p, most preferred first, so a check
         # that stops at the first one holding a tree seldom looks further.
         preferred: dict[int, list[int]] = {}

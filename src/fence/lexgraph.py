@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import compress
-from operator import itemgetter, le
+from operator import itemgetter, le, lt
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -220,10 +220,12 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
     This is the inefficient baseline a lattice exists to avoid; it is kept as
     a reference for tests and diagnostics. The walk keeps one iterator per
     path position on an explicit stack, so path length is not bounded by the
-    recursion limit.
+    recursion limit. Raises ``ValueError`` on a lattice that
+    ``_check_offsets`` rejects, since its walk need not end.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    _check_offsets(graph)
     links = _links(graph)
     out: list[tuple[int, ...]] = []
     path: list[int] = []
@@ -288,26 +290,37 @@ def _prune_columns(
             {stop: next_position[stop] for stop in ends})
 
 
+def _check_offsets(graph: LAGraph) -> None:
+    """Raise ``ValueError`` unless every token and step of the lattice moves forward within its input.
+
+    Every offset lies in ``[0, len(input)]``, every token ends after it
+    starts and every token end has a next position at or after it, so a walk
+    over the lattice ends. Every parse checks, so each check is one C pass.
+    """
+    n, steps = len(graph.input), graph.next_position
+    for offsets in (graph.node_start, graph.node_end, steps.keys(), steps.values(), (graph.content_start,)):
+        if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
+            raise ValueError(f"a lattice offset lies outside [0, {n}]")
+    if not all(map(lt, graph.node_start, graph.node_end)):
+        raise ValueError("a token does not end after it starts")
+    if not all(map(steps.__contains__, graph.node_end)):
+        raise ValueError("a token end has no next position")
+    if not all(map(le, steps, steps.values())):
+        raise ValueError("a next position lies before its token end")
+
+
 def prune_la_graph(graph: LAGraph) -> LAGraph:
     """Drop tokens that lie on no full start-to-end path; idempotent.
 
     ``load_la_graph`` builds an unpruned lattice and passes it here, and
     ``tokenize`` prunes its columns with the same ``_prune_columns`` before
     it builds the lattice. A lattice that loses no token is returned as it
-    is, since renumbering would be the identity. Raises ``ValueError`` when
-    an offset lies outside ``[0, len(graph.input)]`` or a next position is
-    missing or before its end, as only a hand-built lattice's can.
+    is, since renumbering would be the identity. Raises ``ValueError`` on a
+    lattice that ``_check_offsets`` rejects, as only a hand-built one can be.
     """
-    n, steps = len(graph.input), graph.next_position
-    for offsets in (graph.node_start, graph.node_end, steps.keys(), steps.values(), (graph.content_start,)):
-        if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
-            raise ValueError(f"a lattice offset lies outside [0, {n}]")
-    if not all(map(steps.__contains__, graph.node_end)):
-        raise ValueError("a token end has no next position")
-    if not all(map(le, steps, steps.values())):
-        raise ValueError("a next position lies before its token end")
+    _check_offsets(graph)
     columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.next_position,
-                             graph.content_start, n)
+                             graph.content_start, len(graph.input))
     if len(columns[0]) == len(graph.node_start):
         return graph
     return LAGraph(graph.input, *columns, graph.content_start)

@@ -286,10 +286,11 @@ class _LatticeFilter:
                 for children in self._match(p, 0, start, start, end, hist)
                 if _local_ok(self.grammar, p.id, (start, end), tuple(children), self.input)
             ]
-        for pid in self.grammar.selection_order_by_lhs.get(symbol_id, ()):
-            if candidates.get(pid) and any(
-                candidates.get(q) for q in self.grammar.preferred_over.get(pid, ())
-            ):
+        # A production q preferred over p has strictly fewer productions preferred
+        # over it than p has, so visiting by that count settles q before p.
+        preferred_over = self.grammar.preferred_over
+        for pid in sorted(candidates, key=lambda p: len(preferred_over.get(p, ()))):
+            if candidates[pid] and any(candidates.get(q) for q in preferred_over.get(pid, ())):
                 candidates[pid] = []
         out = [tree for p in prods for tree in candidates[p.id]]
         self._cache[context] = out

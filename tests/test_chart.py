@@ -3,6 +3,7 @@
 import gc
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -93,11 +94,11 @@ def test_initialization_of_running_example():
     assert {handle_parts(g, ela, h) for h in start_core.handles} == {
         (p.id, 0, 0) for p in g.productions if p.lhs.name in ("E", "A")
     }
-    assert start_core.predicted == {by_name["E"], by_name["A"], by_name["Ampersand"]}
+    assert parser.predicted[start_core.id] == {by_name["E"], by_name["A"], by_name["Ampersand"]}
     # every other core stays empty until the run reaches it
     for core in ela.cores:
         if core.id != start_core.id:
-            assert not core.handles and not core.predicted
+            assert not core.handles and core.id not in parser.predicted
     # only one entry: the Ampersand matching A's production
     assert len(parser.agenda) == 1
     pid, dot, origin, node_id = entry_parts(g, ela, parser.agenda[0])
@@ -226,8 +227,8 @@ def test_handles_and_agenda_entries_are_untracked_ints():
                 parser = ChartParser(g, build_ela_graph(la), enforce)
                 parser.agenda = _RecordingAgenda()
                 ig = parser.run()
-                stored = [*ig.handles, *ig.waiting, *ig.following_by_sym, *ig.node_ids]
-                stored += [h for waiting in ig.waiting.values() for h in waiting]
+                stored = [*ig.handles, *parser.waiting, *parser.following_by_sym, *parser.node_ids]
+                stored += [h for waiting in parser.waiting.values() for h in waiting]
                 for value in stored + parser.agenda.pushed:
                     assert type(value) is int and not gc.is_tracked(value), (seed, text, value)
                 runs += 1
@@ -415,7 +416,8 @@ def test_a_classed_unit_cycle_agrees_with_the_filtered_oracle():
 def test_the_document_lists_the_productions_of_each_node():
     g = grammar(CLASSED_CYCLE)
     plain = igraph_document(run_chart(g, build(g, "a")), g)
-    ig = run_chart(g, build(g, "a"), enforce_constraints=True)
+    parser = ChartParser(g, build(g, "a"), enforce_constraints=True)
+    ig = parser.run()
     doc = igraph_document(ig, g)
     # enforcing the blocked positions removes no derivation of "a" from the chart
     assert doc["nodes"] == plain["nodes"]
@@ -423,7 +425,7 @@ def test_the_document_lists_the_productions_of_each_node():
         assert n.productions == tuple(sorted(n.productions))
         assert bool(n.productions) == (n.symbol_id not in g.terminal_ids), n
         key = (n.start * ig.stride + n.end) * (max(g.symbol_by_id) + 1) + n.symbol_id
-        assert n.symbol_id in g.terminal_ids or ig.node_ids[key] == n.id
+        assert n.symbol_id in g.terminal_ids or parser.node_ids[key] == n.id
     a_nodes = [e for e in doc["nodes"] if e["symbol"] == "A"]
     assert a_nodes == [
         {"start": 0, "end": 1, "symbol": "A",
@@ -534,7 +536,7 @@ def test_prediction_through_a_nullable_left_corner():
     parser.initialize()
     start_core = ela.cores[ela.starting_core]
     # B is predicted where S is, past the empty A, with both its productions
-    assert g.symbol("B").id in start_core.predicted
+    assert g.symbol("B").id in parser.predicted[start_core.id]
     handles = [handle_parts(g, ela, h) for h in start_core.handles]
     assert {str(g.productions[p]) for p, dot, _ in handles if dot == 0} == {
         "S ::= A B c", "B ::= b", "B ::= A B b"
@@ -585,26 +587,52 @@ def _sets_and_dicts(root) -> Counter:
 
 def test_the_graph_keeps_one_set_and_dict_per_store_whatever_its_cores():
     g = grammar(UNIT_LIST)
-    graphs = []
+    runs = []
     for units in (10, 40):
         text = " ".join(f"&{i + 1}.{i + 2}& /{2 * i + 5}.{i + 10}/" for i in range(units))
-        ig = run_chart(g, build(g, text), True)
+        parser = ChartParser(g, build(g, text), True)
+        ig = parser.run()
         assert ig.starting
-        graphs.append(ig)
-    small, large = graphs
+        runs.append((ig, parser))
+    (small, small_parser), (large, large_parser) = runs
     assert len(large.cores) > 3 * len(small.cores)
-    # the node keys, the handles, the waits, the predictions and the
-    # nonterminal nodes by symbol: none of them grows a set or dict per
-    # core, and core_at and next_core are lists indexed by offset
-    assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1, "dict": 4}
+    # the graph keeps the handles, which expansion reads, and the parser
+    # keeps the waits, the predictions, the nonterminal nodes by symbol and
+    # the node keys: none of them grows a set or dict per core, and core_at
+    # and next_core are lists indexed by offset
+    assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1}
+    for parser in (small_parser, large_parser):
+        stores = (parser.waiting, parser.predicted, parser.following_by_sym, parser.node_ids)
+        assert _sets_and_dicts(stores) == {"dict": 4}
     # a core holds nothing until the chart reaches it: the Integer and Point
     # tokens inside each slashed number start cores that no handle reaches,
     # since a Real is read there first
     idle = [core for core in large.cores if not core.handles]
-    assert idle and all(not core.predicted for core in idle)
-    assert all(core.id not in large.predicted for core in idle)
+    assert idle and all(core.id not in large_parser.predicted for core in idle)
     # only nonterminals are listed by symbol; tokens are the core's id range
-    assert all(key // large.n_cores not in g.terminal_ids for key in large.following_by_sym)
+    assert all(key // large.n_cores not in g.terminal_ids for key in large_parser.following_by_sym)
+
+
+def test_the_chart_frees_its_working_stores_before_expansion():
+    # the waits, predictions, nodes by symbol and node keys of a %assoc left
+    # sum took 2,731 bytes an operand at the peak while they lived on the
+    # graph through expansion, and 1,936 once the parser kept them
+    g = grammar(ARITH_LEFT)
+    text = chain(400)
+    assert tree_counts(parse_text(g, text).egraph).total == 1
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        tree_counts(parse_text(g, text).egraph)
+        per_operand = (tracemalloc.get_traced_memory()[1] - base) / 400
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert per_operand < 2300, per_operand
 
 
 def _workload_grammars():

@@ -306,8 +306,10 @@ def test_preferred_productions_are_listed_most_preferred_first():
         "%prefer select b over a ;\n%prefer select c over b ;\n%prefer select d over a ;\n"
     )
     ids = {p.label: p.id for p in g.productions}
-    assert g.selection_order_by_lhs[g.start.id] == (ids["c"], ids["d"], ids["b"], ids["a"])
     assert g.preferred_over == {ids["a"]: (ids["c"], ids["d"], ids["b"]), ids["b"]: (ids["c"],)}
+    # fewer preferred productions means a higher rank, as the oracle visits them
+    by_rank = sorted(g.production_ids_by_lhs[g.start.id], key=lambda p: len(g.preferred_over.get(p, ())))
+    assert by_rank == [ids["c"], ids["d"], ids["b"], ids["a"]]
     eg = parse_text(g, "x").egraph
     assert [g.productions[eg.nodes[r].production_id].label for r in eg.roots] == ["c", "d"]
 
@@ -338,7 +340,7 @@ def _brute_force_closure(pairs):
 
 
 def _closed_pair_tables(g):
-    """``composition_blocks``, ``preferred_over`` and ``selection_order_by_lhs``, built from closed pair sets."""
+    """``composition_blocks`` and ``preferred_over``, built from closed pair sets."""
     lhs = [p.lhs.id for p in g.productions]
     above = {}
     for q, p in _brute_force_closure(g.constraints.selection):
@@ -358,7 +360,6 @@ def _closed_pair_tables(g):
     return (
         {p: frozenset(qs) for p, qs in blocks.items()},
         {p: tuple(sorted(qs, key=by_rank)) for p, qs in above.items()},
-        {s: tuple(sorted(ids, key=by_rank)) for s, ids in g.production_ids_by_lhs.items()},
     )
 
 
@@ -404,7 +405,11 @@ def test_closure_equals_brute_force_on_random_relations():
             continue
         built += 1
         g = make_grammar([("a", "a")], rules, "S", **refs)
-        assert (g.composition_blocks, g.preferred_over, g.selection_order_by_lhs) == _closed_pair_tables(g), refs
+        assert (g.composition_blocks, g.preferred_over) == _closed_pair_tables(g), refs
+        # each production preferred over p has fewer preferred over it, so
+        # visiting by that count, as the oracle does, follows the rank
+        preferred = g.preferred_over
+        assert all(len(preferred.get(q, ())) < len(qs) for qs in preferred.values() for q in qs), refs
     assert built > 600 and cyclic > 100, (built, cyclic)
 
 
@@ -620,7 +625,7 @@ def test_a_long_selection_chain_declared_bottom_up_is_ranked_without_recursion()
     g = parse_grammar_text("%token a /a/\n%start S\n" + rules + prefers)
     seconds = time.perf_counter() - t0
     assert isinstance(g, Grammar)
-    assert g.selection_order_by_lhs[g.start.id] == tuple(range(levels - 1, -1, -1))
+    assert g.preferred_over[0] == tuple(range(levels - 1, 0, -1))
     assert seconds < 30.0, seconds
     # a scan of the node's 1,100 productions per preferred production took seconds
     t0 = time.perf_counter()

@@ -312,6 +312,43 @@ def test_a_next_position_before_its_end_is_rejected(check):
         check(_stepped_lattice({1: 1, 2: 0, 3: 3}))
 
 
+def test_path_enumeration_rejects_a_next_position_before_its_end():
+    # the walk a b a b ... never reached the input's end, so it never returned
+    with pytest.raises(ValueError, match="before its token end"):
+        enumerate_token_paths(_stepped_lattice({1: 1, 2: 0, 3: 3}), 10)
+
+
+@pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph, lambda la: enumerate_token_paths(la, 10)],
+                         ids=["prune", "extend", "enumerate"])
+def test_an_empty_token_is_rejected(check):
+    # e [1,1) steps to 1, where it starts again: pruning and extending let it
+    # through, and the path walk followed e forever
+    g = grammar("%token a /a/\n%token b /b/\n%token e /e/\n%start S\nS ::= a b ;\n")
+    a, b, e = (g.symbols[name].id for name in "abe")
+    with pytest.raises(ValueError, match="does not end after it starts"):
+        check(LAGraph("ab", (0, 1, 1), (1, 1, 2), (a, e, b), {1: 1, 2: 2}, 0))
+
+
+@pytest.mark.parametrize("la, message", [
+    (LAGraph("ab", (-1, 1), (1, 2), (0, 1), {1: 1, 2: 2}, 0), r"outside \[0, 2\]"),
+    (LAGraph("xab", (1, 2), (2, 3), (0, 1), {2: 2, 3: 3}, 0), "content_start is not a token start"),
+], ids=["negative-start", "content-start-between-tokens"])
+def test_core_placement_rejects_a_lattice_without_a_starting_core(la, message):
+    # both built a graph whose starting core was None, and the chart raised TypeError
+    g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= a b ;\n")
+    assert [g.symbol_by_id[s].name for s in la.node_symbol] == ["a", "b"]
+    with pytest.raises(ValueError, match=message):
+        build_ela_graph(la)
+
+
+def test_core_placement_rejects_a_next_position_inside_a_token():
+    # x [1,3) starts no core at 2, so a's step to 2 would lead nowhere
+    g = grammar("%token a /a/\n%token x /bc/\n%start S\nS ::= a x ;\n")
+    a, x = g.symbols["a"].id, g.symbols["x"].id
+    with pytest.raises(ValueError, match="next position is not a token start"):
+        build_ela_graph(LAGraph("abc", (0, 1), (1, 3), (a, x), {1: 2, 3: 3}, 0))
+
+
 def test_load_rejects_a_document_with_no_full_path():
     # the empty lattice stands for a skip-only input; a document over real
     # content whose tokens all prune away is as malformed as a lexical error
