@@ -18,18 +18,19 @@ counts its work on that graph, once: ``ELAGraph.agenda_pops`` and
 The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
 ``node_end``, ``node_symbol`` and ``node_productions``), which the chart
 indexes by node id; a new node is one append to each. A core is an id into
-the graph's core lists, and what the chart stores at cores lives in
+the graph's ``core_position``, and what the chart stores at cores lives in
 containers for the whole graph keyed by ints that hold the core id: the
 graph's ``handles`` set, which expansion reads, and the parser's own
 ``waiting``, ``following_by_sym`` and ``predicted`` (see
 :class:`ChartParser`), which are freed when the run returns. No core
 allocates a set or dict of its own. A handle that waits for a terminal
 meets the tokens that start at its core, the lattice ids
-``core_tokens[core]`` to ``core_tokens[core + 1] - 1``, and most cores
-start a single token, so that case is one comparison. A handle that waits
-for a nonterminal meets the nodes listed under its symbol and core in
-``following_by_sym`` and is listed under the same key in ``waiting``;
-terminal positions are never listed there, since no node re-awakens them.
+``core_tokens[core]`` to ``core_tokens[core + 1] - 1`` in the parser's
+list of token ranges, and most cores start a single token, so that case is
+one comparison. A handle that waits for a nonterminal meets the nodes
+listed under its symbol and core in ``following_by_sym`` and is listed
+under the same key in ``waiting``; terminal positions are never listed
+there, since no node re-awakens them.
 
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
@@ -147,8 +148,11 @@ class ChartParser:
     handles the graph can hold; it is drained from the end, and the module
     docstring explains why the order does not affect the graph.
 
-    The parser keeps the run's working stores, one int-keyed dict each for
-    the whole graph, which nothing after the chart reads. ``waiting`` maps
+    The parser keeps the run's working stores, which nothing after the chart
+    reads. ``core_tokens`` is built from the token starts by
+    ``ELAGraph.token_ranges``: the tokens that start at core ``c`` are the
+    ids ``core_tokens[c]`` to ``core_tokens[c + 1] - 1``. The others are one
+    int-keyed dict each for the whole graph. ``waiting`` maps
     ``symbol * n_cores + core`` to the handles stored there that wait for
     that nonterminal, including handles whose dot reached it by skipping
     nullable positions, so a single lookup answers which handles a freshly
@@ -175,8 +179,8 @@ class ChartParser:
     # dict of this size it ran about 10% slower on the prec-arith workload.
     __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_cores", "_n_symbols", "space", "_base", "_production",
                  "_predictions", "_filtered", "_symbol", "_token", "_blocked", "_skip", "_seeds", "_lhs", "_single",
-                 "_node_symbol", "_node_productions", "_handles", "waiting", "predicted", "following_by_sym", "node_ids",
-                 "_seeded")
+                 "_node_symbol", "_node_productions", "_handles", "core_tokens", "waiting", "predicted",
+                 "following_by_sym", "node_ids", "_seeded")
 
     def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
         self.grammar = grammar
@@ -201,6 +205,7 @@ class ChartParser:
         self._node_symbol = ela.node_symbol
         self._node_productions = ela.node_productions
         self._handles = ela.handles
+        self.core_tokens = ela.token_ranges()
         self.waiting: dict[int, list[int]] = {}
         self.predicted: dict[int, frozenset] = {}
         self.following_by_sym: dict[int, list[int]] = {}
@@ -239,7 +244,7 @@ class ChartParser:
                 handles.add(code)
                 if self._token[item]:
                     # The core's tokens are the ids core_tokens[core] and up; most cores start one token.
-                    tokens = self.ela.core_tokens
+                    tokens = self.core_tokens
                     lo, hi = tokens[core], tokens[core + 1]
                     node_symbol = self._node_symbol
                     if hi - lo == 1:
@@ -338,7 +343,6 @@ class ChartParser:
                 self.following_by_sym[at] = [node_id]
             else:
                 following.append(node_id)
-            ela.core_preceding[ela.next_core[end]].append(node_id)
             earlier = ()
         else:
             productions = self._node_productions

@@ -10,27 +10,26 @@ tokens that reach the end of the input.
 Parse nodes are kept in four parallel lists indexed by node id:
 ``node_start``, ``node_end``, ``node_symbol`` and ``node_productions``. The
 first ids are the lattice's tokens, its columns copied into new lists with
-``()`` as productions, so a token's node id is its lattice id. Tokens are
-numbered by (start, end, symbol), so the tokens that start at a core are
-the id range ``core_tokens[c]`` to ``core_tokens[c + 1] - 1``, and the chart
-lists only the nonterminal nodes that start at a core. ``ELAGraph.nodes``
-gives read-only :class:`ImplicitNode` views of the lists, as the lattice's
+``()`` as productions, so a token's node id is its lattice id, and
+``n_tokens`` counts them. Tokens are numbered by (start, end, symbol), so
+the tokens that start at one core are one id range, which
+``ELAGraph.token_ranges`` lists for every core. ``ELAGraph.nodes`` gives
+read-only :class:`ImplicitNode` views of the lists, as the lattice's
 ``nodes`` do of its columns; the chart and expansion index the lists.
 
-Cores are kept the same way, in lists indexed by core id: ``core_position``,
-the ``core_tokens`` offsets and ``core_preceding``, the nodes that end just
-before each core. Offsets find cores through two lists indexed by input
-offset, ``core_at`` and ``next_core``, with None at an offset that has no
-core or ends no token; they take 16 bytes per input offset, so an input of
-a few long tokens pays for its length rather than for its tokens. The
-handles the chart stores at cores live in one set for the whole graph,
-``handles``, whose members are ints that hold the core id (see
-:class:`ELAGraph`). A core the chart never reaches thus costs its list
-entries and its ``preceding`` list, and a core it reaches allocates no set
-or dict of its own. The chart's other working stores belong to the chart
-(see :class:`~fence.chart.ChartParser`) and are freed when it returns.
-``ELAGraph.cores`` gives read-only :class:`CoreView` views, made in one
-pass over the handles and nodes on each access.
+A core is an id into ``core_position``, its offset. Offsets find cores
+through two lists indexed by input offset, ``core_at`` and ``next_core``,
+with None at an offset that has no core or ends no token; they take 16 bytes
+per input offset, so an input of a few long tokens pays for its length
+rather than for its tokens. The handles the chart stores at cores live in
+one set for the whole graph, ``handles``, whose members are ints that hold
+the core id (see :class:`ELAGraph`). The graph keeps no other store per
+core: the phase that reads an index by core builds it and frees it. The
+chart keeps the token ranges and its working stores (see
+:class:`~fence.chart.ChartParser`) until it returns, and expansion builds
+each core's list of preceding nodes, ``ELAGraph.preceding_lists``, when it
+starts. ``ELAGraph.cores`` gives read-only :class:`CoreView` views, made in
+one pass over the handles and one over each node list on each access.
 
 The chart phase fills an extended graph in place: cores gain handles, the
 node lists grow nonterminal nodes and the graph records its accepted roots
@@ -56,10 +55,9 @@ class CoreView(namedtuple("CoreView", "id position tok_lo tok_hi handles precedi
     The tokens that start at the core are the node ids ``tok_lo`` to
     ``tok_hi - 1``. ``handles`` holds the handles stored here, each the int
     ``item * stride + origin`` that the chart module describes.
-    ``preceding`` lists the nodes that end just before the core in the order
-    they were added, and ``following`` the nodes that start at it,
-    ascending. A view is a copy: it does not follow later changes to the
-    graph.
+    ``preceding`` lists the nodes that end just before the core and
+    ``following`` the nodes that start at it, both ascending. A view is a
+    copy: it does not follow later changes to the graph.
     """
 
     __slots__ = ()
@@ -94,7 +92,9 @@ class ELAGraph:
     ends where one ends, so both serve all nodes. Every other offset holds
     None, so a lookup there fails instead of reading a core. The two lists
     cost 16 bytes per input offset, whatever the number of tokens. The node
-    and core lists are described in the module docstring. ``stride`` is the
+    lists and ``core_position`` are described in the module docstring; the
+    graph is built over the tokens alone, so ``n_tokens`` is the length of
+    the node lists then. ``stride`` is the
     input's length plus one, the number of offsets a handle's origin can
     take, so that a handle is one int (see the chart module), and
     ``n_cores`` is the number of cores. ``handles`` is one int set for the
@@ -108,20 +108,18 @@ class ELAGraph:
     derivations that the constraints forbid.
     """
 
-    __slots__ = ("input", "stride", "n_cores", "core_position", "core_tokens", "core_preceding", "node_start",
-                 "node_end", "node_symbol", "node_productions", "handles", "core_at", "next_core", "starting_core",
-                 "last_core", "starting", "agenda_pops", "handle_count", "filtered")
+    __slots__ = ("input", "stride", "n_cores", "n_tokens", "core_position", "node_start", "node_end", "node_symbol",
+                 "node_productions", "handles", "core_at", "next_core", "starting_core", "last_core", "starting",
+                 "agenda_pops", "handle_count", "filtered")
 
-    def __init__(self, input: str, core_position: list[int], core_tokens: list[int], core_preceding: list[list[int]],
-                 node_start: list[int], node_end: list[int], node_symbol: list[int],
-                 node_productions: list[tuple[int, ...]], core_at: list[int | None], next_core: list[int | None],
-                 starting_core: int = 0, last_core: int = 0):
+    def __init__(self, input: str, core_position: list[int], node_start: list[int], node_end: list[int],
+                 node_symbol: list[int], node_productions: list[tuple[int, ...]], core_at: list[int | None],
+                 next_core: list[int | None], starting_core: int = 0, last_core: int = 0):
         self.input = input
         self.stride = len(input) + 1
         self.n_cores = len(core_position)
+        self.n_tokens = len(node_start)
         self.core_position = core_position
-        self.core_tokens = core_tokens
-        self.core_preceding = core_preceding
         self.node_start = node_start
         self.node_end = node_end
         self.node_symbol = node_symbol
@@ -146,18 +144,43 @@ class ELAGraph:
 
     @property
     def cores(self) -> tuple[CoreView, ...]:
-        """Every core's view, by id, made in one pass over the handles and one over the nodes."""
+        """Every core's view, by id, made in one pass over the handles and one over each node list."""
         n = self.n_cores
         handles: list[list[int]] = [[] for _ in range(n)]
         for code in self.handles:
             handle, core_id = divmod(code, n)
             handles[core_id].append(handle)
-        following: list[list[int]] = [[] for _ in range(n)]
-        for node_id, core_id in enumerate(map(self.core_at.__getitem__, self.node_start)):
-            following[core_id].append(node_id)
-        tokens = self.core_tokens
+        following = self._by_core(map(self.core_at.__getitem__, self.node_start))
+        tokens = self.token_ranges()
         return tuple(map(CoreView, range(n), self.core_position, tokens, islice(tokens, 1, None),
-                         map(frozenset, handles), map(tuple, self.core_preceding), map(tuple, following)))
+                         map(frozenset, handles), map(tuple, self.preceding_lists()), map(tuple, following)))
+
+    def token_ranges(self) -> list[int]:
+        """Each core's first token id, then ``n_tokens`` twice; a new list on each call.
+
+        Core ``c``'s tokens are the ids from entry ``c`` up to entry
+        ``c + 1``; the last core, at the input's end, starts no token.
+        """
+        n = self.n_tokens
+        ranges = _first_tokens(self.node_start, n)
+        ranges += (n, n)
+        return ranges
+
+    def preceding_lists(self) -> list[list[int]]:
+        """Each core's list of the nodes that end just before it, ascending; new lists on each call."""
+        return self._by_core(map(self.next_core.__getitem__, self.node_end))
+
+    def _by_core(self, cores) -> list[list[int]]:
+        """The node ids grouped by the core that ``cores`` gives each node, in one pass, ascending."""
+        lists: list[list[int]] = [[] for _ in range(self.n_cores)]
+        for node_id, core_id in enumerate(cores):
+            lists[core_id].append(node_id)
+        return lists
+
+
+def _first_tokens(starts, n: int) -> list[int]:
+    """The ids among the first ``n`` tokens of ``starts`` that start where the token before does not."""
+    return [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, n)))]
 
 
 def build_ela_graph(la: LAGraph) -> ELAGraph:
@@ -166,8 +189,10 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
     Raises ``ValueError`` on an empty lattice, on one that the lattice
     module's offset check rejects, on one whose tokens are not numbered by
     (start, end, symbol), each once, as ``tokenize`` and ``load_la_graph``
-    number them, and on one where a next position or ``content_start`` is
-    not a token start or the input's end.
+    number them, on one where a next position or ``content_start`` is not a
+    token start or the input's end, and on one where two tokens that end at
+    one offset have different next positions, since ``next_core`` keeps one
+    core per end offset.
     """
     starts, ends, symbols = la.node_start, la.node_end, la.node_symbol
     if not starts:
@@ -179,11 +204,9 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
 
     n = len(starts)
     end = len(la.input)
-    # The ids where a new start offset begins; the last core, at the input's end, starts no token
-    core_tokens = [0, *compress(range(1, n), map(ne, starts, islice(starts, 1, None)))]
-    positions = [starts[i] for i in core_tokens]
+    # A core at each token start offset, and the last core at the input's end
+    positions = list(map(starts.__getitem__, _first_tokens(starts, n)))
     positions.append(end)
-    core_tokens += (n, n)
     last = len(positions) - 1
 
     core_at: list[int | None] = [None] * (end + 1)
@@ -191,21 +214,18 @@ def build_ela_graph(la: LAGraph) -> ELAGraph:
         core_at[position] = core
     if core_at[la.content_start] is None:
         raise ValueError("content_start is not a token start or the input's end")
+    steps = list(map(core_at.__getitem__, la.node_next))  # each token's next core
+    if None in steps:
+        raise ValueError("a token end's next position is not a token start or the input's end")
     next_core: list[int | None] = [None] * (end + 1)
-    for e, nxt in la.next_position.items():
-        next_core[e] = core_at[nxt]
-    preceding: list[list[int]] = [[] for _ in positions]
-    try:  # checked here, not in a pass of its own, since every parse builds this graph
-        for i, e in enumerate(ends):
-            preceding[next_core[e]].append(i)
-    except TypeError:  # next_core[e] is None
-        raise ValueError("a token end's next position is not a token start or the input's end") from None
+    for e, core in zip(ends, steps):
+        next_core[e] = core
+    if list(map(next_core.__getitem__, ends)) != steps:  # a later token overwrote an earlier one's next core
+        raise ValueError("two tokens that end at one offset have different next positions")
 
     return ELAGraph(
         input=la.input,
         core_position=positions,
-        core_tokens=core_tokens,
-        core_preceding=preceding,
         node_start=list(starts),
         node_end=list(ends),
         node_symbol=list(symbols),

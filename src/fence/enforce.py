@@ -19,7 +19,9 @@ that starts at offset o is taken only if the core at o holds the handle
 (production, j, start), whose origin is the forest node's start: the chart
 stored that handle only after deriving positions 0..j-1 from there, so the
 walk never extends a suffix whose prefix cannot be derived. Position j-1 is
-then filled from the nodes preceding that core. A nullable position may
+then filled from the nodes preceding that core. The graph keeps no such
+lists; expansion makes each core's, ascending, in one pass over the node
+ends when it starts, and frees them when it returns. A nullable position may
 instead be skipped when the same core holds the handle
 for that position (the chart stores skip variants beside the handle they
 skip from). A skipped position gets a zero-width placeholder carrying
@@ -69,8 +71,9 @@ node is appended to the forest as soon as it is finished, so its id is its
 creation index and its children, finished before it, have smaller ids. A
 node built for a derivation that does not complete (a cut cycle, a suffix
 whose prefix fails, an alternative an evaluator rejects) is left unreachable
-from the roots; one sweep from the last node down finds such nodes, and the
-forest is compacted only when there are any.
+from the roots. There are such nodes only when some node is neither a root
+nor any node's child; then one sweep from the last node down finds them, and
+the forest is compacted.
 
 The forest is stored as ``ELAGraph`` stores its nodes: in parallel lists
 indexed by forest node id (symbol, start, end, and production, None for a
@@ -222,11 +225,21 @@ def _placeholder(grammar: Grammar, forest: EGraph, cache: dict, symbol_id: int, 
 def _reachable(forest: EGraph) -> EGraph:
     """The forest's nodes reachable from its roots, renumbered densely in the same order.
 
-    Children precede their parents, so one sweep from the last node down
-    marks every reachable node; a node's alternatives are one run of
-    ``kids``. When all of them are reachable, the forest is returned as it is.
+    When every node is a root or some node's child, every node is reachable,
+    and the forest is returned as it is: a child's id is below its parent's,
+    so the highest unreachable node would need an unreachable parent above
+    it. Otherwise one sweep from the last node down marks every reachable
+    node, since children precede their parents; a node's alternatives are
+    one run of ``kids``.
     """
     node_alts, alt_kids, kids = forest.node_alts, forest.alt_kids, forest.kids
+    marked = bytearray(len(forest.node_start))
+    for eid in forest.roots:
+        marked[eid] = 1
+    for eid in kids:
+        marked[eid] = 1
+    if 0 not in marked:
+        return forest
     keep = [False] * len(forest.node_start)
     for r in forest.roots:
         keep[r] = True
@@ -234,8 +247,6 @@ def _reachable(forest: EGraph) -> EGraph:
         if keep[eid]:
             for c in kids[alt_kids[node_alts[eid]]:alt_kids[node_alts[eid + 1]]]:
                 keep[c] = True
-    if all(keep):
-        return forest
     order = [eid for eid, kept in enumerate(keep) if kept]
     number = [-1] * len(keep)
     for new, old in enumerate(order):
@@ -263,7 +274,10 @@ class _Expander:
         # with a cycle context is keyed by the tuple (implicit node id, production id, context)
         self.memo: dict[int | tuple, int] = {}
         self.n_productions = len(grammar.productions)
-        self._leaves: dict[int, int] = {}
+        # each core's nodes that end just before it, ascending: the order the chart made them in,
+        # which fixes the order of the alternatives and so the forest's node ids
+        self.preceding = ig.preceding_lists()
+        self._leaves: list[int | None] = [None] * ig.n_tokens  # a token's leaf node, by token id
         self._placeholders: dict[tuple[int, int], int] = {}
 
     def run(self) -> tuple[int, ...]:
@@ -339,7 +353,7 @@ class _Expander:
         custom = grammar.constraints.custom if self.enforce else {}
         node_productions, node_symbol = ig.node_productions, ig.node_symbol
         node_start, node_end = ig.node_start, ig.node_end
-        handles, preceding, core_at, next_core = ig.handles, ig.core_preceding, ig.core_at, ig.next_core
+        handles, preceding, core_at, next_core = ig.handles, self.preceding, ig.core_at, ig.next_core
         n_cores = ig.n_cores
         # The chart stores a handle at core c as handle * n_cores + c
         step = ig.stride * n_cores
@@ -420,7 +434,7 @@ class _Expander:
                         continue
                     filled = fill(suffix, child_end) if open_placeholders else suffix
                     if token:
-                        leaf = leaves.get(child_id)
+                        leaf = leaves[child_id]
                         if leaf is None:
                             leaf = leaves[child_id] = forest._add(sym, child_start, child_end, None, (), 1)
                         stack.append((item - 1, child_start, (leaf,) + filled, made))

@@ -32,6 +32,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import compress
 from operator import itemgetter, le, lt
+from types import MappingProxyType
 
 from .errors import FenceError
 from .grammar import Grammar
@@ -99,19 +100,25 @@ class NodeViews:
         return map(self._view, range(len(self._column)))
 
 
-class LAGraph(namedtuple("LAGraph", "input node_start node_end node_symbol next_position content_start", defaults=(0,))):
+class LAGraph(namedtuple("LAGraph", "input node_start node_end node_symbol node_next content_start", defaults=(0,))):
     """A token lattice over one input string, pruned by ``prune_la_graph``.
 
     Token ``i`` is ``node_symbol[i]`` over ``[node_start[i], node_end[i])``,
-    in tuple columns that ``nodes`` views as :class:`TokenNode` records.
-    Tokens are numbered by (start, end, symbol id); ``build_ela_graph``
-    checks the order. ``next_position`` maps each token end offset to the
-    offset where the next token may start (after skip consumption), and
-    ``starting`` lists the tokens that start at ``content_start``, that
-    offset for the beginning of the input: the tokens with no predecessor.
+    in tuple columns that ``nodes`` views as :class:`TokenNode` records, and
+    ``node_next[i]`` is its next position: the offset where the next token
+    may start, after the skip run from its end. Tokens that share an end
+    share a next position; ``build_ela_graph`` checks that and the order,
+    by (start, end, symbol id). ``next_position`` is a ``{end: next}`` view
+    of the two columns, made on access. ``starting`` lists the tokens that
+    start at ``content_start``, that offset for the beginning of the input:
+    the tokens with no predecessor.
     """
 
     __slots__ = ()
+
+    @property
+    def next_position(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.node_end, self.node_next)))
 
     @property
     def nodes(self) -> NodeViews:
@@ -140,7 +147,7 @@ def _links(graph: LAGraph) -> list[tuple[list[int], list[int]]]:
     share these lists, so callers copy them rather than change them."""
     starting_at: dict[int, list[int]] = {}
     ending_at: dict[int, list[int]] = {}
-    steps = list(zip(graph.node_start, map(graph.next_position.__getitem__, graph.node_end)))
+    steps = list(zip(graph.node_start, graph.node_next))
     for i, (start, nxt) in enumerate(steps):
         starting_at.setdefault(start, []).append(i)
         ending_at.setdefault(nxt, []).append(i)
@@ -162,7 +169,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     n = len(text)
     start_pos = _skip_from(grammar, text, 0)
     if start_pos == n:
-        return LAGraph(text, (), (), (), {}, start_pos)
+        return LAGraph(text, (), (), (), (), start_pos)
 
     skip = grammar.skip_re.match if grammar.skip_re is not None else None
     # By symbol id, so a match is out of (end, symbol) order only when it is shorter than an earlier one
@@ -171,7 +178,7 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
     ends: list[int] = []
     symbols: list[int] = []
     add_start, add_end, add_symbol = starts.append, ends.append, symbols.append
-    next_position: dict[int, int] = {}
+    next_position: dict[int, int] = {}  # by token end, so each end's skip run is matched once
     reached = bytearray(n + 1)  # reached[p]: some token's next position is p
     pos = furthest = start_pos
     while 0 <= pos < n:
@@ -208,7 +215,8 @@ def tokenize(grammar: Grammar, text: str) -> LAGraph:
                 reached[nxt] = 1
         pos = reached.find(1, pos + 1)
 
-    graph = LAGraph(text, *_prune_columns(starts, ends, symbols, next_position, start_pos, n), start_pos)
+    steps = list(map(next_position.__getitem__, ends))
+    graph = LAGraph(text, *_prune_columns(starts, ends, symbols, steps, start_pos, n), start_pos)
     if not graph.node_start:
         raise TokenizationError(furthest)
     return graph
@@ -251,14 +259,15 @@ def enumerate_token_paths(graph: LAGraph, limit: int) -> list[tuple[int, ...]]:
 
 
 def _prune_columns(
-    starts: Sequence[int], ends: Sequence[int], symbols: Sequence[int], next_position: dict[int, int],
+    starts: Sequence[int], ends: Sequence[int], symbols: Sequence[int], steps: Sequence[int],
     content_start: int, end: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
-    """The columns of the tokens that lie on a full path, in their given order, and their next positions.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The four columns of the tokens that lie on a full path, in their given order.
 
-    Token ``i`` is ``symbols[i]`` over ``[starts[i], ends[i])``, and every
-    offset lies in ``[0, end]``. Since links are positional, liveness is
-    decided per offset, in O(tokens) rather than O(links), with one flag
+    Token ``i`` is ``symbols[i]`` over ``[starts[i], ends[i])`` with next
+    position ``steps[i]``, and every offset lies in ``[0, end]``. Since
+    links are positional, liveness is decided per offset, in O(tokens)
+    rather than O(links), with one flag
     byte per offset: an offset is live when a token starting there ends the
     input (its next position is ``end``) or steps to a live offset (found
     right to left), and reachable when it is ``content_start`` or a kept
@@ -266,10 +275,8 @@ def _prune_columns(
     position is live and its start reachable. Tokens may come in any order,
     as a hand-built lattice's do; they are visited by start, a sort that
     takes one pass when they are in start order already, as lexed and loaded
-    ones are. When no token is dropped, ``next_position`` is returned as it
-    is, and otherwise it is cut to the kept tokens' ends.
+    ones are.
     """
-    steps = list(map(next_position.__getitem__, ends))
     order = sorted(range(len(starts)), key=starts.__getitem__)
     live = bytearray(end + 1)
     live[end] = 1
@@ -284,29 +291,35 @@ def _prune_columns(
             reachable[nxt] = 1
     keep = [reachable[start] and live[nxt] for start, nxt in zip(starts, steps)]
     if all(keep):
-        return tuple(starts), tuple(ends), tuple(symbols), next_position
-    ends = tuple(compress(ends, keep))
-    return (tuple(compress(starts, keep)), ends, tuple(compress(symbols, keep)),
-            {stop: next_position[stop] for stop in ends})
+        return tuple(starts), tuple(ends), tuple(symbols), tuple(steps)
+    return tuple(tuple(compress(column, keep)) for column in (starts, ends, symbols, steps))
 
 
 def _check_offsets(graph: LAGraph) -> None:
     """Raise ``ValueError`` unless every token and step of the lattice moves forward within its input.
 
     Every offset lies in ``[0, len(input)]``, every token ends after it
-    starts and every token end has a next position at or after it, so a walk
-    over the lattice ends. Every parse checks, so each check is one C pass.
+    starts and has a next position at or after its end, so a walk over the
+    lattice ends. Every parse checks, so the check makes four C passes over
+    the columns and no more: with starts before ends and ends at or before
+    next positions, the least start and the greatest next position bound
+    every offset. A lattice that fails is checked again rule by rule, to
+    name the broken one.
     """
-    n, steps = len(graph.input), graph.next_position
-    for offsets in (graph.node_start, graph.node_end, steps.keys(), steps.values(), (graph.content_start,)):
+    n = len(graph.input)
+    starts, ends, steps = graph.node_start, graph.node_end, graph.node_next
+    if (0 <= graph.content_start <= n and len(steps) == len(ends)
+            and (not starts or min(starts) >= 0 and max(steps) <= n)
+            and all(map(lt, starts, ends)) and all(map(le, ends, steps))):
+        return
+    for offsets in (starts, ends, steps, (graph.content_start,)):
         if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
             raise ValueError(f"a lattice offset lies outside [0, {n}]")
-    if not all(map(lt, graph.node_start, graph.node_end)):
+    if not all(map(lt, starts, ends)):
         raise ValueError("a token does not end after it starts")
-    if not all(map(steps.__contains__, graph.node_end)):
+    if len(steps) != len(ends):
         raise ValueError("a token end has no next position")
-    if not all(map(le, steps, steps.values())):
-        raise ValueError("a next position lies before its token end")
+    raise ValueError("a next position lies before its token end")
 
 
 def prune_la_graph(graph: LAGraph) -> LAGraph:
@@ -319,7 +332,7 @@ def prune_la_graph(graph: LAGraph) -> LAGraph:
     lattice that ``_check_offsets`` rejects, as only a hand-built one can be.
     """
     _check_offsets(graph)
-    columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.next_position,
+    columns = _prune_columns(graph.node_start, graph.node_end, graph.node_symbol, graph.node_next,
                              graph.content_start, len(graph.input))
     if len(columns[0]) == len(graph.node_start):
         return graph
@@ -424,15 +437,16 @@ def load_la_graph(doc: dict, grammar: Grammar) -> LAGraph:
                     f"but {p} does not list {i} as following"
                 )
 
-    next_position = {end: _skip_from(grammar, text, end) for _start, end, _sym in spans}
     content_start = _skip_from(grammar, text, 0)
-    graph = LAGraph(text, *(tuple(zip(*spans)) or ((), (), ())), next_position, content_start)
+    starts, ends, symbols = tuple(zip(*spans)) or ((), (), ())
+    graph = LAGraph(text, starts, ends, symbols, tuple([_skip_from(grammar, text, end) for end in ends]),
+                    content_start)
     positional = _links(graph)
-    for i, ((start, end, _sym), (preceding, following), expected) in enumerate(zip(spans, links, positional)):
+    for i, ((start, _end, _sym), (preceding, following), expected) in enumerate(zip(spans, links, positional)):
         if following != expected[1]:
             raise LatticeFormatError(
                 f"node {i} must be followed by exactly the tokens starting at "
-                f"offset {next_position[end]}, {expected[1]}, not {following}"
+                f"offset {graph.node_next[i]}, {expected[1]}, not {following}"
             )
         if preceding != expected[0]:
             raise LatticeFormatError(

@@ -250,6 +250,7 @@ class _LatticeFilter:
         self.tokens_at: dict[int, list] = {}
         for t in la.nodes:
             self.tokens_at.setdefault(t.start, []).append(t)
+        self.next_position = la.next_position  # read once: the lattice makes a new view on each access
         self._segment_ends: dict[int, tuple[int, ...]] = {}
         self._cache: dict[tuple, list[tuple]] = {}
         self._solid = _reach_terminals(grammar)
@@ -260,7 +261,7 @@ class _LatticeFilter:
             ends: set[int] = set()
             for t in self.tokens_at.get(offset, ()):
                 ends.add(t.end)
-                nxt = self.la.next_position[t.end]
+                nxt = self.la.node_next[t.id]
                 if nxt < len(self.la.input):
                     ends.update(self.segment_ends(nxt))
             got = tuple(sorted(ends))
@@ -314,7 +315,7 @@ class _LatticeFilter:
             for t in self.tokens_at.get(offset, ()):
                 if t.symbol_id == sym.id and t.end <= limit_end:
                     leaf = ("t", self.grammar.symbol_by_id[t.symbol_id].name, t.start, t.end, t.lexeme)
-                    nxt = self.la.next_position[t.end]
+                    nxt = self.la.node_next[t.id]
                     res.extend(
                         [leaf] + rest
                         for rest in self._match(p, pos + 1, nxt, t.end, limit_end, hist)
@@ -326,7 +327,7 @@ class _LatticeFilter:
                 subs = self.surviving(sym.id, offset, seg_end, hist)
                 if not subs:
                     continue
-                nxt = self.la.next_position[seg_end]
+                nxt = self.next_position[seg_end]
                 rests = self._match(p, pos + 1, nxt, seg_end, limit_end, hist)
                 res.extend([sub] + rest for sub in subs for rest in rests)
         return res

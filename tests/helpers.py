@@ -12,6 +12,7 @@ from fence import (
     tree_counts,
 )
 from fence.enforce import COUNT_CAP
+from fence.lexgraph import LAGraph
 
 # The lexically ambiguous running example: digits around points read either as
 # Real tokens or as Integer Point Integer, disambiguated by the productions.
@@ -107,6 +108,11 @@ def catalan(m: int) -> int:
     import math
 
     return math.comb(2 * m, m) // (m + 1)
+
+
+def hand_lattice(text: str, tokens, content_start: int = 0) -> LAGraph:
+    """A lattice built by hand over ``text``: ``tokens`` lists each token's (start, end, symbol id, next position)."""
+    return LAGraph(text, *(tuple(zip(*tokens)) or ((), (), (), ())), content_start)
 
 
 def pipeline(grammar, text, enforce=True):

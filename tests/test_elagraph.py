@@ -8,9 +8,9 @@ import pytest
 from fence.chart import run_chart
 from fence.elagraph import build_ela_graph, ela_document
 from fence.enforce import expand_forest
-from fence.lexgraph import LAGraph, enumerate_token_paths, tokenize
+from fence.lexgraph import enumerate_token_paths, tokenize
 from fence.pipeline import parse_text
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, UNIT_LIST, grammar, hand_lattice
 
 
 def test_running_example_core_placement():
@@ -25,7 +25,7 @@ def test_running_example_core_placement():
     # the starting core precedes exactly the former starting tokens
     assert list(ela.cores[ela.starting_core].following) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
-    final_ids = [t.id for t in la.nodes if la.next_position[t.end] == len(la.input)]
+    final_ids = [t.id for t in la.nodes if la.node_next[t.id] == len(la.input)]
     assert sorted(ela.cores[ela.last_core].preceding) == final_ids
 
 
@@ -149,11 +149,23 @@ def test_a_lattice_out_of_offset_order_is_rejected():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, "5.2")
     assert [(t.start, t.end) for t in la.nodes] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    tokens = list(zip(la.node_start, la.node_end, la.node_symbol, la.node_next))
     for order in ((2, 0, 1, 3), (1, 0, 2, 3)):
-        columns = [tuple(column[i] for i in order) for column in (la.node_start, la.node_end, la.node_symbol)]
-        bad = LAGraph(la.input, *columns, la.next_position, la.content_start)
+        bad = hand_lattice(la.input, [tokens[i] for i in order], la.content_start)
         with pytest.raises(ValueError, match="start, end, symbol"):
             build_ela_graph(bad)
+
+
+def test_tokens_that_share_an_end_but_not_a_next_position_are_rejected():
+    # next_core keeps one core per end offset, so x [0,2) would have stepped
+    # to the core at 2, where b steps, instead of to the input's end
+    g = grammar("%token a /a/\n%token b /b/\n%token c /c/\n%token x /ab/\n%start S\nS ::= a b c ;\nS ::= x ;\n")
+    a, b, c, x = (g.symbols[name].id for name in "abcx")
+    tokens = [(0, 1, a, 1), (0, 2, x, 2), (1, 2, b, 2), (2, 3, c, 3)]
+    assert build_ela_graph(hand_lattice("abc", tokens)).next_core == [None, 1, 2, 3]
+    tokens[1] = (0, 2, x, 3)
+    with pytest.raises(ValueError, match="different next positions"):
+        build_ela_graph(hand_lattice("abc", tokens))
 
 
 def test_node_views_take_a_slice():
@@ -182,14 +194,15 @@ def test_offsets_find_cores_through_lists_with_none_elsewhere():
     assert [ela.core_at[p] for p in positions] == list(range(len(positions)))
     assert ela.core_at[n] == ela.last_core
     assert all(ela.core_at[p] is None for p in range(n + 1) if p not in positions)
+    steps = la.next_position
     for p in range(n + 1):
-        if p in la.next_position:
-            assert ela.next_core[p] == ela.core_at[la.next_position[p]]
+        if p in steps:
+            assert ela.next_core[p] == ela.core_at[steps[p]]
         else:
             # a lookup off a token end fails rather than reading the last core
             assert ela.next_core[p] is None
             with pytest.raises(TypeError):
-                ela.core_preceding[ela.next_core[p]]
+                ela.core_position[ela.next_core[p]]
 
 
 def _parse_peak(g, text):
@@ -216,3 +229,26 @@ def test_a_long_token_or_skip_run_costs_a_few_bytes_per_input_character(text):
     g = grammar("%token w /[a-z]+/\n%start S\nS ::= w ;\nS ::= w w ;\n")
     per_char = _parse_peak(g, text) / len(text)
     assert per_char < 20, per_char
+
+
+def test_the_graph_keeps_no_index_by_core_after_a_parse():
+    # the token ranges are the chart's and the preceding lists expansion's
+    outcome = parse_text(grammar(UNIT_LIST), "&1.5& /2.5/ &3.0& /4.25/")
+    ig = outcome.igraph
+    for name in ("core_tokens", "core_preceding"):
+        assert not hasattr(ig, name)
+    assert ig.n_tokens == len(outcome.la.node_start)
+    assert [(c.tok_lo, c.tok_hi) for c in ig.cores][-1] == (ig.n_tokens, ig.n_tokens)
+
+
+def test_the_lattice_and_the_graph_keep_their_indexes_by_core_only_while_read():
+    # with a next-position dict on the lattice, token ranges on the graph and
+    # preceding lists it kept from the start of the chart, the parse of a
+    # unit list took 7,905 bytes a unit at the peak; with next positions in
+    # a column and each index owned by the phase that reads it, 7,203
+    g = grammar(UNIT_LIST)
+    units = 100
+    text = " ".join(f"&{i + 1}.{i + 2}& /{2 * i + 5}.{i + 10}/" for i in range(units))
+    _parse_peak(g, text)
+    per_unit = _parse_peak(g, text) / units
+    assert per_unit < 7550, per_unit

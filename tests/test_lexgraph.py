@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fence.lexgraph import (
-    LAGraph,
     LatticeFormatError,
     TokenizationError,
     enumerate_token_paths,
@@ -23,7 +22,7 @@ from fence.lexgraph import (
 from fence.elagraph import build_ela_graph
 from fence.grammar import Grammar
 from fence.pipeline import parse_text
-from helpers import AMBIG_INPUT, AMBIG_NUMBERS, UNIT_LIST, grammar
+from helpers import AMBIG_INPUT, AMBIG_NUMBERS, UNIT_LIST, grammar, hand_lattice
 
 
 def path_names(g, la, paths):
@@ -274,34 +273,34 @@ def test_core_placement_rejects_a_token_listed_twice():
     g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
     once = tokenize(g, "a")
     twice = once._replace(node_start=once.node_start * 2, node_end=once.node_end * 2,
-                          node_symbol=once.node_symbol * 2)
+                          node_symbol=once.node_symbol * 2, node_next=once.node_next * 2)
     with pytest.raises(ValueError, match="each triple once"):
         build_ela_graph(twice)
 
 
-def _stepped_lattice(next_position):
+def _stepped_lattice(steps, ends=(1, 2, 3, 3)):
     """A hand-built lattice over "abc": a [0,1), b [1,2), x [1,3) and c [2,3), with the given next positions."""
     g = grammar("%token a /a/\n%token b /b/\n%token c /c/\n%token x /bc/\n%start S\nS ::= a x ;\nS ::= a b c ;\n")
     a, b, c, x = (g.symbols[name].id for name in "abcx")
-    return LAGraph("abc", (0, 1, 1, 2), (1, 2, 3, 3), (a, b, x, c), next_position, 0)
+    return hand_lattice("abc", list(zip((0, 1, 1, 2), ends, (a, b, x, c), steps)))
 
 
 @pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
 def test_a_token_end_without_a_next_position_is_rejected(check):
-    check(_stepped_lattice({1: 1, 2: 2, 3: 3}))
+    check(_stepped_lattice((1, 2, 3, 3)))
     # extending raised TypeError and pruning KeyError
     with pytest.raises(ValueError, match="no next position"):
-        check(_stepped_lattice({1: 1, 3: 3}))
+        check(_stepped_lattice((1, 2, 3, 3))._replace(node_next=(1, 2, 3)))
 
 
 @pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
-@pytest.mark.parametrize("next_position", [
-    {1: 1, 2: 4, 3: 3}, {1: 1, 2: 2, 3: 3, 4: 3}, {-1: 0, 1: 1, 2: 2, 3: 3},
+@pytest.mark.parametrize("steps, ends", [
+    ((1, 4, 3, 3), (1, 2, 3, 3)), ((1, 2, 3, 3), (1, 2, 4, 3)), ((0, 2, 3, 3), (-1, 2, 3, 3)),
 ], ids=["next-past-input", "end-past-input", "negative-end"])
-def test_a_next_position_or_its_end_outside_the_input_is_rejected(check, next_position):
+def test_a_next_position_or_its_end_outside_the_input_is_rejected(check, steps, ends):
     # extending raised IndexError or built a graph; pruning let the ends through
     with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
-        check(_stepped_lattice(next_position))
+        check(_stepped_lattice(steps, ends))
 
 
 @pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
@@ -309,13 +308,13 @@ def test_a_next_position_before_its_end_is_rejected(check):
     # b stepping back from 2 to 0 closes a loop a b a b ..., which
     # enumerate_token_paths walked without end; both checks let it through
     with pytest.raises(ValueError, match="before its token end"):
-        check(_stepped_lattice({1: 1, 2: 0, 3: 3}))
+        check(_stepped_lattice((1, 0, 3, 3)))
 
 
 def test_path_enumeration_rejects_a_next_position_before_its_end():
     # the walk a b a b ... never reached the input's end, so it never returned
     with pytest.raises(ValueError, match="before its token end"):
-        enumerate_token_paths(_stepped_lattice({1: 1, 2: 0, 3: 3}), 10)
+        enumerate_token_paths(_stepped_lattice((1, 0, 3, 3)), 10)
 
 
 @pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph, lambda la: enumerate_token_paths(la, 10)],
@@ -326,12 +325,12 @@ def test_an_empty_token_is_rejected(check):
     g = grammar("%token a /a/\n%token b /b/\n%token e /e/\n%start S\nS ::= a b ;\n")
     a, b, e = (g.symbols[name].id for name in "abe")
     with pytest.raises(ValueError, match="does not end after it starts"):
-        check(LAGraph("ab", (0, 1, 1), (1, 1, 2), (a, e, b), {1: 1, 2: 2}, 0))
+        check(hand_lattice("ab", [(0, 1, a, 1), (1, 1, e, 1), (1, 2, b, 2)]))
 
 
 @pytest.mark.parametrize("la, message", [
-    (LAGraph("ab", (-1, 1), (1, 2), (0, 1), {1: 1, 2: 2}, 0), r"outside \[0, 2\]"),
-    (LAGraph("xab", (1, 2), (2, 3), (0, 1), {2: 2, 3: 3}, 0), "content_start is not a token start"),
+    (hand_lattice("ab", [(-1, 1, 0, 1), (1, 2, 1, 2)]), r"outside \[0, 2\]"),
+    (hand_lattice("xab", [(1, 2, 0, 2), (2, 3, 1, 3)]), "content_start is not a token start"),
 ], ids=["negative-start", "content-start-between-tokens"])
 def test_core_placement_rejects_a_lattice_without_a_starting_core(la, message):
     # both built a graph whose starting core was None, and the chart raised TypeError
@@ -346,7 +345,7 @@ def test_core_placement_rejects_a_next_position_inside_a_token():
     g = grammar("%token a /a/\n%token x /bc/\n%start S\nS ::= a x ;\n")
     a, x = g.symbols["a"].id, g.symbols["x"].id
     with pytest.raises(ValueError, match="next position is not a token start"):
-        build_ela_graph(LAGraph("abc", (0, 1), (1, 3), (a, x), {1: 2, 3: 3}, 0))
+        build_ela_graph(hand_lattice("abc", [(0, 1, a, 2), (1, 3, x, 3)]))
 
 
 def test_load_rejects_a_document_with_no_full_path():
@@ -481,10 +480,7 @@ def _unpruned_lattice(g, text):
             if m and m.end() > pos:
                 spans.add((pos, m.end(), td.symbol.id))
                 todo.append(_after_skip(g, text, m.end()))
-    spans = sorted(spans)
-    nxt = {e: _after_skip(g, text, e) for _s, e, _sym in spans}
-    starts, ends, symbols = tuple(zip(*spans)) or ((), (), ())
-    return LAGraph(text, starts, ends, symbols, nxt, start)
+    return hand_lattice(text, [(s, e, sym, _after_skip(g, text, e)) for s, e, sym in sorted(spans)], start)
 
 
 def _assert_positional(g, la):
@@ -492,8 +488,8 @@ def _assert_positional(g, la):
     the tokens at its next position and the tokens whose next position is
     its start, found by direct comparison of offsets."""
     for t, entry in zip(la.nodes, serialize_la_graph(la, g)["nodes"]):
-        assert entry["following"] == [u.id for u in la.nodes if u.start == la.next_position[t.end]]
-        assert entry["preceding"] == [u.id for u in la.nodes if la.next_position[u.end] == t.start]
+        assert entry["following"] == [u.id for u in la.nodes if u.start == la.node_next[t.id]]
+        assert entry["preceding"] == [u.id for u in la.nodes if la.node_next[u.id] == t.start]
 
 
 def test_pruning_keeps_the_same_tokens_whatever_their_order():
@@ -504,20 +500,20 @@ def test_pruning_keeps_the_same_tokens_whatever_their_order():
     kept = prune_la_graph(raw)
     assert 0 < len(kept.nodes) < len(raw.nodes)
     backwards = prune_la_graph(raw._replace(node_start=raw.node_start[::-1], node_end=raw.node_end[::-1],
-                                            node_symbol=raw.node_symbol[::-1]))
+                                            node_symbol=raw.node_symbol[::-1], node_next=raw.node_next[::-1]))
     assert [tuple(t)[1:] for t in backwards.nodes] == [tuple(t)[1:] for t in kept.nodes][::-1]
-    assert backwards.next_position == kept.next_position
+    assert backwards.node_next == kept.node_next[::-1]
 
 
 @pytest.mark.parametrize("change", [
-    {"node_start": (-1,)}, {"node_end": (7,)}, {"next_position": {1: 7}}, {"content_start": 7},
+    {"node_start": (-1,)}, {"node_end": (7,)}, {"node_next": (7,)}, {"content_start": 7},
 ], ids=["negative-start", "end-past-input", "next-past-input", "content-start-past-input"])
 def test_pruning_rejects_an_offset_outside_the_input(change):
     # the pruner keeps one flag byte per offset, where a negative offset
     # would read the flag of the input's end
     g = grammar("%token w /[a-z]+/\n%start S\nS ::= w ;\n")
     la = tokenize(g, "abcdef")
-    one = LAGraph("a", (0,), (1,), la.node_symbol, {1: 1})
+    one = hand_lattice("a", [(0, 1, la.node_symbol[0], 1)])
     assert prune_la_graph(one) == one
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         prune_la_graph(one._replace(**change))
@@ -534,7 +530,7 @@ def test_pruning_keeps_exactly_the_tokens_on_full_paths():
             raw = _unpruned_lattice(g, text)
             paths = enumerate_token_paths(raw, 10**5) if raw.nodes else []
             assert len(paths) < 10**5
-            full = [p for p in paths if raw.next_position[raw.node_end[p[-1]]] == len(text)]
+            full = [p for p in paths if raw.node_next[p[-1]] == len(text)]
             on_a_path = {(t.start, t.end, t.symbol_id) for p in full for t in map(raw.nodes.__getitem__, p)}
             pruned = prune_la_graph(raw)
             assert {(t.start, t.end, t.symbol_id) for t in pruned.nodes} == on_a_path, (seed, text)

@@ -20,6 +20,7 @@ from fence.grammar import (
 )
 from fence.lexgraph import LAGraph, TokenNode
 from fence.oracle import OracleBounds
+from helpers import hand_lattice
 
 
 _A = Symbol(0, "a", TERMINAL)
@@ -38,10 +39,7 @@ RECORDS = {
     "ConstraintIssue": (lambda: ConstraintIssue(kind="cycle", message="m"), True),
     "OracleBounds": (lambda: OracleBounds(max_work=10), True),
     "ConstraintSet": (lambda: ConstraintSet(selection=((1, 0),)), False),
-    "LAGraph": (
-        lambda: LAGraph(input="a", node_start=(0,), node_end=(1,), node_symbol=(0,), next_position={1: 1}),
-        False,
-    ),
+    "LAGraph": (lambda: hand_lattice("a", [(0, 1, 0, 1)]), True),
     "TokenNode": (lambda: TokenNode(id=0, symbol_id=0, start=0, end=1, lexeme="a"), True),
     "TreeCount": (lambda: TreeCount(total=2, per_root={0: 2}, saturated=False), False),
     "ImplicitNode": (lambda: ImplicitNode(id=3, start=0, end=1, symbol_id=2, productions=(0, 4)), True),
@@ -73,7 +71,7 @@ def test_records_take_their_defaults_when_built_by_keyword():
     s = Symbol(0, "S", NONTERMINAL)
     assert Production(id=0, lhs=s, rhs=()).label is None
     assert ConstraintIssue(kind="cycle", message="m").productions == ()
-    la = LAGraph(input="", node_start=(), node_end=(), node_symbol=(), next_position={})
+    la = LAGraph(input="", node_start=(), node_end=(), node_symbol=(), node_next=())
     assert la.content_start == 0
     cs = ConstraintSet(selection=((1, 0),))
     assert (dict(cs.associativity), cs.selection, cs.composition, dict(cs.custom)) == ({}, ((1, 0),), (), {})
