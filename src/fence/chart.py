@@ -3,8 +3,8 @@
 The parser predicts the start symbol at the starting core, then drains an
 agenda of (handle, node) pairs where the node matches the symbol after the
 handle's dot. A handle is an Earley item (production, dot, origin): the
-origin is the start offset of its first matched node, or its core's own
-position while nothing is matched. Nodes are never zero-width, so a handle
+origin is the start offset of its first matched node, or its own core while
+nothing is matched. Nodes are never zero-width, so a handle
 that has matched something sits in a core after its origin and the two cases
 never share a key. Matching the last pending symbol reduces: a node (origin,
 matched node end, lhs) is created or merged, wired to the cores at its
@@ -17,20 +17,21 @@ counts its work on that graph, once: ``ELAGraph.agenda_pops`` and
 
 The graph keeps its nodes in parallel lists (``ELAGraph.node_start``,
 ``node_end``, ``node_symbol`` and ``node_productions``), which the chart
-indexes by node id; a new node is one append to each. A core is an id into
-the graph's ``core_position``, and what the chart stores at cores lives in
-containers for the whole graph keyed by ints that hold the core id: the
-graph's ``handles`` set, which expansion reads, and the parser's own
-``waiting``, ``following_by_sym`` and ``predicted`` (see
-:class:`ChartParser`), which are freed when the run returns. No core
-allocates a set or dict of its own. A handle that waits for a terminal
+indexes by node id; a new node is one append to each. A core is named by
+its offset, and what the chart stores at cores lives in containers for the
+whole graph keyed by ints that hold the offset: the graph's ``handles``
+set, which expansion reads, and the parser's own ``waiting``,
+``following_by_sym`` and ``predicted`` (see :class:`ChartParser`), which
+are freed when the run returns. No core allocates a set or dict of its
+own. A node starts at the core at its start offset and is followed by the
+core at ``ELAGraph.next_at[end]``. A handle that waits for a terminal
 meets the tokens that start at its core, the lattice ids
-``core_tokens[core]`` to ``core_tokens[core + 1] - 1`` in the parser's
-list of token ranges, and most cores start a single token, so that case is
-one comparison. A handle that waits for a nonterminal meets the nodes
-listed under its symbol and core in ``following_by_sym`` and is listed
-under the same key in ``waiting``; terminal positions are never listed
-there, since no node re-awakens them.
+``token_table[offset]`` to ``token_table[offset + 1] - 1`` in the parser's
+token table, and most cores start a single token, so that case is one
+comparison. A handle that waits for a nonterminal meets the nodes listed
+under its symbol and core in ``following_by_sym`` and is listed under the
+same key in ``waiting``; terminal positions are never listed there, since
+no node re-awakens them.
 
 Prediction is Earley's (1970), with cores in the role of Earley sets. One
 core is shared by every token starting at its offset, so it predicts for
@@ -98,10 +99,10 @@ numbers its items once: production p with its dot at d is item
 ``item * stride + origin``, where ``ELAGraph.stride`` is the input's length
 plus one, because the last core sits at the input's end and can be an
 origin. An agenda entry is ``node_id * space + handle``, where ``space`` is
-the number of items times the stride. The stores add the core the same
-way: a stored handle is ``handle * n_cores + core``, a wait or a
-following node is listed under ``symbol * n_cores + core``, and a node's key
-is ``(start * stride + end) * n_symbols + symbol``. Each code stands for
+the number of items times the stride. The stores add the core's offset the
+same way: a stored handle is ``handle * stride + offset``, a wait or a
+following node is listed under ``symbol * stride + offset``, and a node's
+key is ``(start * stride + end) * n_symbols + symbol``. Each code stands for
 exactly one tuple, so the sets keep the same members. An int hashes without
 rehashing fields, and the cyclic collector never tracks it. Every fact the
 parser reads about an item comes from the item tables that the grammar
@@ -149,16 +150,17 @@ class ChartParser:
     docstring explains why the order does not affect the graph.
 
     The parser keeps the run's working stores, which nothing after the chart
-    reads. ``core_tokens`` is built from the token starts by
-    ``ELAGraph.token_ranges``: the tokens that start at core ``c`` are the
-    ids ``core_tokens[c]`` to ``core_tokens[c + 1] - 1``. The others are one
-    int-keyed dict each for the whole graph. ``waiting`` maps
-    ``symbol * n_cores + core`` to the handles stored there that wait for
-    that nonterminal, including handles whose dot reached it by skipping
-    nullable positions, so a single lookup answers which handles a freshly
-    derived node can advance. ``following_by_sym`` maps the same key to the
-    nonterminal nodes of that symbol that start at the core. ``predicted``
-    maps a core to the symbols predicted there: once a symbol is in it, the
+    reads, and names each core by its offset. ``token_table`` is built from
+    the token starts by ``ELAGraph.token_table``: the tokens that start at
+    the core at offset ``p`` are the ids ``token_table[p]`` to
+    ``token_table[p + 1] - 1``. The others are one int-keyed dict each for
+    the whole graph. ``waiting`` maps ``symbol * stride + offset`` to the
+    handles stored at that core that wait for that nonterminal, including
+    handles whose dot reached it by skipping nullable positions, so a single
+    lookup answers which handles a freshly derived node can advance.
+    ``following_by_sym`` maps the same key to the nonterminal nodes of that
+    symbol that start at the core. ``predicted`` maps a core's offset to the
+    symbols predicted there: once a symbol is in it, the
     dot-0 handles of its left-corner closure are in the graph's ``handles``,
     so a later handle waiting for it seeds nothing new. Its value is the
     grammar's own closure frozenset when the core predicted once, and a
@@ -177,9 +179,9 @@ class ChartParser:
 
     # Slots: the chart reads several of these per handle, and with an instance
     # dict of this size it ran about 10% slower on the prec-arith workload.
-    __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_cores", "_n_symbols", "space", "_base", "_production",
+    __slots__ = ("grammar", "ela", "agenda", "_stride", "_n_symbols", "space", "_base", "_production",
                  "_predictions", "_filtered", "_symbol", "_token", "_blocked", "_skip", "_seeds", "_lhs", "_single",
-                 "_node_symbol", "_node_productions", "_handles", "core_tokens", "waiting", "predicted",
+                 "_node_symbol", "_node_productions", "_handles", "token_table", "waiting", "predicted",
                  "following_by_sym", "node_ids", "_seeded")
 
     def __init__(self, grammar: Grammar, ela: ELAGraph, enforce_constraints: bool = False):
@@ -187,7 +189,6 @@ class ChartParser:
         self.ela = ela
         self.agenda: list[int] = []
         self._stride = ela.stride
-        self._n_cores = ela.n_cores
         self._n_symbols = max(grammar.symbol_by_id) + 1
         self.space = len(grammar.item_production) * ela.stride
         self._base = grammar.item_base
@@ -205,7 +206,7 @@ class ChartParser:
         self._node_symbol = ela.node_symbol
         self._node_productions = ela.node_productions
         self._handles = ela.handles
-        self.core_tokens = ela.token_ranges()
+        self.token_table = ela.token_table()
         self.waiting: dict[int, list[int]] = {}
         self.predicted: dict[int, frozenset] = {}
         self.following_by_sym: dict[int, list[int]] = {}
@@ -215,7 +216,7 @@ class ChartParser:
     # -- core operations ----------------------------------------------------
 
     def add_handle(self, item: int, origin: int, core: int, end: int | None = None) -> None:
-        """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) at core id ``core``.
+        """Store the handle of ``item`` and ``origin`` (and its nullable-skip variants) at the core at offset ``core``.
 
         Pushes an agenda entry for every node following the core that matches
         the symbol after the dot, and predicts a nonterminal at ``core`` the
@@ -228,7 +229,6 @@ class ChartParser:
         offsets can lead to the same core.
         """
         stride = self._stride
-        n_cores = self._n_cores
         handles = self._handles
         symbol = self._symbol
         agenda = self.agenda
@@ -239,12 +239,12 @@ class ChartParser:
                     self._reduce(self._production[item], origin, end)
                 return
             handle = item * stride + origin
-            code = handle * n_cores + core
+            code = handle * stride + core
             if code not in handles:
                 handles.add(code)
                 if self._token[item]:
-                    # The core's tokens are the ids core_tokens[core] and up; most cores start one token.
-                    tokens = self.core_tokens
+                    # The core's tokens are the ids token_table[core] and up; most cores start one token.
+                    tokens = self.token_table
                     lo, hi = tokens[core], tokens[core + 1]
                     node_symbol = self._node_symbol
                     if hi - lo == 1:
@@ -255,7 +255,7 @@ class ChartParser:
                             if node_symbol[node_id] == sym:
                                 agenda.append(node_id * self.space + handle)
                 else:
-                    key = sym * n_cores + core
+                    key = sym * stride + core
                     waiting = self.waiting.get(key)
                     if waiting is None:
                         self.waiting[key] = [handle]
@@ -277,19 +277,19 @@ class ChartParser:
             item += 1
 
     def _predict(self, sym: int, core: int) -> None:
-        """Seed core ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
+        """Seed the core at offset ``core`` with the dot-0 handles of ``sym``'s left-corner closure.
 
         The closure's symbols are marked first, so the seeded handles, which
         all wait for one of them, predict nothing further. A core's first
-        prediction stores the grammar's closure set itself.
+        prediction stores the grammar's closure set itself. A seeded handle's
+        origin is the core itself.
         """
         productions, reached = self._predictions[sym]
         predicted = self.predicted.get(core)
         self.predicted[core] = reached if predicted is None else predicted | reached
         base = self._base
-        position = self.ela.core_position[core]
         for production_id in productions:
-            self.add_handle(base[production_id], position, core)
+            self.add_handle(base[production_id], core, core)
 
     def _wait_blocked(self, handle: int, item: int, core: int) -> None:
         """Push and predict for a handle of ``item``, whose position blocks some productions.
@@ -302,7 +302,7 @@ class ChartParser:
         """
         sym, blocked = self._symbol[item], self._blocked[item]
         productions = self._node_productions
-        for node_id in self.following_by_sym.get(sym * self._n_cores + core, ()):
+        for node_id in self.following_by_sym.get(sym * self._stride + core, ()):
             if not blocked.issuperset(productions[node_id]):
                 self.agenda.append(node_id * self.space + handle)
         pair = (sym, blocked)
@@ -313,9 +313,8 @@ class ChartParser:
             return
         else:
             self.predicted[core] = predicted | {pair}
-        position = self.ela.core_position[core]
         for seed in self._seeds[item]:
-            self.add_handle(seed, position, core)
+            self.add_handle(seed, core, core)
 
     def _reduce(self, production_id: int, start: int, end: int) -> None:
         """Create or extend the node of a completed production and re-awaken its waiting handles.
@@ -337,7 +336,7 @@ class ChartParser:
             ela.node_end.append(end)
             self._node_symbol.append(lhs)
             self._node_productions.append(self._single[production_id])
-            at = lhs * self._n_cores + ela.core_at[start]  # the key of lhs at the node's start core
+            at = lhs * self._stride + start  # the key of lhs at the node's start core
             following = self.following_by_sym.get(at)
             if following is None:
                 self.following_by_sym[at] = [node_id]
@@ -353,7 +352,7 @@ class ChartParser:
             productions[node_id] = earlier[:i] + (production_id,) + earlier[i:]
             if not self._filtered:
                 return
-            at = lhs * self._n_cores + ela.core_at[start]
+            at = lhs * self._stride + start
         # Re-awaken handles already waiting for this symbol. Handles stored
         # later find the node through the scan in add_handle.
         waiting = self.waiting.get(at)
@@ -377,7 +376,7 @@ class ChartParser:
 
     def initialize(self) -> None:
         """Predict the start symbol at the starting core."""
-        self._predict(self.grammar.start.id, self.ela.starting_core)
+        self._predict(self.grammar.start.id, self.ela.content_start)
         self._seeded = True
 
     def run(self) -> ELAGraph:
@@ -386,7 +385,7 @@ class ChartParser:
             self.initialize()
         ela = self.ela
         node_end = ela.node_end
-        next_core = ela.next_core
+        next_at = ela.next_at
         agenda = self.agenda
         space = self.space
         stride = ela.stride
@@ -403,12 +402,11 @@ class ChartParser:
             if symbol[item] < 0:
                 self._reduce(production[item], origin, end)
             else:
-                self.add_handle(item, origin, next_core[end], end)
+                self.add_handle(item, origin, next_at[end], end)
         ela.agenda_pops += pops
         # The start symbol is a nonterminal, so its nodes at the starting core are listed by symbol.
-        last = ela.last_core
-        roots = self.following_by_sym.get(self.grammar.start.id * self._n_cores + ela.starting_core, ())
-        ela.starting = tuple(sorted([r for r in roots if next_core[node_end[r]] == last]))
+        roots = self.following_by_sym.get(self.grammar.start.id * stride + ela.content_start, ())
+        ela.starting = tuple(sorted([r for r in roots if next_at[node_end[r]] == stride - 1]))
         ela.handle_count = len(ela.handles)
         ela.filtered = self._filtered
         return ela

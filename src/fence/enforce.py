@@ -13,15 +13,18 @@ before it; ``EGraph.counts`` keeps them and ``tree_counts`` reads them.
 
 Alternatives come from a right-to-left walk through the handles the chart
 left at its cores, each looked up in the graph's one handle set; nothing is
-searched. The child at the last position ends where the node ends, so it is
-one of the nodes preceding the core after that end. A child at position j
-that starts at offset o is taken only if the core at o holds the handle
-(production, j, start), whose origin is the forest node's start: the chart
-stored that handle only after deriving positions 0..j-1 from there, so the
-walk never extends a suffix whose prefix cannot be derived. Position j-1 is
-then filled from the nodes preceding that core. The graph keeps no such
-lists; expansion makes each core's, ascending, in one pass over the node
-ends when it starts, and frees them when it returns. A nullable position may
+searched. A core is named by its offset, as in the chart, and the graph
+holds the handle (item, origin) stored at offset o as the int
+``(item * stride + origin) * stride + o``. The child at the last position
+ends where the node ends, so it is one of the nodes preceding the core at
+``ELAGraph.next_at[end]``. A child at position j that starts at offset o
+is taken only if the core at o holds the handle (production, j, start),
+whose origin is the forest node's start: the chart stored that handle only
+after deriving positions 0..j-1 from there, so the walk never extends a
+suffix whose prefix cannot be derived. Position j-1 is then filled from the
+nodes preceding that core. The graph keeps no such lists; expansion makes
+them, indexed by offset and ascending, in one pass over the node ends when
+it starts, and frees them when it returns. A nullable position may
 instead be skipped when the same core holds the handle
 for that position (the chart stores skip variants beside the handle they
 skip from). A skipped position gets a zero-width placeholder carrying
@@ -274,8 +277,8 @@ class _Expander:
         # with a cycle context is keyed by the tuple (implicit node id, production id, context)
         self.memo: dict[int | tuple, int] = {}
         self.n_productions = len(grammar.productions)
-        # each core's nodes that end just before it, ascending: the order the chart made them in,
-        # which fixes the order of the alternatives and so the forest's node ids
+        # by offset, the nodes that end just before the core there, ascending: the order the chart
+        # made them in, which fixes the order of the alternatives and so the forest's node ids
         self.preceding = ig.preceding_lists()
         self._leaves: list[int | None] = [None] * ig.n_tokens  # a token's leaf node, by token id
         self._placeholders: dict[tuple[int, int], int] = {}
@@ -353,10 +356,10 @@ class _Expander:
         custom = grammar.constraints.custom if self.enforce else {}
         node_productions, node_symbol = ig.node_productions, ig.node_symbol
         node_start, node_end = ig.node_start, ig.node_end
-        handles, preceding, core_at, next_core = ig.handles, self.preceding, ig.core_at, ig.next_core
-        n_cores = ig.n_cores
-        # The chart stores a handle at core c as handle * n_cores + c
-        step = ig.stride * n_cores
+        handles, preceding, next_at = ig.handles, self.preceding, ig.next_at
+        stride = ig.stride
+        # The chart stores a handle at the core at offset o as handle * stride + o
+        step = stride * stride
         frames: list[tuple] = []  # the suspended nodes' frames, innermost last
         frame = None  # the frame of ``key`` when it is resumed, None when it is opened
         while True:
@@ -366,7 +369,7 @@ class _Expander:
             else:
                 node_id, pid, outer = key
             start, end = node_start[node_id], node_end[node_id]
-            origin = start * n_cores  # every handle read here starts at start
+            origin = start * stride  # every handle read here starts at start
             first = item_base[pid]  # the item of pid with its dot at 0
             evaluator = custom.get(pid)
             if frame is None or len(frame) == 2:  # opened, or resumed in its selection check
@@ -430,7 +433,7 @@ class _Expander:
                     child_start = node_start[child_id]
                     if (right is None and child_end != end) or child_start < start:
                         continue
-                    if code + core_at[child_start] not in handles:
+                    if code + child_start not in handles:
                         continue
                     filled = fill(suffix, child_end) if open_placeholders else suffix
                     if token:
@@ -478,12 +481,12 @@ class _Expander:
                     sym = item_symbol[item]
                     blocked = item_blocked[item]
                     code = item * step + origin  # the handle (item, start), less its core
-                    cid = next_core[end] if right is None else core_at[right]
-                    if item_skip[item] and code + cid in handles:
+                    core = next_at[end] if right is None else right  # the core after the child to fill
+                    if item_skip[item] and code + core in handles:
                         stack.append((item - 1, right, (~sym,) + suffix, made))
                     token = item_token[item]
                     open_placeholders = suffix and suffix[0] < 0
-                    children = iter(preceding[cid])
+                    children = iter(preceding[core])
                     continue
                 break
             if got is None:  # suspend this node and open the wanted one

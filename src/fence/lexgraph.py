@@ -298,27 +298,28 @@ def _prune_columns(
 def _check_offsets(graph: LAGraph) -> None:
     """Raise ``ValueError`` unless every token and step of the lattice moves forward within its input.
 
-    Every offset lies in ``[0, len(input)]``, every token ends after it
-    starts and has a next position at or after its end, so a walk over the
-    lattice ends. Every parse checks, so the check makes four C passes over
-    the columns and no more: with starts before ends and ends at or before
-    next positions, the least start and the greatest next position bound
-    every offset. A lattice that fails is checked again rule by rule, to
-    name the broken one.
+    The four columns have one entry per token, every offset lies in
+    ``[0, len(input)]``, every token ends after it starts and has a next
+    position at or after its end, so a walk over the lattice ends. Every
+    parse checks, so the check makes four C passes over the columns and no
+    more: with starts before ends and ends at or before next positions, the
+    least start and the greatest next position bound every offset. A
+    lattice that fails is checked again rule by rule, to name the broken
+    one.
     """
     n = len(graph.input)
     starts, ends, steps = graph.node_start, graph.node_end, graph.node_next
-    if (0 <= graph.content_start <= n and len(steps) == len(ends)
-            and (not starts or min(starts) >= 0 and max(steps) <= n)
+    aligned = len(starts) == len(ends) == len(graph.node_symbol) == len(steps)
+    if (aligned and 0 <= graph.content_start <= n and (not starts or min(starts) >= 0 and max(steps) <= n)
             and all(map(lt, starts, ends)) and all(map(le, ends, steps))):
         return
+    if not aligned:
+        raise ValueError("the lattice's columns differ in length: a token has no next position, symbol or offset")
     for offsets in (starts, ends, steps, (graph.content_start,)):
         if offsets and not (min(offsets) >= 0 and max(offsets) <= n):
             raise ValueError(f"a lattice offset lies outside [0, {n}]")
     if not all(map(lt, starts, ends)):
         raise ValueError("a token does not end after it starts")
-    if len(steps) != len(ends):
-        raise ValueError("a token end has no next position")
     raise ValueError("a next position lies before its token end")
 
 

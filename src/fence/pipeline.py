@@ -127,14 +127,13 @@ def explain_rejection(outcome: ParseOutcome) -> str:
         shown = []
         if ig is not None:
             terminals = grammar.terminal_ids
-            symbol, token = grammar.items.symbol, grammar.items.token
-            for core in reversed(ig.cores):  # cores are in position order
-                # Cores index only nonterminal waits, so the terminals come from the handles' items
-                items = {h // ig.stride for h in core.handles}
-                names = sorted({grammar.symbol_by_id[symbol[i]].name for i in items if token[i]})
-                if names:
-                    lines.append(f"expected one of {{{', '.join(names)}}} at offset {core.position}")
-                    break
+            symbol, stride = grammar.items.symbol, ig.stride
+            # A stored handle is (item * stride + origin) * stride + offset: each offset and the symbol it waits for
+            waits = {(code % stride, symbol[code // stride // stride]) for code in ig.handles}
+            furthest = max([at for at, s in waits if s in terminals], default=None)
+            if furthest is not None:
+                names = sorted({grammar.symbol_by_id[s].name for at, s in waits if at == furthest and s in terminals})
+                lines.append(f"expected one of {{{', '.join(names)}}} at offset {furthest}")
             nodes = sorted(
                 ig.nodes, key=lambda n: (n.end - n.start, n.symbol_id not in terminals), reverse=True
             )

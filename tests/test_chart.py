@@ -34,6 +34,11 @@ def build(g, text):
     return build_ela_graph(tokenize(g, text))
 
 
+def core_view(ela, offset):
+    """The view of the core at ``offset``."""
+    return next(core for core in ela.cores if core.position == offset)
+
+
 def node_triples(g, ig, ids=None):
     nodes = ig.nodes if ids is None else [ig.nodes[i] for i in ids]
     return sorted((n.start, n.end, g.symbol_by_id[n.symbol_id].name) for n in nodes)
@@ -43,9 +48,9 @@ def test_add_handle_single_production():
     g = grammar("%token a /a/\n%start S\nS ::= a ;\n")
     ela = build(g, "a")
     parser = ChartParser(g, ela)
-    position = ela.core_position[0]
-    parser.add_handle(g.item_base[0], position, 0)
-    assert [handle_parts(g, ela, h) for h in ela.cores[0].handles] == [(0, 0, position)]
+    position = ela.content_start
+    parser.add_handle(g.item_base[0], position, position)
+    assert [handle_parts(g, ela, h) for h in core_view(ela, position).handles] == [(0, 0, position)]
     assert len(parser.agenda) == 1
 
 
@@ -53,8 +58,8 @@ def test_add_handle_expands_nullable_skips():
     g = grammar("%token b /b/\n%start S\nS ::= A b ;\nA ::= ;\n")
     ela = build(g, "b")
     parser = ChartParser(g, ela)
-    parser.add_handle(g.item_base[0], ela.core_position[0], 0)
-    dots = sorted(handle_parts(g, ela, h)[1] for h in ela.cores[0].handles)
+    parser.add_handle(g.item_base[0], ela.content_start, ela.content_start)
+    dots = sorted(handle_parts(g, ela, h)[1] for h in core_view(ela, ela.content_start).handles)
     assert dots == [0, 1]  # dot before A, and A skipped
     assert len(parser.agenda) == 1  # the b token matches the advanced handle
 
@@ -66,7 +71,7 @@ def test_a_handle_is_keyed_by_its_origin_not_its_first_node():
     ela = build(g, "aaab")
     ig = run_chart(g, ela)
     assert len(ig.starting) == 1
-    core = ela.cores[ela.core_at[3]]
+    core = core_view(ela, 3)
     assert sorted(h for h in (handle_parts(g, ela, h) for h in core.handles) if h[0] == 0 and h[1] == 2) == [(0, 2, 0)]
 
 
@@ -90,15 +95,15 @@ def test_initialization_of_running_example():
     # the start symbol E begins with A, which begins with Ampersand: the
     # starting core holds the dot-0 handles of E and A and nothing for B
     by_name = {s.name: s.id for s in g.symbols.values()}
-    start_core = ela.cores[ela.starting_core]
+    start_core = core_view(ela, ela.content_start)
     assert {handle_parts(g, ela, h) for h in start_core.handles} == {
         (p.id, 0, 0) for p in g.productions if p.lhs.name in ("E", "A")
     }
-    assert parser.predicted[start_core.id] == {by_name["E"], by_name["A"], by_name["Ampersand"]}
+    assert parser.predicted[start_core.position] == {by_name["E"], by_name["A"], by_name["Ampersand"]}
     # every other core stays empty until the run reaches it
     for core in ela.cores:
         if core.id != start_core.id:
-            assert not core.handles and core.id not in parser.predicted
+            assert not core.handles and core.position not in parser.predicted
     # only one entry: the Ampersand matching A's production
     assert len(parser.agenda) == 1
     pid, dot, origin, node_id = entry_parts(g, ela, parser.agenda[0])
@@ -245,12 +250,12 @@ def test_a_handle_whose_origin_is_the_end_of_the_input():
     ig = run_chart(g, ela)
     assert len(ig.starting) == 1
     t = g.production_by_ref("T").id
-    last = ela.cores[ela.last_core]
+    last = ela.cores[-1]
     assert last.position == len("a") == ela.stride - 1
     at_end = {handle_parts(g, ela, h): h for h in last.handles}
     assert len(at_end) == len(last.handles)
     assert at_end[t, 1, 0] != at_end[t, 0, 1]
-    at_start = {handle_parts(g, ela, h): h for h in ela.cores[ela.starting_core].handles}
+    at_start = {handle_parts(g, ela, h): h for h in core_view(ela, ela.content_start).handles}
     assert at_start[t, 0, 0] != at_end[t, 0, 1]
     assert len(_assert_matches_oracle(g, "a")) == 1
 
@@ -534,9 +539,9 @@ def test_prediction_through_a_nullable_left_corner():
     ela = build(g, "bbc")
     parser = ChartParser(g, ela)
     parser.initialize()
-    start_core = ela.cores[ela.starting_core]
+    start_core = core_view(ela, ela.content_start)
     # B is predicted where S is, past the empty A, with both its productions
-    assert g.symbol("B").id in parser.predicted[start_core.id]
+    assert g.symbol("B").id in parser.predicted[start_core.position]
     handles = [handle_parts(g, ela, h) for h in start_core.handles]
     assert {str(g.productions[p]) for p, dot, _ in handles if dot == 0} == {
         "S ::= A B c", "B ::= b", "B ::= A B b"
@@ -598,8 +603,8 @@ def test_the_graph_keeps_one_set_and_dict_per_store_whatever_its_cores():
     assert len(large.cores) > 3 * len(small.cores)
     # the graph keeps the handles, which expansion reads, and the parser
     # keeps the waits, the predictions, the nonterminal nodes by symbol and
-    # the node keys: none of them grows a set or dict per core, and core_at
-    # and next_core are lists indexed by offset
+    # the node keys: none of them grows a set or dict per core, and next_at
+    # is a list indexed by offset
     assert _sets_and_dicts(small) == _sets_and_dicts(large) == {"set": 1}
     for parser in (small_parser, large_parser):
         stores = (parser.waiting, parser.predicted, parser.following_by_sym, parser.node_ids)
@@ -608,9 +613,9 @@ def test_the_graph_keeps_one_set_and_dict_per_store_whatever_its_cores():
     # tokens inside each slashed number start cores that no handle reaches,
     # since a Real is read there first
     idle = [core for core in large.cores if not core.handles]
-    assert idle and all(core.id not in large_parser.predicted for core in idle)
+    assert idle and all(core.position not in large_parser.predicted for core in idle)
     # only nonterminals are listed by symbol; tokens are the core's id range
-    assert all(key // large.n_cores not in g.terminal_ids for key in large_parser.following_by_sym)
+    assert all(key // large.stride not in g.terminal_ids for key in large_parser.following_by_sym)
 
 
 def test_the_chart_frees_its_working_stores_before_expansion():

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from fence.chart import run_chart
-from fence.elagraph import build_ela_graph, ela_document
+from fence.elagraph import ELAGraph, build_ela_graph, ela_document
 from fence.enforce import expand_forest
 from fence.lexgraph import enumerate_token_paths, tokenize
 from fence.pipeline import parse_text
@@ -17,16 +17,17 @@ def test_running_example_core_placement():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, AMBIG_INPUT)
     ela = build_ela_graph(la)
-    positions = [c.position for c in ela.cores]
+    cores = ela.cores
+    positions = [c.position for c in cores]
     # one core per distinct token start offset, plus the last core at the end
     assert positions == [0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13]
-    assert ela.cores[ela.starting_core].position == 0
-    assert ela.cores[ela.last_core].position == len(AMBIG_INPUT)
+    assert ela.content_start == cores[0].position == 0
+    assert cores[-1].position == len(AMBIG_INPUT)
     # the starting core precedes exactly the former starting tokens
-    assert list(ela.cores[ela.starting_core].following) == sorted(la.starting)
+    assert list(cores[0].following) == sorted(la.starting)
     # the last core follows exactly the tokens that reach the input end
     final_ids = [t.id for t in la.nodes if la.node_next[t.id] == len(la.input)]
-    assert sorted(ela.cores[ela.last_core].preceding) == final_ids
+    assert sorted(cores[-1].preceding) == final_ids
 
 
 def test_single_token_graph_has_two_cores():
@@ -56,20 +57,20 @@ def test_token_paths_preserved_through_cores():
     ela = build_ela_graph(la)
 
     def ela_paths():
-        start = ela.cores[ela.starting_core]
+        at = {core.position: core for core in ela.cores}
         out = []
 
         def walk(core, acc):
-            if core.id == ela.last_core:
+            if core.position == len(la.input):
                 out.append(tuple(acc))
                 return
             for nid in core.following:
                 node = ela.nodes[nid]
                 acc.append(nid)
-                walk(ela.cores[ela.next_core[node.end]], acc)
+                walk(at[ela.next_at[node.end]], acc)
                 acc.pop()
 
-        walk(start, [])
+        walk(at[ela.content_start], [])
         return sorted(out)
 
     assert ela_paths() == sorted(enumerate_token_paths(la, 1000))
@@ -90,9 +91,10 @@ def test_same_offset_tokens_share_their_preceding_core():
 def test_adjacency_is_symmetric():
     g = grammar(AMBIG_NUMBERS)
     ela = build_ela_graph(tokenize(g, AMBIG_INPUT))
+    at = {core.position: core for core in ela.cores}
     for n in ela.nodes:
-        assert n.id in ela.cores[ela.core_at[n.start]].following
-        assert n.id in ela.cores[ela.next_core[n.end]].preceding
+        assert n.id in at[n.start].following
+        assert n.id in at[ela.next_at[n.end]].preceding
 
 
 def test_document_schema():
@@ -138,9 +140,11 @@ def test_each_core_holds_the_id_range_of_the_tokens_starting_there():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, AMBIG_INPUT)
     ela = build_ela_graph(la)
+    table = ela.token_table()  # the chart's: the same ranges, by offset
     for core in ela.cores:
         starting_here = [t.id for t in la.nodes if t.start == core.position]
         assert list(range(core.tok_lo, core.tok_hi)) == starting_here
+        assert (table[core.position], table[core.position + 1]) == (core.tok_lo, core.tok_hi)
 
 
 def test_a_lattice_out_of_offset_order_is_rejected():
@@ -157,12 +161,12 @@ def test_a_lattice_out_of_offset_order_is_rejected():
 
 
 def test_tokens_that_share_an_end_but_not_a_next_position_are_rejected():
-    # next_core keeps one core per end offset, so x [0,2) would have stepped
-    # to the core at 2, where b steps, instead of to the input's end
+    # next_at keeps one next position per end offset, so x [0,2) would have
+    # stepped to the core at 2, where b steps, instead of to the input's end
     g = grammar("%token a /a/\n%token b /b/\n%token c /c/\n%token x /ab/\n%start S\nS ::= a b c ;\nS ::= x ;\n")
     a, b, c, x = (g.symbols[name].id for name in "abcx")
     tokens = [(0, 1, a, 1), (0, 2, x, 2), (1, 2, b, 2), (2, 3, c, 3)]
-    assert build_ela_graph(hand_lattice("abc", tokens)).next_core == [None, 1, 2, 3]
+    assert build_ela_graph(hand_lattice("abc", tokens)).next_at == [None, 1, 2, 3]
     tokens[1] = (0, 2, x, 3)
     with pytest.raises(ValueError, match="different next positions"):
         build_ela_graph(hand_lattice("abc", tokens))
@@ -183,26 +187,30 @@ def test_node_views_take_a_slice():
         ela.nodes[len(every)]
 
 
-def test_offsets_find_cores_through_lists_with_none_elsewhere():
+def test_the_graph_keeps_one_list_by_offset_and_numbers_cores_by_position():
     g = grammar(AMBIG_NUMBERS)
     la = tokenize(g, AMBIG_INPUT)
     ela = build_ela_graph(la)
     n = len(AMBIG_INPUT)
-    assert type(ela.core_at) is list and type(ela.next_core) is list
-    assert len(ela.core_at) == len(ela.next_core) == n + 1
-    positions = [c.position for c in ela.cores]
-    assert [ela.core_at[p] for p in positions] == list(range(len(positions)))
-    assert ela.core_at[n] == ela.last_core
-    assert all(ela.core_at[p] is None for p in range(n + 1) if p not in positions)
+    # next_at is the only list the graph keeps by offset
+    by_offset = [name for name in ELAGraph.__slots__
+                 if type(getattr(ela, name)) is list and len(getattr(ela, name)) == n + 1]
+    assert by_offset == ["next_at"]
     steps = la.next_position
+    preceding = ela.preceding_lists()
     for p in range(n + 1):
         if p in steps:
-            assert ela.next_core[p] == ela.core_at[steps[p]]
+            assert ela.next_at[p] == steps[p]
         else:
-            # a lookup off a token end fails rather than reading the last core
-            assert ela.next_core[p] is None
+            # a lookup off a token end fails rather than reading a core
+            assert ela.next_at[p] is None
             with pytest.raises(TypeError):
-                ela.core_position[ela.next_core[p]]
+                preceding[ela.next_at[p]]
+    # the views number cores densely, in position order, from the starting core to the last
+    cores = ela.cores
+    assert [c.id for c in cores] == list(range(len(cores)))
+    positions = [c.position for c in cores]
+    assert positions == sorted({*la.node_start, n}) and positions[0] == ela.content_start
 
 
 def _parse_peak(g, text):
@@ -223,9 +231,11 @@ def _parse_peak(g, text):
 
 @pytest.mark.parametrize("text", ["a" * 200_000, "a" + " " * 200_000 + "a"], ids=["long-token", "long-skip-run"])
 def test_a_long_token_or_skip_run_costs_a_few_bytes_per_input_character(text):
-    # core_at and next_core hold one 8-byte slot per input offset each, and
-    # the lexer and pruner one flag byte per offset each; a handful of tokens
-    # cost nothing that grows with their length
+    # next_at and, while each phase runs, the chart's token table or
+    # expansion's preceding lists hold one 8-byte slot per input offset
+    # each, 16.0 bytes a character at the peak, and the lexer and pruner one
+    # flag byte per offset each; a handful of tokens cost nothing that grows
+    # with their length
     g = grammar("%token w /[a-z]+/\n%start S\nS ::= w ;\nS ::= w w ;\n")
     per_char = _parse_peak(g, text) / len(text)
     assert per_char < 20, per_char
@@ -245,10 +255,11 @@ def test_the_lattice_and_the_graph_keep_their_indexes_by_core_only_while_read():
     # with a next-position dict on the lattice, token ranges on the graph and
     # preceding lists it kept from the start of the chart, the parse of a
     # unit list took 7,905 bytes a unit at the peak; with next positions in
-    # a column and each index owned by the phase that reads it, 7,203
+    # a column and each index owned by the phase that reads it, 7,203; with
+    # every store keyed by offset and no core-id lookups, 6,799
     g = grammar(UNIT_LIST)
     units = 100
     text = " ".join(f"&{i + 1}.{i + 2}& /{2 * i + 5}.{i + 10}/" for i in range(units))
     _parse_peak(g, text)
     per_unit = _parse_peak(g, text) / units
-    assert per_unit < 7550, per_unit
+    assert per_unit < 7000, per_unit

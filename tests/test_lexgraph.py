@@ -251,12 +251,13 @@ def test_load_lattice_with_unordered_ids():
     assert set(path_names(g, la, paths)) == {"Integer Point Integer", "Real"}
     assert load_la_graph(serialize_la_graph(la, g), g) == la
     ela = build_ela_graph(la)
-    core_paths, todo = [], [(ela.starting_core, ())]
+    following = {core.position: core.following for core in ela.cores}
+    core_paths, todo = [], [(ela.content_start, ())]
     while todo:
-        core, path = todo.pop()
-        if core == ela.last_core:
+        offset, path = todo.pop()
+        if offset == len(la.input):
             core_paths.append(path)
-        todo += [(ela.next_core[ela.nodes[i].end], path + (i,)) for i in ela.cores[core].following]
+        todo += [(ela.next_at[ela.nodes[i].end], path + (i,)) for i in following[offset]]
     assert sorted(core_paths) == paths
 
 
@@ -291,6 +292,24 @@ def test_a_token_end_without_a_next_position_is_rejected(check):
     # extending raised TypeError and pruning KeyError
     with pytest.raises(ValueError, match="no next position"):
         check(_stepped_lattice((1, 2, 3, 3))._replace(node_next=(1, 2, 3)))
+
+
+@pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph, lambda la: enumerate_token_paths(la, 10)],
+                         ids=["prune", "extend", "enumerate"])
+@pytest.mark.parametrize("column, resize", [
+    ("node_start", lambda c: c + c[-1:]), ("node_symbol", lambda c: c[:-1]), ("node_symbol", lambda c: c + c[-1:]),
+], ids=["start-longer", "symbol-shorter", "symbol-longer"])
+def test_a_lattice_whose_columns_differ_in_length_is_rejected(check, column, resize):
+    # over "ab" with S ::= a b: a longer start column got through extending
+    # and the chart raised IndexError; a shorter symbol column got through
+    # pruning and extending; a longer one parsed, and its root read b [0,2),
+    # a token symbol derived by S ::= a b
+    g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= a b ;\n")
+    a, b = g.symbols["a"].id, g.symbols["b"].id
+    la = hand_lattice("ab", [(0, 1, a, 1), (1, 2, b, 2)])
+    check(la)
+    with pytest.raises(ValueError, match="columns differ in length"):
+        check(la._replace(**{column: resize(getattr(la, column))}))
 
 
 @pytest.mark.parametrize("check", [prune_la_graph, build_ela_graph], ids=["prune", "extend"])
@@ -332,7 +351,7 @@ def test_an_empty_token_is_rejected(check):
     (hand_lattice("ab", [(-1, 1, 0, 1), (1, 2, 1, 2)]), r"outside \[0, 2\]"),
     (hand_lattice("xab", [(1, 2, 0, 2), (2, 3, 1, 3)]), "content_start is not a token start"),
 ], ids=["negative-start", "content-start-between-tokens"])
-def test_core_placement_rejects_a_lattice_without_a_starting_core(la, message):
+def test_core_placement_rejects_a_lattice_with_no_core_to_start_at(la, message):
     # both built a graph whose starting core was None, and the chart raised TypeError
     g = grammar("%token a /a/\n%token b /b/\n%start S\nS ::= a b ;\n")
     assert [g.symbol_by_id[s].name for s in la.node_symbol] == ["a", "b"]
